@@ -5,7 +5,9 @@ a JSON config and writes results.csv plus a run manifest (and per-scenario
 replicate traces with ``--trace``). ``fast-trials report`` renders the
 Figure-style heatmap panels from a results.csv into an SVG.
 
-Exit codes: 0 success, 2 invalid config/flags/input schema, 3 I/O failure.
+Exit codes: 0 success, 2 invalid config/flags/input schema, 3 I/O failure,
+4 simulation failed (a replicate of a validated scenario raised; nothing is
+written).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .design import ScenarioValidationError, load_scenarios, scenario_to_dict, validate_scenario
 from .harness import TRACE_FIELDS, run_grid_detail
+from .interim import SchedulingError
 from .reporting import (
     ReportError,
     config_hash,
@@ -29,10 +32,12 @@ from .reporting import (
     write_results_csv,
     write_trace_csv,
 )
+from .stats import FittingError, InputError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
+EXIT_SIMULATION = 4
 
 THREADS_ENV = "FAST_TRIALS_THREADS"
 
@@ -109,7 +114,11 @@ def _cmd_simulate(args) -> int:
     per_scenario = []
     traces_by_scenario = {}
     for scenario in scenarios:
-        results, traces = run_grid_detail(scenario, threads=threads, collect_traces=args.trace)
+        try:
+            results, traces = run_grid_detail(scenario, threads=threads, collect_traces=args.trace)
+        except (SchedulingError, InputError, FittingError) as exc:
+            print(f"error: simulation failed in scenario {scenario.scenario_id}: {exc}", file=sys.stderr)
+            return EXIT_SIMULATION
         all_results.extend(results)
         if args.trace:
             traces_by_scenario[scenario.scenario_id] = traces

@@ -12,6 +12,19 @@ Hypotheses are tested by likelihood-ratio chi-square at the full final
 alpha, gated so an elementary hypothesis is assessed only after every
 intersection hypothesis containing it has been rejected. That closure
 controls the family-wise error rate in the strong sense.
+
+Most of the models are saturated on their own grouping: they have as many
+distinct covariate rows as parameters, so their MLE is the per-group event
+proportion and ``fit_saturated_counts`` fits them in closed form. Those are
+every reduced model of the one-arm branch (global, beta1, beta2), H01-H04
+and H07 of the both-arms branch (A1 + A2 dummies are saturated on the three
+A-arm groups), and both models of the terminated branch. Only the
+main-effects models iterate by IRLS: the one-arm and both-arms full models,
+H05 and H06. The closed form is the maximum IRLS converges to, so the
+p-values agree to rounding and the decisions are the same. A table with a
+group at 0 or at all events has no interior maximum; every such fit, as
+every unsaturated one, goes through ``fit_logistic_counts``, whose
+divergence flags the replicate as before.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .design import ABSENT, as_subject_data
-from .stats import FittingError, LogisticFit, fit_logistic_counts, lr_test
+from .stats import FittingError, LogisticFit, fit_logistic_counts, fit_saturated_counts, lr_test
 
 __all__ = [
     "FinalBranch",
@@ -126,7 +139,9 @@ def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> Final
 
 
 def _fit_columns(data: FinalModelData, cols: tuple) -> LogisticFit:
-    return fit_logistic_counts(data.rows[:, list(cols)], data.events, data.trials)
+    x = data.rows[:, list(cols)]
+    fit = fit_saturated_counts(x, data.events, data.trials)
+    return fit if fit is not None else fit_logistic_counts(x, data.events, data.trials)
 
 
 def _node_tests(data: FinalModelData, full_cols: tuple, reduced_map: dict) -> tuple[dict, bool]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "welch_t_test",
     "fit_logistic",
     "fit_logistic_counts",
+    "fit_saturated_counts",
     "lr_test",
     "rng_standard_normal",
     "rng_bernoulli",
@@ -41,6 +44,7 @@ _MAX_SERIES_ITER = 1000
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 50
 _DIVERGE_BOUND = 30.0  # |coef| beyond this is numerically certain separation
+_LAYOUT_CACHE_SIZE = 512  # distinct designs remembered; a run typically meets fewer than ten
 
 
 class InputError(ValueError):
@@ -298,14 +302,38 @@ def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -
     return float(np.sum(events * eta - trials * softplus))
 
 
-def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
-    """IRLS logistic fit on grouped data (one design row per covariate
-    pattern, with event/trial counts).
+class _Layout(NamedTuple):
+    """What a fit needs to know of a design beyond its values."""
 
-    Log-likelihood and information match the equivalent subject-level
-    Bernoulli model exactly, so likelihood-ratio statistics can mix grouped
-    and ungrouped fits.
-    """
+    rank: int
+    groups: np.ndarray  # row -> index of its distinct covariate row
+    saturated_inverse: Optional[np.ndarray]  # inverse of the distinct rows when square and full rank
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(shape: tuple, buffer: bytes) -> _Layout:
+    x = np.frombuffer(buffer).reshape(shape)
+    rank = int(np.linalg.matrix_rank(x))
+    distinct, groups = np.unique(x, axis=0, return_inverse=True)
+    groups = groups.reshape(-1)
+    groups.setflags(write=False)
+    inverse = None
+    if distinct.shape[0] == shape[1] == rank:
+        inverse = np.linalg.inv(distinct)
+        inverse.setflags(write=False)
+    return _Layout(rank, groups, inverse)
+
+
+def _design_layout(x: np.ndarray) -> _Layout:
+    """Rank and row grouping of a float design, computed once per distinct
+    design: a simulation's designs are a few small 0/1 matrices that recur
+    in every replicate."""
+    return _layout(x.shape, x.tobytes())
+
+
+def _checked_counts(design_rows, events, trials):
+    """Grouped logistic inputs as float arrays plus the design's layout,
+    after every precondition of a fit has been checked."""
     x = np.asarray(design_rows, dtype=float)
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
@@ -314,15 +342,67 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
     n_rows, k = x.shape
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
-    if np.any(events < 0) or np.any(events > trials):
+    if ((events < 0) | (events > trials)).any():
         raise InputError("event counts must lie in [0, trials] per row")
     n_subjects = float(trials.sum())
     if n_subjects < k:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
-    if not np.all(x[:, 0] == 1.0):
+    if not (x[:, 0] == 1.0).all():
         raise InputError("design must carry an all-ones intercept in column 0")
-    if np.linalg.matrix_rank(x) < k:
+    layout = _design_layout(x)
+    if layout.rank < k:
         raise InputError("design columns are collinear")
+    return x, events, trials, layout
+
+
+def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
+    """Closed-form logistic fit of a model saturated on its own grouping,
+    or None where the model needs IRLS.
+
+    A design with exactly as many distinct covariate rows as columns, at full
+    rank, gives each group g its own free logit. The MLE is then the group's
+    event proportion p_g = E_g / N_g, the log-likelihood is
+    sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)], and the coefficients are
+    the group logits solved into the design's parameterisation. That
+    maximum is the one IRLS converges to, so the two give the same
+    likelihood-ratio decisions. It exists only when every group is interior
+    (0 < E_g < N_g); on a boundary table, as for an unsaturated design, this
+    returns None so that the caller's IRLS fit reports the divergence.
+    Inputs are checked as in ``fit_logistic_counts``, with the same errors.
+    """
+    x, events, trials, layout = _checked_counts(design_rows, events, trials)
+    inverse = layout.saturated_inverse
+    if inverse is None:
+        return None
+    k = x.shape[1]
+    e = np.bincount(layout.groups, weights=events, minlength=k)
+    n = np.bincount(layout.groups, weights=trials, minlength=k)
+    if not ((e > 0) & (e < n)).all():
+        return None
+    p = e / n
+    log_p, log_q = np.log(p), np.log1p(-p)
+    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
+    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
+    return LogisticFit(
+        coefficients=inverse @ (log_p - log_q),
+        log_likelihood=float(np.sum(e * log_p + (n - e) * log_q)),
+        converged=True,
+        n_iterations=0,
+        covariance=covariance,
+    )
+
+
+def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
+    """IRLS logistic fit on grouped data (one design row per covariate
+    pattern, with event/trial counts).
+
+    Log-likelihood and information match the equivalent subject-level
+    Bernoulli model exactly, so likelihood-ratio statistics can mix grouped
+    and ungrouped fits, and fits from ``fit_saturated_counts``. The
+    collinearity (SVD rank) test runs once per distinct design.
+    """
+    x, events, trials, _ = _checked_counts(design_rows, events, trials)
+    k = x.shape[1]
 
     beta = np.zeros(k)
     converged = False

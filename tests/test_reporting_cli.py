@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fast_trials.design import ScenarioConfig, validate_scenario
-from fast_trials.harness import run_grid
+from fast_trials.harness import TRACE_FIELDS, run_grid, run_grid_detail
 from fast_trials.reporting import (
     RESULTS_COLUMNS,
     ReportError,
@@ -18,6 +18,7 @@ from fast_trials.reporting import (
     read_results_csv,
     render_heatmaps_svg,
     write_results_csv,
+    write_trace_csv,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -81,6 +82,15 @@ def test_golden_results_csv_is_stable(tmp_path):
     write_results_csv(run_grid(_golden_config()), out)
     golden = (DATA_DIR / "golden_results.csv").read_bytes()
     assert out.read_bytes() == golden
+
+
+def test_golden_trace_csv_is_stable(tmp_path):
+    # Pins the per-replicate decisions and hypothesis p-values, which
+    # results.csv aggregates away.
+    out = tmp_path / "trace.csv"
+    _, traces = run_grid_detail(_golden_config(), collect_traces=True)
+    write_trace_csv(traces, TRACE_FIELDS, out)
+    assert out.read_bytes() == (DATA_DIR / "golden_trace.csv").read_bytes()
 
 
 def test_results_columns_pinned():
@@ -253,6 +263,19 @@ def test_cli_report_missing_column_named(tmp_path):
     r = _run_cli("report", "--in", str(bad), "--svg", str(tmp_path / "x.svg"))
     assert r.returncode == 2
     assert "fwer" in r.stderr
+
+
+def test_cli_simulation_failure_exits_4(tmp_path):
+    # Valid, but the arm-dropping trigger falls before each treatment arm
+    # has 2 subjects, so the first replicate raises SchedulingError.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario_id": 0, "n_drop_grid": [4], "n_feas_grid": [300], "replicates": 20}))
+    out = tmp_path / "out"
+    r = _run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: simulation failed in scenario 0:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_report_missing_input(tmp_path):

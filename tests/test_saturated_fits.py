@@ -1,0 +1,231 @@
+"""Closed-form saturated fits and the per-design layout memo: the final
+analysis must give the same p-values, failure flags and errors as fitting
+every node by IRLS, which this file keeps as the reference."""
+
+import numpy as np
+import pytest
+
+from fast_trials import final_analysis
+from fast_trials.design import SubjectData
+from fast_trials.final_analysis import (
+    FinalBranch,
+    analyze_terminated,
+    build_final_model,
+    gatekeep_both_retained,
+    gatekeep_one_retained,
+)
+from fast_trials.stats import (
+    FittingError,
+    InputError,
+    _design_layout,
+    _layout,
+    fit_logistic_counts,
+    fit_saturated_counts,
+    lr_test,
+)
+
+# branch -> (analysis, arm_a values, full columns, node -> reduced columns,
+#            columns of the models saturated on their own grouping)
+_LAYOUTS = {
+    FinalBranch.DOMAIN_A_TERMINATED: (
+        analyze_terminated,
+        (0,),
+        (0, 1),
+        {"beta1": (0,)},
+        ((0, 1), (0,)),
+    ),
+    FinalBranch.ONE_ARM_RETAINED: (
+        gatekeep_one_retained,
+        (0, 1, 2),
+        (0, 1, 2),
+        {"global": (0,), "beta1": (0, 2), "beta2": (0, 1)},
+        ((0,), (0, 2), (0, 1)),
+    ),
+    FinalBranch.BOTH_ARMS_RETAINED: (
+        gatekeep_both_retained,
+        (0, 1, 2),
+        (0, 1, 2, 3),
+        {
+            "H01": (0,),
+            "H02": (0, 3),
+            "H03": (0, 2),
+            "H04": (0, 1),
+            "H05": (0, 2, 3),
+            "H06": (0, 1, 3),
+            "H07": (0, 1, 2),
+        },
+        ((0,), (0, 3), (0, 2), (0, 1), (0, 1, 2)),
+    ),
+}
+_IRLS_FITS = {
+    FinalBranch.DOMAIN_A_TERMINATED: 0,
+    FinalBranch.ONE_ARM_RETAINED: 1,
+    FinalBranch.BOTH_ARMS_RETAINED: 3,
+}
+_MODES = ("interior", "boundary", "no_b1", "missing_arm", "tiny", "mixed")
+
+
+def _reference_node_tests(data, full_cols, reduced_map):
+    """Every node fitted by IRLS: the final analysis before closed forms."""
+    failed = False
+    try:
+        full = fit_logistic_counts(data.rows[:, list(full_cols)], data.events, data.trials)
+        failed |= not full.converged
+        p_values = {}
+        for node, reduced_cols in reduced_map.items():
+            reduced = fit_logistic_counts(data.rows[:, list(reduced_cols)], data.events, data.trials)
+            failed |= not reduced.converged
+            p_values[node] = lr_test(full, reduced, len(full_cols) - len(reduced_cols)).p_value
+    except FittingError:
+        return {node: 1.0 for node in reduced_map}, True
+    return p_values, failed
+
+
+def _table(rng, branch, mode):
+    """Final-model data from random per-(arm_a, arm_b) cell counts."""
+    _, arms_a, *_ = _LAYOUTS[branch]
+    cells = [(a, b) for a in arms_a for b in (0, 1)]
+    missing = rng.choice([a for a in arms_a if a > 0]) if mode == "missing_arm" and len(arms_a) > 1 else None
+    arm_a, arm_b, y21 = [], [], []
+    for a, b in cells:
+        if (mode == "no_b1" and b == 1) or a == missing:
+            continue
+        if mode == "tiny":
+            n = int(rng.integers(0, 3))
+        elif mode == "mixed":
+            n = int(rng.choice([0, 1, 2, int(rng.integers(3, 120))]))
+        else:
+            n = int(rng.integers(8, 150))
+        q = rng.uniform(0.1, 0.9)
+        events = int(rng.binomial(n, q))
+        if mode == "interior":
+            events = min(max(events, 1), n - 1)
+        elif mode == "boundary" and rng.random() < 0.4:
+            events = 0 if rng.random() < 0.5 else n
+        arm_a += [a] * n
+        arm_b += [b] * n
+        y21 += [1] * events + [0] * (n - events)
+    size = len(arm_a)
+    subjects = SubjectData(arm_a, arm_b, np.zeros(size), np.zeros(size), y21)
+    retained = "A2" if branch is FinalBranch.ONE_ARM_RETAINED else None
+    return build_final_model(subjects, branch, retained_arm=retained)
+
+
+def _outcome_or_error(analysis, data):
+    try:
+        return analysis(data, 0.05)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_node_p_values_match_all_irls_reference(branch):
+    analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
+    rng = np.random.default_rng(20231019)
+    seen = set()
+    for _ in range(240):
+        mode = _MODES[int(rng.integers(len(_MODES)))]
+        data = _table(rng, branch, mode)
+        try:
+            expected = _reference_node_tests(data, full_cols, reduced_map)
+        except InputError as exc:
+            expected = str(exc)
+        got = _outcome_or_error(analysis, data)
+        if isinstance(expected, str):
+            assert got == expected, mode
+            seen.add("input_error")
+            continue
+        ref_p, ref_failed = expected
+        assert got.fit_failed == ref_failed, mode
+        assert got.node_p_values.keys() == ref_p.keys()
+        for node, p in ref_p.items():
+            assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (mode, node)
+        seen.add("failed" if ref_failed else "ok")
+    # The draws must reach every kind of outcome they are meant to compare.
+    assert seen == {"input_error", "failed", "ok"}
+
+
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_closed_form_matches_irls_on_interior_tables(branch):
+    _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        data = _table(rng, branch, "interior")
+        for cols in saturated:
+            x = data.rows[:, list(cols)]
+            closed = fit_saturated_counts(x, data.events, data.trials)
+            irls = fit_logistic_counts(x, data.events, data.trials)
+            assert irls.converged and closed.converged and not closed.diverged
+            assert closed.n_iterations == 0
+            np.testing.assert_allclose(closed.coefficients, irls.coefficients, rtol=0, atol=1e-8)
+            assert closed.log_likelihood == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
+            np.testing.assert_allclose(closed.covariance, irls.covariance, rtol=0, atol=1e-8)
+        for cols in {full_cols, *reduced_map.values()} - set(saturated):
+            assert fit_saturated_counts(data.rows[:, list(cols)], data.events, data.trials) is None
+
+
+def test_boundary_group_is_left_to_irls():
+    # B1 arm with no events: the two-group model has no interior maximum.
+    x = np.array([[1.0, 0.0], [1.0, 1.0]])
+    assert fit_saturated_counts(x, np.array([5.0, 0.0]), np.array([20.0, 20.0])) is None
+    assert fit_saturated_counts(x, np.array([5.0, 20.0]), np.array([20.0, 20.0])) is None
+    # Pooled into one group, the same counts are interior.
+    fit = fit_saturated_counts(x[:, :1], np.array([5.0, 0.0]), np.array([20.0, 20.0]))
+    assert fit.coefficients[0] == pytest.approx(np.log(5.0 / 35.0))
+
+
+def test_closed_form_keeps_input_errors():
+    x = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InputError, match="trials"):
+        fit_saturated_counts(x, np.array([5.0, 21.0]), np.array([20.0, 20.0]))
+    with pytest.raises(InputError, match="intercept"):
+        fit_saturated_counts(x[:, ::-1], np.array([5.0, 6.0]), np.array([20.0, 20.0]))
+    with pytest.raises(InputError, match="collinear"):
+        fit_saturated_counts(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([5.0, 6.0]), np.array([20.0, 20.0]))
+
+
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_only_main_effects_models_iterate(branch, monkeypatch):
+    analysis = _LAYOUTS[branch][0]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fit_logistic_counts(*args)
+
+    monkeypatch.setattr(final_analysis, "fit_logistic_counts", counting)
+    data = _table(np.random.default_rng(3), branch, "interior")
+    assert not analysis(data, 0.05).fit_failed
+    assert len(calls) == _IRLS_FITS[branch]
+
+
+# -- the layout memo ----------------------------------------------------------
+
+def test_memoised_rank_matches_matrix_rank():
+    rng = np.random.default_rng(99)
+    for _ in range(400):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            x = rng.integers(0, 2, (n, k)).astype(float)
+        else:
+            x = rng.standard_normal((n, k))
+            if k > 1 and rng.random() < 0.4:
+                x[:, -1] = 2.0 * x[:, 0]
+        if rng.random() < 0.3:
+            x = np.asfortranarray(x)
+        expected = np.linalg.matrix_rank(x)
+        assert _design_layout(x).rank == expected
+        assert _design_layout(x.copy()).rank == expected  # served from the memo
+
+
+def test_layout_memo_is_bounded_and_read_only():
+    maxsize = _layout.cache_info().maxsize
+    assert maxsize is not None
+    try:
+        for i in range(maxsize + 40):
+            layout = _design_layout(np.array([[1.0, float(i)], [1.0, -1.0]]))
+        assert _layout.cache_info().currsize == maxsize
+        assert not layout.groups.flags.writeable
+        assert not layout.saturated_inverse.flags.writeable
+    finally:
+        _layout.cache_clear()
