@@ -8,8 +8,6 @@ from .design import (
     ScenarioConfig,
     ScenarioValidationError,
     SubjectData,
-    SubjectRecord,
-    default_design,
     load_scenarios,
     scenario_from_dict,
     scenario_to_dict,
@@ -25,10 +23,7 @@ from .final_analysis import (
 )
 from .generation import (
     ActiveArms,
-    generate_biomarkers,
     generate_block,
-    generate_phase3_outcome,
-    randomize_subject,
 )
 from .harness import (
     OperatingCharacteristics,
@@ -63,8 +58,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioValidationError",
     "SubjectData",
-    "SubjectRecord",
-    "default_design",
     "load_scenarios",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -76,10 +69,7 @@ __all__ = [
     "gatekeep_both_retained",
     "gatekeep_one_retained",
     "ActiveArms",
-    "generate_biomarkers",
     "generate_block",
-    "generate_phase3_outcome",
-    "randomize_subject",
     "OperatingCharacteristics",
     "TrialResult",
     "derive_seed",

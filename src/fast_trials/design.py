@@ -6,16 +6,19 @@ subject to the phase-2 interim machinery; domain B compares one active arm
 (B1) against control B0 and is analyzed only at the end. Phase-2 decisions
 use two continuous biomarkers (y11, y12); the phase-3 outcome (y21) is
 binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
-``validate_scenario`` checks the whole document at once.
+``validate_scenario`` checks the whole document at once; ``SubjectData``
+holds simulated subjects column by column.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,12 +30,7 @@ __all__ = [
     "ARM_B_CODE",
     "ABSENT",
     "BenefitDirection",
-    "OutcomeSpec",
-    "DomainSpec",
-    "DesignSpec",
-    "default_design",
     "ScenarioConfig",
-    "SubjectRecord",
     "SubjectData",
     "ScenarioValidationError",
     "scenario_issues",
@@ -54,50 +52,6 @@ ABSENT = -1  # arm_a code for subjects enrolled after domain A termination
 class BenefitDirection(str, Enum):
     INCREASE = "increase"
     DECREASE = "decrease"
-
-
-@dataclass(frozen=True)
-class OutcomeSpec:
-    """One outcome of interest, indexed by trial phase."""
-
-    phase: int
-    index: int
-    kind: str  # "continuous" | "binary"
-    direction_of_benefit: BenefitDirection
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    name: str
-    arms: tuple[str, ...]  # first entry is the control arm
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    """The factorial structure: domains with their arms, phase-2 biomarker
-    outcomes, and the binary phase-3 outcome."""
-
-    domains: tuple[DomainSpec, ...]
-    phase2_outcomes: tuple[OutcomeSpec, ...]
-    phase3_outcome: OutcomeSpec
-
-
-def default_design(
-    direction_y11: BenefitDirection = BenefitDirection.INCREASE,
-    direction_y12: BenefitDirection = BenefitDirection.DECREASE,
-) -> DesignSpec:
-    """The 3x2 instance every decision engine in this package targets."""
-    return DesignSpec(
-        domains=(
-            DomainSpec("A", DOMAIN_A_ARMS),
-            DomainSpec("B", DOMAIN_B_ARMS),
-        ),
-        phase2_outcomes=(
-            OutcomeSpec(1, 1, "continuous", direction_y11),
-            OutcomeSpec(1, 2, "continuous", direction_y12),
-        ),
-        phase3_outcome=OutcomeSpec(2, 1, "binary", BenefitDirection.DECREASE),
-    )
 
 
 _DEFAULT_GRID = tuple(range(90, 301, 30))
@@ -150,24 +104,10 @@ class ScenarioConfig:
         return float(self.phase3_effects[arm])
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One virtual patient in enrollment order."""
-
-    index: int
-    arm_a: Optional[str]  # None once domain A has been terminated
-    arm_b: str
-    y11: float
-    y12: float
-    y21: int
-
-
 class SubjectData:
-    """Column-oriented subject store (enrollment order preserved).
-
-    Analyses operate on the arrays; ``record``/iteration expose the same
-    content as ``SubjectRecord`` values.
-    """
+    """Column-oriented subject store in enrollment order: domain-A arm code
+    (``ABSENT`` once domain A has been terminated), domain-B arm code, the
+    two biomarkers and the binary phase-3 outcome."""
 
     __slots__ = ("arm_a", "arm_b", "y11", "y12", "y21")
 
@@ -181,50 +121,8 @@ class SubjectData:
         if not (len(self.arm_b) == len(self.y11) == len(self.y12) == len(self.y21) == n):
             raise ValueError("subject columns must have equal length")
 
-    @classmethod
-    def empty(cls) -> "SubjectData":
-        return cls([], [], [], [], [])
-
-    @classmethod
-    def from_records(cls, records: Iterable[SubjectRecord]) -> "SubjectData":
-        records = list(records)
-        return cls(
-            [ABSENT if r.arm_a is None else ARM_A_CODE[r.arm_a] for r in records],
-            [ARM_B_CODE[r.arm_b] for r in records],
-            [r.y11 for r in records],
-            [r.y12 for r in records],
-            [r.y21 for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.arm_a)
-
-    def head(self, n: int) -> "SubjectData":
-        return SubjectData(self.arm_a[:n], self.arm_b[:n], self.y11[:n], self.y12[:n], self.y21[:n])
-
-    def record(self, i: int) -> SubjectRecord:
-        code = int(self.arm_a[i])
-        return SubjectRecord(
-            index=i,
-            arm_a=None if code == ABSENT else DOMAIN_A_ARMS[code],
-            arm_b=DOMAIN_B_ARMS[int(self.arm_b[i])],
-            y11=float(self.y11[i]),
-            y12=float(self.y12[i]),
-            y21=int(self.y21[i]),
-        )
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
-    def n_with_domain_a(self) -> int:
-        return int(np.count_nonzero(self.arm_a != ABSENT))
-
-
-def as_subject_data(subjects) -> SubjectData:
-    """Accept either a SubjectData or any iterable of SubjectRecord."""
-    if isinstance(subjects, SubjectData):
-        return subjects
-    return SubjectData.from_records(subjects)
 
 
 # ---------------------------------------------------------------------------
@@ -239,64 +137,99 @@ class ScenarioValidationError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {i}" for i in self.issues))
 
 
+def _is_number(v) -> bool:
+    """A real number; bools are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _float(v):
+    return float(v) if _is_number(v) else v
+
+
+def _items(v) -> Optional[tuple]:
+    """The elements of a list-like field, or None when ``v`` is not one."""
+    try:
+        return None if isinstance(v, (str, bytes, dict)) else tuple(v)
+    except TypeError:
+        return None
+
+
+def _check_open_unit(issues, name, value):
+    if not _is_number(value):
+        issues.append(f"{name}: must be a number, got {value!r}")
+    elif not 0.0 < value < 1.0:
+        issues.append(f"{name}: must lie strictly in (0, 1), got {value}")
+
+
 def _check_grid(issues, name, grid, n_total):
-    if len(grid) == 0:
+    triggers = _items(grid)
+    if triggers is None:
+        issues.append(f"{name}: must be a list of integer triggers, got {grid!r}")
+        return
+    if len(triggers) == 0:
         issues.append(f"{name}: grid must be nonempty")
         return
-    for v in grid:
+    for v in triggers:
         if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool)):
             issues.append(f"{name}: trigger {v!r} is not an integer")
             return
-    if any(v < 1 for v in grid):
-        issues.append(f"{name}: triggers must be >= 1 (got {tuple(grid)})")
-    if isinstance(n_total, (int, np.integer)) and any(v > n_total for v in grid):
-        issues.append(f"{name}: triggers must not exceed n_total={n_total} (got {tuple(grid)})")
-    if len(set(grid)) != len(grid):
-        issues.append(f"{name}: triggers must be distinct (got {tuple(grid)})")
+    if any(v < 1 for v in triggers):
+        issues.append(f"{name}: triggers must be >= 1 (got {triggers})")
+    if isinstance(n_total, (int, np.integer)) and any(v > n_total for v in triggers):
+        issues.append(f"{name}: triggers must not exceed n_total={n_total} (got {triggers})")
+    if len(set(triggers)) != len(triggers):
+        issues.append(f"{name}: triggers must be distinct (got {triggers})")
 
 
 def scenario_issues(config: ScenarioConfig) -> list[str]:
-    """Every invariant violation in ``config``, with field paths."""
+    """Every invariant violation in ``config``, wrong types included, with
+    field paths."""
     issues: list[str] = []
 
-    if set(config.biomarker_effects) != set(TREATMENT_ARMS_A):
-        issues.append(
-            f"biomarker_effects: keys must be exactly {set(TREATMENT_ARMS_A)}, "
-            f"got {set(config.biomarker_effects)}"
-        )
+    effects = config.biomarker_effects
+    if not (isinstance(effects, dict) and set(effects) == set(TREATMENT_ARMS_A)):
+        issues.append(f"biomarker_effects: must map exactly A1 and A2 to value pairs, got {effects!r}")
     else:
-        for arm, pair in config.biomarker_effects.items():
-            if len(tuple(pair)) != 2 or not all(np.isfinite(v) for v in pair):
+        for arm, pair in effects.items():
+            values = _items(pair)
+            if values is None or len(values) != 2 or not all(_is_finite(v) for v in values):
                 issues.append(f"biomarker_effects[{arm}]: needs two finite values, got {pair!r}")
 
-    sds = tuple(config.biomarker_sds)
-    if len(sds) != 2 or not all(np.isfinite(s) and s >= 0 for s in sds):
-        issues.append(f"biomarker_sds: needs two nonnegative finite values, got {sds!r}")
+    sds = _items(config.biomarker_sds)
+    if sds is None or len(sds) != 2 or not all(_is_finite(s) and s >= 0 for s in sds):
+        issues.append(f"biomarker_sds: needs two nonnegative finite values, got {config.biomarker_sds!r}")
 
-    dirs = tuple(config.benefit_directions)
-    if len(dirs) != 2 or not all(d in ("increase", "decrease") for d in dirs):
+    dirs = _items(config.benefit_directions)
+    if dirs is None or len(dirs) != 2 or not all(d in ("increase", "decrease") for d in dirs):
         issues.append(
-            f"benefit_directions: needs two values from {{'increase','decrease'}}, got {dirs!r}"
+            "benefit_directions: needs two values from {'increase','decrease'}, "
+            f"got {config.benefit_directions!r}"
         )
 
-    if not 0.0 < config.control_event_rate < 1.0:
-        issues.append(
-            f"control_event_rate: must lie strictly in (0, 1), got {config.control_event_rate}"
-        )
+    rate = config.control_event_rate
+    _check_open_unit(issues, "control_event_rate", rate)
 
-    if set(config.phase3_effects) != {"A1", "A2", "B1"}:
-        issues.append(
-            "phase3_effects: keys must be exactly {'A1', 'A2', 'B1'}, "
-            f"got {set(config.phase3_effects)}"
-        )
-    elif 0.0 < config.control_event_rate < 1.0:
+    effects = config.phase3_effects
+    arms = ("A1", "A2", "B1")
+    if not (isinstance(effects, dict) and set(effects) == set(arms)):
+        issues.append(f"phase3_effects: must map exactly A1, A2 and B1 to risk differences, got {effects!r}")
+    elif not all(_is_finite(effects[arm]) for arm in arms):
+        issues += [
+            f"phase3_effects[{arm}]: must be a finite number, got {effects[arm]!r}"
+            for arm in arms
+            if not _is_finite(effects[arm])
+        ]
+    elif _is_number(rate) and 0.0 < rate < 1.0:
         for arm_a in (None, "A0", "A1", "A2"):
             for arm_b in ("B0", "B1"):
-                p = (
-                    config.control_event_rate
-                    + config.risk_difference(arm_a)
-                    + config.risk_difference(arm_b)
-                )
+                p = rate + config.risk_difference(arm_a) + config.risk_difference(arm_b)
                 if not 0.0 < p < 1.0:
                     issues.append(
                         f"phase3_effects: event probability for arms ({arm_a or 'none'}, {arm_b}) "
@@ -306,13 +239,11 @@ def scenario_issues(config: ScenarioConfig) -> list[str]:
     if not (isinstance(config.n_total, (int, np.integer)) and config.n_total >= 1):
         issues.append(f"n_total: must be a positive integer, got {config.n_total!r}")
 
-    _check_grid(issues, "n_drop_grid", tuple(config.n_drop_grid), config.n_total)
-    _check_grid(issues, "n_feas_grid", tuple(config.n_feas_grid), config.n_total)
+    _check_grid(issues, "n_drop_grid", config.n_drop_grid, config.n_total)
+    _check_grid(issues, "n_feas_grid", config.n_feas_grid, config.n_total)
 
     for name in ("alpha_drop", "alpha_feas", "alpha_final"):
-        a = getattr(config, name)
-        if not 0.0 < a < 1.0:
-            issues.append(f"{name}: must lie strictly in (0, 1), got {a}")
+        _check_open_unit(issues, name, getattr(config, name))
 
     if config.default_retained_arm not in TREATMENT_ARMS_A:
         issues.append(
@@ -378,29 +309,19 @@ def scenario_from_dict(doc: dict, strict: bool = True) -> ScenarioConfig:
     if strict and unknown:
         raise ScenarioValidationError([f"unknown key {k!r}" for k in sorted(unknown)])
 
-    kwargs = {}
-    if "biomarker_effects" in doc:
-        kwargs["biomarker_effects"] = {
-            str(arm): tuple(float(v) for v in pair) for arm, pair in doc["biomarker_effects"].items()
-        }
-    if "phase3_effects" in doc:
-        kwargs["phase3_effects"] = {str(arm): float(v) for arm, v in doc["phase3_effects"].items()}
+    # Numbers become floats and lists tuples; a value of the wrong JSON type
+    # is passed through for ``scenario_issues`` to report.
+    kwargs = {key: doc[key] for key in _FIELD_NAMES if key in doc}
     for key in ("biomarker_sds", "benefit_directions", "n_drop_grid", "n_feas_grid"):
-        if key in doc:
-            kwargs[key] = tuple(doc[key])
-    for key in (
-        "scenario_id",
-        "control_event_rate",
-        "n_total",
-        "alpha_drop",
-        "alpha_feas",
-        "alpha_final",
-        "default_retained_arm",
-        "replicates",
-        "base_seed",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
+        if isinstance(kwargs.get(key), list):
+            kwargs[key] = tuple(kwargs[key])
+    if isinstance(kwargs.get("biomarker_effects"), dict):
+        kwargs["biomarker_effects"] = {
+            str(arm): tuple(map(_float, pair)) if isinstance(pair, list) else pair
+            for arm, pair in kwargs["biomarker_effects"].items()
+        }
+    if isinstance(kwargs.get("phase3_effects"), dict):
+        kwargs["phase3_effects"] = {str(arm): _float(v) for arm, v in kwargs["phase3_effects"].items()}
     return ScenarioConfig(**kwargs)
 
 

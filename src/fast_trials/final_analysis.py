@@ -8,10 +8,13 @@ regression of the binary outcome on treatment indicators:
 * both arms retained -- intercept, A1, A2, B1 indicators;
 * domain A terminated -- intercept and B1 only, over all subjects.
 
-Hypotheses are tested by likelihood-ratio chi-square at the full final
-alpha, gated so an elementary hypothesis is assessed only after every
-intersection hypothesis containing it has been rejected. That closure
-controls the family-wise error rate in the strong sense.
+Each branch tests a family of nodes, one per null hypothesis that sets a
+set S of its coefficients to zero (``HIERARCHY``). Every node is tested by
+likelihood-ratio chi-square at the full final alpha, and one rule gates
+them all, closed testing (Marcus, Peritz & Gabriel, 1976): reject the node
+for S iff its p-value is below alpha and every node for a strict superset
+of S is rejected. That closure controls the family-wise error rate in the
+strong sense.
 
 Most of the models are saturated on their own grouping: they have as many
 distinct covariate rows as parameters, so their MLE is the per-group event
@@ -31,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .design import ABSENT, as_subject_data
+from .design import ABSENT
 from .stats import FittingError, LogisticFit, fit_logistic_counts, fit_saturated_counts, lr_test
 
 __all__ = [
@@ -42,7 +46,10 @@ __all__ = [
     "FinalModelSpec",
     "FinalModelData",
     "GatekeepingOutcome",
+    "HIERARCHY",
+    "ANCESTORS",
     "build_final_model",
+    "closed_test",
     "gate_two_parameter",
     "gate_three_parameter",
     "gatekeep_one_retained",
@@ -55,6 +62,66 @@ class FinalBranch(str, Enum):
     ONE_ARM_RETAINED = "one_arm_retained"
     BOTH_ARMS_RETAINED = "both_arms_retained"
     DOMAIN_A_TERMINATED = "domain_a_terminated"
+
+
+# Covariates of each branch's full model, intercept excluded: covariate j
+# is design column j + 1.
+_COVARIATES = {
+    FinalBranch.ONE_ARM_RETAINED: ("fluid_pooled", "b1"),
+    FinalBranch.BOTH_ARMS_RETAINED: ("a1", "a2", "b1"),
+    FinalBranch.DOMAIN_A_TERMINATED: ("b1",),
+}
+
+# The arm declared successful when a covariate's elementary node is rejected.
+_ARM_OF = {"fluid_pooled": "A_pooled", "a1": "A1", "a2": "A2", "b1": "B1"}
+
+# The gating hierarchy of every branch, written once: trace label -> the
+# covariates whose coefficients the node's null hypothesis sets to zero.
+HIERARCHY = {
+    FinalBranch.ONE_ARM_RETAINED: {
+        "global": ("fluid_pooled", "b1"),
+        "beta1": ("fluid_pooled",),
+        "beta2": ("b1",),
+    },
+    FinalBranch.BOTH_ARMS_RETAINED: {
+        "H01": ("a1", "a2", "b1"),
+        "H02": ("a1", "a2"),
+        "H03": ("a1", "b1"),
+        "H04": ("a2", "b1"),
+        "H05": ("a1",),
+        "H06": ("a2",),
+        "H07": ("b1",),
+    },
+    FinalBranch.DOMAIN_A_TERMINATED: {"beta1": ("b1",)},
+}
+
+
+class _Node(NamedTuple):
+    label: str
+    reduced: tuple  # design columns the reduced model keeps
+    df: int  # columns the null hypothesis drops
+    ancestors: frozenset  # labels of the nodes for strict supersets
+    arm: Optional[str]  # credited on rejection; None for an intersection
+
+
+def _derive(covariates: tuple, nulls: dict) -> tuple:
+    """Full-model columns and the nodes, supersets first, of one branch."""
+    full = tuple(range(len(covariates) + 1))
+    return full, tuple(
+        _Node(
+            label,
+            tuple(c for c in full if c == 0 or covariates[c - 1] not in nulled),
+            len(nulled),
+            frozenset(other for other, s in nulls.items() if set(s) > set(nulled)),
+            _ARM_OF[nulled[0]] if len(nulled) == 1 else None,
+        )
+        for label, nulled in sorted(nulls.items(), key=lambda item: -len(item[1]))
+    )
+
+
+_GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIERARCHY.items()}
+# branch -> node label -> the labels that must be rejected before it may be.
+ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
 
 
 @dataclass(frozen=True)
@@ -89,35 +156,31 @@ class GatekeepingOutcome:
 
 
 def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> FinalModelData:
-    """Assemble the branch-appropriate indicator design.
+    """Assemble the branch-appropriate indicator design from ``SubjectData``.
 
     ``retained_arm`` documents the one-arm path; the pooled indicator is
     I(arm_a != A0) over every domain-A-assigned subject regardless of which
     arm was dropped.
     """
-    data = as_subject_data(subjects)
     branch = FinalBranch(branch)
     if branch is FinalBranch.ONE_ARM_RETAINED and retained_arm not in ("A1", "A2"):
         raise ValueError("one_arm_retained path requires the retained arm")
 
     if branch is FinalBranch.DOMAIN_A_TERMINATED:
-        mask = np.ones(len(data), dtype=bool)
+        mask = np.ones(len(subjects), dtype=bool)
         subject_filter = "all_subjects"
     else:
-        mask = data.arm_a != ABSENT
+        mask = subjects.arm_a != ABSENT
         subject_filter = "domain_a_assigned"
-    arm_a = data.arm_a[mask]
-    arm_b = data.arm_b[mask]
-    y21 = data.y21[mask]
+    arm_a = subjects.arm_a[mask]
+    arm_b = subjects.arm_b[mask]
+    y21 = subjects.y21[mask]
 
     if branch is FinalBranch.ONE_ARM_RETAINED:
-        covariates = ("fluid_pooled", "b1")
         indicators = np.column_stack([(arm_a > 0), arm_b == 1]).astype(np.int8)
     elif branch is FinalBranch.BOTH_ARMS_RETAINED:
-        covariates = ("a1", "a2", "b1")
         indicators = np.column_stack([arm_a == 1, arm_a == 2, arm_b == 1]).astype(np.int8)
     else:
-        covariates = ("b1",)
         indicators = (arm_b == 1).astype(np.int8).reshape(-1, 1)
 
     # Group by covariate pattern so repeated nested fits stay cheap.
@@ -134,7 +197,7 @@ def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> Final
     )
     rows = np.column_stack([np.ones(int(present.sum())), pattern_bits[present]])
 
-    spec = FinalModelSpec(branch=branch, covariates=covariates, subject_filter=subject_filter)
+    spec = FinalModelSpec(branch=branch, covariates=_COVARIATES[branch], subject_filter=subject_filter)
     return FinalModelData(spec, rows, events[present], trials[present], indicators)
 
 
@@ -144,106 +207,63 @@ def _fit_columns(data: FinalModelData, cols: tuple) -> LogisticFit:
     return fit if fit is not None else fit_logistic_counts(x, data.events, data.trials)
 
 
-def _node_tests(data: FinalModelData, full_cols: tuple, reduced_map: dict) -> tuple[dict, bool]:
-    """LR p-value per node id; flags failure on any non-convergent fit."""
-    fits = {}
-    failed = False
+def _node_tests(data: FinalModelData, full_cols: tuple, nodes: tuple) -> tuple[dict, bool]:
+    """LR p-value per node label; flags failure on any non-convergent fit."""
     try:
         full = _fit_columns(data, full_cols)
-        fits["__full__"] = full
-        failed |= not full.converged
+        failed = not full.converged
         p_values = {}
-        for node, reduced_cols in reduced_map.items():
-            reduced = _fit_columns(data, reduced_cols)
+        for node in nodes:
+            reduced = _fit_columns(data, node.reduced)
             failed |= not reduced.converged
-            p_values[node] = lr_test(full, reduced, len(full_cols) - len(reduced_cols)).p_value
+            p_values[node.label] = lr_test(full, reduced, node.df).p_value
     except FittingError:
-        return {node: 1.0 for node in reduced_map}, True
+        return {node.label: 1.0 for node in nodes}, True
     return p_values, failed
 
 
-def gate_two_parameter(p_values: dict, alpha: float) -> frozenset:
-    """Rejected nodes for the one-arm branch: the joint fluid/B1 test gates
-    the two elementary comparisons, each at the full alpha."""
+def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
+    """Rejected nodes of ``branch``: a node is rejected iff its p-value is
+    below alpha and every node for a strict superset of its null set is
+    rejected. Nodes are visited supersets first."""
     rejected = set()
-    if p_values["global"] < alpha:
-        rejected.add("global")
-        if p_values["beta1"] < alpha:
-            rejected.add("beta1")
-        if p_values["beta2"] < alpha:
-            rejected.add("beta2")
+    for node in _GATING[branch][1]:
+        if node.ancestors <= rejected and p_values[node.label] < alpha:
+            rejected.add(node.label)
     return frozenset(rejected)
+
+
+def gate_two_parameter(p_values: dict, alpha: float) -> frozenset:
+    """Closed testing on the one-arm branch's global/beta1/beta2 nodes."""
+    return closed_test(FinalBranch.ONE_ARM_RETAINED, p_values, alpha)
 
 
 def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
-    """Rejected nodes for the both-arms branch.
+    """Closed testing on the both-arms branch's H01..H07 nodes."""
+    return closed_test(FinalBranch.BOTH_ARMS_RETAINED, p_values, alpha)
 
-    H01 (all three parameters null) gates the pairwise intersections
-    H02..H04; an elementary hypothesis is assessed only once the three
-    intersections containing its parameter are all rejected.
-    """
-    rejected = set()
-    if p_values["H01"] < alpha:
-        rejected.add("H01")
-        for pair in ("H02", "H03", "H04"):
-            if p_values[pair] < alpha:
-                rejected.add(pair)
-        if {"H02", "H03"} <= rejected and p_values["H05"] < alpha:
-            rejected.add("H05")
-        if {"H02", "H04"} <= rejected and p_values["H06"] < alpha:
-            rejected.add("H06")
-        if {"H03", "H04"} <= rejected and p_values["H07"] < alpha:
-            rejected.add("H07")
-    return frozenset(rejected)
+
+def _gatekeep(data: FinalModelData, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
+    if data.spec.branch is not branch:
+        raise ValueError(f"expected {branch.value} data, got {data.spec.branch}")
+    full_cols, nodes = _GATING[branch]
+    p_values, failed = _node_tests(data, full_cols, nodes)
+    rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)
+    successful = frozenset(node.arm for node in nodes if node.arm and node.label in rejected)
+    return GatekeepingOutcome(p_values, rejected, successful, failed)
 
 
 def gatekeep_one_retained(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
     """Two-parameter gatekept analysis of the pooled-fluid model."""
-    if data.spec.branch is not FinalBranch.ONE_ARM_RETAINED:
-        raise ValueError(f"expected one_arm_retained data, got {data.spec.branch}")
-    p_values, failed = _node_tests(
-        data,
-        full_cols=(0, 1, 2),
-        reduced_map={"global": (0,), "beta1": (0, 2), "beta2": (0, 1)},
-    )
-    rejected = frozenset() if failed else gate_two_parameter(p_values, alpha_final)
-    successful = set()
-    if "beta1" in rejected:
-        successful.add("A_pooled")
-    if "beta2" in rejected:
-        successful.add("B1")
-    return GatekeepingOutcome(p_values, rejected, frozenset(successful), failed)
+    return _gatekeep(data, alpha_final, FinalBranch.ONE_ARM_RETAINED)
 
 
 def gatekeep_both_retained(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
     """Three-parameter gatekept analysis when both fluid arms reached the
     final stage."""
-    if data.spec.branch is not FinalBranch.BOTH_ARMS_RETAINED:
-        raise ValueError(f"expected both_arms_retained data, got {data.spec.branch}")
-    p_values, failed = _node_tests(
-        data,
-        full_cols=(0, 1, 2, 3),
-        reduced_map={
-            "H01": (0,),
-            "H02": (0, 3),
-            "H03": (0, 2),
-            "H04": (0, 1),
-            "H05": (0, 2, 3),
-            "H06": (0, 1, 3),
-            "H07": (0, 1, 2),
-        },
-    )
-    rejected = frozenset() if failed else gate_three_parameter(p_values, alpha_final)
-    arm_for = {"H05": "A1", "H06": "A2", "H07": "B1"}
-    successful = frozenset(arm for node, arm in arm_for.items() if node in rejected)
-    return GatekeepingOutcome(p_values, rejected, successful, failed)
+    return _gatekeep(data, alpha_final, FinalBranch.BOTH_ARMS_RETAINED)
 
 
 def analyze_terminated(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
     """Single-parameter B-domain test; no multiplicity adjustment needed."""
-    if data.spec.branch is not FinalBranch.DOMAIN_A_TERMINATED:
-        raise ValueError(f"expected domain_a_terminated data, got {data.spec.branch}")
-    p_values, failed = _node_tests(data, full_cols=(0, 1), reduced_map={"beta1": (0,)})
-    rejected = frozenset(["beta1"]) if not failed and p_values["beta1"] < alpha_final else frozenset()
-    successful = frozenset(["B1"]) if "beta1" in rejected else frozenset()
-    return GatekeepingOutcome(p_values, rejected, successful, failed)
+    return _gatekeep(data, alpha_final, FinalBranch.DOMAIN_A_TERMINATED)

@@ -1,10 +1,10 @@
 """Virtual-subject generation: factorial randomization across the active
 arms, normal biomarker draws, and the binary phase-3 outcome.
 
-All draws go through an explicit ``numpy.random.Generator``. The block
-functions consume the stream column-by-column (domain A assignments, then
-domain B, then y11, y12, y21) so a whole enrollment window can be drawn in
-one shot with a documented, reproducible draw order.
+All draws go through an explicit ``numpy.random.Generator``.
+``generate_block`` draws a whole enrollment window in one shot and consumes
+the stream column by column (domain A assignments, then domain B, then y11,
+y12, y21), a documented and reproducible draw order.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ __all__ = [
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
     "ActiveArms",
-    "event_probability",
-    "randomize_subject",
-    "generate_biomarkers",
-    "generate_phase3_outcome",
     "generate_block",
 ]
 
@@ -63,55 +59,17 @@ class ActiveArms:
         return () if self.domain_a is None else tuple(sorted(self.domain_a))
 
 
-def event_probability(
-    config: ScenarioConfig, arm_a: Optional[str], arm_b: str
-) -> tuple[float, bool]:
-    """Phase-3 event probability for an arm combination: control rate plus
-    the additive risk differences, clamped into [0.001, 0.999]. Returns
-    (probability, clamped?)."""
-    p = config.control_event_rate + config.risk_difference(arm_a) + config.risk_difference(arm_b)
-    clamped = not PROB_CLAMP_LO <= p <= PROB_CLAMP_HI
-    return min(max(p, PROB_CLAMP_LO), PROB_CLAMP_HI), clamped
-
-
-def randomize_subject(
-    stream: np.random.Generator, active: ActiveArms
-) -> tuple[Optional[str], str]:
-    """Assign one subject with equal allocation within each active domain,
-    independently across domains."""
-    arms_a = active.domain_a_sorted()
-    arm_a = arms_a[stream.integers(len(arms_a))] if arms_a else None
-    arm_b = DOMAIN_B_ARMS[stream.integers(2)]
-    return arm_a, arm_b
-
-
-def generate_biomarkers(
-    arm_a: Optional[str], config: ScenarioConfig, stream: np.random.Generator
-) -> tuple[float, float]:
-    """Draw (y11, y12) as independent normals centered on the arm's mean
-    shifts (zero for control or absent assignments)."""
-    s11, s12 = config.biomarker_sds
-    y11 = config.biomarker_effect(arm_a, 0) + s11 * stream.standard_normal()
-    y12 = config.biomarker_effect(arm_a, 1) + s12 * stream.standard_normal()
-    return float(y11), float(y12)
-
-
-def generate_phase3_outcome(
-    arm_a: Optional[str], arm_b: str, config: ScenarioConfig, stream: np.random.Generator
-) -> int:
-    """Draw the binary phase-3 outcome for one subject."""
-    p, _ = event_probability(config, arm_a, arm_b)
-    return int(stream.random() < p)
-
-
 def generate_block(
     config: ScenarioConfig, active: ActiveArms, n: int, stream: np.random.Generator
 ) -> tuple[SubjectData, int]:
     """Draw ``n`` subjects under a fixed set of active arms.
 
-    Returns the block and the number of clamped event probabilities.
-    Allocation, biomarker, and outcome semantics match the per-subject
-    operations; draws are consumed column-wise in a fixed order.
+    Allocation is equal within each active domain and independent across
+    domains; biomarkers are normal around the arm's mean shifts (zero for
+    control and absent assignments); the event probability is the control
+    rate plus the additive risk differences, clamped into
+    [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns the block and the number of
+    clamped event probabilities.
     """
     arms_a = active.domain_a_sorted()
     if arms_a:

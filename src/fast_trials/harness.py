@@ -20,6 +20,7 @@ import numpy as np
 
 from .design import ScenarioConfig, SubjectData, validate_scenario
 from .final_analysis import (
+    ANCESTORS,
     FinalBranch,
     GatekeepingOutcome,
     analyze_terminated,
@@ -236,31 +237,11 @@ def truly_effective_arms(config: ScenarioConfig) -> frozenset:
     return frozenset(a for a in ("A1", "A2", "B1") if config.phase3_effects[a] != 0.0)
 
 
-_ANCESTORS_BY_BRANCH = {
-    FinalBranch.BOTH_ARMS_RETAINED: {
-        "H05": frozenset({"H01", "H02", "H03"}),
-        "H06": frozenset({"H01", "H02", "H04"}),
-        "H07": frozenset({"H01", "H03", "H04"}),
-        "H02": frozenset({"H01"}),
-        "H03": frozenset({"H01"}),
-        "H04": frozenset({"H01"}),
-    },
-    FinalBranch.ONE_ARM_RETAINED: {
-        "beta1": frozenset({"global"}),
-        "beta2": frozenset({"global"}),
-    },
-    FinalBranch.DOMAIN_A_TERMINATED: {},  # single ungated test
-}
-
-
 def gating_violation(outcome: GatekeepingOutcome, branch: FinalBranch) -> bool:
-    """Audit a gatekeeping outcome: some rejected node lacks a rejected
-    ancestor intersection. Must never be true."""
-    ancestors = _ANCESTORS_BY_BRANCH[FinalBranch(branch)]
-    for node in outcome.rejected:
-        if not ancestors.get(node, frozenset()) <= outcome.rejected:
-            return True
-    return False
+    """Audit a gatekeeping outcome: some rejected node is not a node of the
+    branch's hierarchy or lacks a rejected ancestor. Must never be true."""
+    ancestors = ANCESTORS[FinalBranch(branch)]
+    return any(node not in ancestors or not ancestors[node] <= outcome.rejected for node in outcome.rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import ARM_A_CODE, BenefitDirection, as_subject_data
+from .design import ARM_A_CODE, BenefitDirection
 from .stats import Tail, TestResult, welch_t_test
 
 __all__ = [
@@ -103,16 +103,15 @@ def arm_dropping_analysis(
     default_arm: str = "A2",
 ) -> RetentionDecision:
     """Head-to-head comparison of the two treatment arms on both biomarkers."""
-    data = as_subject_data(subjects)
-    in_a1 = data.arm_a == ARM_A_CODE["A1"]
-    in_a2 = data.arm_a == ARM_A_CODE["A2"]
+    in_a1 = subjects.arm_a == ARM_A_CODE["A1"]
+    in_a2 = subjects.arm_a == ARM_A_CODE["A2"]
     if np.count_nonzero(in_a1) < 2 or np.count_nonzero(in_a2) < 2:
         raise SchedulingError(
             "arm-dropping trigger too early: fewer than 2 subjects in a treatment arm "
             f"(A1={np.count_nonzero(in_a1)}, A2={np.count_nonzero(in_a2)})"
         )
-    y11_a1, y11_a2 = data.y11[in_a1], data.y11[in_a2]
-    y12_a1, y12_a2 = data.y12[in_a1], data.y12[in_a2]
+    y11_a1, y11_a2 = subjects.y11[in_a1], subjects.y11[in_a2]
+    y12_a1, y12_a2 = subjects.y12[in_a1], subjects.y12[in_a2]
     test_y11 = welch_t_test(y11_a1, y11_a2, Tail.TWO_SIDED)
     test_y12 = welch_t_test(y12_a1, y12_a2, Tail.TWO_SIDED)
     return resolve_retention(
@@ -131,16 +130,15 @@ def feasibility_analysis(
 ) -> FeasibilityDecision:
     """One-sided pooled-treatment vs control comparison on y11; failing to
     reject terminates the domain."""
-    data = as_subject_data(subjects)
-    in_control = data.arm_a == ARM_A_CODE["A0"]
-    in_pool = (data.arm_a == ARM_A_CODE["A1"]) | (data.arm_a == ARM_A_CODE["A2"])
+    in_control = subjects.arm_a == ARM_A_CODE["A0"]
+    in_pool = (subjects.arm_a == ARM_A_CODE["A1"]) | (subjects.arm_a == ARM_A_CODE["A2"])
     if np.count_nonzero(in_control) < 2 or np.count_nonzero(in_pool) < 2:
         raise SchedulingError(
             "feasibility trigger too early: fewer than 2 subjects in control or pooled group "
             f"(control={np.count_nonzero(in_control)}, pooled={np.count_nonzero(in_pool)})"
         )
-    control = data.y11[in_control]
-    pooled = data.y11[in_pool]
+    control = subjects.y11[in_control]
+    pooled = subjects.y11[in_pool]
     tail = Tail.UPPER if BenefitDirection(direction) is BenefitDirection.INCREASE else Tail.LOWER
     test = welch_t_test(pooled, control, tail)
     return FeasibilityDecision(

@@ -32,8 +32,6 @@ __all__ = [
     "fit_logistic_counts",
     "fit_saturated_counts",
     "lr_test",
-    "rng_standard_normal",
-    "rng_bernoulli",
 ]
 
 _EPS = 1e-14
@@ -478,20 +476,3 @@ def lr_test(full: LogisticFit, reduced: LogisticFit, df_diff: int) -> TestResult
         )
     stat = max(stat, 0.0)
     return TestResult(stat, float(df_diff), chi_square_sf(stat, int(df_diff)), Tail.UPPER)
-
-
-# ---------------------------------------------------------------------------
-# random draws (explicit stream)
-# ---------------------------------------------------------------------------
-
-def rng_standard_normal(stream: np.random.Generator) -> float:
-    """One standard-normal draw, advancing the caller's stream."""
-    return float(stream.standard_normal())
-
-
-def rng_bernoulli(stream: np.random.Generator, p: float) -> int:
-    """One Bernoulli(p) draw; p=0 and p=1 are forced outcomes."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"bernoulli probability must lie in [0, 1], got {p}")
-    return int(stream.random() < p)

@@ -1,20 +1,27 @@
-"""Final-analysis branches: model construction, gating rule traces, and
+"""Final-analysis branches: model construction, gating rule traces, the
+single closed-testing rule against the per-branch rules it replaced, and
 calibration of the terminated-branch test."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from fast_trials.design import ScenarioConfig, SubjectData
 from fast_trials.final_analysis import (
+    HIERARCHY,
     FinalBranch,
+    GatekeepingOutcome,
     analyze_terminated,
     build_final_model,
+    closed_test,
     gate_three_parameter,
     gate_two_parameter,
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
 from fast_trials.generation import ActiveArms, generate_block
+from fast_trials.harness import gating_violation
 from fast_trials.oracles import oracle_gatekeeping_enumerate
 
 _NODES = ("H01", "H02", "H03", "H04", "H05", "H06", "H07")
@@ -121,6 +128,111 @@ def test_gate_matches_oracle_on_random_vectors():
     for _ in range(500):
         p = {node: float(rng.choice([rng.random(), rng.random() * 0.1])) for node in _NODES}
         assert set(gate_three_parameter(p, 0.05)) == oracle_gatekeeping_enumerate(p, 0.05)
+
+
+# -- one rule for every branch -------------------------------------------------
+# The rules each branch had before closed testing was written down once,
+# kept verbatim as the reference the single rule must reproduce.
+
+def _reference_two_parameter(p_values, alpha):
+    rejected = set()
+    if p_values["global"] < alpha:
+        rejected.add("global")
+        if p_values["beta1"] < alpha:
+            rejected.add("beta1")
+        if p_values["beta2"] < alpha:
+            rejected.add("beta2")
+    return frozenset(rejected)
+
+
+def _reference_three_parameter(p_values, alpha):
+    rejected = set()
+    if p_values["H01"] < alpha:
+        rejected.add("H01")
+        for pair in ("H02", "H03", "H04"):
+            if p_values[pair] < alpha:
+                rejected.add(pair)
+        if {"H02", "H03"} <= rejected and p_values["H05"] < alpha:
+            rejected.add("H05")
+        if {"H02", "H04"} <= rejected and p_values["H06"] < alpha:
+            rejected.add("H06")
+        if {"H03", "H04"} <= rejected and p_values["H07"] < alpha:
+            rejected.add("H07")
+    return frozenset(rejected)
+
+
+def _reference_terminated(p_values, alpha):
+    return frozenset(["beta1"]) if p_values["beta1"] < alpha else frozenset()
+
+
+# branch -> (analysis, reference rule, arm credited per node, ancestors per node)
+_REFERENCE = {
+    FinalBranch.ONE_ARM_RETAINED: (
+        gatekeep_one_retained,
+        _reference_two_parameter,
+        {"beta1": "A_pooled", "beta2": "B1"},
+        {"global": set(), "beta1": {"global"}, "beta2": {"global"}},
+    ),
+    FinalBranch.BOTH_ARMS_RETAINED: (
+        gatekeep_both_retained,
+        _reference_three_parameter,
+        {"H05": "A1", "H06": "A2", "H07": "B1"},
+        {
+            "H01": set(),
+            "H02": {"H01"},
+            "H03": {"H01"},
+            "H04": {"H01"},
+            "H05": {"H01", "H02", "H03"},
+            "H06": {"H01", "H02", "H04"},
+            "H07": {"H01", "H03", "H04"},
+        },
+    ),
+    FinalBranch.DOMAIN_A_TERMINATED: (
+        analyze_terminated,
+        _reference_terminated,
+        {"beta1": "B1"},
+        {"beta1": set()},
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_closed_test_matches_reference_rules(branch):
+    _, reference, _, ancestors = _REFERENCE[branch]
+    assert list(HIERARCHY[branch]) == list(ancestors)  # the trace labels
+    rng = np.random.default_rng(1976)
+    for _ in range(3000):
+        alpha = float(rng.uniform(0.01, 0.2))
+        p = {node: float(rng.choice([rng.random(), 2.0 * alpha * rng.random()])) for node in ancestors}
+        assert closed_test(branch, p, alpha) == reference(p, alpha), p
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_gating_violation_iff_not_closed_upward(branch):
+    ancestors = _REFERENCE[branch][3]
+    for size in range(len(ancestors) + 1):
+        for subset in itertools.combinations(ancestors, size):
+            rejected = frozenset(subset)
+            closed = all(ancestors[node] <= rejected for node in rejected)
+            outcome = GatekeepingOutcome({}, rejected, frozenset())
+            assert gating_violation(outcome, branch) == (not closed), subset
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_gatekeeping_decisions_match_reference_rules(branch):
+    analysis, reference, arm_for, _ = _REFERENCE[branch]
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for rep in range(150):
+        rates = {(a, b): float(rng.uniform(0.15, 0.45)) for a in (0, 1, 2) for b in (0, 1)}
+        model = _synthetic_cell_data(branch, rates, n_per_cell=60, seed=rep)
+        alpha = float(rng.uniform(0.01, 0.5))
+        outcome = analysis(model, alpha)
+        assert not outcome.fit_failed
+        assert outcome.rejected == reference(outcome.node_p_values, alpha)
+        assert outcome.successful_arms == {arm_for[n] for n in outcome.rejected if n in arm_for}
+        seen.add(len(outcome.successful_arms))
+    assert len(seen) > 1  # the draws reach both failing and succeeding arms
 
 
 # -- end-to-end analyses -------------------------------------------------------

@@ -1,18 +1,11 @@
 """Subject generation: allocation balance, biomarker and outcome laws,
-additivity of risk differences, and stream determinism."""
+additivity and clamping of risk differences, and stream determinism."""
 
 import numpy as np
 import pytest
 
 from fast_trials.design import ABSENT, ScenarioConfig
-from fast_trials.generation import (
-    ActiveArms,
-    event_probability,
-    generate_biomarkers,
-    generate_block,
-    generate_phase3_outcome,
-    randomize_subject,
-)
+from fast_trials.generation import ActiveArms, generate_block
 
 
 def _freq_tol(p, n):
@@ -34,8 +27,6 @@ def test_terminated_domain_never_assigns():
     block, _ = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
     assert np.all(block.arm_a == ABSENT)
     assert abs(np.mean(block.arm_b == 1) - 0.5) < _freq_tol(0.5, 50_000)
-    arm_a, arm_b = randomize_subject(stream, ActiveArms(domain_a=None))
-    assert arm_a is None and arm_b in ("B0", "B1")
 
 
 def test_restricted_allocation_excludes_dropped_arm():
@@ -44,9 +35,7 @@ def test_restricted_allocation_excludes_dropped_arm():
     block, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
     assert not np.any(block.arm_a == 1)  # A1 never assigned
     assert abs(np.mean(block.arm_a == 0) - 0.5) < _freq_tol(0.5, 20_000)
-    stream = np.random.default_rng(4)
-    draws = {randomize_subject(stream, active)[0] for _ in range(500)}
-    assert draws == {"A0", "A2"}
+    assert set(np.unique(block.arm_a)) == {0, 2}
 
 
 def test_active_arms_invariants():
@@ -58,14 +47,15 @@ def test_active_arms_invariants():
 
 def test_biomarker_means():
     cfg = ScenarioConfig(
-        biomarker_effects={"A1": (-10.0, 10.0), "A2": (0.0, 0.0)},
+        biomarker_effects={"A1": (-10.0, 10.0), "A2": (4.0, -6.0)},
         biomarker_sds=(10.0, 10.0),
     )
-    stream = np.random.default_rng(5)
-    draws = np.array([generate_biomarkers("A1", cfg, stream) for _ in range(100_000)])
-    assert abs(draws[:, 0].mean() + 10.0) < 0.1  # 3 MC standard errors
-    assert abs(draws[:, 1].mean() - 10.0) < 0.1
-    assert draws[:, 0].std() == pytest.approx(10.0, abs=0.1)
+    block, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
+    for code, (m11, m12) in ((0, (0.0, 0.0)), (1, (-10.0, 10.0)), (2, (4.0, -6.0))):
+        arm = block.arm_a == code  # about 100k subjects: 3 MC standard errors < 0.1
+        assert abs(block.y11[arm].mean() - m11) < 0.1
+        assert abs(block.y12[arm].mean() - m12) < 0.1
+        assert block.y11[arm].std() == pytest.approx(10.0, abs=0.1)
 
 
 def test_control_and_degenerate_sd():
@@ -73,49 +63,44 @@ def test_control_and_degenerate_sd():
         biomarker_effects={"A1": (7.0, -3.0), "A2": (0.0, 0.0)},
         biomarker_sds=(0.0, 0.0),
     )
-    stream = np.random.default_rng(6)
-    assert generate_biomarkers("A0", cfg, stream) == (0.0, 0.0)
-    assert generate_biomarkers(None, cfg, stream) == (0.0, 0.0)
-    assert generate_biomarkers("A1", cfg, stream) == (7.0, -3.0)
-
-
-def test_event_probability_additive_and_exact():
-    cfg = ScenarioConfig(phase3_effects={"A1": 0.05, "A2": 0.1, "B1": 0.1})
-    p, clamped = event_probability(cfg, "A2", "B1")
-    assert p == pytest.approx(0.6, abs=1e-15)
-    assert not clamped
-    p_b0, _ = event_probability(cfg, "A2", "B0")
-    assert p - p_b0 == pytest.approx(cfg.phase3_effects["B1"], abs=1e-15)
-    assert event_probability(cfg, None, "B0")[0] == pytest.approx(0.4)
-    assert event_probability(cfg, "A0", "B0")[0] == pytest.approx(0.4)
+    block, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
+    expected = {0: (0.0, 0.0), 1: (7.0, -3.0), 2: (0.0, 0.0)}
+    for code, (m11, m12) in expected.items():
+        arm = block.arm_a == code
+        assert arm.any()
+        assert np.all(block.y11[arm] == m11) and np.all(block.y12[arm] == m12)
+    # Subjects enrolled after domain A terminated carry no shift.
+    absent, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
+    assert np.all(absent.arm_a == ABSENT)
+    assert np.all(absent.y11 == 0.0) and np.all(absent.y12 == 0.0)
 
 
 def test_event_probability_clamps_and_flags():
-    # Unvalidated extreme configs: the function itself must clamp and flag.
-    wild = ScenarioConfig(phase3_effects={"A1": 0.9, "A2": 0.0, "B1": 0.0})
-    p, clamped = event_probability(wild, "A1", "B0")
-    assert clamped and p == 0.999
-    wild_low = ScenarioConfig(phase3_effects={"A1": -0.9, "A2": 0.0, "B1": 0.0})
-    p, clamped = event_probability(wild_low, "A1", "B0")
-    assert clamped and p == 0.001
-    mild = ScenarioConfig(phase3_effects={"A1": 0.55, "A2": 0.0, "B1": 0.0})
-    p, clamped = event_probability(mild, "A1", "B0")
-    assert not clamped and p == pytest.approx(0.95, abs=1e-15)
+    # Unvalidated extreme configs: every A1 subject's probability is clamped
+    # into [0.001, 0.999] and counted; a probability inside stays as it is.
+    for risk_difference, clamped, rate in ((0.9, True, 0.999), (-0.9, True, 0.001), (0.55, False, 0.95)):
+        cfg = ScenarioConfig(phase3_effects={"A1": risk_difference, "A2": 0.0, "B1": 0.0})
+        block, n_clamped = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
+        a1 = block.arm_a == 1
+        assert n_clamped == (int(a1.sum()) if clamped else 0)
+        assert abs(block.y21[a1].mean() - rate) < _freq_tol(rate, int(a1.sum()))
 
 
 def test_phase3_outcome_frequency():
     cfg = ScenarioConfig()
-    stream = np.random.default_rng(7)
-    draws = [generate_phase3_outcome("A0", "B0", cfg, stream) for _ in range(50_000)]
-    assert abs(np.mean(draws) - 0.4) < _freq_tol(0.4, 50_000)
+    block, _ = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
+    control = (block.arm_a == 0) & (block.arm_b == 0)
+    assert abs(block.y21[control].mean() - 0.4) < _freq_tol(0.4, int(control.sum()))
 
 
 def test_block_outcome_frequency_with_effects():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1})
     block, n_clamped = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
     assert n_clamped == 0
-    treated = (block.arm_a == 2) & (block.arm_b == 1)
-    assert abs(block.y21[treated].mean() - 0.6) < _freq_tol(0.6, int(treated.sum()))
+    # Risk differences add: control 0.4, one active arm 0.5, both 0.6.
+    for a, b, rate in ((0, 0, 0.4), (2, 0, 0.5), (0, 1, 0.5), (2, 1, 0.6), (1, 1, 0.6)):
+        cell = (block.arm_a == a) & (block.arm_b == b)
+        assert abs(block.y21[cell].mean() - rate) < _freq_tol(rate, int(cell.sum()))
 
 
 def test_global_null_exchangeable_across_arms():
@@ -135,12 +120,3 @@ def test_blocks_deterministic_given_stream_state():
     assert c1 == c2
     for column in ("arm_a", "arm_b", "y11", "y12", "y21"):
         np.testing.assert_array_equal(getattr(b1, column), getattr(b2, column))
-
-
-def test_scalar_generation_deterministic():
-    cfg = ScenarioConfig()
-    a = np.random.default_rng(11)
-    b = np.random.default_rng(11)
-    assert randomize_subject(a, ActiveArms()) == randomize_subject(b, ActiveArms())
-    assert generate_biomarkers("A1", cfg, a) == generate_biomarkers("A1", cfg, b)
-    assert generate_phase3_outcome("A1", "B1", cfg, a) == generate_phase3_outcome("A1", "B1", cfg, b)

@@ -166,6 +166,9 @@ def test_gating_violation_detector():
     # the terminated branch's single test is ungated
     solo = GatekeepingOutcome({}, frozenset({"beta1"}), frozenset({"B1"}))
     assert not gating_violation(solo, term)
+    # a rejected label from outside the branch's hierarchy is a violation
+    for label, branch in (("H05", one), ("H01", one), ("global", both), ("beta2", term), ("H08", both)):
+        assert gating_violation(GatekeepingOutcome({}, frozenset({label}), frozenset()), branch), label
 
 
 # -- cells and grids --------------------------------------------------------------

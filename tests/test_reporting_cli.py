@@ -244,6 +244,30 @@ def test_cli_unknown_key_rejected(tmp_path):
     assert "sample_size_multiplier" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"control_event_rate": "0.4"}, "control_event_rate"),
+        ({"alpha_final": None}, "alpha_final"),
+        ({"biomarker_effects": [1, 2]}, "biomarker_effects"),
+        ({"biomarker_effects": {"A1": 5, "A2": [0, 0]}}, "biomarker_effects[A1]"),
+        ({"phase3_effects": {"A1": "x", "A2": 0, "B1": 0}}, "phase3_effects[A1]"),
+        ({"n_drop_grid": 90}, "n_drop_grid"),
+        ({"biomarker_sds": "ab"}, "biomarker_sds"),
+    ],
+)
+def test_cli_wrong_json_type_exits_2(tmp_path, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    r = _run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert [line for line in r.stderr.splitlines() if line.startswith("error:")] == ["error: invalid scenario:"]
+    assert f"  - {field}: " in r.stderr
+    assert not out.exists()
+
+
 def test_cli_missing_config_file(tmp_path):
     r = _run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o"))
     assert r.returncode == 2

@@ -9,10 +9,6 @@ import pytest
 from fast_trials.design import (
     ScenarioConfig,
     ScenarioValidationError,
-    SubjectData,
-    SubjectRecord,
-    as_subject_data,
-    default_design,
     load_scenarios,
     scenario_from_dict,
     scenario_issues,
@@ -123,26 +119,22 @@ def test_load_scenarios_rejects_duplicate_ids(tmp_path):
         load_scenarios(path)
 
 
-def test_default_design_instance_shape():
-    design = default_design()
-    assert [d.name for d in design.domains] == ["A", "B"]
-    assert design.domains[0].arms == ("A0", "A1", "A2")
-    assert design.domains[1].arms == ("B0", "B1")
-    assert len(design.phase2_outcomes) == 2
-    assert design.phase3_outcome.kind == "binary"
-    assert {(o.phase, o.index) for o in design.phase2_outcomes} == {(1, 1), (1, 2)}
-
-
-def test_subject_data_round_trip():
-    records = [
-        SubjectRecord(0, "A0", "B1", 1.5, -2.0, 1),
-        SubjectRecord(1, "A2", "B0", 0.0, 3.25, 0),
-        SubjectRecord(2, None, "B1", -1.0, 0.5, 1),
-    ]
-    data = SubjectData.from_records(records)
-    assert len(data) == 3
-    assert data.n_with_domain_a() == 2
-    assert [r.arm_a for r in data] == ["A0", "A2", None]
-    assert data.record(1) == dataclasses.replace(records[1], index=1)
-    assert as_subject_data(data) is data
-    assert len(as_subject_data(records)) == 3
+def test_wrong_types_are_issues_not_crashes():
+    # Values of the wrong type are reported with their field path; none of
+    # them may raise anything but ScenarioValidationError.
+    cases = {
+        "alpha_final": dict(alpha_final="0.05"),
+        "control_event_rate": dict(control_event_rate=None),
+        "biomarker_effects": dict(biomarker_effects=[1, 2]),
+        "biomarker_effects[A1]": dict(biomarker_effects={"A1": 5, "A2": (0.0, 0.0)}),
+        "phase3_effects[A1]": dict(phase3_effects={"A1": "x", "A2": 0.0, "B1": 0.0}),
+        "n_drop_grid": dict(n_drop_grid=90),
+        "biomarker_sds": dict(biomarker_sds="ab"),
+        "benefit_directions": dict(benefit_directions=3),
+    }
+    for field, overrides in cases.items():
+        cfg = dataclasses.replace(reference_config(), **overrides)
+        issues = scenario_issues(cfg)
+        assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
+        with pytest.raises(ScenarioValidationError):
+            validate_scenario(cfg)
