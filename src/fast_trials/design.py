@@ -326,11 +326,13 @@ def scenario_from_dict(doc: dict, strict: bool = True) -> ScenarioConfig:
 
 
 def load_scenarios(path) -> list[ScenarioConfig]:
-    """Load one scenario (top-level object) or several (top-level list)
-    from a JSON file; every scenario is validated."""
+    """Load one scenario (top-level object) or several (top-level list,
+    not empty) from a JSON file; every scenario is validated."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     docs = doc if isinstance(doc, list) else [doc]
+    if not docs:
+        raise ScenarioValidationError(["scenario list is empty"])
     scenarios = [validate_scenario(scenario_from_dict(d)) for d in docs]
     ids = [s.scenario_id for s in scenarios]
     if len(set(ids)) != len(ids):

@@ -28,18 +28,37 @@ p-values agree to rounding and the decisions are the same. A table with a
 group at 0 or at all events has no interior maximum; every such fit, as
 every unsaturated one, goes through ``fit_logistic_counts``, whose
 divergence flags the replicate as before.
+
+What depends only on the design layout is computed once, not per
+replicate: the 2^k covariate-pattern rows per k at import, and per
+(branch, grouped design) a memoised node plan holding every model's sliced
+design and its checked layout (intercept, full rank, row grouping). The
+counts are checked once per table against the full model. The fits run on
+the same arrays with the same arithmetic as before, so every p-value, and
+every output bit, is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .design import ABSENT
-from .stats import FittingError, LogisticFit, fit_logistic_counts, fit_saturated_counts, lr_test
+from .stats import (
+    FittingError,
+    InputError,
+    LogisticFit,
+    _check_table,
+    _checked_layout,
+    _Layout,
+    _saturated_fit,
+    fit_logistic_counts,
+    lr_test,
+)
 
 __all__ = [
     "FinalBranch",
@@ -123,6 +142,14 @@ _GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIER
 # branch -> node label -> the labels that must be rejected before it may be.
 ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
 
+# k -> the 2^k covariate patterns as design rows (intercept first), in the
+# order of their binary codes.
+_PATTERN_ROWS = {
+    k: np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
+    for k in {len(c) for c in _COVARIATES.values()}
+}
+_PLAN_CACHE_SIZE = 256  # distinct (branch, present patterns); a run meets a few dozen at most
+
 
 @dataclass(frozen=True)
 class FinalModelSpec:
@@ -192,29 +219,52 @@ def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> Final
     trials = np.bincount(codes, minlength=n_patterns)
     events = np.bincount(codes, weights=y21.astype(float), minlength=n_patterns)
     present = trials > 0
-    pattern_bits = np.array(
-        [[(c >> (k - 1 - j)) & 1 for j in range(k)] for c in range(n_patterns)], dtype=float
-    )
-    rows = np.column_stack([np.ones(int(present.sum())), pattern_bits[present]])
+    rows = _PATTERN_ROWS[k][present]
 
     spec = FinalModelSpec(branch=branch, covariates=_COVARIATES[branch], subject_filter=subject_filter)
     return FinalModelData(spec, rows, events[present], trials[present], indicators)
 
 
-def _fit_columns(data: FinalModelData, cols: tuple) -> LogisticFit:
-    x = data.rows[:, list(cols)]
-    fit = fit_saturated_counts(x, data.events, data.trials)
-    return fit if fit is not None else fit_logistic_counts(x, data.events, data.trials)
+class _Model(NamedTuple):
+    x: np.ndarray  # the design columns the model keeps
+    layout: _Layout
 
 
-def _node_tests(data: FinalModelData, full_cols: tuple, nodes: tuple) -> tuple[dict, bool]:
-    """LR p-value per node label; flags failure on any non-convergent fit."""
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _node_plan(branch: FinalBranch, shape: tuple, buffer: bytes) -> tuple:
+    """The full model and every node's reduced model of ``branch`` on one
+    grouped design, sliced and checked (intercept, full rank) once; the full
+    model is checked first, so a bad design raises the error its fit would."""
+    rows = np.frombuffer(buffer).reshape(shape)
+    full_cols, nodes = _GATING[branch]
+    plan = []
+    for cols in (full_cols,) + tuple(node.reduced for node in nodes):
+        x = rows[:, list(cols)]
+        x.setflags(write=False)
+        plan.append(_Model(x, _checked_layout(x)))
+    return tuple(plan)
+
+
+def _fit(model: _Model, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
+    fit = _saturated_fit(model.layout, events, trials)
+    return fit if fit is not None else fit_logistic_counts(model.x, events, trials)
+
+
+def _node_tests(data: FinalModelData, branch: FinalBranch) -> tuple[dict, bool]:
+    """LR p-value per node label; flags failure on any non-convergent fit.
+    The counts are checked once, against the full model's column count."""
+    full_cols, nodes = _GATING[branch]
+    events, trials = data.events, data.trials
+    if events.shape != (len(data.rows),) or trials.shape != (len(data.rows),):
+        raise InputError("events/trials must align with design rows")
+    _check_table(events, trials, len(full_cols))
+    full_model, *reduced_models = _node_plan(branch, data.rows.shape, data.rows.tobytes())
     try:
-        full = _fit_columns(data, full_cols)
+        full = _fit(full_model, events, trials)
         failed = not full.converged
         p_values = {}
-        for node in nodes:
-            reduced = _fit_columns(data, node.reduced)
+        for node, model in zip(nodes, reduced_models):
+            reduced = _fit(model, events, trials)
             failed |= not reduced.converged
             p_values[node.label] = lr_test(full, reduced, node.df).p_value
     except FittingError:
@@ -246,8 +296,8 @@ def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
 def _gatekeep(data: FinalModelData, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
     if data.spec.branch is not branch:
         raise ValueError(f"expected {branch.value} data, got {data.spec.branch}")
-    full_cols, nodes = _GATING[branch]
-    p_values, failed = _node_tests(data, full_cols, nodes)
+    p_values, failed = _node_tests(data, branch)
+    nodes = _GATING[branch][1]
     rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)
     successful = frozenset(node.arm for node in nodes if node.arm and node.label in rejected)
     return GatekeepingOutcome(p_values, rejected, successful, failed)

@@ -5,12 +5,21 @@ All draws go through an explicit ``numpy.random.Generator``.
 ``generate_block`` draws a whole enrollment window in one shot and consumes
 the stream column by column (domain A assignments, then domain B, then y11,
 y12, y21), a documented and reproducible draw order.
+
+What depends only on the scenario is computed once per scenario and looked
+up per subject by domain-A code + 1 (row 0 for ``ABSENT``): the biomarker
+mean shifts, and a 4 x 2 table of clamped event probabilities per
+(domain A, domain B) cell with a mask of the cells that were clamped. Each
+cell is the sum rate + rd_a + rd_b in that order, the float64 expression
+the per-subject arithmetic evaluated, so every value, and every draw
+compared against it, is bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +28,7 @@ from .design import (
     ARM_A_CODE,
     DOMAIN_A_ARMS,
     DOMAIN_B_ARMS,
+    TREATMENT_ARMS_A,
     ScenarioConfig,
     SubjectData,
 )
@@ -34,6 +44,7 @@ __all__ = [
 # stay well-defined; clamps are counted and surfaced in results.
 PROB_CLAMP_LO = 0.001
 PROB_CLAMP_HI = 0.999
+_TABLE_CACHE_SIZE = 64  # scenarios remembered; a run holds a handful
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,47 @@ class ActiveArms:
         if frozenset(self.domain_b) != frozenset(DOMAIN_B_ARMS):
             raise ValueError(f"domain B always randomizes {DOMAIN_B_ARMS}, got {set(self.domain_b)}")
 
-    def domain_a_sorted(self) -> tuple:
-        return () if self.domain_a is None else tuple(sorted(self.domain_a))
+
+@lru_cache(maxsize=None)
+def _arm_codes(domain_a: frozenset) -> np.ndarray:
+    """Domain-A codes of an active arm set, in sorted arm order."""
+    codes = np.array([ARM_A_CODE[a] for a in sorted(domain_a)], dtype=np.int8)
+    codes.setflags(write=False)
+    return codes
+
+
+class _Tables(NamedTuple):
+    """Per-arm constants of one scenario. Rows are indexed by domain-A code
+    + 1 (row 0: ``ABSENT``), columns of the cell tables by domain-B code."""
+
+    shift11: np.ndarray  # biomarker mean shifts, shape (4,)
+    shift12: np.ndarray
+    p_event: np.ndarray  # clamped event probability per (A, B) cell, (4, 2)
+    clamped: np.ndarray  # cells whose probability was clamped, (4, 2)
+    any_clamped: bool
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tables(rate: float, shifts: tuple, rd_a: tuple, rd_b1: float) -> _Tables:
+    shift11 = np.array([0.0, 0.0] + [s[0] for s in shifts])
+    shift12 = np.array([0.0, 0.0] + [s[1] for s in shifts])
+    # rate + rd_a + rd_b in this order: float64 addition is not associative,
+    # and the pinned outputs depend on every probability's last bit.
+    p = np.array([[rate + ra + rb for rb in (0.0, rd_b1)] for ra in (0.0, 0.0) + rd_a])
+    clamped = (p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)
+    p = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
+    for table in (shift11, shift12, p, clamped):
+        table.setflags(write=False)
+    return _Tables(shift11, shift12, p, clamped, bool(clamped.any()))
+
+
+def _scenario_tables(config: ScenarioConfig) -> _Tables:
+    return _tables(
+        float(config.control_event_rate),
+        tuple((config.biomarker_effect(a, 0), config.biomarker_effect(a, 1)) for a in TREATMENT_ARMS_A),
+        tuple(config.risk_difference(a) for a in TREATMENT_ARMS_A),
+        config.risk_difference("B1"),
+    )
 
 
 def generate_block(
@@ -71,36 +121,20 @@ def generate_block(
     [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns the block and the number of
     clamped event probabilities.
     """
-    arms_a = active.domain_a_sorted()
-    if arms_a:
-        idx = stream.integers(len(arms_a), size=n)
-        arm_a = np.array([ARM_A_CODE[a] for a in arms_a], dtype=np.int8)[idx]
+    tables = _scenario_tables(config)
+    if active.domain_a is not None:
+        codes = _arm_codes(active.domain_a)
+        arm_a = codes[stream.integers(len(codes), size=n)]
     else:
         arm_a = np.full(n, ABSENT, dtype=np.int8)
     arm_b = stream.integers(2, size=n).astype(np.int8)
 
-    shift11 = np.zeros(3)
-    shift12 = np.zeros(3)
-    for arm in ("A1", "A2"):
-        shift11[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 0)
-        shift12[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 1)
-    mean11 = np.where(arm_a == ABSENT, 0.0, shift11[np.maximum(arm_a, 0)])
-    mean12 = np.where(arm_a == ABSENT, 0.0, shift12[np.maximum(arm_a, 0)])
+    row = arm_a + 1
     s11, s12 = config.biomarker_sds
-    y11 = mean11 + s11 * stream.standard_normal(n)
-    y12 = mean12 + s12 * stream.standard_normal(n)
+    y11 = tables.shift11[row] + s11 * stream.standard_normal(n)
+    y12 = tables.shift12[row] + s12 * stream.standard_normal(n)
 
-    rd_a = np.zeros(3)
-    for arm in ("A1", "A2"):
-        rd_a[ARM_A_CODE[arm]] = config.risk_difference(arm)
-    rd_b = np.array([0.0, config.risk_difference("B1")])
-    p = (
-        config.control_event_rate
-        + np.where(arm_a == ABSENT, 0.0, rd_a[np.maximum(arm_a, 0)])
-        + rd_b[arm_b]
-    )
-    n_clamped = int(np.count_nonzero((p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)))
-    p = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    y21 = (stream.random(n) < p).astype(np.int8)
+    n_clamped = int(np.count_nonzero(tables.clamped[row, arm_b])) if tables.any_clamped else 0
+    y21 = (stream.random(n) < tables.p_event[row, arm_b]).astype(np.int8)
 
     return SubjectData(arm_a, arm_b, y11, y12, y21), n_clamped

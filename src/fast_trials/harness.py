@@ -477,7 +477,9 @@ def _execute(config, cells, threads, collect_traces, replicates=None):
         for start in range(0, replicates, _CHUNK_SIZE)
     ]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The fork start method launches every worker at once, so a pool
+        # larger than the task list forks processes that get no work.
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             outputs = list(pool.map(_run_chunk, tasks, chunksize=1))
     else:
         outputs = [_run_chunk(t) for t in tasks]

@@ -6,6 +6,16 @@ gamma (series + continued fraction) and the regularized incomplete beta
 (Lentz continued fraction), so the kernel has no runtime dependency on a
 stats library. Everything here is a pure function of its inputs; random
 draws go through an explicit ``numpy.random.Generator`` owned by the caller.
+
+The Welch test computes each sample's mean and ddof=1 variance in one
+helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
+pairwise sum of squared deviations / (n - 1)), so the moments equal
+``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
+cost. The layout of a logistic design (rank, intercept, row grouping, the
+inverse of a saturated design) is computed once per distinct design and
+memoised. The IRLS Newton loop forms the same products in the same memory
+order as the textbook step, so its iterates, iteration count and
+covariance are unchanged.
 """
 
 from __future__ import annotations
@@ -243,6 +253,17 @@ def chi_square_sf(x: float, df: int) -> float:
 # two-sample t-test (unequal variances)
 # ---------------------------------------------------------------------------
 
+def _moments(a: np.ndarray) -> tuple[float, float]:
+    """Mean and ddof=1 variance of a float sample, with numpy's own two-pass
+    arithmetic (pairwise sum / n, then the pairwise sum of squared
+    deviations / (n - 1)), so both equal ``a.mean()`` and ``a.var(ddof=1)``
+    bit for bit without their per-call dispatch."""
+    n = a.size
+    mean = a.sum() / n
+    dev = a - mean
+    return float(mean), float((dev * dev).sum() / (n - 1))
+
+
 def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     """Two-sample t-test without the equal-variance assumption.
 
@@ -259,9 +280,8 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
             f"welch_t_test needs >= 2 observations per sample, got {a.size} and {b.size}"
         )
     n_a, n_b = a.size, b.size
-    mean_a, mean_b = float(a.mean()), float(b.mean())
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
+    mean_a, var_a = _moments(a)
+    mean_b, var_b = _moments(b)
     if var_a == 0.0 and var_b == 0.0:
         diff = mean_a - mean_b
         df = float(n_a + n_b - 2)
@@ -304,6 +324,7 @@ class _Layout(NamedTuple):
     """What a fit needs to know of a design beyond its values."""
 
     rank: int
+    intercept: bool  # column 0 is all ones
     groups: np.ndarray  # row -> index of its distinct covariate row
     saturated_inverse: Optional[np.ndarray]  # inverse of the distinct rows when square and full rank
 
@@ -319,7 +340,7 @@ def _layout(shape: tuple, buffer: bytes) -> _Layout:
     if distinct.shape[0] == shape[1] == rank:
         inverse = np.linalg.inv(distinct)
         inverse.setflags(write=False)
-    return _Layout(rank, groups, inverse)
+    return _Layout(rank, bool((x[:, 0] == 1.0).all()), groups, inverse)
 
 
 def _design_layout(x: np.ndarray) -> _Layout:
@@ -327,6 +348,25 @@ def _design_layout(x: np.ndarray) -> _Layout:
     design: a simulation's designs are a few small 0/1 matrices that recur
     in every replicate."""
     return _layout(x.shape, x.tobytes())
+
+
+def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
+    """Preconditions of a fit on the counts of a k-column model."""
+    if ((events < 0) | (events > trials)).any():
+        raise InputError("event counts must lie in [0, trials] per row")
+    n_subjects = float(trials.sum())
+    if n_subjects < k:
+        raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
+
+
+def _checked_layout(x: np.ndarray) -> _Layout:
+    """Layout of a float design with an intercept and full column rank."""
+    layout = _design_layout(x)
+    if not layout.intercept:
+        raise InputError("design must carry an all-ones intercept in column 0")
+    if layout.rank < x.shape[1]:
+        raise InputError("design columns are collinear")
+    return layout
 
 
 def _checked_counts(design_rows, events, trials):
@@ -340,17 +380,32 @@ def _checked_counts(design_rows, events, trials):
     n_rows, k = x.shape
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
-    if ((events < 0) | (events > trials)).any():
-        raise InputError("event counts must lie in [0, trials] per row")
-    n_subjects = float(trials.sum())
-    if n_subjects < k:
-        raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
-    if not (x[:, 0] == 1.0).all():
-        raise InputError("design must carry an all-ones intercept in column 0")
-    layout = _design_layout(x)
-    if layout.rank < k:
-        raise InputError("design columns are collinear")
-    return x, events, trials, layout
+    _check_table(events, trials, k)
+    return x, events, trials, _checked_layout(x)
+
+
+def _saturated_fit(layout: _Layout, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
+    """``fit_saturated_counts`` on inputs that have passed its checks."""
+    inverse = layout.saturated_inverse
+    if inverse is None:
+        return None
+    k = inverse.shape[0]
+    e = np.bincount(layout.groups, weights=events, minlength=k)
+    n = np.bincount(layout.groups, weights=trials, minlength=k)
+    non_events = n - e
+    if not (e.min() > 0 and non_events.min() > 0):
+        return None
+    p = e / n
+    log_p, log_q = np.log(p), np.log1p(-p)
+    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
+    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
+    return LogisticFit(
+        coefficients=inverse @ (log_p - log_q),
+        log_likelihood=float((e * log_p + non_events * log_q).sum()),
+        converged=True,
+        n_iterations=0,
+        covariance=covariance,
+    )
 
 
 def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
@@ -368,26 +423,8 @@ def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np
     returns None so that the caller's IRLS fit reports the divergence.
     Inputs are checked as in ``fit_logistic_counts``, with the same errors.
     """
-    x, events, trials, layout = _checked_counts(design_rows, events, trials)
-    inverse = layout.saturated_inverse
-    if inverse is None:
-        return None
-    k = x.shape[1]
-    e = np.bincount(layout.groups, weights=events, minlength=k)
-    n = np.bincount(layout.groups, weights=trials, minlength=k)
-    if not ((e > 0) & (e < n)).all():
-        return None
-    p = e / n
-    log_p, log_q = np.log(p), np.log1p(-p)
-    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
-    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
-    return LogisticFit(
-        coefficients=inverse @ (log_p - log_q),
-        log_likelihood=float(np.sum(e * log_p + (n - e) * log_q)),
-        converged=True,
-        n_iterations=0,
-        covariance=covariance,
-    )
+    _, events, trials, layout = _checked_counts(design_rows, events, trials)
+    return _saturated_fit(layout, events, trials)
 
 
 def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
@@ -397,41 +434,41 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
     Log-likelihood and information match the equivalent subject-level
     Bernoulli model exactly, so likelihood-ratio statistics can mix grouped
     and ungrouped fits, and fits from ``fit_saturated_counts``. The
-    collinearity (SVD rank) test runs once per distinct design.
+    collinearity (SVD rank) test runs once per distinct design. The Newton
+    step reuses trials * mu for the weights and the score and builds the
+    information as (X' * w) @ X, the same products in the same memory
+    order as (X * w[:, None])' @ X, so every iterate is bit-identical to
+    the textbook form.
     """
     x, events, trials, _ = _checked_counts(design_rows, events, trials)
     k = x.shape[1]
+    xt = x.T
 
     beta = np.zeros(k)
     converged = False
     diverged = False
     n_iter = 0
     for n_iter in range(1, IRLS_MAX_ITER + 1):
-        eta = x @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        w = trials * mu * (1.0 - mu)
-        grad = x.T @ (events - trials * mu)
-        hess = (x * w[:, None]).T @ x
+        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
+        expected = trials * mu
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve((xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected))
         except np.linalg.LinAlgError:
             diverged = True
             break
-        beta = beta + step
-        if np.max(np.abs(beta)) > _DIVERGE_BOUND:
+        beta += step
+        if np.abs(beta).max() > _DIVERGE_BOUND:
             diverged = True
             break
-        if np.max(np.abs(step)) < IRLS_TOL:
+        if np.abs(step).max() < IRLS_TOL:
             converged = True
             break
 
     eta = x @ beta
     loglik = _bernoulli_loglik(eta, events, trials)
     mu = 1.0 / (1.0 + np.exp(-eta))
-    w = trials * mu * (1.0 - mu)
-    hess = (x * w[:, None]).T @ x
     try:
-        cov = np.linalg.inv(hess)
+        cov = np.linalg.inv((xt * (trials * mu * (1.0 - mu))) @ x)
     except np.linalg.LinAlgError:
         cov = np.full((k, k), np.nan)
     return LogisticFit(

@@ -1,11 +1,13 @@
 """Subject generation: allocation balance, biomarker and outcome laws,
-additivity and clamping of risk differences, and stream determinism."""
+additivity and clamping of risk differences, stream determinism, and bit
+identity of the table-driven block generator with the per-subject
+arithmetic it replaced."""
 
 import numpy as np
 import pytest
 
-from fast_trials.design import ABSENT, ScenarioConfig
-from fast_trials.generation import ActiveArms, generate_block
+from fast_trials.design import ABSENT, ARM_A_CODE, ScenarioConfig
+from fast_trials.generation import PROB_CLAMP_HI, PROB_CLAMP_LO, ActiveArms, _scenario_tables, generate_block
 
 
 def _freq_tol(p, n):
@@ -120,3 +122,99 @@ def test_blocks_deterministic_given_stream_state():
     assert c1 == c2
     for column in ("arm_a", "arm_b", "y11", "y12", "y21"):
         np.testing.assert_array_equal(getattr(b1, column), getattr(b2, column))
+
+
+# -- bit identity with the per-subject arithmetic ---------------------------------
+
+def _reference_generate_block(config, active, n, stream):
+    """``generate_block`` before its per-scenario tables: np.where lookups of
+    the arm shifts and risk differences and a per-subject clip."""
+    arms_a = () if active.domain_a is None else tuple(sorted(active.domain_a))
+    if arms_a:
+        idx = stream.integers(len(arms_a), size=n)
+        arm_a = np.array([ARM_A_CODE[a] for a in arms_a], dtype=np.int8)[idx]
+    else:
+        arm_a = np.full(n, ABSENT, dtype=np.int8)
+    arm_b = stream.integers(2, size=n).astype(np.int8)
+
+    shift11 = np.zeros(3)
+    shift12 = np.zeros(3)
+    for arm in ("A1", "A2"):
+        shift11[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 0)
+        shift12[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 1)
+    mean11 = np.where(arm_a == ABSENT, 0.0, shift11[np.maximum(arm_a, 0)])
+    mean12 = np.where(arm_a == ABSENT, 0.0, shift12[np.maximum(arm_a, 0)])
+    s11, s12 = config.biomarker_sds
+    y11 = mean11 + s11 * stream.standard_normal(n)
+    y12 = mean12 + s12 * stream.standard_normal(n)
+
+    rd_a = np.zeros(3)
+    for arm in ("A1", "A2"):
+        rd_a[ARM_A_CODE[arm]] = config.risk_difference(arm)
+    rd_b = np.array([0.0, config.risk_difference("B1")])
+    p = (
+        config.control_event_rate
+        + np.where(arm_a == ABSENT, 0.0, rd_a[np.maximum(arm_a, 0)])
+        + rd_b[arm_b]
+    )
+    n_clamped = int(np.count_nonzero((p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)))
+    p = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
+    y21 = (stream.random(n) < p).astype(np.int8)
+    return (arm_a, arm_b, y11, y12, y21), n_clamped, p
+
+
+_ARM_SETS = {
+    "full": ActiveArms(),
+    "restricted_a1": ActiveArms(domain_a=frozenset({"A0", "A1"})),
+    "restricted_a2": ActiveArms(domain_a=frozenset({"A0", "A2"})),
+    "terminated": ActiveArms(domain_a=None),
+}
+_IDENTITY_CONFIGS = {
+    "null": ScenarioConfig(),
+    "effects": ScenarioConfig(
+        biomarker_effects={"A1": (10.0, -0.3), "A2": (-2.5, 7.1)},
+        biomarker_sds=(5.0, 12.5),
+        phase3_effects={"A1": 0.1, "A2": -0.07, "B1": 0.13},
+        control_event_rate=0.37,
+    ),
+    # Unvalidated: A1 and A2 cells leave [0.001, 0.999] on both sides.
+    "clamping": ScenarioConfig(
+        phase3_effects={"A1": 0.62, "A2": -0.45, "B1": 0.3},
+        control_event_rate=0.41,
+    ),
+    # Sums whose value depends on the order of the additions.
+    "rounding": ScenarioConfig(
+        biomarker_effects={"A1": (0.1, 0.2), "A2": (0.3, 1e-9)},
+        biomarker_sds=(0.7, 3.0),
+        phase3_effects={"A1": 0.1, "A2": 0.2, "B1": 0.25},
+        control_event_rate=0.1,
+    ),
+}
+
+
+@pytest.mark.parametrize("config_name", list(_IDENTITY_CONFIGS))
+@pytest.mark.parametrize("arms_name", list(_ARM_SETS))
+def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
+    config, active = _IDENTITY_CONFIGS[config_name], _ARM_SETS[arms_name]
+    for seed, n in ((0, 1), (1, 2), (2, 97), (3, 1000), (4, 4321)):
+        stream, reference_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+        block, n_clamped = generate_block(config, active, n, stream)
+        expected, expected_clamped, p = _reference_generate_block(config, active, n, reference_stream)
+        assert n_clamped == expected_clamped
+        # A probability one ulp off would almost never flip an outcome, so
+        # the table cells are compared with the per-subject sums directly.
+        p_event = _scenario_tables(config).p_event[block.arm_a + 1, block.arm_b]
+        np.testing.assert_array_equal(p_event, p, strict=True)
+        for column, want in zip(("arm_a", "arm_b", "y11", "y12", "y21"), expected):
+            got = getattr(block, column)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, strict=True)
+        # The stream is left where the reference leaves it.
+        assert stream.random() == reference_stream.random()
+
+
+def test_clamping_reference_case_clamps():
+    # Guards the identity test above: its clamping scenario really clamps.
+    config = _IDENTITY_CONFIGS["clamping"]
+    _, n_clamped, _ = _reference_generate_block(config, ActiveArms(), 1000, np.random.default_rng(3))
+    assert 0 < n_clamped < 1000

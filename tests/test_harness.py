@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fast_trials import harness
 from fast_trials.design import ScenarioConfig, validate_scenario
 from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome
 from fast_trials.harness import (
@@ -232,3 +233,39 @@ def test_threaded_execution_matches_serial():
         base_seed=404,
     )
     assert run_grid(cfg, threads=1) == run_grid(cfg, threads=2)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs the tasks in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "threads, n_feas_grid, replicates, expected",
+    [
+        (16, (90,), 600, 3),  # one cell in three chunks of 250
+        (16, (90, 120), 8, 2),  # two cells of one chunk
+        (2, (90, 120, 150), 8, 2),  # more tasks than workers
+    ],
+)
+def test_pool_never_exceeds_task_count(monkeypatch, threads, n_feas_grid, replicates, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = _null_config(n_drop_grid=(90,), n_feas_grid=n_feas_grid, replicates=replicates, n_total=200)
+    pooled = run_grid(cfg, threads=threads)
+    assert _RecordingPool.sizes == [expected]
+    assert pooled == run_grid(cfg, threads=1)

@@ -1,13 +1,18 @@
 """Logistic-regression fitting: closed-form checks on contingency tables,
-degenerate/separated data handling, and likelihood-ratio test behavior."""
+degenerate/separated data handling, likelihood-ratio test behavior, and bit
+identity of the IRLS loop with the textbook Newton step it replaced."""
 
 import numpy as np
 import pytest
 
 from fast_trials.stats import (
+    _DIVERGE_BOUND,
+    IRLS_MAX_ITER,
+    IRLS_TOL,
     FittingError,
     InputError,
     LogisticFit,
+    _bernoulli_loglik,
     chi_square_sf,
     fit_logistic,
     fit_logistic_counts,
@@ -176,3 +181,83 @@ def test_lr_invariant_to_row_order():
     stat_a = lr_test(full_a, reduced_a, 1).statistic
     stat_b = lr_test(full_b, reduced_b, 1).statistic
     assert stat_a == pytest.approx(stat_b, abs=1e-9)
+
+
+# -- bit identity of the Newton loop ------------------------------------------
+
+def _reference_irls(x, events, trials):
+    """The IRLS loop before its lean rewrite: (coefficients, log-likelihood,
+    n_iterations, converged, diverged, covariance)."""
+    k = x.shape[1]
+    beta = np.zeros(k)
+    converged = False
+    diverged = False
+    n_iter = 0
+    for n_iter in range(1, IRLS_MAX_ITER + 1):
+        eta = x @ beta
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        w = trials * mu * (1.0 - mu)
+        grad = x.T @ (events - trials * mu)
+        hess = (x * w[:, None]).T @ x
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            diverged = True
+            break
+        beta = beta + step
+        if np.max(np.abs(beta)) > _DIVERGE_BOUND:
+            diverged = True
+            break
+        if np.max(np.abs(step)) < IRLS_TOL:
+            converged = True
+            break
+    eta = x @ beta
+    loglik = _bernoulli_loglik(eta, events, trials)
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    w = trials * mu * (1.0 - mu)
+    hess = (x * w[:, None]).T @ x
+    try:
+        cov = np.linalg.inv(hess)
+    except np.linalg.LinAlgError:
+        cov = np.full((k, k), np.nan)
+    return beta, loglik, n_iter, converged and not diverged, diverged, cov
+
+
+# Every covariate pattern of the three final-analysis designs.
+_DESIGNS = (
+    np.array([[1, a1, a2, b] for a1, a2 in ((0, 0), (1, 0), (0, 1)) for b in (0, 1)], dtype=float),
+    np.array([[1, f, b] for f in (0, 1) for b in (0, 1)], dtype=float),
+    np.array([[1, b] for b in (0, 1)], dtype=float),
+)
+
+
+def _irls_tables(kind, rng):
+    for x in _DESIGNS:
+        for _ in range(40):
+            trials = rng.integers(1, 200, size=len(x)).astype(float)
+            events = rng.binomial(trials.astype(int), rng.uniform(0.05, 0.95, size=len(x))).astype(float)
+            if kind == "interior":
+                trials = np.maximum(trials, 2.0)
+                events = np.clip(events, 1.0, trials - 1.0)
+            elif kind == "boundary":
+                row = int(rng.integers(len(x)))
+                events[row] = 0.0 if rng.random() < 0.5 else trials[row]
+            else:  # separated: the events follow the last covariate exactly
+                events = np.where(x[:, -1] == 1.0, trials, 0.0)
+            yield x, events, trials
+
+
+@pytest.mark.parametrize("kind", ["interior", "boundary", "separated"])
+def test_irls_bit_identical_to_reference_loop(kind):
+    seen = set()
+    for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
+        fit = fit_logistic_counts(x, events, trials)
+        beta, loglik, n_iter, converged, diverged, cov = _reference_irls(x, events, trials)
+        np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
+        assert fit.log_likelihood == loglik
+        assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
+        np.testing.assert_array_equal(fit.covariance, cov, strict=True)
+        seen.add((converged, diverged))
+    # Interior tables converge; separated ones diverge; boundary ones reach both.
+    expected = {"interior": {(True, False)}, "separated": {(False, True)}, "boundary": {(True, False), (False, True)}}
+    assert seen == expected[kind]

@@ -41,6 +41,25 @@ def _golden_config():
     )
 
 
+def _golden_both_arms_config():
+    # Shaped like perfbench/scenarios/both_arms.json: y11 nominates A1 and
+    # y12 nominates A2, so nearly every replicate keeps both arms.
+    return validate_scenario(
+        ScenarioConfig(
+            scenario_id=4,
+            biomarker_effects={"A1": (10.0, 0.0), "A2": (0.0, -10.0)},
+            biomarker_sds=(5.0, 5.0),
+            benefit_directions=("increase", "decrease"),
+            phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1},
+            n_total=200,
+            n_drop_grid=(60, 90),
+            n_feas_grid=(60, 90),
+            replicates=12,
+            base_seed=52100044,
+        )
+    )
+
+
 def _cli_config_doc(**overrides):
     doc = {
         "scenario_id": 0,
@@ -91,6 +110,16 @@ def test_golden_trace_csv_is_stable(tmp_path):
     _, traces = run_grid_detail(_golden_config(), collect_traces=True)
     write_trace_csv(traces, TRACE_FIELDS, out)
     assert out.read_bytes() == (DATA_DIR / "golden_trace.csv").read_bytes()
+
+
+def test_golden_both_arms_trace_csv_is_stable(tmp_path):
+    # The golden trace above never reaches the both-arms branch; this one
+    # pins its seven node p-values and closed-test rejections.
+    out = tmp_path / "trace.csv"
+    _, traces = run_grid_detail(_golden_both_arms_config(), collect_traces=True)
+    assert sum(row["branch"] == "both_arms_retained" for row in traces) >= 40
+    write_trace_csv(traces, TRACE_FIELDS, out)
+    assert out.read_bytes() == (DATA_DIR / "golden_trace_both_arms.csv").read_bytes()
 
 
 def test_results_columns_pinned():
@@ -266,6 +295,16 @@ def test_cli_wrong_json_type_exits_2(tmp_path, doc, field):
     assert [line for line in r.stderr.splitlines() if line.startswith("error:")] == ["error: invalid scenario:"]
     assert f"  - {field}: " in r.stderr
     assert not out.exists()
+
+
+def test_cli_empty_config_exits_2(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("[]")
+    r = _run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert [line for line in r.stderr.splitlines() if line.startswith("error:")] == ["error: invalid scenario:"]
+    assert "scenario list is empty" in r.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -1,10 +1,13 @@
-"""Welch two-sample t-test: hand-computed cases, tail relations, and the
-degenerate zero-variance handling the simulation loop relies on."""
+"""Welch two-sample t-test: hand-computed cases, tail relations, the
+degenerate zero-variance handling the simulation loop relies on, and bit
+identity of the one-pass sample moments with numpy's mean and variance."""
+
+import math
 
 import numpy as np
 import pytest
 
-from fast_trials.stats import InputError, Tail, t_sf, welch_t_test
+from fast_trials.stats import InputError, Tail, _moments, t_sf, welch_t_test
 
 
 def test_identical_samples_give_null_result():
@@ -85,3 +88,45 @@ def test_too_small_sample_rejected():
         welch_t_test([1.0], [1.0, 2.0])
     with pytest.raises(InputError):
         welch_t_test([1.0, 2.0], [])
+
+
+# -- sample moments -------------------------------------------------------------
+
+def _moment_samples():
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 333, 1000, 4099):
+        for loc, scale in ((0.0, 1.0), (-3.5, 10.0), (1e6, 1.0), (1e-8, 1e-12)):
+            yield loc + scale * rng.standard_normal(n)
+    for value in (0.0, 2.0, 0.1, -1e100, 1.0 / 3.0):
+        for n in (2, 5, 1000):
+            yield np.full(n, value)  # constant: numpy may leave a rounding residue
+    yield np.array([1e16, 1.0, -1e16, 3.0])
+    yield rng.standard_normal(2001)[::3]  # strided, not contiguous
+
+
+def test_moments_bit_identical_to_numpy():
+    for a in _moment_samples():
+        mean, var = _moments(a)
+        assert mean == float(np.mean(a)) and var == float(np.var(a, ddof=1)), a.size
+
+
+def _reference_welch(a, b):
+    """Statistic and df as computed from np.mean / np.var(ddof=1)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se2_a = float(a.var(ddof=1)) / a.size
+    se2_b = float(b.var(ddof=1)) / b.size
+    se2 = se2_a + se2_b
+    stat = (float(a.mean()) - float(b.mean())) / math.sqrt(se2)
+    df = se2 * se2 / (se2_a * se2_a / (a.size - 1) + se2_b * se2_b / (b.size - 1))
+    return stat, df
+
+
+def test_welch_statistic_bit_identical_to_numpy_moments():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n_a, n_b = (int(v) for v in rng.integers(2, 400, size=2))
+        a = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 20), n_a)
+        b = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 20), n_b)
+        for tail in Tail:
+            r = welch_t_test(a, b, tail)
+            assert (r.statistic, r.df) == _reference_welch(a, b)
