@@ -42,7 +42,7 @@ print(f"converged in {fit.n_iterations} iterations, log-likelihood {fit.log_like
 
 print("\n== nested-model likelihood-ratio test ==")
 reduced = fit_logistic(x[:, :1], y)
-test = lr_test(fit, reduced, 1)
+test = lr_test(fit.log_likelihood, reduced.log_likelihood, 1)
 print(f"LR statistic = {test.statistic:.4f} on {test.df:.0f} df, p = {test.p_value:.5f}")
 
 print("\n== degenerate data never crash the kernel ==")

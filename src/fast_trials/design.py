@@ -142,6 +142,11 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    """An integer; JSON true/false are not integers here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_finite(v) -> bool:
     try:
         return _is_number(v) and math.isfinite(v)
@@ -177,12 +182,12 @@ def _check_grid(issues, name, grid, n_total):
         issues.append(f"{name}: grid must be nonempty")
         return
     for v in triggers:
-        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool)):
+        if not _is_int(v):
             issues.append(f"{name}: trigger {v!r} is not an integer")
             return
     if any(v < 1 for v in triggers):
         issues.append(f"{name}: triggers must be >= 1 (got {triggers})")
-    if isinstance(n_total, (int, np.integer)) and any(v > n_total for v in triggers):
+    if _is_int(n_total) and any(v > n_total for v in triggers):
         issues.append(f"{name}: triggers must not exceed n_total={n_total} (got {triggers})")
     if len(set(triggers)) != len(triggers):
         issues.append(f"{name}: triggers must be distinct (got {triggers})")
@@ -236,7 +241,7 @@ def scenario_issues(config: ScenarioConfig) -> list[str]:
                         f"is {p:.6g}, outside (0, 1)"
                     )
 
-    if not (isinstance(config.n_total, (int, np.integer)) and config.n_total >= 1):
+    if not (_is_int(config.n_total) and config.n_total >= 1):
         issues.append(f"n_total: must be a positive integer, got {config.n_total!r}")
 
     _check_grid(issues, "n_drop_grid", config.n_drop_grid, config.n_total)
@@ -251,13 +256,13 @@ def scenario_issues(config: ScenarioConfig) -> list[str]:
             f"got {config.default_retained_arm!r}"
         )
 
-    if not (isinstance(config.replicates, (int, np.integer)) and config.replicates >= 1):
+    if not (_is_int(config.replicates) and config.replicates >= 1):
         issues.append(f"replicates: must be a positive integer, got {config.replicates!r}")
 
-    if not (isinstance(config.scenario_id, (int, np.integer)) and config.scenario_id >= 0):
+    if not (_is_int(config.scenario_id) and config.scenario_id >= 0):
         issues.append(f"scenario_id: must be a nonnegative integer, got {config.scenario_id!r}")
 
-    if not (isinstance(config.base_seed, (int, np.integer)) and 0 <= config.base_seed < 2**64):
+    if not (_is_int(config.base_seed) and 0 <= config.base_seed < 2**64):
         issues.append(f"base_seed: must be an integer in [0, 2^64), got {config.base_seed!r}")
 
     return issues

@@ -18,7 +18,7 @@ strong sense.
 
 Most of the models are saturated on their own grouping: they have as many
 distinct covariate rows as parameters, so their MLE is the per-group event
-proportion and ``fit_saturated_counts`` fits them in closed form. Those are
+proportion and they are fitted in closed form. Those are
 every reduced model of the one-arm branch (global, beta1, beta2), H01-H04
 and H07 of the both-arms branch (A1 + A2 dummies are saturated on the three
 A-arm groups), and both models of the terminated branch. Only the
@@ -29,20 +29,27 @@ group at 0 or at all events has no interior maximum; every such fit, as
 every unsaturated one, goes through ``fit_logistic_counts``, whose
 divergence flags the replicate as before.
 
-What depends only on the design layout is computed once, not per
-replicate: the 2^k covariate-pattern rows per k at import, and per
-(branch, grouped design) a memoised node plan holding every model's sliced
-design and its checked layout (intercept, full rank, row grouping). The
-counts are checked once per table against the full model. The fits run on
-the same arrays with the same arithmetic as before, so every p-value, and
+A replicate computes only what the closed test reads: log-likelihoods and
+convergence flags. What depends only on the design layout is computed
+once, not per replicate: per branch a lookup from (arm_a + 1, arm_b) to the
+subject's covariate-pattern code, the 2^k pattern rows per k, and per
+(branch, grouped design) a memoised node plan holding every model's sliced,
+checked design and the row groupings of the saturated ones, stacked. The
+counts are grouped with one lookup and two bincounts and checked once per
+table against the full model; one vectorised pass then gives every
+saturated model's log-likelihood, with the same per-group arithmetic and
+summation order as fitting each alone. ``lr_test`` takes the two
+log-likelihoods. The subject-level indicators of ``FinalModelData`` and the
+covariance of an IRLS fit are formed only when read. Every p-value, and
 every output bit, is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,11 +58,11 @@ from .design import ABSENT
 from .stats import (
     FittingError,
     InputError,
-    LogisticFit,
     _check_table,
     _checked_layout,
-    _Layout,
-    _saturated_fit,
+    _saturated_pass,
+    _Stack,
+    _stack,
     fit_logistic_counts,
     lr_test,
 )
@@ -142,6 +149,37 @@ _GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIER
 # branch -> node label -> the labels that must be rejected before it may be.
 ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
 
+# The indicator columns of each branch's full model, from the arm codes of
+# the subjects the model includes.
+_INDICATORS = {
+    FinalBranch.ONE_ARM_RETAINED: lambda arm_a, arm_b: (arm_a > 0, arm_b == 1),
+    FinalBranch.BOTH_ARMS_RETAINED: lambda arm_a, arm_b: (arm_a == 1, arm_a == 2, arm_b == 1),
+    FinalBranch.DOMAIN_A_TERMINATED: lambda arm_a, arm_b: (arm_b == 1,),
+}
+
+
+def _includes(branch: FinalBranch, arm_a: np.ndarray) -> np.ndarray:
+    """Which subjects the branch's model includes: every subject once domain
+    A is terminated, else every subject assigned in domain A."""
+    if branch is FinalBranch.DOMAIN_A_TERMINATED:
+        return np.ones(arm_a.shape, dtype=bool)
+    return arm_a != ABSENT
+
+
+def _pattern_codes(branch: FinalBranch) -> np.ndarray:
+    """(arm_a + 1, arm_b) -> the binary code of the subject's covariate
+    pattern, first indicator most significant; 2^k for a subject the model
+    leaves out."""
+    arm_a, arm_b = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), indexing="ij")
+    codes = np.zeros(arm_a.shape, dtype=np.intp)
+    for column in _INDICATORS[branch](arm_a, arm_b):
+        codes = codes * 2 + column
+    k = len(_COVARIATES[branch])
+    return np.where(_includes(branch, arm_a), codes, 2**k)
+
+
+_PATTERN_CODES = {branch: _pattern_codes(branch) for branch in FinalBranch}
+
 # k -> the 2^k covariate patterns as design rows (intercept first), in the
 # order of their binary codes.
 _PATTERN_ROWS = {
@@ -160,14 +198,23 @@ class FinalModelSpec:
 
 class FinalModelData:
     """Model-ready data for one branch: the grouped covariate patterns with
-    event/trial counts, plus the subject-level indicators for auditing."""
+    event/trial counts, plus the subject-level indicators for auditing,
+    formed from ``subjects`` on first read."""
 
-    def __init__(self, spec: FinalModelSpec, rows, events, trials, subject_indicators):
+    def __init__(self, spec: FinalModelSpec, rows, events, trials, subjects):
         self.spec = spec
         self.rows = np.asarray(rows, dtype=float)  # g x (1 + k) with intercept
         self.events = np.asarray(events, dtype=float)
         self.trials = np.asarray(trials, dtype=float)
-        self.subject_indicators = np.asarray(subject_indicators, dtype=np.int8)
+        self._subjects = subjects
+
+    @cached_property
+    def subject_indicators(self) -> np.ndarray:
+        """n x k int8 indicators of the subjects the model includes."""
+        subjects = self._subjects
+        mask = _includes(self.spec.branch, subjects.arm_a)
+        columns = _INDICATORS[self.spec.branch](subjects.arm_a[mask], subjects.arm_b[mask])
+        return np.column_stack(columns).astype(np.int8)
 
     @property
     def n_subjects(self) -> int:
@@ -193,79 +240,74 @@ def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> Final
     if branch is FinalBranch.ONE_ARM_RETAINED and retained_arm not in ("A1", "A2"):
         raise ValueError("one_arm_retained path requires the retained arm")
 
-    if branch is FinalBranch.DOMAIN_A_TERMINATED:
-        mask = np.ones(len(subjects), dtype=bool)
-        subject_filter = "all_subjects"
-    else:
-        mask = subjects.arm_a != ABSENT
-        subject_filter = "domain_a_assigned"
-    arm_a = subjects.arm_a[mask]
-    arm_b = subjects.arm_b[mask]
-    y21 = subjects.y21[mask]
-
-    if branch is FinalBranch.ONE_ARM_RETAINED:
-        indicators = np.column_stack([(arm_a > 0), arm_b == 1]).astype(np.int8)
-    elif branch is FinalBranch.BOTH_ARMS_RETAINED:
-        indicators = np.column_stack([arm_a == 1, arm_a == 2, arm_b == 1]).astype(np.int8)
-    else:
-        indicators = (arm_b == 1).astype(np.int8).reshape(-1, 1)
-
-    # Group by covariate pattern so repeated nested fits stay cheap.
-    k = indicators.shape[1]
-    codes = np.zeros(len(arm_b), dtype=np.int64)
-    for j in range(k):
-        codes = codes * 2 + indicators[:, j]
-    n_patterns = 2**k
-    trials = np.bincount(codes, minlength=n_patterns)
-    events = np.bincount(codes, weights=y21.astype(float), minlength=n_patterns)
+    subject_filter = "all_subjects" if branch is FinalBranch.DOMAIN_A_TERMINATED else "domain_a_assigned"
+    # Group by covariate pattern so repeated nested fits stay cheap; the
+    # code 2^k collects the subjects the model leaves out.
+    k = len(_COVARIATES[branch])
+    codes = _PATTERN_CODES[branch][subjects.arm_a + 1, subjects.arm_b]
+    trials = np.bincount(codes, minlength=2**k + 1)[: 2**k]
+    events = np.bincount(codes, weights=subjects.y21, minlength=2**k + 1)[: 2**k]
     present = trials > 0
-    rows = _PATTERN_ROWS[k][present]
 
     spec = FinalModelSpec(branch=branch, covariates=_COVARIATES[branch], subject_filter=subject_filter)
-    return FinalModelData(spec, rows, events[present], trials[present], indicators)
+    return FinalModelData(spec, _PATTERN_ROWS[k][present], events[present], trials[present], subjects)
 
 
-class _Model(NamedTuple):
-    x: np.ndarray  # the design columns the model keeps
-    layout: _Layout
+class _Plan(NamedTuple):
+    designs: tuple  # each model's design columns: the full model, then every node's
+    slots: tuple  # each model's index in ``stack``; None where it is not saturated
+    stack: _Stack  # the row groupings of the saturated models
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _node_plan(branch: FinalBranch, shape: tuple, buffer: bytes) -> tuple:
+def _node_plan(branch: FinalBranch, shape: tuple, buffer: bytes) -> _Plan:
     """The full model and every node's reduced model of ``branch`` on one
-    grouped design, sliced and checked (intercept, full rank) once; the full
-    model is checked first, so a bad design raises the error its fit would."""
+    grouped design, sliced and checked (intercept, full rank) once, with the
+    row groupings of the saturated ones stacked for one pass. The full model
+    is checked first, so a bad design raises the error its fit would."""
     rows = np.frombuffer(buffer).reshape(shape)
     full_cols, nodes = _GATING[branch]
-    plan = []
+    designs, layouts = [], []
     for cols in (full_cols,) + tuple(node.reduced for node in nodes):
         x = rows[:, list(cols)]
         x.setflags(write=False)
-        plan.append(_Model(x, _checked_layout(x)))
-    return tuple(plan)
+        designs.append(x)
+        layouts.append(_checked_layout(x))
+    saturated = [m for m, layout in enumerate(layouts) if layout.saturated_inverse is not None]
+    slots = tuple(saturated.index(m) if m in saturated else None for m in range(len(layouts)))
+    return _Plan(tuple(designs), slots, _stack([layouts[m] for m in saturated]))
 
 
-def _fit(model: _Model, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
-    fit = _saturated_fit(model.layout, events, trials)
-    return fit if fit is not None else fit_logistic_counts(model.x, events, trials)
+def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tuple[float, bool]:
+    """The maximised log-likelihood of the plan's model and whether its fit
+    converged: the closed form where the model is saturated and has an
+    interior maximum, else an IRLS fit, whose divergence flags the
+    replicate."""
+    slot = plan.slots[model]
+    if slot is not None and not math.isnan(closed[slot]):
+        return closed[slot], True
+    fit = fit_logistic_counts(plan.designs[model], events, trials)
+    return fit.log_likelihood, fit.converged
 
 
 def _node_tests(data: FinalModelData, branch: FinalBranch) -> tuple[dict, bool]:
     """LR p-value per node label; flags failure on any non-convergent fit.
-    The counts are checked once, against the full model's column count."""
+    The counts are checked once, against the full model's column count, and
+    one pass gives every saturated model's closed-form log-likelihood."""
     full_cols, nodes = _GATING[branch]
     events, trials = data.events, data.trials
     if events.shape != (len(data.rows),) or trials.shape != (len(data.rows),):
         raise InputError("events/trials must align with design rows")
     _check_table(events, trials, len(full_cols))
-    full_model, *reduced_models = _node_plan(branch, data.rows.shape, data.rows.tobytes())
+    plan = _node_plan(branch, data.rows.shape, data.rows.tobytes())
+    closed = _saturated_pass(plan.stack, events, trials)[0].tolist()
     try:
-        full = _fit(full_model, events, trials)
-        failed = not full.converged
+        full, converged = _log_likelihood(plan, 0, closed, events, trials)
+        failed = not converged
         p_values = {}
-        for node, model in zip(nodes, reduced_models):
-            reduced = _fit(model, events, trials)
-            failed |= not reduced.converged
+        for model, node in enumerate(nodes, 1):
+            reduced, converged = _log_likelihood(plan, model, closed, events, trials)
+            failed |= not converged
             p_values[node.label] = lr_test(full, reduced, node.df).p_value
     except FittingError:
         return {node.label: 1.0 for node in nodes}, True

@@ -115,13 +115,7 @@ def arm_dropping_analysis(
     test_y11 = welch_t_test(y11_a1, y11_a2, Tail.TWO_SIDED)
     test_y12 = welch_t_test(y12_a1, y12_a2, Tail.TWO_SIDED)
     return resolve_retention(
-        test_y11,
-        (float(y11_a1.mean()), float(y11_a2.mean())),
-        test_y12,
-        (float(y12_a1.mean()), float(y12_a2.mean())),
-        alpha_drop,
-        directions,
-        default_arm,
+        test_y11, test_y11.means, test_y12, test_y12.means, alpha_drop, directions, default_arm
     )
 
 
@@ -141,11 +135,12 @@ def feasibility_analysis(
     pooled = subjects.y11[in_pool]
     tail = Tail.UPPER if BenefitDirection(direction) is BenefitDirection.INCREASE else Tail.LOWER
     test = welch_t_test(pooled, control, tail)
+    pooled_mean, control_mean = test.means
     return FeasibilityDecision(
         proceed=test.p_value < alpha_feas,
         test=test,
-        pooled_mean=float(pooled.mean()),
-        control_mean=float(control.mean()),
+        pooled_mean=pooled_mean,
+        control_mean=control_mean,
     )
 
 

@@ -1,21 +1,24 @@
 """Statistical kernel: distribution functions, two-sample t-tests, logistic
 regression, and nested-model likelihood-ratio tests.
 
-Distribution tails are computed from scratch via the regularized incomplete
-gamma (series + continued fraction) and the regularized incomplete beta
-(Lentz continued fraction), so the kernel has no runtime dependency on a
-stats library. Everything here is a pure function of its inputs; random
-draws go through an explicit ``numpy.random.Generator`` owned by the caller.
+Distribution tails are computed from scratch, so the kernel has no runtime
+dependency on a stats library: the normal CDF and the chi-square tail (at
+integer df) in closed form, as erfc plus a finite sum of exp terms, and the
+t tail from the regularized incomplete beta (Lentz continued fraction).
+Everything here is a pure function of its inputs; random draws go through an
+explicit ``numpy.random.Generator`` owned by the caller.
 
 The Welch test computes each sample's mean and ddof=1 variance in one
 helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
 pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
-cost. The layout of a logistic design (rank, intercept, row grouping, the
-inverse of a saturated design) is computed once per distinct design and
-memoised. The IRLS Newton loop forms the same products in the same memory
-order as the textbook step, so its iterates, iteration count and
-covariance are unchanged.
+cost; the result carries the two means. The layout of a logistic design
+(rank, intercept, row grouping, the inverse of a saturated design) is
+computed once per distinct design and memoised. The closed form of
+saturated models is written once, for a stack of row groupings, so one
+pass over a table fits them all. The IRLS Newton loop forms the same
+products in the same memory order as the textbook step, so its iterates
+and iteration count are unchanged; its covariance is formed only when read.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ __all__ = [
 _EPS = 1e-14
 _FPMIN = 1e-300
 _MAX_CF_ITER = 500
-_MAX_SERIES_ITER = 1000
+_SQRT2 = math.sqrt(2.0)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)  # Gamma(3/2)
 
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 50
@@ -79,72 +83,52 @@ class TestResult:
     p_value: float
     tail: Tail
     degenerate: bool = False  # both samples had zero variance
+    means: Optional[tuple] = None  # a two-sample test's (mean of a, mean of b)
 
 
-@dataclass
 class LogisticFit:
-    """Maximum-likelihood fit of a binary-outcome logistic model."""
+    """Maximum-likelihood fit of a binary-outcome logistic model.
 
-    coefficients: np.ndarray
-    log_likelihood: float
-    converged: bool
-    n_iterations: int
-    covariance: np.ndarray
-    diverged: bool = False  # coefficient escaped toward +-inf (separation)
+    ``covariance`` is the inverse information at the estimate. A fit either
+    passes it in, or passes ``information`` = (design, trials, linear
+    predictor) and has it formed on first read: the final analysis reads
+    only log-likelihoods and convergence, so its IRLS fits never form it.
+    """
+
+    def __init__(
+        self,
+        coefficients,
+        log_likelihood,
+        converged,
+        n_iterations,
+        covariance=None,
+        diverged=False,
+        information=None,
+    ):
+        self.coefficients = coefficients
+        self.log_likelihood = log_likelihood
+        self.converged = converged
+        self.n_iterations = n_iterations
+        self.diverged = diverged  # coefficient escaped toward +-inf (separation)
+        self._covariance = covariance
+        self._information = information
+
+    @property
+    def covariance(self) -> np.ndarray:
+        if self._covariance is None:
+            x, trials, eta = self._information
+            mu = 1.0 / (1.0 + np.exp(-eta))
+            try:
+                self._covariance = np.linalg.inv((x.T * (trials * mu * (1.0 - mu))) @ x)
+            except np.linalg.LinAlgError:
+                self._covariance = np.full((x.shape[1], x.shape[1]), np.nan)
+            self._information = None
+        return self._covariance
 
 
 # ---------------------------------------------------------------------------
-# regularized incomplete gamma / beta
+# regularized incomplete beta
 # ---------------------------------------------------------------------------
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by series, for x < a + 1."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_SERIES_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise FittingError(f"incomplete gamma series did not converge (a={a}, x={x})")
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by continued fraction,
-    for x >= a + 1 (modified Lentz)."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise FittingError(f"incomplete gamma CF did not converge (a={a}, x={x})")
-
-
-def _gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if x < 0.0 or a <= 0.0:
-        raise InputError(f"invalid incomplete gamma arguments a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
-
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
@@ -214,10 +198,7 @@ def normal_cdf(z: float) -> float:
     z = float(z)
     if not math.isfinite(z):
         raise InputError(f"normal_cdf requires a finite argument, got {z}")
-    if z == 0.0:
-        return 0.5
-    half_tail = 0.5 * _gamma_q(0.5, 0.5 * z * z)
-    return 1.0 - half_tail if z > 0.0 else half_tail
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def t_sf(x: float, df: float) -> float:
@@ -238,7 +219,13 @@ def t_sf(x: float, df: float) -> float:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail survival function of the chi-square distribution."""
+    """Upper-tail survival function of the chi-square distribution.
+
+    For integer df the tail Q(df/2, x/2) is a finite sum, with y = x/2:
+    exp(-y) * sum_{j<df/2} y^j / j! for even df, and
+    erfc(sqrt(y)) + exp(-y) * sum_{j<(df-1)/2} y^(j+1/2) / Gamma(j+3/2)
+    for odd df. Every term is positive, so the sum loses no precision.
+    """
     x = float(x)
     if x < 0.0:
         raise InputError(f"chi_square_sf requires x >= 0, got {x}")
@@ -246,7 +233,28 @@ def chi_square_sf(x: float, df: int) -> float:
         raise InputError(f"chi_square_sf requires a positive integer df, got {df!r}")
     if not math.isfinite(x):
         return 0.0
-    return _gamma_q(0.5 * df, 0.5 * x)
+    y = 0.5 * x
+    if df % 2:
+        root = math.sqrt(y)
+        term = math.exp(-y) * root / _HALF_SQRT_PI  # y^(1/2) e^-y / Gamma(3/2)
+        # erfc(sqrt(y)) ~ exp(-y) turns the rounding of sqrt(y) into a
+        # relative error of y ulps; one Newton term on the exact residual
+        # y - root^2 (Dekker's split product) takes it back out.
+        hi = root * 134217729.0  # 2^27 + 1
+        hi -= hi - root
+        lo = root - hi
+        residual = ((y - hi * hi) - 2.0 * hi * lo) - lo * lo
+        tail = math.erfc(root) - (term * residual / (2.0 * y) if residual else 0.0)
+        half = 1.5
+    else:
+        tail = 0.0
+        term = math.exp(-y)  # y^0 e^-y / Gamma(1)
+        half = 1.0
+    for _ in range(df // 2):
+        tail += term
+        term *= y / half
+        half += 1.0
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +276,8 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     """Two-sample t-test without the equal-variance assumption.
 
     ``tail=UPPER`` tests the alternative mean(a) > mean(b), ``LOWER`` the
-    reverse. If both samples have zero variance the result is degenerate:
+    reverse. The result carries the two sample means. If both samples have
+    zero variance the result is degenerate:
     p = 1.0 for equal means (no evidence either way), p = 0.0 otherwise,
     flagged so simulation loops can proceed without aborting.
     """
@@ -282,11 +291,12 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     n_a, n_b = a.size, b.size
     mean_a, var_a = _moments(a)
     mean_b, var_b = _moments(b)
+    means = (mean_a, mean_b)
     if var_a == 0.0 and var_b == 0.0:
         diff = mean_a - mean_b
         df = float(n_a + n_b - 2)
         if diff == 0.0:
-            return TestResult(0.0, df, 1.0, tail, degenerate=True)
+            return TestResult(0.0, df, 1.0, tail, degenerate=True, means=means)
         stat = math.inf if diff > 0 else -math.inf
         if tail is Tail.TWO_SIDED:
             p = 0.0
@@ -294,7 +304,7 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
             p = 0.0 if diff > 0 else 1.0
         else:
             p = 0.0 if diff < 0 else 1.0
-        return TestResult(stat, df, p, tail, degenerate=True)
+        return TestResult(stat, df, p, tail, degenerate=True, means=means)
 
     se2_a = var_a / n_a
     se2_b = var_b / n_b
@@ -307,7 +317,7 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
         p = t_sf(stat, df)
     else:
         p = t_sf(-stat, df)
-    return TestResult(stat, df, p, tail)
+    return TestResult(stat, df, p, tail, means=means)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +325,10 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
 # ---------------------------------------------------------------------------
 
 def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -> float:
-    # sum_i [y_i*eta_i - log(1 + exp(eta_i))], grouped; softplus kept stable.
-    softplus = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))), np.log1p(np.exp(eta)))
+    # sum_i [y_i*eta_i - log(1 + exp(eta_i))], grouped; softplus kept stable
+    # as max(eta, 0) + log1p(exp(-|eta|)), the same bits as branching on the
+    # sign of eta (log1p(exp(eta)) below zero).
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
     return float(np.sum(events * eta - trials * softplus))
 
 
@@ -371,10 +383,11 @@ def _checked_layout(x: np.ndarray) -> _Layout:
 
 def _checked_counts(design_rows, events, trials):
     """Grouped logistic inputs as float arrays plus the design's layout,
-    after every precondition of a fit has been checked."""
-    x = np.asarray(design_rows, dtype=float)
+    after every precondition of a fit has been checked. The design and the
+    trials are copies, because an IRLS fit keeps them for its covariance."""
+    x = np.array(design_rows, dtype=float)
     events = np.asarray(events, dtype=float)
-    trials = np.asarray(trials, dtype=float)
+    trials = np.array(trials, dtype=float)
     if x.ndim != 2:
         raise InputError("design must be a 2-d matrix")
     n_rows, k = x.shape
@@ -384,28 +397,50 @@ def _checked_counts(design_rows, events, trials):
     return x, events, trials, _checked_layout(x)
 
 
-def _saturated_fit(layout: _Layout, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
-    """``fit_saturated_counts`` on inputs that have passed its checks."""
-    inverse = layout.saturated_inverse
-    if inverse is None:
-        return None
-    k = inverse.shape[0]
-    e = np.bincount(layout.groups, weights=events, minlength=k)
-    n = np.bincount(layout.groups, weights=trials, minlength=k)
+class _Stack(NamedTuple):
+    """The row groupings of saturated models, stacked so that one pass over
+    a table sums the groups of them all: stacked row j is table row
+    ``rows[j]`` in stacked group ``groups[j]``, and stacked group g belongs
+    to model ``owner[g]``."""
+
+    rows: np.ndarray
+    groups: np.ndarray
+    owner: np.ndarray
+
+
+def _stack(layouts) -> _Stack:
+    """Stack the row groupings of saturated layouts, in their order."""
+    rows, groups, owner = [], [], []
+    for model, layout in enumerate(layouts):
+        rows.append(np.arange(len(layout.groups)))
+        groups.append(layout.groups + len(owner))
+        owner += [model] * layout.saturated_inverse.shape[0]
+    arrays = [np.concatenate(rows), np.concatenate(groups), np.array(owner, dtype=np.intp)]
+    for a in arrays:
+        a.setflags(write=False)
+    return _Stack(*arrays)
+
+
+def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray):
+    """The closed form of every saturated model in ``stack`` in one pass
+    over a checked table: each model's log-likelihood, and per stacked
+    group its trials N_g, proportion p_g = E_g / N_g, log p_g and log(1 - p_g).
+
+    A model's log-likelihood is sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)],
+    added group by group in order, which is how ``ndarray.sum`` adds fewer
+    than eight terms, so it equals the model's value fitted alone bit for
+    bit. It is nan where a group of the model has no events, only events or
+    no trials: that model has no interior maximum.
+    """
+    size = len(stack.owner)
+    e = np.bincount(stack.groups, weights=events[stack.rows], minlength=size)
+    n = np.bincount(stack.groups, weights=trials[stack.rows], minlength=size)
     non_events = n - e
-    if not (e.min() > 0 and non_events.min() > 0):
-        return None
-    p = e / n
-    log_p, log_q = np.log(p), np.log1p(-p)
-    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
-    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
-    return LogisticFit(
-        coefficients=inverse @ (log_p - log_q),
-        log_likelihood=float((e * log_p + non_events * log_q).sum()),
-        converged=True,
-        n_iterations=0,
-        covariance=covariance,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # boundary groups give nan
+        p = e / n
+        log_p, log_q = np.log(p), np.log1p(-p)
+        loglik = np.bincount(stack.owner, weights=e * log_p + non_events * log_q)
+    return loglik, n, p, log_p, log_q
 
 
 def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
@@ -424,7 +459,20 @@ def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np
     Inputs are checked as in ``fit_logistic_counts``, with the same errors.
     """
     _, events, trials, layout = _checked_counts(design_rows, events, trials)
-    return _saturated_fit(layout, events, trials)
+    inverse = layout.saturated_inverse
+    if inverse is None:
+        return None
+    (loglik,), n, p, log_p, log_q = _saturated_pass(_stack((layout,)), events, trials)
+    if math.isnan(loglik):
+        return None
+    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
+    return LogisticFit(
+        coefficients=inverse @ (log_p - log_q),
+        log_likelihood=float(loglik),
+        converged=True,
+        n_iterations=0,
+        covariance=(inverse / (n * p * (1.0 - p))) @ inverse.T,
+    )
 
 
 def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
@@ -438,7 +486,7 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
     step reuses trials * mu for the weights and the score and builds the
     information as (X' * w) @ X, the same products in the same memory
     order as (X * w[:, None])' @ X, so every iterate is bit-identical to
-    the textbook form.
+    the textbook form. The covariance is formed on its first read.
     """
     x, events, trials, _ = _checked_counts(design_rows, events, trials)
     k = x.shape[1]
@@ -465,19 +513,13 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
             break
 
     eta = x @ beta
-    loglik = _bernoulli_loglik(eta, events, trials)
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    try:
-        cov = np.linalg.inv((xt * (trials * mu * (1.0 - mu))) @ x)
-    except np.linalg.LinAlgError:
-        cov = np.full((k, k), np.nan)
     return LogisticFit(
         coefficients=beta,
-        log_likelihood=loglik,
+        log_likelihood=_bernoulli_loglik(eta, events, trials),
         converged=converged and not diverged,
         n_iterations=n_iter,
-        covariance=cov,
         diverged=diverged,
+        information=(x, trials, eta),
     )
 
 
@@ -500,16 +542,16 @@ def fit_logistic(design, outcome) -> LogisticFit:
     return fit_logistic_counts(rows, events, trials)
 
 
-def lr_test(full: LogisticFit, reduced: LogisticFit, df_diff: int) -> TestResult:
+def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:
     """Likelihood-ratio chi-square test of a reduced model nested in a full
-    model, ``df_diff`` = difference in parameter count."""
+    model, from the two maximised log-likelihoods; ``df_diff`` = difference
+    in parameter count."""
     if not (isinstance(df_diff, (int, np.integer)) and df_diff >= 1):
         raise InputError(f"df_diff must be a positive integer, got {df_diff!r}")
-    stat = 2.0 * (full.log_likelihood - reduced.log_likelihood)
+    stat = 2.0 * (full - reduced)
     if stat < -1e-6:
         raise FittingError(
-            "full-model log-likelihood below reduced model "
-            f"({full.log_likelihood} < {reduced.log_likelihood}); fit failed"
+            f"full-model log-likelihood below reduced model ({full} < {reduced}); fit failed"
         )
     stat = max(stat, 0.0)
     return TestResult(stat, float(df_diff), chi_square_sf(stat, int(df_diff)), Tail.UPPER)

@@ -41,3 +41,31 @@ def test_traced_functions_resolve_to_callables(tracing):
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_one_replicate_per_branch_reaches_every_traced_function(tracing):
+    """A refactor that stops calling a wrapped function by the name the
+    tracing patches (say, fitting without ``fit_logistic_counts``) would
+    leave that layer's metrics empty; one replicate on each final branch
+    must call every wrapped function."""
+    from fast_trials import harness
+    from fast_trials.design import load_scenarios
+
+    root = PERFBENCH.parent
+    cases = {
+        "domain_a_terminated": root / "scenarios" / "null.json",
+        "one_arm_retained": root / "scenarios" / "first_arm_effective.json",
+        "both_arms_retained": PERFBENCH / "scenarios" / "both_arms.json",
+    }
+    runs = []
+    for branch, path in cases.items():
+        config = load_scenarios(path)[0]
+        cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
+        seed = next(s for s in range(200) if harness.run_replicate(config, *cell, s).branch.value == branch)
+        runs.append((config, cell, seed))
+    branches = set()
+    with tracing.Recorder(tracing.WORKER_SIDE) as recorder:
+        for config, cell, seed in runs:
+            branches.add(harness.run_replicate(config, *cell, seed).branch.value)
+    assert branches == set(cases)
+    assert tracing.Layers(recorder.spans).never_called(recorder) == []

@@ -1,6 +1,8 @@
 """Distribution-function checks against frozen reference values and the
 contractual shape properties (symmetry, monotonicity, limits)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,62 @@ def test_chi_square_rejects_bad_arguments():
         chi_square_sf(1.0, 0)
     with pytest.raises(InputError):
         chi_square_sf(1.0, 1.5)
+
+
+# -- closed-form tails against the incomplete-gamma routine they replaced ----
+
+def _reference_gamma_q(a, x):
+    """Upper regularized incomplete gamma Q(a, x): series for x < a + 1,
+    modified-Lentz continued fraction otherwise."""
+    if x == 0.0:
+        return 1.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        ap, term = a, 1.0 / a
+        total = term
+        for _ in range(1000):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * 1e-14:
+                return 1.0 - total * prefactor
+        raise AssertionError("series did not converge")
+    b = x + 1.0 - a
+    c, d = 1.0 / 1e-300, 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < 1e-300:
+            d = 1e-300
+        c = b + an / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            return h * prefactor
+    raise AssertionError("continued fraction did not converge")
+
+
+@pytest.mark.parametrize("df", range(1, 9))
+def test_chi_square_sf_matches_incomplete_gamma(df):
+    # Dense, because at odd df the rounding of sqrt(x/2) costs up to x/2 ulps
+    # at a few isolated x unless the tail corrects for it.
+    for x in np.geomspace(1e-8, 1e3, 20001).tolist():
+        expected = _reference_gamma_q(0.5 * df, 0.5 * x)
+        assert abs(chi_square_sf(x, df) - expected) <= 1e-13 * expected, x
+    # Beyond the float range of the tail, and at infinity, it is exactly 0.
+    assert chi_square_sf(1e4, df) == _reference_gamma_q(0.5 * df, 5e3) == 0.0
+    assert chi_square_sf(math.inf, df) == 0.0
+
+
+def test_normal_cdf_matches_incomplete_gamma():
+    for z in np.linspace(-8.0, 8.0, 1601):
+        if z == 0.0:
+            continue
+        half_tail = 0.5 * _reference_gamma_q(0.5, 0.5 * z * z)
+        expected = 1.0 - half_tail if z > 0.0 else half_tail
+        assert normal_cdf(z) == pytest.approx(expected, rel=1e-13, abs=0.0), z

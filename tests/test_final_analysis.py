@@ -87,6 +87,50 @@ def test_grouped_counts_conserve_subjects_and_events():
     assert model.events.sum() == y21.sum()
 
 
+def _reference_build(subjects, branch):
+    """Rows, events, trials and subject indicators as built before the
+    table-lookup grouping: mask, indicator columns, binary codes."""
+    mask = subjects.arm_a != -1
+    if branch is FinalBranch.DOMAIN_A_TERMINATED:
+        mask = np.ones(len(subjects), dtype=bool)
+    arm_a, arm_b, y21 = subjects.arm_a[mask], subjects.arm_b[mask], subjects.y21[mask]
+    if branch is FinalBranch.ONE_ARM_RETAINED:
+        indicators = np.column_stack([(arm_a > 0), arm_b == 1]).astype(np.int8)
+    elif branch is FinalBranch.BOTH_ARMS_RETAINED:
+        indicators = np.column_stack([arm_a == 1, arm_a == 2, arm_b == 1]).astype(np.int8)
+    else:
+        indicators = (arm_b == 1).astype(np.int8).reshape(-1, 1)
+    k = indicators.shape[1]
+    codes = np.zeros(len(arm_b), dtype=np.int64)
+    for j in range(k):
+        codes = codes * 2 + indicators[:, j]
+    trials = np.bincount(codes, minlength=2**k)
+    events = np.bincount(codes, weights=y21.astype(float), minlength=2**k)
+    present = trials > 0
+    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
+    return rows[present], events[present], trials[present].astype(float), indicators
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
+    rng = np.random.default_rng(606)
+    for _ in range(150):
+        n = int(rng.integers(1, 400))
+        arms = rng.choice([-1, 0, 1, 2], size=4, replace=False)[: int(rng.integers(1, 5))]
+        arm_a = rng.choice(arms, size=n)
+        if branch is not FinalBranch.DOMAIN_A_TERMINATED and not (arm_a != -1).any():
+            arm_a[0] = 0
+        arm_b = rng.integers(0, 2, size=n) * int(rng.random() < 0.9)  # sometimes no B1 at all
+        data = _subjects(arm_a, arm_b, rng.integers(0, 2, size=n))
+        model = build_final_model(data, branch, retained_arm="A1")
+        rows, events, trials, indicators = _reference_build(data, branch)
+        np.testing.assert_array_equal(model.rows, rows, strict=True)
+        np.testing.assert_array_equal(model.events, events, strict=True)
+        np.testing.assert_array_equal(model.trials, trials, strict=True)
+        np.testing.assert_array_equal(model.subject_indicators, indicators, strict=True)
+        assert model.subject_indicators is model.subject_indicators  # formed once, on first read
+
+
 def test_one_arm_model_requires_retained_arm():
     data = _subjects(np.array([0, 1, 2]), np.array([0, 1, 0]), np.zeros(3, dtype=int))
     with pytest.raises(ValueError):

@@ -207,3 +207,20 @@ def test_schedule_tie_runs_arm_dropping_first():
 def test_schedule_rejects_bad_triggers():
     with pytest.raises(ValueError):
         build_schedule(0, 90)
+
+
+def test_decisions_carry_the_welch_sample_means_bit_for_bit():
+    rng = np.random.default_rng(808)
+    for _ in range(50):
+        codes = rng.integers(0, 3, size=int(rng.integers(12, 300)))
+        codes[:6] = [0, 0, 1, 1, 2, 2]
+        y11 = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(0.1, 50.0), codes.size)
+        y12 = rng.normal(0.0, 10.0, codes.size)
+        data = _subjects(codes, y11, y12)
+        retention = arm_dropping_analysis(data, 0.05)
+        for test, y in ((retention.test_y11, y11), (retention.test_y12, y12)):
+            assert test.means == (float(y[codes == 1].mean()), float(y[codes == 2].mean()))
+        feasibility = feasibility_analysis(data, 0.05)
+        assert feasibility.pooled_mean == float(y11[codes > 0].mean())
+        assert feasibility.control_mean == float(y11[codes == 0].mean())
+        assert feasibility.test.means == (feasibility.pooled_mean, feasibility.control_mean)

@@ -11,7 +11,6 @@ from fast_trials.stats import (
     IRLS_TOL,
     FittingError,
     InputError,
-    LogisticFit,
     _bernoulli_loglik,
     chi_square_sf,
     fit_logistic,
@@ -128,46 +127,36 @@ def test_covariance_is_inverse_information():
 
 # -- likelihood-ratio tests -------------------------------------------------
 
-def _fake_fit(loglik):
-    return LogisticFit(
-        coefficients=np.zeros(1),
-        log_likelihood=loglik,
-        converged=True,
-        n_iterations=1,
-        covariance=np.eye(1),
-    )
-
-
 def test_lr_identical_models():
-    r = lr_test(_fake_fit(-60.0), _fake_fit(-60.0), 1)
+    r = lr_test(-60.0, -60.0, 1)
     assert r.statistic == 0.0
     assert r.p_value == 1.0
 
 
 def test_lr_frozen_example():
-    r = lr_test(_fake_fit(-60.0), _fake_fit(-63.0), 2)
+    r = lr_test(-60.0, -63.0, 2)
     assert r.statistic == pytest.approx(6.0, abs=1e-12)
     assert r.p_value == pytest.approx(0.049787, abs=5e-4)
     assert r.p_value == chi_square_sf(6.0, 2)
 
 
 def test_lr_near_tie_clamps_to_zero():
-    r = lr_test(_fake_fit(-60.0000001), _fake_fit(-60.0), 1)
+    r = lr_test(-60.0000001, -60.0, 1)
     assert r.statistic == 0.0
     assert r.p_value == 1.0
-    r2 = lr_test(_fake_fit(-60.0), _fake_fit(-60.0000001), 1)
+    r2 = lr_test(-60.0, -60.0000001, 1)
     assert r2.statistic < 1e-6
     assert r2.p_value > 0.999
 
 
 def test_lr_inconsistent_fits_error():
     with pytest.raises(FittingError):
-        lr_test(_fake_fit(-61.0), _fake_fit(-60.0), 1)
+        lr_test(-61.0, -60.0, 1)
 
 
 def test_lr_df_validation():
     with pytest.raises(InputError):
-        lr_test(_fake_fit(-60.0), _fake_fit(-61.0), 0)
+        lr_test(-60.0, -61.0, 0)
 
 
 def test_lr_invariant_to_row_order():
@@ -178,8 +167,8 @@ def test_lr_invariant_to_row_order():
     full_b = fit_logistic(x[perm], y[perm])
     reduced_a = fit_logistic(x[:, :1], y)
     reduced_b = fit_logistic(x[perm][:, :1], y[perm])
-    stat_a = lr_test(full_a, reduced_a, 1).statistic
-    stat_b = lr_test(full_b, reduced_b, 1).statistic
+    stat_a = lr_test(full_a.log_likelihood, reduced_a.log_likelihood, 1).statistic
+    stat_b = lr_test(full_b.log_likelihood, reduced_b.log_likelihood, 1).statistic
     assert stat_a == pytest.approx(stat_b, abs=1e-9)
 
 
@@ -261,3 +250,28 @@ def test_irls_bit_identical_to_reference_loop(kind):
     # Interior tables converge; separated ones diverge; boundary ones reach both.
     expected = {"interior": {(True, False)}, "separated": {(False, True)}, "boundary": {(True, False), (False, True)}}
     assert seen == expected[kind]
+
+
+def test_loglik_softplus_bit_identical_to_sign_branches():
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 36.0, -36.0, 709.0, -745.0, 1e300, -1e300])
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        eta = np.concatenate([rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 3), rng.choice(specials, 2)])
+        trials = rng.integers(1, 300, size=eta.size).astype(float)
+        events = np.floor(trials * rng.random(eta.size))
+        with np.errstate(over="ignore"):  # the branch np.where discards overflows
+            softplus = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))), np.log1p(np.exp(eta)))
+        assert _bernoulli_loglik(eta, events, trials) == float(np.sum(events * eta - trials * softplus))
+
+
+def test_covariance_on_demand_equals_eager_and_ignores_later_input_changes():
+    x = np.array([[1, a1, a2, b] for a1, a2 in ((0, 0), (1, 0), (0, 1)) for b in (0, 1)], dtype=float)
+    trials = np.array([40.0, 35.0, 52.0, 47.0, 38.0, 44.0])
+    events = np.array([12.0, 14.0, 25.0, 20.0, 9.0, 21.0])
+    fit = fit_logistic_counts(x, events, trials)
+    *_, eager = _reference_irls(x.copy(), events.copy(), trials.copy())
+    x[:] = 0.0  # the caller reuses its arrays before reading the covariance
+    trials[:] = 1.0
+    np.testing.assert_array_equal(fit.covariance, eager, strict=True)
+    assert fit.covariance is fit.covariance  # formed once

@@ -297,6 +297,16 @@ def test_cli_wrong_json_type_exits_2(tmp_path, doc, field):
     assert not out.exists()
 
 
+def test_cli_boolean_replicates_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replicates": True, "n_drop_grid": [150], "n_feas_grid": [300]}))
+    out = tmp_path / "out"
+    r = _run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "  - replicates: must be a positive integer, got True" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_empty_config_exits_2(tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text("[]")

@@ -2,6 +2,8 @@
 analysis must give the same p-values, failure flags and errors as fitting
 every node by IRLS, which this file keeps as the reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from fast_trials.final_analysis import (
 from fast_trials.stats import (
     FittingError,
     InputError,
+    LogisticFit,
     _design_layout,
     _layout,
+    _saturated_pass,
     fit_logistic_counts,
     fit_saturated_counts,
     lr_test,
@@ -75,7 +79,9 @@ def _reference_node_tests(data, full_cols, reduced_map):
         for node, reduced_cols in reduced_map.items():
             reduced = fit_logistic_counts(data.rows[:, list(reduced_cols)], data.events, data.trials)
             failed |= not reduced.converged
-            p_values[node] = lr_test(full, reduced, len(full_cols) - len(reduced_cols)).p_value
+            p_values[node] = lr_test(
+                full.log_likelihood, reduced.log_likelihood, len(full_cols) - len(reduced_cols)
+            ).p_value
     except FittingError:
         return {node: 1.0 for node in reduced_map}, True
     return p_values, failed
@@ -229,3 +235,62 @@ def test_layout_memo_is_bounded_and_read_only():
         assert not layout.saturated_inverse.flags.writeable
     finally:
         _layout.cache_clear()
+
+
+# -- one pass for every saturated node ----------------------------------------
+
+def _reference_saturated_fit(layout, events, trials):
+    """The per-model closed form before the one-pass rewrite."""
+    inverse = layout.saturated_inverse
+    if inverse is None:
+        return None
+    k = inverse.shape[0]
+    e = np.bincount(layout.groups, weights=events, minlength=k)
+    n = np.bincount(layout.groups, weights=trials, minlength=k)
+    non_events = n - e
+    if not (e.min() > 0 and non_events.min() > 0):
+        return None
+    p = e / n
+    log_p, log_q = np.log(p), np.log1p(-p)
+    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
+    return LogisticFit(
+        coefficients=inverse @ (log_p - log_q),
+        log_likelihood=float((e * log_p + non_events * log_q).sum()),
+        converged=True,
+        n_iterations=0,
+        covariance=covariance,
+    )
+
+
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_one_pass_bit_identical_to_per_node_closed_form(branch):
+    rng = np.random.default_rng(4711)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a boundary group must not warn
+        for i in range(360):
+            mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
+            data = _table(rng, branch, mode)
+            try:
+                plan = final_analysis._node_plan(branch, data.rows.shape, data.rows.tobytes())
+            except InputError:
+                seen.add("collinear")
+                continue
+            closed = _saturated_pass(plan.stack, data.events, data.trials)[0]
+            for design, slot in zip(plan.designs, plan.slots):
+                expected = _reference_saturated_fit(_design_layout(design), data.events, data.trials)
+                public = fit_saturated_counts(design, data.events, data.trials)
+                if slot is None:
+                    assert expected is None and public is None
+                    seen.add("unsaturated")
+                elif expected is None:
+                    assert np.isnan(closed[slot]) and public is None, mode
+                    seen.add("boundary")
+                else:
+                    assert closed[slot] == expected.log_likelihood, mode
+                    assert public.log_likelihood == expected.log_likelihood
+                    np.testing.assert_array_equal(public.coefficients, expected.coefficients, strict=True)
+                    np.testing.assert_array_equal(public.covariance, expected.covariance, strict=True)
+                    seen.add("interior")
+    # Only the terminated branch has no model that needs IRLS on a full table.
+    assert {"interior", "boundary"} | ({"unsaturated"} if _IRLS_FITS[branch] else set()) <= seen

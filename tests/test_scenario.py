@@ -138,3 +138,12 @@ def test_wrong_types_are_issues_not_crashes():
         assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
         with pytest.raises(ScenarioValidationError):
             validate_scenario(cfg)
+
+
+@pytest.mark.parametrize("field", ["replicates", "scenario_id", "base_seed", "n_total"])
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_integers(field, value):
+    # isinstance(True, int) holds, so JSON true/false used to pass as 1/0.
+    cfg = dataclasses.replace(reference_config(), **{field: value})
+    issues = scenario_issues(cfg)
+    assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
