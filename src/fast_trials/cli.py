@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .design import ScenarioValidationError, load_scenarios, scenario_to_dict, validate_scenario
-from .harness import TRACE_FIELDS, run_grid_detail
+from .harness import TRACE_FIELDS, open_pool, run_grid_detail
 from .interim import SchedulingError
 from .reporting import (
     ReportError,
@@ -113,27 +113,32 @@ def _cmd_simulate(args) -> int:
     all_results = []
     per_scenario = []
     traces_by_scenario = {}
-    for scenario in scenarios:
-        try:
-            results, traces = run_grid_detail(scenario, threads=threads, collect_traces=args.trace)
-        except (SchedulingError, InputError, FittingError) as exc:
-            print(f"error: simulation failed in scenario {scenario.scenario_id}: {exc}", file=sys.stderr)
-            return EXIT_SIMULATION
-        all_results.extend(results)
-        if args.trace:
-            traces_by_scenario[scenario.scenario_id] = traces
-        per_scenario.append(
-            {
-                "scenario_id": scenario.scenario_id,
-                "base_seed": scenario.base_seed,
-                "replicates": scenario.replicates,
-                "n_cells": len(results),
-                "n_effective": sum(r.n_replicates_effective for r in results),
-                "n_failed": sum(r.n_failed for r in results),
-                "n_clamped_outcomes": sum(r.n_clamped for r in results),
-                "n_gating_violations": sum(r.n_gating_violations for r in results),
-            }
-        )
+    # One pool serves every scenario; leaving the block shuts it down, on
+    # the exit-4 return too.
+    with open_pool(scenarios, threads) as pool:
+        for scenario in scenarios:
+            try:
+                results, traces = run_grid_detail(
+                    scenario, threads=threads, collect_traces=args.trace, pool=pool
+                )
+            except (SchedulingError, InputError, FittingError) as exc:
+                print(f"error: simulation failed in scenario {scenario.scenario_id}: {exc}", file=sys.stderr)
+                return EXIT_SIMULATION
+            all_results.extend(results)
+            if args.trace:
+                traces_by_scenario[scenario.scenario_id] = traces
+            per_scenario.append(
+                {
+                    "scenario_id": scenario.scenario_id,
+                    "base_seed": scenario.base_seed,
+                    "replicates": scenario.replicates,
+                    "n_cells": len(results),
+                    "n_effective": sum(r.n_replicates_effective for r in results),
+                    "n_failed": sum(r.n_failed for r in results),
+                    "n_clamped_outcomes": sum(r.n_clamped for r in results),
+                    "n_gating_violations": sum(r.n_gating_violations for r in results),
+                }
+            )
     finished = datetime.now(timezone.utc).isoformat()
 
     manifest = {

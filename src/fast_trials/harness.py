@@ -6,13 +6,21 @@ pauses at each interim trigger to apply the corresponding decision
 runs the branch-appropriate final analysis. Every replicate owns a seed
 derived injectively from (base_seed, scenario, cell, replicate index), so
 grid runs are bitwise reproducible regardless of execution order or worker
-count: workers only return integer tallies, which are folded in a fixed
-chunk order.
+count: each task returns its integer tallies and, when asked for, its trace
+rows, and the tasks are folded back in their fixed order.
+
+A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
+worker, tasks go to a process pool in batches: each message carries as many
+tasks as fit in ``_CHUNK_SIZE`` replicates, but every worker gets at least
+four messages. A grid run opens its own pool, or maps on one it is handed;
+``fast-trials simulate`` opens one pool per call (``open_pool``) for all of
+its scenarios.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +60,7 @@ __all__ = [
     "run_cell_detail",
     "run_grid",
     "run_grid_detail",
+    "open_pool",
     "TRACE_FIELDS",
 ]
 
@@ -464,23 +473,49 @@ def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: di
 
 
 _CHUNK_SIZE = 250  # replicates per worker task
+_MESSAGES_PER_WORKER = 4  # fewest pool messages a worker gets, when there are tasks enough
 
 
-def _execute(config, cells, threads, collect_traces, replicates=None):
+def _chunks_per_cell(replicates: int) -> int:
+    return -(-replicates // _CHUNK_SIZE)
+
+
+def _batch_size(n_tasks: int, task_replicates: int, workers: int) -> int:
+    """Tasks per pool message: as many as carry up to ``_CHUNK_SIZE``
+    replicates, but few enough that every worker gets
+    ``_MESSAGES_PER_WORKER`` messages."""
+    return max(1, min(_CHUNK_SIZE // task_replicates, n_tasks // (_MESSAGES_PER_WORKER * workers)))
+
+
+def open_pool(configs, threads: int):
+    """One process pool for the grid runs of ``configs``, to pass to each
+    ``run_grid_detail`` call as ``pool``; use it as a context manager.
+
+    The pool has ``threads`` workers, but no more than the largest grid has
+    tasks: the fork start method launches every worker at once, so a larger
+    pool forks processes that get no work. At one worker it opens nothing
+    and yields None.
+    """
+    largest = max(len(c.n_drop_grid) * len(c.n_feas_grid) * _chunks_per_cell(c.replicates) for c in configs)
+    workers = min(threads, largest)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _execute(config, cells, threads, collect_traces, replicates=None, pool=None):
     replicates = config.replicates if replicates is None else replicates
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    n_chunks = (replicates + _CHUNK_SIZE - 1) // _CHUNK_SIZE
+    n_chunks = _chunks_per_cell(replicates)
     tasks = [
         (config, n_drop, n_feas, start, min(start + _CHUNK_SIZE, replicates), collect_traces)
         for n_drop, n_feas in cells
         for start in range(0, replicates, _CHUNK_SIZE)
     ]
-    if threads > 1 and len(tasks) > 1:
-        # The fork start method launches every worker at once, so a pool
-        # larger than the task list forks processes that get no work.
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            outputs = list(pool.map(_run_chunk, tasks, chunksize=1))
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        chunksize = _batch_size(len(tasks), min(replicates, _CHUNK_SIZE), workers)
+        with (nullcontext(pool) if pool is not None else ProcessPoolExecutor(max_workers=workers)) as executor:
+            outputs = list(executor.map(_run_chunk, tasks, chunksize=chunksize))
     else:
         outputs = [_run_chunk(t) for t in tasks]
 
@@ -522,11 +557,16 @@ def _sorted_cells(config: ScenarioConfig) -> list:
 
 
 def run_grid_detail(
-    config: ScenarioConfig, threads: int = 1, collect_traces: bool = False
+    config: ScenarioConfig, threads: int = 1, collect_traces: bool = False, pool=None
 ) -> tuple[list, list]:
-    """Run the full n_drop x n_feas Cartesian product, sorted by cell."""
+    """Run the full n_drop x n_feas Cartesian product, sorted by cell.
+
+    ``pool`` is an open executor with ``threads`` workers, such as one from
+    ``open_pool``, shared by several calls; the caller shuts it down. Without
+    one, a call on more than one thread opens and joins a pool of its own.
+    """
     validate_scenario(config)
-    return _execute(config, _sorted_cells(config), threads, collect_traces)
+    return _execute(config, _sorted_cells(config), threads, collect_traces, pool=pool)
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> list:

@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Tail",
@@ -475,6 +476,19 @@ def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np
     )
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for one float64 system and vector: the same
+    LAPACK gufunc under the same error state, so the same bits and the same
+    ``LinAlgError`` on a singular ``a``, without the wrapper's per-call
+    argument handling, which costs more than the solve itself."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
     """IRLS logistic fit on grouped data (one design row per covariate
     pattern, with event/trial counts).
@@ -500,7 +514,7 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
         mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
         expected = trials * mu
         try:
-            step = np.linalg.solve((xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected))
+            step = _solve((xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected))
         except np.linalg.LinAlgError:
             diverged = True
             break

@@ -2,11 +2,12 @@
 conservation identities, and execution-order invariance."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from fast_trials import harness
+from fast_trials import cli, harness
 from fast_trials.design import ScenarioConfig, validate_scenario
 from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome
 from fast_trials.harness import (
@@ -236,36 +237,127 @@ def test_threaded_execution_matches_serial():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and runs the tasks in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records the pool size asked for,
+    each map's batch size and every pool opened, which it marks closed on
+    exit, and runs the tasks in this process, so no worker is ever started."""
 
     sizes = []
+    chunksizes = []
+    opened = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.opened.append(self)
+        self.closed = False
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.closed = True
         return False
 
     def map(self, fn, iterable, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, iterable)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    for record in ("sizes", "chunksizes", "opened"):
+        monkeypatch.setattr(_RecordingPool, record, [])
+    return _RecordingPool
+
+
 @pytest.mark.parametrize(
-    "threads, n_feas_grid, replicates, expected",
+    "threads, n_feas_grid, replicates, expected, chunksize",
     [
-        (16, (90,), 600, 3),  # one cell in three chunks of 250
-        (16, (90, 120), 8, 2),  # two cells of one chunk
-        (2, (90, 120, 150), 8, 2),  # more tasks than workers
+        (16, (90,), 600, 3, 1),  # one cell in three chunks of 250
+        (16, (90, 120), 8, 2, 1),  # two cells of one chunk
+        (2, (90, 120, 150), 8, 2, 1),  # more tasks than workers
+        (2, tuple(range(90, 106)), 250, 2, 1),  # a 250-replicate task fills a message
+        (2, tuple(range(90, 154)), 4, 2, 8),  # 64 cells: 8 messages per worker
+        (2, tuple(range(90, 106)), 8, 2, 2),  # 16 cells: 4 messages per worker
+        (3, tuple(range(90, 114)), 8, 3, 2),  # 24 cells on 3 workers: 4 messages each
     ],
 )
-def test_pool_never_exceeds_task_count(monkeypatch, threads, n_feas_grid, replicates, expected):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+def test_pool_never_exceeds_task_count(recording_pool, threads, n_feas_grid, replicates, expected, chunksize):
     cfg = _null_config(n_drop_grid=(90,), n_feas_grid=n_feas_grid, replicates=replicates, n_total=200)
     pooled = run_grid(cfg, threads=threads)
     assert _RecordingPool.sizes == [expected]
+    assert _RecordingPool.chunksizes == [chunksize]
+    n_tasks = len(n_feas_grid) * -(-replicates // harness._CHUNK_SIZE)
+    # A worker gets at least 4 messages when there are tasks enough, and a
+    # message carries at most _CHUNK_SIZE replicates.
+    assert chunksize == 1 or -(-n_tasks // chunksize) >= 4 * expected
+    assert chunksize * min(replicates, harness._CHUNK_SIZE) <= harness._CHUNK_SIZE
     assert pooled == run_grid(cfg, threads=1)
+
+
+def test_library_grid_opens_and_closes_a_pool_per_call(recording_pool):
+    cfg = _null_config(n_drop_grid=(90,), n_feas_grid=(90, 120), replicates=4, n_total=200)
+    run_grid(cfg, threads=2)
+    run_grid(cfg, threads=2)
+    assert _RecordingPool.sizes == [2, 2]
+    assert all(pool.closed for pool in _RecordingPool.opened)
+
+
+def _simulate(monkeypatch, tmp_path, docs, threads):
+    """Run ``fast-trials simulate`` in this process; returns its exit code
+    and the ``pool`` handed to each run_grid_detail call."""
+    handed = []
+
+    def recording_grid(config, **kwargs):
+        handed.append(kwargs["pool"])
+        return harness.run_grid_detail(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_grid_detail", recording_grid)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(docs))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", str(threads)]
+    return cli.main(argv), handed
+
+
+_SMALL = {"n_total": 200, "n_feas_grid": [90, 120], "replicates": 4}
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_simulate_shares_one_pool_across_scenarios(recording_pool, monkeypatch, tmp_path, threads):
+    docs = [
+        dict(_SMALL, scenario_id=0, n_drop_grid=[90]),
+        dict(_SMALL, scenario_id=1, n_drop_grid=[90, 120]),
+        dict(_SMALL, scenario_id=2, n_drop_grid=[120], n_feas_grid=[150]),
+    ]
+    code, handed = _simulate(monkeypatch, tmp_path, docs, threads)
+    assert code == cli.EXIT_OK
+    (pool,) = _RecordingPool.opened
+    # min(threads, largest per-scenario task count): scenario 1 has 4 tasks.
+    assert _RecordingPool.sizes == [min(threads, 4)]
+    assert len(handed) == 3 and all(h is pool for h in handed)
+    assert pool.closed
+    # Scenario 2's single task runs in the parent; the others map on the pool.
+    assert len(_RecordingPool.chunksizes) == 2
+
+
+def test_simulate_on_one_thread_opens_no_pool(recording_pool, monkeypatch, tmp_path):
+    docs = [dict(_SMALL, scenario_id=0, n_drop_grid=[90]), dict(_SMALL, scenario_id=1, n_drop_grid=[120])]
+    code, handed = _simulate(monkeypatch, tmp_path, docs, 1)
+    assert code == cli.EXIT_OK
+    assert _RecordingPool.opened == []
+    assert handed == [None, None]
+
+
+def test_simulate_closes_pool_when_a_scenario_fails(recording_pool, monkeypatch, tmp_path):
+    # The second scenario's arm-dropping trigger falls before each arm has
+    # 2 subjects, so its first replicate raises SchedulingError (exit 4).
+    docs = [
+        dict(_SMALL, scenario_id=0, n_drop_grid=[90]),
+        {"scenario_id": 1, "n_drop_grid": [4], "n_feas_grid": [290, 300], "replicates": 20},
+    ]
+    code, handed = _simulate(monkeypatch, tmp_path, docs, 2)
+    assert code == cli.EXIT_SIMULATION
+    (pool,) = _RecordingPool.opened
+    assert len(handed) == 2 and all(h is pool for h in handed)
+    assert pool.closed
+    assert not (tmp_path / "out").exists()

@@ -12,6 +12,7 @@ from fast_trials.stats import (
     FittingError,
     InputError,
     _bernoulli_loglik,
+    _solve,
     chi_square_sf,
     fit_logistic,
     fit_logistic_counts,
@@ -250,6 +251,19 @@ def test_irls_bit_identical_to_reference_loop(kind):
     # Interior tables converge; separated ones diverge; boundary ones reach both.
     expected = {"interior": {(True, False)}, "separated": {(False, True)}, "boundary": {(True, False), (False, True)}}
     assert seen == expected[kind]
+
+
+def test_solve_matches_numpy_and_raises_on_singular():
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3, 4):
+        for _ in range(50):
+            m = rng.standard_normal((k, k))
+            a, b = m @ m.T + 1e-3 * np.eye(k), rng.standard_normal(k)
+            np.testing.assert_array_equal(_solve(a, b), np.linalg.solve(a, b), strict=True)
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(singular, np.ones(2))
+    assert np.geterrcall() is None  # the error state is restored
 
 
 def test_loglik_softplus_bit_identical_to_sign_branches():

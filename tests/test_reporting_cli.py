@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fast_trials.design import ScenarioConfig, validate_scenario
-from fast_trials.harness import TRACE_FIELDS, run_grid, run_grid_detail
+from fast_trials.harness import _CHUNK_SIZE, TRACE_FIELDS, _batch_size, run_grid, run_grid_detail
 from fast_trials.reporting import (
     RESULTS_COLUMNS,
     ReportError,
@@ -366,3 +366,41 @@ def test_cli_threads_env_fallback(tmp_path):
     assert r.returncode == 0, r.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+def _three_scenarios(n_grid, replicates):
+    grid = [60 + 30 * i for i in range(n_grid)]
+    common = {"n_drop_grid": grid, "n_feas_grid": grid, "replicates": replicates}
+    return [
+        _cli_config_doc(scenario_id=0, **common),
+        _cli_config_doc(
+            scenario_id=1,
+            biomarker_effects={"A1": [10.0, 0.0], "A2": [0.0, -10.0]},
+            benefit_directions=["increase", "decrease"],
+            phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1},
+            **common,
+        ),
+        _cli_config_doc(scenario_id=2, biomarker_effects={"A1": [0.0, 0.0], "A2": [0.0, 0.0]}, **common),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_grid, replicates",
+    [
+        (5, 4),  # 25 tasks a scenario: batched on 2 and on 3 workers
+        (1, 300),  # tasks of 250 and 50 replicates, each in a message of its own
+    ],
+)
+def test_cli_outputs_identical_across_shared_pool_sizes(tmp_path, n_grid, replicates):
+    if replicates < _CHUNK_SIZE:
+        assert all(_batch_size(n_grid * n_grid, replicates, w) > 1 for w in (2, 3))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_three_scenarios(n_grid, replicates)))
+    names = ["results.csv"] + [f"trace_scenario_{sid}.csv" for sid in range(3)]
+    outputs = {}
+    for threads in (1, 2, 3):  # 3 workers is more than a 2-core host has
+        out = tmp_path / f"t{threads}"
+        r = _run_cli("simulate", "--config", str(cfg), "--out", str(out), "--trace", "--threads", str(threads))
+        assert r.returncode == 0, r.stderr
+        outputs[threads] = [(out / name).read_bytes() for name in names]
+    assert outputs[1] == outputs[2] == outputs[3]
