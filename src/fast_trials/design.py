@@ -306,12 +306,12 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
-def scenario_from_dict(doc: dict, strict: bool = True) -> ScenarioConfig:
-    """Parse a scenario document; unknown keys are rejected in strict mode."""
+def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    """Parse a scenario document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError([f"scenario document must be an object, got {type(doc).__name__}"])
     unknown = set(doc) - set(_FIELD_NAMES)
-    if strict and unknown:
+    if unknown:
         raise ScenarioValidationError([f"unknown key {k!r}" for k in sorted(unknown)])
 
     # Numbers become floats and lists tuples; a value of the wrong JSON type

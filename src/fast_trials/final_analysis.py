@@ -29,19 +29,25 @@ group at 0 or at all events has no interior maximum; every such fit, as
 every unsaturated one, goes through ``fit_logistic_counts``, whose
 divergence flags the replicate as before.
 
+The likelihood of every model depends on the data only through the events
+and trials of each (domain-A arm, domain-B arm) cell. So each enrollment
+block is reduced, as soon as it is drawn, to a 4 x 2 cell table indexed by
+(arm_a + 1, arm_b) that counts each cell's non-events and events in one
+bincount (``cell_table``); a replicate adds its blocks' tables, and
+``build_final_model`` maps the 8 cells to the branch's covariate patterns
+with two bincounts over 8 weights. The counts are integer sums, so the
+grouped table equals grouping the subjects themselves bit for bit.
+
 A replicate computes only what the closed test reads: log-likelihoods and
 convergence flags. What depends only on the design layout is computed
-once, not per replicate: per branch a lookup from (arm_a + 1, arm_b) to the
-subject's covariate-pattern code, the 2^k pattern rows per k, and per
-(branch, grouped design) a memoised node plan holding every model's sliced,
-checked design and the row groupings of the saturated ones, stacked. The
-counts are grouped with one lookup and two bincounts and checked once per
-table against the full model; one vectorised pass then gives every
-saturated model's log-likelihood, with the same per-group arithmetic and
-summation order as fitting each alone. ``lr_test`` takes the two
-log-likelihoods. The subject-level indicators of ``FinalModelData`` and the
-covariance of an IRLS fit are formed only when read. Every p-value, and
-every output bit, is unchanged.
+once, not per replicate: per branch the cell -> covariate-pattern lookup,
+the 2^k pattern rows per k, and per (branch, grouped design) a memoised
+node plan holding every model's sliced, checked design and the row
+groupings of the saturated ones, stacked. The counts are checked once per
+table against the full model; one vectorised pass (``_saturated_pass``)
+then gives every saturated model's log-likelihood, with the same per-group
+arithmetic and summation order as fitting each alone. ``lr_test`` takes
+the two log-likelihoods. Every p-value, and every output bit, is unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,20 +66,17 @@ from .stats import (
     InputError,
     _check_table,
     _checked_layout,
-    _saturated_pass,
-    _Stack,
-    _stack,
     fit_logistic_counts,
     lr_test,
 )
 
 __all__ = [
     "FinalBranch",
-    "FinalModelSpec",
     "FinalModelData",
     "GatekeepingOutcome",
     "HIERARCHY",
     "ANCESTORS",
+    "cell_table",
     "build_final_model",
     "closed_test",
     "gate_two_parameter",
@@ -158,24 +161,19 @@ _INDICATORS = {
 }
 
 
-def _includes(branch: FinalBranch, arm_a: np.ndarray) -> np.ndarray:
-    """Which subjects the branch's model includes: every subject once domain
-    A is terminated, else every subject assigned in domain A."""
-    if branch is FinalBranch.DOMAIN_A_TERMINATED:
-        return np.ones(arm_a.shape, dtype=bool)
-    return arm_a != ABSENT
-
-
 def _pattern_codes(branch: FinalBranch) -> np.ndarray:
-    """(arm_a + 1, arm_b) -> the binary code of the subject's covariate
-    pattern, first indicator most significant; 2^k for a subject the model
-    leaves out."""
+    """Cell (arm_a + 1, arm_b), flattened -> the binary code of its
+    subjects' covariate pattern, first indicator most significant; 2^k for
+    a cell the model leaves out: the subjects not assigned in domain A,
+    unless domain A is terminated."""
     arm_a, arm_b = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), indexing="ij")
     codes = np.zeros(arm_a.shape, dtype=np.intp)
     for column in _INDICATORS[branch](arm_a, arm_b):
         codes = codes * 2 + column
     k = len(_COVARIATES[branch])
-    return np.where(_includes(branch, arm_a), codes, 2**k)
+    if branch is not FinalBranch.DOMAIN_A_TERMINATED:
+        codes[arm_a == ABSENT] = 2**k
+    return codes.ravel()
 
 
 _PATTERN_CODES = {branch: _pattern_codes(branch) for branch in FinalBranch}
@@ -189,36 +187,16 @@ _PATTERN_ROWS = {
 _PLAN_CACHE_SIZE = 256  # distinct (branch, present patterns); a run meets a few dozen at most
 
 
-@dataclass(frozen=True)
-class FinalModelSpec:
-    branch: FinalBranch
-    covariates: tuple  # indicator names, intercept excluded
-    subject_filter: str
-
-
 class FinalModelData:
-    """Model-ready data for one branch: the grouped covariate patterns with
-    event/trial counts, plus the subject-level indicators for auditing,
-    formed from ``subjects`` on first read."""
+    """Model-ready data for one branch: the distinct covariate patterns
+    present, as design rows with the intercept, and their event and trial
+    counts."""
 
-    def __init__(self, spec: FinalModelSpec, rows, events, trials, subjects):
-        self.spec = spec
-        self.rows = np.asarray(rows, dtype=float)  # g x (1 + k) with intercept
+    def __init__(self, branch: FinalBranch, rows, events, trials):
+        self.branch = FinalBranch(branch)
+        self.rows = np.asarray(rows, dtype=float)  # g x (1 + k)
         self.events = np.asarray(events, dtype=float)
         self.trials = np.asarray(trials, dtype=float)
-        self._subjects = subjects
-
-    @cached_property
-    def subject_indicators(self) -> np.ndarray:
-        """n x k int8 indicators of the subjects the model includes."""
-        subjects = self._subjects
-        mask = _includes(self.spec.branch, subjects.arm_a)
-        columns = _INDICATORS[self.spec.branch](subjects.arm_a[mask], subjects.arm_b[mask])
-        return np.column_stack(columns).astype(np.int8)
-
-    @property
-    def n_subjects(self) -> int:
-        return int(self.trials.sum())
 
 
 @dataclass(frozen=True)
@@ -229,28 +207,74 @@ class GatekeepingOutcome:
     fit_failed: bool = False
 
 
-def build_final_model(subjects, branch: FinalBranch, retained_arm=None) -> FinalModelData:
-    """Assemble the branch-appropriate indicator design from ``SubjectData``.
+def cell_table(block) -> np.ndarray:
+    """Outcome counts of a block of subjects per (domain-A arm, domain-B
+    arm) cell: ``table[arm_a + 1, arm_b]`` holds the cell's (non-events,
+    events), so its trials are their sum. The tables of several blocks add
+    up to the table of their subjects together."""
+    cells = ((block.arm_a + 1) * 2 + block.arm_b) * 2 + block.y21
+    return np.bincount(cells, minlength=16).reshape(4, 2, 2)
 
-    ``retained_arm`` documents the one-arm path; the pooled indicator is
-    I(arm_a != A0) over every domain-A-assigned subject regardless of which
-    arm was dropped.
-    """
+
+def build_final_model(cells: np.ndarray, branch: FinalBranch) -> FinalModelData:
+    """The branch's grouped indicator design from a cell table
+    (``cell_table``): each cell's counts go to its subjects' covariate
+    pattern. In the one-arm model the pooled indicator is I(arm_a != A0)
+    over every domain-A-assigned subject, whichever arm was dropped."""
     branch = FinalBranch(branch)
-    if branch is FinalBranch.ONE_ARM_RETAINED and retained_arm not in ("A1", "A2"):
-        raise ValueError("one_arm_retained path requires the retained arm")
-
-    subject_filter = "all_subjects" if branch is FinalBranch.DOMAIN_A_TERMINATED else "domain_a_assigned"
-    # Group by covariate pattern so repeated nested fits stay cheap; the
-    # code 2^k collects the subjects the model leaves out.
     k = len(_COVARIATES[branch])
-    codes = _PATTERN_CODES[branch][subjects.arm_a + 1, subjects.arm_b]
-    trials = np.bincount(codes, minlength=2**k + 1)[: 2**k]
-    events = np.bincount(codes, weights=subjects.y21, minlength=2**k + 1)[: 2**k]
+    codes = _PATTERN_CODES[branch]
+    counts = cells.reshape(8, 2)
+    events = np.bincount(codes, weights=counts[:, 1], minlength=2**k + 1)[: 2**k]
+    trials = np.bincount(codes, weights=counts.sum(1), minlength=2**k + 1)[: 2**k]
     present = trials > 0
+    return FinalModelData(branch, _PATTERN_ROWS[k][present], events[present], trials[present])
 
-    spec = FinalModelSpec(branch=branch, covariates=_COVARIATES[branch], subject_filter=subject_filter)
-    return FinalModelData(spec, _PATTERN_ROWS[k][present], events[present], trials[present], subjects)
+
+class _Stack(NamedTuple):
+    """The row groupings of saturated models, stacked so that one pass over
+    a table sums the groups of them all: stacked row j is table row
+    ``rows[j]`` in stacked group ``groups[j]``, and stacked group g belongs
+    to model ``owner[g]``."""
+
+    rows: np.ndarray
+    groups: np.ndarray
+    owner: np.ndarray
+
+
+def _stack(layouts) -> _Stack:
+    """Stack the row groupings of saturated layouts, in their order; a
+    saturated layout has as many groups as its rank."""
+    rows, groups, owner = [], [], []
+    for model, layout in enumerate(layouts):
+        rows.append(np.arange(len(layout.groups)))
+        groups.append(layout.groups + len(owner))
+        owner += [model] * layout.rank
+    arrays = [np.concatenate(rows), np.concatenate(groups), np.array(owner, dtype=np.intp)]
+    for a in arrays:
+        a.setflags(write=False)
+    return _Stack(*arrays)
+
+
+def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The maximised log-likelihood of every saturated model in ``stack``,
+    in one pass over a checked table.
+
+    A saturated model gives each group g its own free logit, so its MLE is
+    the group's event proportion p_g = E_g / N_g and its log-likelihood is
+    sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)]: the maximum IRLS
+    converges to. The terms are added group by group in order, which is how
+    ``ndarray.sum`` adds fewer than eight terms, so each value equals the
+    model's closed form computed alone bit for bit. It is nan where a group
+    of the model has no events, only events or no trials: that model has no
+    interior maximum.
+    """
+    size = len(stack.owner)
+    e = np.bincount(stack.groups, weights=events[stack.rows], minlength=size)
+    n = np.bincount(stack.groups, weights=trials[stack.rows], minlength=size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # boundary groups give nan
+        p = e / n
+        return np.bincount(stack.owner, weights=e * np.log(p) + (n - e) * np.log1p(-p))
 
 
 class _Plan(NamedTuple):
@@ -273,7 +297,7 @@ def _node_plan(branch: FinalBranch, shape: tuple, buffer: bytes) -> _Plan:
         x.setflags(write=False)
         designs.append(x)
         layouts.append(_checked_layout(x))
-    saturated = [m for m, layout in enumerate(layouts) if layout.saturated_inverse is not None]
+    saturated = [m for m, layout in enumerate(layouts) if layout.saturated]
     slots = tuple(saturated.index(m) if m in saturated else None for m in range(len(layouts)))
     return _Plan(tuple(designs), slots, _stack([layouts[m] for m in saturated]))
 
@@ -300,7 +324,7 @@ def _node_tests(data: FinalModelData, branch: FinalBranch) -> tuple[dict, bool]:
         raise InputError("events/trials must align with design rows")
     _check_table(events, trials, len(full_cols))
     plan = _node_plan(branch, data.rows.shape, data.rows.tobytes())
-    closed = _saturated_pass(plan.stack, events, trials)[0].tolist()
+    closed = _saturated_pass(plan.stack, events, trials).tolist()
     try:
         full, converged = _log_likelihood(plan, 0, closed, events, trials)
         failed = not converged
@@ -336,8 +360,8 @@ def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
 
 
 def _gatekeep(data: FinalModelData, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
-    if data.spec.branch is not branch:
-        raise ValueError(f"expected {branch.value} data, got {data.spec.branch}")
+    if data.branch is not branch:
+        raise ValueError(f"expected {branch.value} data, got {data.branch}")
     p_values, failed = _node_tests(data, branch)
     nodes = _GATING[branch][1]
     rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)

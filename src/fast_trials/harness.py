@@ -3,11 +3,14 @@
 A replicate enrolls subjects sequentially under the currently active arms,
 pauses at each interim trigger to apply the corresponding decision
 (restricting or terminating domain-A allocation), finishes enrollment, and
-runs the branch-appropriate final analysis. Every replicate owns a seed
-derived injectively from (base_seed, scenario, cell, replicate index), so
-grid runs are bitwise reproducible regardless of execution order or worker
-count: each task returns its integer tallies and, when asked for, its trace
-rows, and the tasks are folded back in their fixed order.
+runs the branch-appropriate final analysis. The interims read the subjects
+enrolled so far; the final analysis reads only the events and trials per
+(domain-A arm, domain-B arm) cell, so each block is reduced to its cell
+table as soon as it is drawn and the tables are summed. Every replicate
+owns a seed derived injectively from (base_seed, scenario, cell, replicate
+index), so grid runs are bitwise reproducible regardless of execution order
+or worker count: each task returns its integer tallies and, when asked for,
+its trace rows, and the tasks are folded back in their fixed order.
 
 A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
 worker, tasks go to a process pool in batches: each message carries as many
@@ -33,6 +36,7 @@ from .final_analysis import (
     GatekeepingOutcome,
     analyze_terminated,
     build_final_model,
+    cell_table,
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
@@ -157,7 +161,9 @@ def run_replicate(
     rng = np.random.default_rng(int(replicate_seed) & _MASK64)
     schedule = build_schedule(n_drop, n_feas)
     active = ActiveArms()
-    blocks: list[SubjectData] = []
+    blocks: list[SubjectData] = []  # what the interims read
+    # The final analysis reads only the sum of the blocks' cell tables.
+    cells = np.zeros((4, 2, 2), dtype=np.intp)
     enrolled = 0
     n_clamped = 0
     retention: Optional[RetentionDecision] = None
@@ -169,6 +175,7 @@ def run_replicate(
         if trigger > enrolled:
             block, clamped = generate_block(config, active, trigger - enrolled, rng)
             blocks.append(block)
+            cells = cells + cell_table(block)
             enrolled = trigger
             n_clamped += clamped
         snapshot = _concat_blocks(blocks)
@@ -186,22 +193,20 @@ def run_replicate(
 
     if config.n_total > enrolled:
         block, clamped = generate_block(config, active, config.n_total - enrolled, rng)
-        blocks.append(block)
+        cells = cells + cell_table(block)
         n_clamped += clamped
-    subjects = _concat_blocks(blocks)
 
     if feasibility is not None and not feasibility.proceed:
         branch = FinalBranch.DOMAIN_A_TERMINATED
-        model = build_final_model(subjects, branch)
+        model = build_final_model(cells, branch)
         outcome = analyze_terminated(model, config.alpha_final)
     elif retention is not None and len(retention.retained) == 1:
         branch = FinalBranch.ONE_ARM_RETAINED
-        (retained_arm,) = retention.retained
-        model = build_final_model(subjects, branch, retained_arm=retained_arm)
+        model = build_final_model(cells, branch)
         outcome = gatekeep_one_retained(model, config.alpha_final)
     elif retention is not None:
         branch = FinalBranch.BOTH_ARMS_RETAINED
-        model = build_final_model(subjects, branch)
+        model = build_final_model(cells, branch)
         outcome = gatekeep_both_retained(model, config.alpha_final)
     else:  # triggers are validated <= n_total, so both analyses must have run
         raise RuntimeError("inconsistent trial path: no feasibility failure and no retention")

@@ -98,7 +98,9 @@ def write_results_csv(characteristics, path) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
-    """Parse a results.csv, checking the schema and value types."""
+    """Parse a results.csv, checking the schema and value types: every
+    probability is finite and in [0, 1], and no (scenario_id, n_drop,
+    n_feas) cell appears twice."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -106,6 +108,7 @@ def read_results_csv(path) -> list[dict]:
             if column not in header:
                 raise ReportError(f"missing column {column!r} in results file")
         rows = []
+        cells = set()
         for i, raw in enumerate(reader, start=2):
             if any(raw.get(c) in (None, "") for c in RESULTS_COLUMNS):
                 raise ReportError(f"line {i}: incomplete row")
@@ -120,6 +123,13 @@ def read_results_csv(path) -> list[dict]:
                 }
             except ValueError as exc:
                 raise ReportError(f"line {i}: {exc}") from None
+            for c in RESULTS_COLUMNS:
+                if c in _FLOAT_COLUMNS and not 0.0 <= row[c] <= 1.0:  # also true for nan
+                    raise ReportError(f"line {i}: {c} = {raw[c]} is not a probability in [0, 1]")
+            cell = (row["scenario_id"], row["n_drop"], row["n_feas"])
+            if cell in cells:
+                raise ReportError(f"line {i}: duplicate cell (scenario_id, n_drop, n_feas) = {cell}")
+            cells.add(cell)
             rows.append(row)
     if not rows:
         raise ReportError("results file has no data rows")

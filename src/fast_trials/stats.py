@@ -13,12 +13,12 @@ helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
 pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
 cost; the result carries the two means. The layout of a logistic design
-(rank, intercept, row grouping, the inverse of a saturated design) is
-computed once per distinct design and memoised. The closed form of
-saturated models is written once, for a stack of row groupings, so one
-pass over a table fits them all. The IRLS Newton loop forms the same
-products in the same memory order as the textbook step, so its iterates
-and iteration count are unchanged; its covariance is formed only when read.
+(rank, intercept, row grouping, and whether it is saturated: as many
+distinct rows as columns, at full rank) is computed once per distinct
+design and memoised; the final analysis fits its saturated models in
+closed form from it. The IRLS Newton loop forms the same products in the
+same memory order as the textbook step, so its iterates and iteration
+count are unchanged; its covariance is formed only when read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "welch_t_test",
     "fit_logistic",
     "fit_logistic_counts",
-    "fit_saturated_counts",
     "lr_test",
 ]
 
@@ -90,28 +89,19 @@ class TestResult:
 class LogisticFit:
     """Maximum-likelihood fit of a binary-outcome logistic model.
 
-    ``covariance`` is the inverse information at the estimate. A fit either
-    passes it in, or passes ``information`` = (design, trials, linear
-    predictor) and has it formed on first read: the final analysis reads
-    only log-likelihoods and convergence, so its IRLS fits never form it.
+    ``covariance`` is the inverse information at the estimate, formed on
+    first read from ``information`` = (design, trials, linear predictor):
+    the final analysis reads only log-likelihoods and convergence, so its
+    IRLS fits never form it.
     """
 
-    def __init__(
-        self,
-        coefficients,
-        log_likelihood,
-        converged,
-        n_iterations,
-        covariance=None,
-        diverged=False,
-        information=None,
-    ):
+    def __init__(self, coefficients, log_likelihood, converged, n_iterations, diverged, information):
         self.coefficients = coefficients
         self.log_likelihood = log_likelihood
         self.converged = converged
         self.n_iterations = n_iterations
         self.diverged = diverged  # coefficient escaped toward +-inf (separation)
-        self._covariance = covariance
+        self._covariance = None
         self._information = information
 
     @property
@@ -339,7 +329,7 @@ class _Layout(NamedTuple):
     rank: int
     intercept: bool  # column 0 is all ones
     groups: np.ndarray  # row -> index of its distinct covariate row
-    saturated_inverse: Optional[np.ndarray]  # inverse of the distinct rows when square and full rank
+    saturated: bool  # as many distinct rows as columns, at full rank
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -349,11 +339,7 @@ def _layout(shape: tuple, buffer: bytes) -> _Layout:
     distinct, groups = np.unique(x, axis=0, return_inverse=True)
     groups = groups.reshape(-1)
     groups.setflags(write=False)
-    inverse = None
-    if distinct.shape[0] == shape[1] == rank:
-        inverse = np.linalg.inv(distinct)
-        inverse.setflags(write=False)
-    return _Layout(rank, bool((x[:, 0] == 1.0).all()), groups, inverse)
+    return _Layout(rank, bool((x[:, 0] == 1.0).all()), groups, distinct.shape[0] == shape[1] == rank)
 
 
 def _design_layout(x: np.ndarray) -> _Layout:
@@ -398,84 +384,6 @@ def _checked_counts(design_rows, events, trials):
     return x, events, trials, _checked_layout(x)
 
 
-class _Stack(NamedTuple):
-    """The row groupings of saturated models, stacked so that one pass over
-    a table sums the groups of them all: stacked row j is table row
-    ``rows[j]`` in stacked group ``groups[j]``, and stacked group g belongs
-    to model ``owner[g]``."""
-
-    rows: np.ndarray
-    groups: np.ndarray
-    owner: np.ndarray
-
-
-def _stack(layouts) -> _Stack:
-    """Stack the row groupings of saturated layouts, in their order."""
-    rows, groups, owner = [], [], []
-    for model, layout in enumerate(layouts):
-        rows.append(np.arange(len(layout.groups)))
-        groups.append(layout.groups + len(owner))
-        owner += [model] * layout.saturated_inverse.shape[0]
-    arrays = [np.concatenate(rows), np.concatenate(groups), np.array(owner, dtype=np.intp)]
-    for a in arrays:
-        a.setflags(write=False)
-    return _Stack(*arrays)
-
-
-def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray):
-    """The closed form of every saturated model in ``stack`` in one pass
-    over a checked table: each model's log-likelihood, and per stacked
-    group its trials N_g, proportion p_g = E_g / N_g, log p_g and log(1 - p_g).
-
-    A model's log-likelihood is sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)],
-    added group by group in order, which is how ``ndarray.sum`` adds fewer
-    than eight terms, so it equals the model's value fitted alone bit for
-    bit. It is nan where a group of the model has no events, only events or
-    no trials: that model has no interior maximum.
-    """
-    size = len(stack.owner)
-    e = np.bincount(stack.groups, weights=events[stack.rows], minlength=size)
-    n = np.bincount(stack.groups, weights=trials[stack.rows], minlength=size)
-    non_events = n - e
-    with np.errstate(divide="ignore", invalid="ignore"):  # boundary groups give nan
-        p = e / n
-        log_p, log_q = np.log(p), np.log1p(-p)
-        loglik = np.bincount(stack.owner, weights=e * log_p + non_events * log_q)
-    return loglik, n, p, log_p, log_q
-
-
-def fit_saturated_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> Optional[LogisticFit]:
-    """Closed-form logistic fit of a model saturated on its own grouping,
-    or None where the model needs IRLS.
-
-    A design with exactly as many distinct covariate rows as columns, at full
-    rank, gives each group g its own free logit. The MLE is then the group's
-    event proportion p_g = E_g / N_g, the log-likelihood is
-    sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)], and the coefficients are
-    the group logits solved into the design's parameterisation. That
-    maximum is the one IRLS converges to, so the two give the same
-    likelihood-ratio decisions. It exists only when every group is interior
-    (0 < E_g < N_g); on a boundary table, as for an unsaturated design, this
-    returns None so that the caller's IRLS fit reports the divergence.
-    Inputs are checked as in ``fit_logistic_counts``, with the same errors.
-    """
-    _, events, trials, layout = _checked_counts(design_rows, events, trials)
-    inverse = layout.saturated_inverse
-    if inverse is None:
-        return None
-    (loglik,), n, p, log_p, log_q = _saturated_pass(_stack((layout,)), events, trials)
-    if math.isnan(loglik):
-        return None
-    # Information X'WX over the k distinct rows inverts to X^-1 W^-1 X^-T.
-    return LogisticFit(
-        coefficients=inverse @ (log_p - log_q),
-        log_likelihood=float(loglik),
-        converged=True,
-        n_iterations=0,
-        covariance=(inverse / (n * p * (1.0 - p))) @ inverse.T,
-    )
-
-
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -495,8 +403,7 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
 
     Log-likelihood and information match the equivalent subject-level
     Bernoulli model exactly, so likelihood-ratio statistics can mix grouped
-    and ungrouped fits, and fits from ``fit_saturated_counts``. The
-    collinearity (SVD rank) test runs once per distinct design. The Newton
+    and ungrouped fits, and closed-form log-likelihoods. The collinearity (SVD rank) test runs once per distinct design. The Newton
     step reuses trials * mu for the weights and the score and builds the
     information as (X' * w) @ X, the same products in the same memory
     order as (X * w[:, None])' @ X, so every iterate is bit-identical to

@@ -14,6 +14,7 @@ from fast_trials.final_analysis import (
     GatekeepingOutcome,
     analyze_terminated,
     build_final_model,
+    cell_table,
     closed_test,
     gate_three_parameter,
     gate_two_parameter,
@@ -32,49 +33,47 @@ def _subjects(arm_a, arm_b, y21):
     return SubjectData(arm_a, arm_b, np.zeros(n), np.zeros(n), y21)
 
 
+def _model(subjects, branch):
+    return build_final_model(cell_table(subjects), branch)
+
+
 # -- model construction -------------------------------------------------------
 
 def test_pooled_indicator_is_or_of_arm_indicators():
     arm_a = np.array([0, 1, 2, 1, 0, 2, 2])
     arm_b = np.array([0, 1, 0, 1, 1, 0, 1])
-    data = _subjects(arm_a, arm_b, np.zeros(7, dtype=int))
-    model = build_final_model(data, FinalBranch.ONE_ARM_RETAINED, retained_arm="A2")
-    pooled = model.subject_indicators[:, 0]
-    np.testing.assert_array_equal(pooled, ((arm_a == 1) | (arm_a == 2)).astype(np.int8))
-    assert model.spec.covariates == ("fluid_pooled", "b1")
-    assert model.n_subjects == 7
+    model = _model(_subjects(arm_a, arm_b, np.zeros(7, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
+    # (pooled, b1) patterns: A0 -> pooled 0, A1 and A2 -> pooled 1.
+    np.testing.assert_array_equal(model.rows, [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
+    np.testing.assert_array_equal(model.trials, [1, 1, 2, 3])
+    assert model.trials.sum() == 7
 
 
 def test_dropped_arm_subjects_stay_in_pool():
     # A1 dropped mid-stream: its early subjects still carry the pooled flag.
     arm_a = np.array([1] * 5 + [2] * 10 + [0] * 10)
     arm_b = np.zeros(25, dtype=int)
-    model = build_final_model(
-        _subjects(arm_a, arm_b, np.zeros(25, dtype=int)),
-        FinalBranch.ONE_ARM_RETAINED,
-        retained_arm="A2",
-    )
-    assert model.subject_indicators[:15, 0].sum() == 15
+    model = _model(_subjects(arm_a, arm_b, np.zeros(25, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
+    np.testing.assert_array_equal(model.rows, [[1, 0, 0], [1, 1, 0]])
+    np.testing.assert_array_equal(model.trials, [10, 15])
 
 
 def test_terminated_model_uses_all_subjects():
     arm_a = np.array([0, 1, 2, -1, -1, -1])
     arm_b = np.array([0, 1, 0, 1, 0, 1])
-    model = build_final_model(_subjects(arm_a, arm_b, np.zeros(6, dtype=int)), "domain_a_terminated")
-    assert model.spec.covariates == ("b1",)
-    assert model.spec.subject_filter == "all_subjects"
-    assert model.n_subjects == 6
-    np.testing.assert_array_equal(model.subject_indicators[:, 0], (arm_b == 1).astype(np.int8))
+    model = _model(_subjects(arm_a, arm_b, np.zeros(6, dtype=int)), "domain_a_terminated")
+    assert model.branch is FinalBranch.DOMAIN_A_TERMINATED
+    np.testing.assert_array_equal(model.rows, [[1, 0], [1, 1]])
+    np.testing.assert_array_equal(model.trials, [3, 3])
 
 
 def test_both_retained_reference_coding():
     arm_a = np.array([0, 1, 2, 0])
     arm_b = np.array([0, 0, 1, 1])
-    model = build_final_model(_subjects(arm_a, arm_b, np.zeros(4, dtype=int)), "both_arms_retained")
-    assert model.spec.covariates == ("a1", "a2", "b1")
-    np.testing.assert_array_equal(model.subject_indicators[0], [0, 0, 0])  # A0/B0 all-zero
-    np.testing.assert_array_equal(model.subject_indicators[1], [1, 0, 0])
-    np.testing.assert_array_equal(model.subject_indicators[2], [0, 1, 1])
+    model = _model(_subjects(arm_a, arm_b, np.zeros(4, dtype=int)), "both_arms_retained")
+    # (a1, a2, b1): A0/B0 all-zero, A0/B1, A2/B1, A1/B0, in code order.
+    np.testing.assert_array_equal(model.rows, [[1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 0]])
+    np.testing.assert_array_equal(model.trials, [1, 1, 1, 1])
 
 
 def test_grouped_counts_conserve_subjects_and_events():
@@ -82,14 +81,14 @@ def test_grouped_counts_conserve_subjects_and_events():
     arm_a = rng.integers(0, 3, 500)
     arm_b = rng.integers(0, 2, 500)
     y21 = rng.integers(0, 2, 500)
-    model = build_final_model(_subjects(arm_a, arm_b, y21), "both_arms_retained")
+    model = _model(_subjects(arm_a, arm_b, y21), "both_arms_retained")
     assert model.trials.sum() == 500
     assert model.events.sum() == y21.sum()
 
 
 def _reference_build(subjects, branch):
-    """Rows, events, trials and subject indicators as built before the
-    table-lookup grouping: mask, indicator columns, binary codes."""
+    """Rows, events and trials as built from the subjects before cell
+    tables: mask, indicator columns, binary codes."""
     mask = subjects.arm_a != -1
     if branch is FinalBranch.DOMAIN_A_TERMINATED:
         mask = np.ones(len(subjects), dtype=bool)
@@ -108,12 +107,23 @@ def _reference_build(subjects, branch):
     events = np.bincount(codes, weights=y21.astype(float), minlength=2**k)
     present = trials > 0
     rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
-    return rows[present], events[present], trials[present].astype(float), indicators
+    return rows[present], events[present], trials[present].astype(float)
+
+
+def _split(subjects, bounds):
+    return [
+        _subjects(*(getattr(subjects, c)[lo:hi] for c in ("arm_a", "arm_b", "y21")))
+        for lo, hi in zip((0, *bounds), (*bounds, len(subjects)))
+    ]
 
 
 @pytest.mark.parametrize("branch", list(FinalBranch))
 def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
+    """Summed per-block cell tables give the rows and counts of grouping
+    the concatenated subjects, on random block splits with absent
+    subjects, missing arms, no B1 and one-subject blocks."""
     rng = np.random.default_rng(606)
+    seen = set()
     for _ in range(150):
         n = int(rng.integers(1, 400))
         arms = rng.choice([-1, 0, 1, 2], size=4, replace=False)[: int(rng.integers(1, 5))]
@@ -122,19 +132,27 @@ def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
             arm_a[0] = 0
         arm_b = rng.integers(0, 2, size=n) * int(rng.random() < 0.9)  # sometimes no B1 at all
         data = _subjects(arm_a, arm_b, rng.integers(0, 2, size=n))
-        model = build_final_model(data, branch, retained_arm="A1")
-        rows, events, trials, indicators = _reference_build(data, branch)
+        bounds = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 4))), replace=False))
+        if rng.random() < 0.3 and n > 2:  # a one-subject block
+            bounds = np.unique(np.append(bounds, [n - 1] if rng.random() < 0.5 else [1]))
+        blocks = _split(data, bounds)
+        assert sum(len(b) for b in blocks) == n
+        tables = [cell_table(b) for b in blocks]
+        cells = np.zeros((4, 2, 2), dtype=np.intp)
+        for table in tables:
+            cells = cells + table
+        np.testing.assert_array_equal(cells, cell_table(data), strict=True)
+        model = build_final_model(cells, branch)
+        rows, events, trials = _reference_build(data, branch)
+        assert model.branch is branch
         np.testing.assert_array_equal(model.rows, rows, strict=True)
         np.testing.assert_array_equal(model.events, events, strict=True)
         np.testing.assert_array_equal(model.trials, trials, strict=True)
-        np.testing.assert_array_equal(model.subject_indicators, indicators, strict=True)
-        assert model.subject_indicators is model.subject_indicators  # formed once, on first read
-
-
-def test_one_arm_model_requires_retained_arm():
-    data = _subjects(np.array([0, 1, 2]), np.array([0, 1, 0]), np.zeros(3, dtype=int))
-    with pytest.raises(ValueError):
-        build_final_model(data, FinalBranch.ONE_ARM_RETAINED)
+        seen.add(len(blocks) > 1)
+        seen.add(min(len(b) for b in blocks) == 1)
+        seen.add("absent" if (arm_a == -1).any() else "assigned only")
+        seen.add("no_b1" if not arm_b.any() else "b1")
+    assert seen == {True, False, "absent", "assigned only", "no_b1", "b1"}
 
 
 # -- pure gating rules ---------------------------------------------------------
@@ -269,7 +287,7 @@ def test_gatekeeping_decisions_match_reference_rules(branch):
     seen = set()
     for rep in range(150):
         rates = {(a, b): float(rng.uniform(0.15, 0.45)) for a in (0, 1, 2) for b in (0, 1)}
-        model = _synthetic_cell_data(branch, rates, n_per_cell=60, seed=rep)
+        model = _synthetic_cell_data(branch, rates, n_per_cell=60)
         alpha = float(rng.uniform(0.01, 0.5))
         outcome = analysis(model, alpha)
         assert not outcome.fit_failed
@@ -281,19 +299,14 @@ def test_gatekeeping_decisions_match_reference_rules(branch):
 
 # -- end-to-end analyses -------------------------------------------------------
 
-def _synthetic_cell_data(branch, rates, n_per_cell=400, seed=0):
-    """Build subjects whose per-cell event rates are exactly ``rates``."""
-    rng = np.random.default_rng(seed)
-    arm_a, arm_b, y21 = [], [], []
+def _synthetic_cell_data(branch, rates, n_per_cell=400):
+    """Final-model data whose per-(arm_a, arm_b) cell event rates are
+    exactly ``rates``."""
+    cells = np.zeros((4, 2, 2), dtype=np.intp)
     for (a, b), rate in rates.items():
         events = int(round(rate * n_per_cell))
-        arm_a += [a] * n_per_cell
-        arm_b += [b] * n_per_cell
-        y21 += [1] * events + [0] * (n_per_cell - events)
-    data = _subjects(np.array(arm_a), np.array(arm_b), np.array(y21))
-    return build_final_model(
-        data, branch, retained_arm="A2" if branch is FinalBranch.ONE_ARM_RETAINED else None
-    )
+        cells[a + 1, b] = n_per_cell - events, events
+    return build_final_model(cells, branch)
 
 
 def test_one_retained_b1_effect_only():
@@ -329,27 +342,27 @@ def test_terminated_branch_calibration_and_effect():
     n_rep = 400
     for rep in range(n_rep):
         block, _ = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
-        model = build_final_model(block, "domain_a_terminated")
+        model = _model(block, "domain_a_terminated")
         hits += analyze_terminated(model, 0.05).successful_arms == frozenset({"B1"})
     rate = hits / n_rep
     assert rate < 0.05 + 3.5 * np.sqrt(0.05 * 0.95 / n_rep)
 
     strong = ScenarioConfig(phase3_effects={"A1": 0.0, "A2": 0.0, "B1": 0.2})
     block, _ = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
-    outcome = analyze_terminated(build_final_model(block, "domain_a_terminated"), 0.05)
+    outcome = analyze_terminated(_model(block, "domain_a_terminated"), 0.05)
     assert outcome.successful_arms == frozenset({"B1"})
 
 
 def test_all_zero_outcomes_flag_failure_without_crash():
     data = _subjects(np.array([-1] * 40), np.array([0, 1] * 20), np.zeros(40, dtype=int))
-    outcome = analyze_terminated(build_final_model(data, "domain_a_terminated"), 0.05)
+    outcome = analyze_terminated(_model(data, "domain_a_terminated"), 0.05)
     assert outcome.fit_failed
     assert outcome.successful_arms == frozenset()
 
 
 def test_branch_mismatch_raises():
     data = _subjects(np.array([0, 1, 2, 0]), np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]))
-    model = build_final_model(data, "both_arms_retained")
+    model = _model(data, "both_arms_retained")
     with pytest.raises(ValueError):
         gatekeep_one_retained(model, 0.05)
     with pytest.raises(ValueError):

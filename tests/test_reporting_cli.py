@@ -338,6 +338,41 @@ def test_cli_report_missing_column_named(tmp_path):
     assert "fwer" in r.stderr
 
 
+def _golden_with(column, value, append_duplicate=False):
+    lines = (DATA_DIR / "golden_results.csv").read_text().splitlines()
+    if append_duplicate:
+        lines.append(lines[1])
+    else:
+        header, row = lines[0].split(","), lines[1].split(",")
+        row[header.index(column)] = value
+        lines[1] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_golden_with("p_retain_correct", "nan"), "line 2: p_retain_correct = nan"),
+        (_golden_with("p_proceed", "inf"), "line 2: p_proceed = inf"),
+        (_golden_with("power", "1.5"), "line 2: power = 1.5"),
+        (_golden_with("fwer", "-0.25"), "line 2: fwer = -0.25"),
+        (_golden_with(None, None, append_duplicate=True), "line 6: duplicate cell"),
+    ],
+    ids=["nan", "inf", "above_one", "negative", "duplicate_cell"],
+)
+def test_cli_report_rejects_bad_values_with_line_number(tmp_path, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ReportError, match=message.replace(".", r"\.")):
+        read_results_csv(bad)
+    svg = tmp_path / "x.svg"
+    r = _run_cli("report", "--in", str(bad), "--svg", str(svg))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {message}")
+    assert len(r.stderr.splitlines()) == 1
+    assert not svg.exists()
+
+
 def test_cli_simulation_failure_exits_4(tmp_path):
     # Valid, but the arm-dropping trigger falls before each treatment arm
     # has 2 subjects, so the first replicate raises SchedulingError.

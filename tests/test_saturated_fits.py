@@ -2,15 +2,18 @@
 analysis must give the same p-values, failure flags and errors as fitting
 every node by IRLS, which this file keeps as the reference."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from fast_trials import final_analysis
-from fast_trials.design import SubjectData
 from fast_trials.final_analysis import (
     FinalBranch,
+    FinalModelData,
+    _saturated_pass,
+    _stack,
     analyze_terminated,
     build_final_model,
     gatekeep_both_retained,
@@ -19,12 +22,9 @@ from fast_trials.final_analysis import (
 from fast_trials.stats import (
     FittingError,
     InputError,
-    LogisticFit,
     _design_layout,
     _layout,
-    _saturated_pass,
     fit_logistic_counts,
-    fit_saturated_counts,
     lr_test,
 )
 
@@ -90,31 +90,26 @@ def _reference_node_tests(data, full_cols, reduced_map):
 def _table(rng, branch, mode):
     """Final-model data from random per-(arm_a, arm_b) cell counts."""
     _, arms_a, *_ = _LAYOUTS[branch]
-    cells = [(a, b) for a in arms_a for b in (0, 1)]
     missing = rng.choice([a for a in arms_a if a > 0]) if mode == "missing_arm" and len(arms_a) > 1 else None
-    arm_a, arm_b, y21 = [], [], []
-    for a, b in cells:
-        if (mode == "no_b1" and b == 1) or a == missing:
-            continue
-        if mode == "tiny":
-            n = int(rng.integers(0, 3))
-        elif mode == "mixed":
-            n = int(rng.choice([0, 1, 2, int(rng.integers(3, 120))]))
-        else:
-            n = int(rng.integers(8, 150))
-        q = rng.uniform(0.1, 0.9)
-        events = int(rng.binomial(n, q))
-        if mode == "interior":
-            events = min(max(events, 1), n - 1)
-        elif mode == "boundary" and rng.random() < 0.4:
-            events = 0 if rng.random() < 0.5 else n
-        arm_a += [a] * n
-        arm_b += [b] * n
-        y21 += [1] * events + [0] * (n - events)
-    size = len(arm_a)
-    subjects = SubjectData(arm_a, arm_b, np.zeros(size), np.zeros(size), y21)
-    retained = "A2" if branch is FinalBranch.ONE_ARM_RETAINED else None
-    return build_final_model(subjects, branch, retained_arm=retained)
+    cells = np.zeros((4, 2, 2), dtype=np.intp)
+    for a in arms_a:
+        for b in (0, 1):
+            if (mode == "no_b1" and b == 1) or a == missing:
+                continue
+            if mode == "tiny":
+                n = int(rng.integers(0, 3))
+            elif mode == "mixed":
+                n = int(rng.choice([0, 1, 2, int(rng.integers(3, 120))]))
+            else:
+                n = int(rng.integers(8, 150))
+            q = rng.uniform(0.1, 0.9)
+            events = int(rng.binomial(n, q))
+            if mode == "interior":
+                events = min(max(events, 1), n - 1)
+            elif mode == "boundary" and rng.random() < 0.4:
+                events = 0 if rng.random() < 0.5 else n
+            cells[a + 1, b] = n - events, events
+    return build_final_model(cells, branch)
 
 
 def _outcome_or_error(analysis, data):
@@ -151,43 +146,60 @@ def test_node_p_values_match_all_irls_reference(branch):
     assert seen == {"input_error", "failed", "ok"}
 
 
+def _plan(branch, data):
+    return final_analysis._node_plan(branch, data.rows.shape, data.rows.tobytes())
+
+
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_closed_form_matches_irls_on_interior_tables(branch):
     _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
     rng = np.random.default_rng(7)
     for _ in range(40):
         data = _table(rng, branch, "interior")
-        for cols in saturated:
-            x = data.rows[:, list(cols)]
-            closed = fit_saturated_counts(x, data.events, data.trials)
-            irls = fit_logistic_counts(x, data.events, data.trials)
-            assert irls.converged and closed.converged and not closed.diverged
-            assert closed.n_iterations == 0
-            np.testing.assert_allclose(closed.coefficients, irls.coefficients, rtol=0, atol=1e-8)
-            assert closed.log_likelihood == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
-            np.testing.assert_allclose(closed.covariance, irls.covariance, rtol=0, atol=1e-8)
-        for cols in {full_cols, *reduced_map.values()} - set(saturated):
-            assert fit_saturated_counts(data.rows[:, list(cols)], data.events, data.trials) is None
+        plan = _plan(branch, data)
+        closed = _saturated_pass(plan.stack, data.events, data.trials)
+        models = [full_cols, *reduced_map.values()]
+        for cols, design, slot in zip(models, plan.designs, plan.slots):
+            np.testing.assert_array_equal(design, data.rows[:, list(cols)], strict=True)
+            assert (slot is not None) == (cols in saturated)
+            if slot is None:
+                continue
+            irls = fit_logistic_counts(design, data.events, data.trials)
+            assert irls.converged
+            assert closed[slot] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
+
+
+def _closed_form(x, events, trials):
+    layout = _design_layout(x)
+    assert layout.saturated
+    return _saturated_pass(_stack([layout]), np.asarray(events), np.asarray(trials))[0]
 
 
 def test_boundary_group_is_left_to_irls():
     # B1 arm with no events: the two-group model has no interior maximum.
     x = np.array([[1.0, 0.0], [1.0, 1.0]])
-    assert fit_saturated_counts(x, np.array([5.0, 0.0]), np.array([20.0, 20.0])) is None
-    assert fit_saturated_counts(x, np.array([5.0, 20.0]), np.array([20.0, 20.0])) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_closed_form(x, [5.0, 0.0], [20.0, 20.0]))
+        assert math.isnan(_closed_form(x, [5.0, 20.0], [20.0, 20.0]))
     # Pooled into one group, the same counts are interior.
-    fit = fit_saturated_counts(x[:, :1], np.array([5.0, 0.0]), np.array([20.0, 20.0]))
-    assert fit.coefficients[0] == pytest.approx(np.log(5.0 / 35.0))
+    loglik = _closed_form(x[:, :1], [5.0, 0.0], [20.0, 20.0])
+    assert loglik == pytest.approx(5.0 * math.log(5.0 / 40.0) + 35.0 * math.log(35.0 / 40.0))
 
 
 def test_closed_form_keeps_input_errors():
     x = np.array([[1.0, 0.0], [1.0, 1.0]])
+    trials = np.array([20.0, 20.0])
+
+    def analyze(rows, events):
+        return analyze_terminated(FinalModelData(FinalBranch.DOMAIN_A_TERMINATED, rows, events, trials), 0.05)
+
     with pytest.raises(InputError, match="trials"):
-        fit_saturated_counts(x, np.array([5.0, 21.0]), np.array([20.0, 20.0]))
+        analyze(x, np.array([5.0, 21.0]))
     with pytest.raises(InputError, match="intercept"):
-        fit_saturated_counts(x[:, ::-1], np.array([5.0, 6.0]), np.array([20.0, 20.0]))
+        analyze(x[:, ::-1], np.array([5.0, 6.0]))
     with pytest.raises(InputError, match="collinear"):
-        fit_saturated_counts(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([5.0, 6.0]), np.array([20.0, 20.0]))
+        analyze(np.ones((2, 2)), np.array([5.0, 6.0]))
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -232,7 +244,6 @@ def test_layout_memo_is_bounded_and_read_only():
             layout = _design_layout(np.array([[1.0, float(i)], [1.0, -1.0]]))
         assert _layout.cache_info().currsize == maxsize
         assert not layout.groups.flags.writeable
-        assert not layout.saturated_inverse.flags.writeable
     finally:
         _layout.cache_clear()
 
@@ -240,11 +251,11 @@ def test_layout_memo_is_bounded_and_read_only():
 # -- one pass for every saturated node ----------------------------------------
 
 def _reference_saturated_fit(layout, events, trials):
-    """The per-model closed form before the one-pass rewrite."""
-    inverse = layout.saturated_inverse
-    if inverse is None:
+    """The per-model closed-form log-likelihood before the one-pass rewrite;
+    None where the model is not saturated or has no interior maximum."""
+    if not layout.saturated:
         return None
-    k = inverse.shape[0]
+    k = layout.rank
     e = np.bincount(layout.groups, weights=events, minlength=k)
     n = np.bincount(layout.groups, weights=trials, minlength=k)
     non_events = n - e
@@ -252,14 +263,7 @@ def _reference_saturated_fit(layout, events, trials):
         return None
     p = e / n
     log_p, log_q = np.log(p), np.log1p(-p)
-    covariance = (inverse / (n * p * (1.0 - p))) @ inverse.T
-    return LogisticFit(
-        coefficients=inverse @ (log_p - log_q),
-        log_likelihood=float((e * log_p + non_events * log_q).sum()),
-        converged=True,
-        n_iterations=0,
-        covariance=covariance,
-    )
+    return float((e * log_p + non_events * log_q).sum())
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -272,25 +276,21 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
             data = _table(rng, branch, mode)
             try:
-                plan = final_analysis._node_plan(branch, data.rows.shape, data.rows.tobytes())
+                plan = _plan(branch, data)
             except InputError:
                 seen.add("collinear")
                 continue
-            closed = _saturated_pass(plan.stack, data.events, data.trials)[0]
+            closed = _saturated_pass(plan.stack, data.events, data.trials)
             for design, slot in zip(plan.designs, plan.slots):
                 expected = _reference_saturated_fit(_design_layout(design), data.events, data.trials)
-                public = fit_saturated_counts(design, data.events, data.trials)
                 if slot is None:
-                    assert expected is None and public is None
+                    assert expected is None
                     seen.add("unsaturated")
                 elif expected is None:
-                    assert np.isnan(closed[slot]) and public is None, mode
+                    assert np.isnan(closed[slot]), mode
                     seen.add("boundary")
                 else:
-                    assert closed[slot] == expected.log_likelihood, mode
-                    assert public.log_likelihood == expected.log_likelihood
-                    np.testing.assert_array_equal(public.coefficients, expected.coefficients, strict=True)
-                    np.testing.assert_array_equal(public.covariance, expected.covariance, strict=True)
+                    assert closed[slot] == expected, mode
                     seen.add("interior")
     # Only the terminated branch has no model that needs IRLS on a full table.
     assert {"interior", "boundary"} | ({"unsaturated"} if _IRLS_FITS[branch] else set()) <= seen
