@@ -2,7 +2,7 @@
 """Operating characteristics of one scenario over a reduced timing grid,
 written out as results.csv plus the three-panel SVG heatmaps.
 
-Run:  python demos/03_operating_characteristics.py     (about half a minute)
+Run:  python demos/03_operating_characteristics.py     (a few seconds)
 Outputs land in demos/output/.
 """
 

@@ -24,6 +24,7 @@ from .design import ScenarioValidationError, load_scenarios, scenario_to_dict, v
 from .harness import TRACE_FIELDS, open_pool, run_grid_detail
 from .interim import SchedulingError
 from .reporting import (
+    RESULTS_SCHEMA_VERSION,
     ReportError,
     config_hash,
     read_results_csv,
@@ -144,7 +145,7 @@ def _cmd_simulate(args) -> int:
     manifest = {
         "tool": "fast-trials",
         "tool_version": __version__,
-        "results_schema_version": 1,
+        "results_schema_version": RESULTS_SCHEMA_VERSION,
         "config_hash": config_hash([scenario_to_dict(s) for s in scenarios]),
         "threads": threads,
         "started_at": started,

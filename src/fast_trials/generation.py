@@ -27,7 +27,6 @@ from .design import (
     ABSENT,
     ARM_A_CODE,
     DOMAIN_A_ARMS,
-    DOMAIN_B_ARMS,
     TREATMENT_ARMS_A,
     ScenarioConfig,
     SubjectData,
@@ -49,11 +48,11 @@ _TABLE_CACHE_SIZE = 64  # scenarios remembered; a run holds a handful
 
 @dataclass(frozen=True)
 class ActiveArms:
-    """Arms currently open to randomization; ``domain_a=None`` after the
-    fluid-domain termination."""
+    """Domain-A arms currently open to randomization (domain B always
+    randomizes both of its arms); ``domain_a=None`` after the fluid-domain
+    termination."""
 
     domain_a: Optional[frozenset] = frozenset(DOMAIN_A_ARMS)
-    domain_b: frozenset = frozenset(DOMAIN_B_ARMS)
 
     def __post_init__(self):
         if self.domain_a is not None:
@@ -63,8 +62,6 @@ class ActiveArms:
                     f"active domain A must contain A0 and at least one treatment arm, got {set(arms)}"
                 )
             object.__setattr__(self, "domain_a", arms)
-        if frozenset(self.domain_b) != frozenset(DOMAIN_B_ARMS):
-            raise ValueError(f"domain B always randomizes {DOMAIN_B_ARMS}, got {set(self.domain_b)}")
 
 
 @lru_cache(maxsize=None)

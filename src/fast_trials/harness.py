@@ -10,7 +10,10 @@ table as soon as it is drawn and the tables are summed. Every replicate
 owns a seed derived injectively from (base_seed, scenario, cell, replicate
 index), so grid runs are bitwise reproducible regardless of execution order
 or worker count: each task returns its integer tallies and, when asked for,
-its trace rows, and the tasks are folded back in their fixed order.
+its trace rows, and the tasks are folded back in their fixed order. A tally
+counts each outcome under one key: a name, a ``FinalBranch``, or a
+``p_success`` key of ``_SUCCESS_SETS``; a cell adds its later tasks' counts
+into its first task's tally.
 
 A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
 worker, tasks go to a process pool in batches: each message carries as many
@@ -22,6 +25,7 @@ its scenarios.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -292,28 +296,16 @@ class OperatingCharacteristics:
     n_clamped: int
 
 
-_TALLY_KEYS = (
-    "n_reps",
-    "n_failed",
-    "n_retention",
-    "n_retain_correct",
-    "n_retain_both",
-    "n_used_default",
-    "n_proceed",
-    "succ_A1",
-    "succ_A2",
-    "succ_A_pooled",
-    "succ_B1",
-    "succ_A1_B1",
-    "succ_A2_B1",
-    "n_power",
-    "n_fwer",
-    "n_gating_violations",
-    "n_clamped",
-    "branch_one",
-    "branch_both",
-    "branch_term",
-)
+# p_success key -> the arms that must all be declared successful.
+_SUCCESS_SETS = {
+    "A1": frozenset({"A1"}),
+    "A2": frozenset({"A2"}),
+    "A_pooled": frozenset({"A_pooled"}),
+    "B1": frozenset({"B1"}),
+    "A1:B1": frozenset({"A1", "B1"}),
+    "A2:B1": frozenset({"A2", "B1"}),
+}
+_DOMAINS = (frozenset({"A1", "A2"}), frozenset({"B1"}))  # the treatment arms of domains A and B
 
 TRACE_FIELDS = (
     "scenario_id",
@@ -336,61 +328,37 @@ TRACE_FIELDS = (
 )
 
 
-def _new_tally() -> dict:
-    return {k: 0 for k in _TALLY_KEYS}
-
-
-def _accumulate(tally: dict, result: TrialResult, correct: frozenset, effective: frozenset) -> None:
+def _accumulate(tally: defaultdict, result: TrialResult, correct: frozenset, effective: frozenset) -> None:
     tally["n_reps"] += 1
     tally["n_clamped"] += result.n_clamped
     if result.failed:
         tally["n_failed"] += 1
         return
 
-    if result.retention is not None:
+    retention = result.retention
+    if retention is not None:
         tally["n_retention"] += 1
-        tally["n_retain_correct"] += correct <= result.retention.retained
-        tally["n_retain_both"] += len(result.retention.retained) == 2
-        tally["n_used_default"] += result.retention.used_default
+        tally["n_retain_correct"] += correct <= retention.retained
+        tally["n_retain_both"] += len(retention.retained) == 2
+        tally["n_used_default"] += retention.used_default
     if result.feasibility is not None:
         tally["n_proceed"] += result.feasibility.proceed
-
-    tally["branch_one"] += result.branch is FinalBranch.ONE_ARM_RETAINED
-    tally["branch_both"] += result.branch is FinalBranch.BOTH_ARMS_RETAINED
-    tally["branch_term"] += result.branch is FinalBranch.DOMAIN_A_TERMINATED
+    tally[result.branch] += 1
 
     successful = result.successful_arms
-    tally["succ_A1"] += "A1" in successful
-    tally["succ_A2"] += "A2" in successful
-    tally["succ_A_pooled"] += "A_pooled" in successful
-    tally["succ_B1"] += "B1" in successful
-    tally["succ_A1_B1"] += "A1" in successful and "B1" in successful
-    tally["succ_A2_B1"] += "A2" in successful and "B1" in successful
+    for key, arms in _SUCCESS_SETS.items():
+        tally[key] += arms <= successful
     tally["n_gating_violations"] += gating_violation(result.gatekeeping, result.branch)
 
-    # Domain-level success for power: the pooled declaration stands in for
-    # the retained arm; a terminated domain A can never succeed.
-    retained_arm = None
-    if result.branch is FinalBranch.ONE_ARM_RETAINED:
-        (retained_arm,) = result.retention.retained
-    effective_a = effective & {"A1", "A2"}
-    domain_a_ok = True
-    if effective_a:
-        if result.branch is FinalBranch.BOTH_ARMS_RETAINED:
-            domain_a_ok = bool(successful & effective_a)
-        elif result.branch is FinalBranch.ONE_ARM_RETAINED:
-            domain_a_ok = "A_pooled" in successful and retained_arm in effective_a
-        else:
-            domain_a_ok = False
-    domain_b_ok = "B1" in successful if "B1" in effective else True
+    # The credited arms: the pooled declaration counts for the retained arm.
+    # Power: every domain holding an effective arm has a credited effective
+    # arm. FWER: some credited arm is not effective.
+    credited = successful
+    if "A_pooled" in successful:
+        credited = (successful - {"A_pooled"}) | retention.retained
     if effective:
-        tally["n_power"] += domain_a_ok and domain_b_ok
-
-    null_arms = {"A1", "A2", "B1"} - effective
-    false_success = bool(successful & null_arms)
-    if "A_pooled" in successful and retained_arm is not None and retained_arm in null_arms:
-        false_success = True
-    tally["n_fwer"] += false_success
+        tally["n_power"] += all(credited & effective & domain for domain in _DOMAINS if effective & domain)
+    tally["n_fwer"] += not credited <= effective
 
 
 def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> dict:
@@ -418,11 +386,11 @@ def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> d
     }
 
 
-def _run_chunk(args) -> tuple[dict, list]:
+def _run_chunk(args) -> tuple[defaultdict, list]:
     config, n_drop, n_feas, start, stop, collect_traces = args
     correct = designed_correct_arms(config)
     effective = truly_effective_arms(config)
-    tally = _new_tally()
+    tally = defaultdict(int)
     traces = []
     for rep in range(start, stop):
         seed = derive_seed(config.base_seed, config.scenario_id, (n_drop, n_feas), rep)
@@ -433,15 +401,7 @@ def _run_chunk(args) -> tuple[dict, list]:
     return tally, traces
 
 
-def _merge(tallies) -> dict:
-    merged = _new_tally()
-    for t in tallies:
-        for k in _TALLY_KEYS:
-            merged[k] += t[k]
-    return merged
-
-
-def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: dict) -> OperatingCharacteristics:
+def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: defaultdict) -> OperatingCharacteristics:
     n_eff = tally["n_reps"] - tally["n_failed"]
     per_eff = lambda k: tally[k] / n_eff if n_eff else 0.0
     n_ret = tally["n_retention"]
@@ -453,25 +413,14 @@ def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: di
         p_retain_correct=tally["n_retain_correct"] / n_ret if n_ret else 0.0,
         p_retain_both=tally["n_retain_both"] / n_ret if n_ret else 0.0,
         p_proceed=per_eff("n_proceed"),
-        p_success={
-            "A1": per_eff("succ_A1"),
-            "A2": per_eff("succ_A2"),
-            "A_pooled": per_eff("succ_A_pooled"),
-            "B1": per_eff("succ_B1"),
-            "A1:B1": per_eff("succ_A1_B1"),
-            "A2:B1": per_eff("succ_A2_B1"),
-        },
+        p_success={key: per_eff(key) for key in _SUCCESS_SETS},
         power=per_eff("n_power"),
         fwer=per_eff("n_fwer"),
         n_replicates_effective=n_eff,
         n_failed=tally["n_failed"],
         n_retention_decisions=n_ret,
         n_used_default=tally["n_used_default"],
-        branch_counts={
-            "one_arm_retained": tally["branch_one"],
-            "both_arms_retained": tally["branch_both"],
-            "domain_a_terminated": tally["branch_term"],
-        },
+        branch_counts={b.value: tally[b] for b in FinalBranch},
         n_gating_violations=tally["n_gating_violations"],
         n_clamped=tally["n_clamped"],
     )
@@ -528,7 +477,10 @@ def _execute(config, cells, threads, collect_traces, replicates=None, pool=None)
     traces: list[dict] = []
     for j, (n_drop, n_feas) in enumerate(cells):
         chunk_outputs = outputs[j * n_chunks : (j + 1) * n_chunks]
-        tally = _merge(t for t, _ in chunk_outputs)
+        tally = chunk_outputs[0][0]
+        for later, _ in chunk_outputs[1:]:
+            for key, count in later.items():
+                tally[key] += count
         results.append(_characteristics(config, n_drop, n_feas, tally))
         for _, rows in chunk_outputs:
             traces.extend(rows)

@@ -18,7 +18,8 @@ distinct rows as columns, at full rank) is computed once per distinct
 design and memoised; the final analysis fits its saturated models in
 closed form from it. The IRLS Newton loop forms the same products in the
 same memory order as the textbook step, so its iterates and iteration
-count are unchanged; its covariance is formed only when read.
+count are unchanged. A fit carries its coefficients, log-likelihood and
+convergence flags; the final analysis reads only the last two.
 """
 
 from __future__ import annotations
@@ -86,35 +87,14 @@ class TestResult:
     means: Optional[tuple] = None  # a two-sample test's (mean of a, mean of b)
 
 
-class LogisticFit:
-    """Maximum-likelihood fit of a binary-outcome logistic model.
+class LogisticFit(NamedTuple):
+    """Maximum-likelihood fit of a binary-outcome logistic model."""
 
-    ``covariance`` is the inverse information at the estimate, formed on
-    first read from ``information`` = (design, trials, linear predictor):
-    the final analysis reads only log-likelihoods and convergence, so its
-    IRLS fits never form it.
-    """
-
-    def __init__(self, coefficients, log_likelihood, converged, n_iterations, diverged, information):
-        self.coefficients = coefficients
-        self.log_likelihood = log_likelihood
-        self.converged = converged
-        self.n_iterations = n_iterations
-        self.diverged = diverged  # coefficient escaped toward +-inf (separation)
-        self._covariance = None
-        self._information = information
-
-    @property
-    def covariance(self) -> np.ndarray:
-        if self._covariance is None:
-            x, trials, eta = self._information
-            mu = 1.0 / (1.0 + np.exp(-eta))
-            try:
-                self._covariance = np.linalg.inv((x.T * (trials * mu * (1.0 - mu))) @ x)
-            except np.linalg.LinAlgError:
-                self._covariance = np.full((x.shape[1], x.shape[1]), np.nan)
-            self._information = None
-        return self._covariance
+    coefficients: np.ndarray
+    log_likelihood: float
+    converged: bool
+    n_iterations: int
+    diverged: bool  # coefficient escaped toward +-inf (separation)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +350,10 @@ def _checked_layout(x: np.ndarray) -> _Layout:
 
 def _checked_counts(design_rows, events, trials):
     """Grouped logistic inputs as float arrays plus the design's layout,
-    after every precondition of a fit has been checked. The design and the
-    trials are copies, because an IRLS fit keeps them for its covariance."""
-    x = np.array(design_rows, dtype=float)
+    after every precondition of a fit has been checked."""
+    x = np.asarray(design_rows, dtype=float)
     events = np.asarray(events, dtype=float)
-    trials = np.array(trials, dtype=float)
+    trials = np.asarray(trials, dtype=float)
     if x.ndim != 2:
         raise InputError("design must be a 2-d matrix")
     n_rows, k = x.shape
@@ -401,13 +380,13 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
     """IRLS logistic fit on grouped data (one design row per covariate
     pattern, with event/trial counts).
 
-    Log-likelihood and information match the equivalent subject-level
-    Bernoulli model exactly, so likelihood-ratio statistics can mix grouped
-    and ungrouped fits, and closed-form log-likelihoods. The collinearity (SVD rank) test runs once per distinct design. The Newton
-    step reuses trials * mu for the weights and the score and builds the
-    information as (X' * w) @ X, the same products in the same memory
-    order as (X * w[:, None])' @ X, so every iterate is bit-identical to
-    the textbook form. The covariance is formed on its first read.
+    The log-likelihood matches the equivalent subject-level Bernoulli model
+    exactly, so likelihood-ratio statistics can mix grouped and ungrouped
+    fits, and closed-form log-likelihoods. The collinearity (SVD rank) test
+    runs once per distinct design. The Newton step reuses trials * mu for
+    the weights and the score and builds the information as (X' * w) @ X,
+    the same products in the same memory order as (X * w[:, None])' @ X,
+    so every iterate is bit-identical to the textbook form.
     """
     x, events, trials, _ = _checked_counts(design_rows, events, trials)
     k = x.shape[1]
@@ -433,14 +412,12 @@ def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.
             converged = True
             break
 
-    eta = x @ beta
     return LogisticFit(
         coefficients=beta,
-        log_likelihood=_bernoulli_loglik(eta, events, trials),
+        log_likelihood=_bernoulli_loglik(x @ beta, events, trials),
         converged=converged and not diverged,
         n_iterations=n_iter,
         diverged=diverged,
-        information=(x, trials, eta),
     )
 
 

@@ -1,5 +1,5 @@
 """The demos run against the source tree and exit 0, so an API change that
-breaks one fails here. Demo 03 is left out: it writes into demos/output/."""
+breaks one fails here. Demo 03 writes into demos/output/, which git ignores."""
 
 import os
 import subprocess
@@ -12,7 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_statistical_kernel.py", "02_single_trial_walkthrough.py", "04_timing_study.py"]
+    "demo",
+    [
+        "01_statistical_kernel.py",
+        "02_single_trial_walkthrough.py",
+        "03_operating_characteristics.py",
+        "04_timing_study.py",
+    ],
 )
 def test_demo_exits_0(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -2,13 +2,16 @@
 conservation identities, and execution-order invariance."""
 
 import dataclasses
+import itertools
 import json
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fast_trials import cli, harness
-from fast_trials.design import ScenarioConfig, validate_scenario
+from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
 from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome
 from fast_trials.harness import (
     derive_seed,
@@ -361,3 +364,185 @@ def test_simulate_closes_pool_when_a_scenario_fails(recording_pool, monkeypatch,
     assert len(handed) == 2 and all(h is pool for h in handed)
     assert pool.closed
     assert not (tmp_path / "out").exists()
+
+
+# -- the cell tally ------------------------------------------------------------------
+
+# The tally as it was written before its keyed form: a fixed key registry
+# and one hand-written count per outcome, with power and FWER decided branch
+# by branch. It is the reference the keyed tally must reproduce.
+_REFERENCE_TALLY_KEYS = (
+    "n_reps",
+    "n_failed",
+    "n_retention",
+    "n_retain_correct",
+    "n_retain_both",
+    "n_used_default",
+    "n_proceed",
+    "succ_A1",
+    "succ_A2",
+    "succ_A_pooled",
+    "succ_B1",
+    "succ_A1_B1",
+    "succ_A2_B1",
+    "n_power",
+    "n_fwer",
+    "n_gating_violations",
+    "n_clamped",
+    "branch_one",
+    "branch_both",
+    "branch_term",
+)
+
+
+def _reference_accumulate(tally, result, correct, effective):
+    tally["n_reps"] += 1
+    tally["n_clamped"] += result.n_clamped
+    if result.failed:
+        tally["n_failed"] += 1
+        return
+
+    if result.retention is not None:
+        tally["n_retention"] += 1
+        tally["n_retain_correct"] += correct <= result.retention.retained
+        tally["n_retain_both"] += len(result.retention.retained) == 2
+        tally["n_used_default"] += result.retention.used_default
+    if result.feasibility is not None:
+        tally["n_proceed"] += result.feasibility.proceed
+
+    tally["branch_one"] += result.branch is FinalBranch.ONE_ARM_RETAINED
+    tally["branch_both"] += result.branch is FinalBranch.BOTH_ARMS_RETAINED
+    tally["branch_term"] += result.branch is FinalBranch.DOMAIN_A_TERMINATED
+
+    successful = result.successful_arms
+    tally["succ_A1"] += "A1" in successful
+    tally["succ_A2"] += "A2" in successful
+    tally["succ_A_pooled"] += "A_pooled" in successful
+    tally["succ_B1"] += "B1" in successful
+    tally["succ_A1_B1"] += "A1" in successful and "B1" in successful
+    tally["succ_A2_B1"] += "A2" in successful and "B1" in successful
+    tally["n_gating_violations"] += gating_violation(result.gatekeeping, result.branch)
+
+    retained_arm = None
+    if result.branch is FinalBranch.ONE_ARM_RETAINED:
+        (retained_arm,) = result.retention.retained
+    effective_a = effective & {"A1", "A2"}
+    domain_a_ok = True
+    if effective_a:
+        if result.branch is FinalBranch.BOTH_ARMS_RETAINED:
+            domain_a_ok = bool(successful & effective_a)
+        elif result.branch is FinalBranch.ONE_ARM_RETAINED:
+            domain_a_ok = "A_pooled" in successful and retained_arm in effective_a
+        else:
+            domain_a_ok = False
+    domain_b_ok = "B1" in successful if "B1" in effective else True
+    if effective:
+        tally["n_power"] += domain_a_ok and domain_b_ok
+
+    null_arms = {"A1", "A2", "B1"} - effective
+    false_success = bool(successful & null_arms)
+    if "A_pooled" in successful and retained_arm is not None and retained_arm in null_arms:
+        false_success = True
+    tally["n_fwer"] += false_success
+
+
+# Reference key -> the keyed tally's key for the same count.
+_KEY_OF = {
+    **{k: k for k in _REFERENCE_TALLY_KEYS if not k.startswith(("succ_", "branch_"))},
+    "succ_A1": "A1",
+    "succ_A2": "A2",
+    "succ_A_pooled": "A_pooled",
+    "succ_B1": "B1",
+    "succ_A1_B1": "A1:B1",
+    "succ_A2_B1": "A2:B1",
+    "branch_one": FinalBranch.ONE_ARM_RETAINED,
+    "branch_both": FinalBranch.BOTH_ARMS_RETAINED,
+    "branch_term": FinalBranch.DOMAIN_A_TERMINATED,
+}
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TALLY_CELLS = ((90, 300), (150, 150), (300, 90))
+
+
+def _tally_configs():
+    """The shipped scenarios, the benchmark's both-arms scenario, and, for
+    each subset of {A1, A2, B1}, that subset effective under a null and a
+    both-arms-nominating biomarker pattern."""
+    configs = [c for path in sorted((_ROOT / "scenarios").glob("*.json")) for c in load_scenarios(path)]
+    (both_arms,) = load_scenarios(_ROOT / "perfbench" / "scenarios" / "both_arms.json")
+    configs.append(both_arms)
+    for i, effective in enumerate(itertools.product((False, True), repeat=3)):
+        effects = {arm: 0.2 if on else 0.0 for arm, on in zip(("A1", "A2", "B1"), effective)}
+        for j, base in enumerate((ScenarioConfig(), both_arms)):
+            configs.append(
+                dataclasses.replace(base, scenario_id=10 + 2 * i + j, phase3_effects=effects, base_seed=500 + i)
+            )
+    return configs
+
+
+def _replicates(config, cells, n):
+    for cell in cells:
+        for rep in range(n):
+            yield run_replicate(config, *cell, derive_seed(config.base_seed, config.scenario_id, cell, rep))
+
+
+def _failed(result):
+    """The same replicate with its final fit flagged as failed."""
+    return dataclasses.replace(result, gatekeeping=GatekeepingOutcome({}, frozenset(), frozenset(), True))
+
+
+def test_keyed_tally_equals_reference_tally():
+    seen = set()
+    outcomes = set()
+    for config in _tally_configs():
+        correct, effective = designed_correct_arms(config), truly_effective_arms(config)
+        reference = dict.fromkeys(_REFERENCE_TALLY_KEYS, 0)
+        tally = defaultdict(int)
+        for i, result in enumerate(_replicates(config, _TALLY_CELLS, 20)):
+            if i % 9 == 4:
+                result = _failed(result)
+            power, fwer = reference["n_power"], reference["n_fwer"]
+            _reference_accumulate(reference, result, correct, effective)
+            harness._accumulate(tally, result, correct, effective)
+            if not result.failed:
+                seen.add((result.branch, effective))
+                if effective:
+                    outcomes.add(("power", reference["n_power"] > power))
+                outcomes.add(("fwer", reference["n_fwer"] > fwer))
+        assert set(tally) <= set(_KEY_OF.values())
+        assert {k: tally[_KEY_OF[k]] for k in _REFERENCE_TALLY_KEYS} == reference, config.scenario_id
+        assert reference["n_failed"] > 0
+    subsets = {frozenset(c) for n in range(4) for c in itertools.combinations(("A1", "A2", "B1"), n)}
+    assert seen == set(itertools.product(FinalBranch, subsets))
+    assert outcomes == {("power", True), ("power", False), ("fwer", True), ("fwer", False)}
+
+
+def test_chunked_cell_merges_to_reference_counts():
+    (config,) = load_scenarios(_ROOT / "scenarios" / "first_arm_effective.json")
+    cell, replicates = (150, 150), 600  # three tasks of up to 250 replicates
+    correct, effective = designed_correct_arms(config), truly_effective_arms(config)
+    ref = dict.fromkeys(_REFERENCE_TALLY_KEYS, 0)
+    for result in _replicates(config, (cell,), replicates):
+        _reference_accumulate(ref, result, correct, effective)
+    oc, _ = run_cell_detail(config, *cell, replicates=replicates)
+
+    n_eff = ref["n_reps"] - ref["n_failed"]
+    assert (oc.n_replicates_effective, oc.n_failed) == (n_eff, ref["n_failed"])
+    assert oc.n_retention_decisions == ref["n_retention"]
+    assert oc.p_retain_correct == ref["n_retain_correct"] / ref["n_retention"]
+    assert oc.p_retain_both == ref["n_retain_both"] / ref["n_retention"]
+    assert oc.p_proceed == ref["n_proceed"] / n_eff
+    names = {"A1": "succ_A1", "A2": "succ_A2", "A_pooled": "succ_A_pooled", "B1": "succ_B1",
+             "A1:B1": "succ_A1_B1", "A2:B1": "succ_A2_B1"}
+    assert oc.p_success == {key: ref[name] / n_eff for key, name in names.items()}
+    assert list(oc.p_success) == list(names)
+    assert (oc.power, oc.fwer) == (ref["n_power"] / n_eff, ref["n_fwer"] / n_eff)
+    assert oc.branch_counts == {
+        "one_arm_retained": ref["branch_one"],
+        "both_arms_retained": ref["branch_both"],
+        "domain_a_terminated": ref["branch_term"],
+    }
+    assert list(oc.branch_counts) == ["one_arm_retained", "both_arms_retained", "domain_a_terminated"]
+    assert (oc.n_used_default, oc.n_gating_violations, oc.n_clamped) == (
+        ref["n_used_default"], ref["n_gating_violations"], ref["n_clamped"])
+    assert 0 < ref["n_power"] < n_eff

@@ -118,14 +118,6 @@ def test_grouped_fit_matches_row_level_fit():
     assert row_fit.log_likelihood == pytest.approx(grouped.log_likelihood, abs=1e-9)
 
 
-def test_covariance_is_inverse_information():
-    x, y = _two_group_design(100, 20, 100, 30)
-    fit = fit_logistic(x, y)
-    mu = 1.0 / (1.0 + np.exp(-(x @ fit.coefficients)))
-    info = (x * (mu * (1 - mu))[:, None]).T @ x
-    np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-8)
-
-
 # -- likelihood-ratio tests -------------------------------------------------
 
 def test_lr_identical_models():
@@ -177,7 +169,7 @@ def test_lr_invariant_to_row_order():
 
 def _reference_irls(x, events, trials):
     """The IRLS loop before its lean rewrite: (coefficients, log-likelihood,
-    n_iterations, converged, diverged, covariance)."""
+    n_iterations, converged, diverged)."""
     k = x.shape[1]
     beta = np.zeros(k)
     converged = False
@@ -201,16 +193,8 @@ def _reference_irls(x, events, trials):
         if np.max(np.abs(step)) < IRLS_TOL:
             converged = True
             break
-    eta = x @ beta
-    loglik = _bernoulli_loglik(eta, events, trials)
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    w = trials * mu * (1.0 - mu)
-    hess = (x * w[:, None]).T @ x
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        cov = np.full((k, k), np.nan)
-    return beta, loglik, n_iter, converged and not diverged, diverged, cov
+    loglik = _bernoulli_loglik(x @ beta, events, trials)
+    return beta, loglik, n_iter, converged and not diverged, diverged
 
 
 # Every covariate pattern of the three final-analysis designs.
@@ -242,11 +226,10 @@ def test_irls_bit_identical_to_reference_loop(kind):
     seen = set()
     for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
         fit = fit_logistic_counts(x, events, trials)
-        beta, loglik, n_iter, converged, diverged, cov = _reference_irls(x, events, trials)
+        beta, loglik, n_iter, converged, diverged = _reference_irls(x, events, trials)
         np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
         assert fit.log_likelihood == loglik
         assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
-        np.testing.assert_array_equal(fit.covariance, cov, strict=True)
         seen.add((converged, diverged))
     # Interior tables converge; separated ones diverge; boundary ones reach both.
     expected = {"interior": {(True, False)}, "separated": {(False, True)}, "boundary": {(True, False), (False, True)}}
@@ -277,15 +260,3 @@ def test_loglik_softplus_bit_identical_to_sign_branches():
         with np.errstate(over="ignore"):  # the branch np.where discards overflows
             softplus = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))), np.log1p(np.exp(eta)))
         assert _bernoulli_loglik(eta, events, trials) == float(np.sum(events * eta - trials * softplus))
-
-
-def test_covariance_on_demand_equals_eager_and_ignores_later_input_changes():
-    x = np.array([[1, a1, a2, b] for a1, a2 in ((0, 0), (1, 0), (0, 1)) for b in (0, 1)], dtype=float)
-    trials = np.array([40.0, 35.0, 52.0, 47.0, 38.0, 44.0])
-    events = np.array([12.0, 14.0, 25.0, 20.0, 9.0, 21.0])
-    fit = fit_logistic_counts(x, events, trials)
-    *_, eager = _reference_irls(x.copy(), events.copy(), trials.copy())
-    x[:] = 0.0  # the caller reuses its arrays before reading the covariance
-    trials[:] = 1.0
-    np.testing.assert_array_equal(fit.covariance, eager, strict=True)
-    assert fit.covariance is fit.covariance  # formed once
