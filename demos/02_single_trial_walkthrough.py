@@ -46,8 +46,9 @@ for replicate in (0, 1, 2, 3, 4):
         )
 
     feas = result.feasibility
+    pooled_mean, control_mean = feas.test.means
     print(
-        f"   feasibility: pooled mean {feas.pooled_mean:+.2f} vs control {feas.control_mean:+.2f},"
+        f"   feasibility: pooled mean {pooled_mean:+.2f} vs control {control_mean:+.2f},"
         f" p={feas.test.p_value:.4f} -> {'proceed' if feas.proceed else 'terminate domain A'}"
     )
 

@@ -104,6 +104,15 @@ class ScenarioConfig:
         return float(self.phase3_effects[arm])
 
 
+def _codes(values, allowed: tuple, name: str) -> np.ndarray:
+    """An int8 code column, once every value is one of ``allowed``: the
+    cast alone would wrap 258 to 2 and truncate 0.5 to 0."""
+    values = np.asarray(values)
+    if not np.isin(values, allowed).all():
+        raise ValueError(f"{name} codes must lie in {allowed}")
+    return np.asarray(values, dtype=np.int8)
+
+
 class SubjectData:
     """Column-oriented subject store in enrollment order: domain-A arm code
     (``ABSENT`` once domain A has been terminated), domain-B arm code, the
@@ -112,14 +121,22 @@ class SubjectData:
     __slots__ = ("arm_a", "arm_b", "y11", "y12", "y21")
 
     def __init__(self, arm_a, arm_b, y11, y12, y21):
-        self.arm_a = np.asarray(arm_a, dtype=np.int8)
-        self.arm_b = np.asarray(arm_b, dtype=np.int8)
+        self.arm_a = _codes(arm_a, (ABSENT, *ARM_A_CODE.values()), "arm_a")
+        self.arm_b = _codes(arm_b, tuple(ARM_B_CODE.values()), "arm_b")
         self.y11 = np.asarray(y11, dtype=float)
         self.y12 = np.asarray(y12, dtype=float)
-        self.y21 = np.asarray(y21, dtype=np.int8)
+        self.y21 = _codes(y21, (0, 1), "y21")
         n = len(self.arm_a)
         if not (len(self.arm_b) == len(self.y11) == len(self.y12) == len(self.y21) == n):
             raise ValueError("subject columns must have equal length")
+
+    @classmethod
+    def _unchecked(cls, arm_a, arm_b, y11, y12, y21) -> "SubjectData":
+        """The engine's own subjects, taken as they are: int8 codes in range
+        and float biomarkers, of equal length by construction."""
+        data = cls.__new__(cls)
+        data.arm_a, data.arm_b, data.y11, data.y12, data.y21 = arm_a, arm_b, y11, y12, y21
+        return data
 
     def __len__(self) -> int:
         return len(self.arm_a)

@@ -33,21 +33,26 @@ The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So each enrollment
 block is reduced, as soon as it is drawn, to a 4 x 2 cell table indexed by
 (arm_a + 1, arm_b) that counts each cell's non-events and events in one
-bincount (``cell_table``); a replicate adds its blocks' tables, and
-``build_final_model`` maps the 8 cells to the branch's covariate patterns
-with two bincounts over 8 weights. The counts are integer sums, so the
-grouped table equals grouping the subjects themselves bit for bit.
+bincount (``cell_table``); a replicate adds its blocks' tables. A branch
+whose full model has k covariates has 2^k covariate patterns, and
+``build_final_model`` maps the cells to them with one bincount, giving a
+fixed-shape (2, 2^k) pattern table: the events and the trials of every
+pattern in the order of its binary code, 0 where no subject has it. The
+counts are integer sums, so the table equals grouping the subjects
+themselves bit for bit.
 
 A replicate computes only what the closed test reads: log-likelihoods and
 convergence flags. What depends only on the design layout is computed
-once, not per replicate: per branch the cell -> covariate-pattern lookup,
-the 2^k pattern rows per k, and per (branch, grouped design) a memoised
-node plan holding every model's sliced, checked design and the row
-groupings of the saturated ones, stacked. The counts are checked once per
-table against the full model; one vectorised pass (``_saturated_pass``)
-then gives every saturated model's log-likelihood, with the same per-group
-arithmetic and summation order as fitting each alone. ``lr_test`` takes
-the two log-likelihoods. Every p-value, and every output bit, is unchanged.
+once, not per replicate: per branch the cell -> pattern lookup, the 2^k
+pattern rows per k, and per (branch, set of patterns with subjects) a
+memoised node plan holding every model's sliced, checked design and the
+row groupings of the saturated ones, stacked. The table is checked once
+against the full model; the fits see the patterns that have subjects, as
+design rows with their events and trials. One vectorised pass
+(``_saturated_pass``) gives every saturated model's log-likelihood, with
+the same per-group arithmetic and summation order as fitting each alone.
+``lr_test`` takes the two log-likelihoods. Every p-value, and every output
+bit, is unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,7 +77,6 @@ from .stats import (
 
 __all__ = [
     "FinalBranch",
-    "FinalModelData",
     "GatekeepingOutcome",
     "HIERARCHY",
     "ANCESTORS",
@@ -161,22 +165,25 @@ _INDICATORS = {
 }
 
 
-def _pattern_codes(branch: FinalBranch) -> np.ndarray:
-    """Cell (arm_a + 1, arm_b), flattened -> the binary code of its
-    subjects' covariate pattern, first indicator most significant; 2^k for
-    a cell the model leaves out: the subjects not assigned in domain A,
-    unless domain A is terminated."""
-    arm_a, arm_b = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), indexing="ij")
+def _table_slots(branch: FinalBranch) -> np.ndarray:
+    """Cell-table entry (arm_a + 1, arm_b, y21), flattened -> its slot in
+    the flattened (2, 2^k) pattern table: the binary code of its subjects'
+    covariate pattern, first indicator most significant, in row 0 for
+    events and in row 1 for non-events; 2^(k + 1) for the subjects the
+    model leaves out: those not assigned in domain A, unless domain A is
+    terminated."""
+    arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), np.arange(2), indexing="ij")
     codes = np.zeros(arm_a.shape, dtype=np.intp)
     for column in _INDICATORS[branch](arm_a, arm_b):
         codes = codes * 2 + column
     k = len(_COVARIATES[branch])
+    slots = codes + (1 - y21) * 2**k
     if branch is not FinalBranch.DOMAIN_A_TERMINATED:
-        codes[arm_a == ABSENT] = 2**k
-    return codes.ravel()
+        slots[arm_a == ABSENT] = 2 ** (k + 1)
+    return slots.ravel()
 
 
-_PATTERN_CODES = {branch: _pattern_codes(branch) for branch in FinalBranch}
+_TABLE_SLOTS = {branch: _table_slots(branch) for branch in FinalBranch}
 
 # k -> the 2^k covariate patterns as design rows (intercept first), in the
 # order of their binary codes.
@@ -184,19 +191,6 @@ _PATTERN_ROWS = {
     k: np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
     for k in {len(c) for c in _COVARIATES.values()}
 }
-_PLAN_CACHE_SIZE = 256  # distinct (branch, present patterns); a run meets a few dozen at most
-
-
-class FinalModelData:
-    """Model-ready data for one branch: the distinct covariate patterns
-    present, as design rows with the intercept, and their event and trial
-    counts."""
-
-    def __init__(self, branch: FinalBranch, rows, events, trials):
-        self.branch = FinalBranch(branch)
-        self.rows = np.asarray(rows, dtype=float)  # g x (1 + k)
-        self.events = np.asarray(events, dtype=float)
-        self.trials = np.asarray(trials, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -216,19 +210,19 @@ def cell_table(block) -> np.ndarray:
     return np.bincount(cells, minlength=16).reshape(4, 2, 2)
 
 
-def build_final_model(cells: np.ndarray, branch: FinalBranch) -> FinalModelData:
-    """The branch's grouped indicator design from a cell table
-    (``cell_table``): each cell's counts go to its subjects' covariate
-    pattern. In the one-arm model the pooled indicator is I(arm_a != A0)
-    over every domain-A-assigned subject, whichever arm was dropped."""
+def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
+    """The branch's pattern table from a cell table (``cell_table``): row 0
+    holds the events and row 1 the trials of each of the 2^k covariate
+    patterns of its full model, in the order of their binary codes
+    (``_PATTERN_ROWS[k]``), 0 for a pattern no subject has. In the one-arm
+    model the pooled indicator is I(arm_a != A0) over every
+    domain-A-assigned subject, whichever arm was dropped."""
     branch = FinalBranch(branch)
-    k = len(_COVARIATES[branch])
-    codes = _PATTERN_CODES[branch]
-    counts = cells.reshape(8, 2)
-    events = np.bincount(codes, weights=counts[:, 1], minlength=2**k + 1)[: 2**k]
-    trials = np.bincount(codes, weights=counts.sum(1), minlength=2**k + 1)[: 2**k]
-    present = trials > 0
-    return FinalModelData(branch, _PATTERN_ROWS[k][present], events[present], trials[present])
+    n = 2 ** len(_COVARIATES[branch])
+    counts = np.bincount(_TABLE_SLOTS[branch], weights=cells.ravel(), minlength=2 * n + 1)
+    table = counts[: 2 * n].reshape(2, n)
+    table[1] += table[0]  # trials = non-events + events
+    return table
 
 
 class _Stack(NamedTuple):
@@ -283,13 +277,14 @@ class _Plan(NamedTuple):
     stack: _Stack  # the row groupings of the saturated models
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _node_plan(branch: FinalBranch, shape: tuple, buffer: bytes) -> _Plan:
-    """The full model and every node's reduced model of ``branch`` on one
-    grouped design, sliced and checked (intercept, full rank) once, with the
-    row groupings of the saturated ones stacked for one pass. The full model
-    is checked first, so a bad design raises the error its fit would."""
-    rows = np.frombuffer(buffer).reshape(shape)
+@cache  # keyed by a mask of 2^k patterns: at most 4 + 16 + 256 plans exist
+def _node_plan(branch: FinalBranch, present: tuple) -> _Plan:
+    """The full model and every node's reduced model of ``branch`` on the
+    patterns ``present`` marks, sliced and checked (intercept, full rank)
+    once, with the row groupings of the saturated ones stacked for one
+    pass. The full model is checked first, so a bad design raises the error
+    its fit would."""
+    rows = _PATTERN_ROWS[len(_COVARIATES[branch])][np.array(present)]
     full_cols, nodes = _GATING[branch]
     designs, layouts = [], []
     for cols in (full_cols,) + tuple(node.reduced for node in nodes):
@@ -314,16 +309,20 @@ def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tu
     return fit.log_likelihood, fit.converged
 
 
-def _node_tests(data: FinalModelData, branch: FinalBranch) -> tuple[dict, bool]:
+def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     """LR p-value per node label; flags failure on any non-convergent fit.
-    The counts are checked once, against the full model's column count, and
-    one pass gives every saturated model's closed-form log-likelihood."""
+    The pattern table is checked once, against the full model's column
+    count; the fits see the patterns that have subjects, and one pass gives
+    every saturated model's closed-form log-likelihood."""
     full_cols, nodes = _GATING[branch]
-    events, trials = data.events, data.trials
-    if events.shape != (len(data.rows),) or trials.shape != (len(data.rows),):
-        raise InputError("events/trials must align with design rows")
+    shape = (2, 2 ** (len(full_cols) - 1))
+    if table.shape != shape:
+        raise InputError(f"{branch.value} needs a {shape} pattern table, got shape {table.shape}")
+    events, trials = table
     _check_table(events, trials, len(full_cols))
-    plan = _node_plan(branch, data.rows.shape, data.rows.tobytes())
+    present = trials > 0
+    plan = _node_plan(branch, tuple(present.tolist()))
+    events, trials = events[present], trials[present]
     closed = _saturated_pass(plan.stack, events, trials).tolist()
     try:
         full, converged = _log_likelihood(plan, 0, closed, events, trials)
@@ -359,27 +358,25 @@ def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
     return closed_test(FinalBranch.BOTH_ARMS_RETAINED, p_values, alpha)
 
 
-def _gatekeep(data: FinalModelData, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
-    if data.branch is not branch:
-        raise ValueError(f"expected {branch.value} data, got {data.branch}")
-    p_values, failed = _node_tests(data, branch)
+def _gatekeep(table: np.ndarray, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
+    p_values, failed = _node_tests(table, branch)
     nodes = _GATING[branch][1]
     rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)
     successful = frozenset(node.arm for node in nodes if node.arm and node.label in rejected)
     return GatekeepingOutcome(p_values, rejected, successful, failed)
 
 
-def gatekeep_one_retained(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
+def gatekeep_one_retained(table: np.ndarray, alpha_final: float) -> GatekeepingOutcome:
     """Two-parameter gatekept analysis of the pooled-fluid model."""
-    return _gatekeep(data, alpha_final, FinalBranch.ONE_ARM_RETAINED)
+    return _gatekeep(table, alpha_final, FinalBranch.ONE_ARM_RETAINED)
 
 
-def gatekeep_both_retained(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
+def gatekeep_both_retained(table: np.ndarray, alpha_final: float) -> GatekeepingOutcome:
     """Three-parameter gatekept analysis when both fluid arms reached the
     final stage."""
-    return _gatekeep(data, alpha_final, FinalBranch.BOTH_ARMS_RETAINED)
+    return _gatekeep(table, alpha_final, FinalBranch.BOTH_ARMS_RETAINED)
 
 
-def analyze_terminated(data: FinalModelData, alpha_final: float) -> GatekeepingOutcome:
+def analyze_terminated(table: np.ndarray, alpha_final: float) -> GatekeepingOutcome:
     """Single-parameter B-domain test; no multiplicity adjustment needed."""
-    return _gatekeep(data, alpha_final, FinalBranch.DOMAIN_A_TERMINATED)
+    return _gatekeep(table, alpha_final, FinalBranch.DOMAIN_A_TERMINATED)

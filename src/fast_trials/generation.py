@@ -134,4 +134,4 @@ def generate_block(
     n_clamped = int(np.count_nonzero(tables.clamped[row, arm_b])) if tables.any_clamped else 0
     y21 = (stream.random(n) < tables.p_event[row, arm_b]).astype(np.int8)
 
-    return SubjectData(arm_a, arm_b, y11, y12, y21), n_clamped
+    return SubjectData._unchecked(arm_a, arm_b, y11, y12, y21), n_clamped

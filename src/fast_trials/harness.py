@@ -87,6 +87,14 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix_parts(base_seed: int, parts: tuple) -> int:
+    """The seed state after mixing in each index part, one stage each."""
+    h = _splitmix64(int(base_seed) & _MASK64)
+    for part, mult in zip(parts, _PART_MULT):
+        h = _splitmix64(h ^ ((int(part) * mult) & _MASK64))
+    return h
+
+
 def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -> int:
     """Deterministic 64-bit seed for one replicate.
 
@@ -94,26 +102,15 @@ def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -
     applies a 64-bit bijective mix, so for any fixed prefix the map from
     any single index to the seed is exactly injective.
     """
-    n_drop, n_feas = cell
-    h = _splitmix64(int(base_seed) & _MASK64)
-    for part, mult in zip((scenario_id, n_drop, n_feas, replicate), _PART_MULT):
-        h = _splitmix64(h ^ ((int(part) * mult) & _MASK64))
-    return h
+    return _mix_parts(base_seed, (scenario_id, *cell, replicate))
 
 
 def derive_seeds_vector(base_seed: int, scenario_id: int, cell: tuple, replicates: np.ndarray) -> np.ndarray:
-    """Vectorized ``derive_seed`` over replicate indices (collision scans)."""
-    n_drop, n_feas = cell
-    h = _splitmix64(int(base_seed) & _MASK64)
-    for part, mult in zip((scenario_id, n_drop, n_feas), _PART_MULT[:3]):
-        h = _splitmix64(h ^ ((int(part) * mult) & _MASK64))
-    with np.errstate(over="ignore"):
-        x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
-        x ^= np.uint64(h)
-        x += np.uint64(_SM_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MIX2)
-        return x ^ (x >> np.uint64(31))
+    """Vectorized ``derive_seed`` over replicate indices (collision scans):
+    the last stage's mix runs on uint64 arrays, which wrap mod 2^64."""
+    h = _mix_parts(base_seed, (scenario_id, *cell))
+    x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
+    return _splitmix64(x ^ np.uint64(h))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ class TrialResult:
 def _concat_blocks(blocks: list) -> SubjectData:
     if len(blocks) == 1:
         return blocks[0]
-    return SubjectData(
+    return SubjectData._unchecked(
         np.concatenate([b.arm_a for b in blocks]),
         np.concatenate([b.arm_b for b in blocks]),
         np.concatenate([b.y11 for b in blocks]),
@@ -202,16 +199,16 @@ def run_replicate(
 
     if feasibility is not None and not feasibility.proceed:
         branch = FinalBranch.DOMAIN_A_TERMINATED
-        model = build_final_model(cells, branch)
-        outcome = analyze_terminated(model, config.alpha_final)
+        table = build_final_model(cells, branch)
+        outcome = analyze_terminated(table, config.alpha_final)
     elif retention is not None and len(retention.retained) == 1:
         branch = FinalBranch.ONE_ARM_RETAINED
-        model = build_final_model(cells, branch)
-        outcome = gatekeep_one_retained(model, config.alpha_final)
+        table = build_final_model(cells, branch)
+        outcome = gatekeep_one_retained(table, config.alpha_final)
     elif retention is not None:
         branch = FinalBranch.BOTH_ARMS_RETAINED
-        model = build_final_model(cells, branch)
-        outcome = gatekeep_both_retained(model, config.alpha_final)
+        table = build_final_model(cells, branch)
+        outcome = gatekeep_both_retained(table, config.alpha_final)
     else:  # triggers are validated <= n_total, so both analyses must have run
         raise RuntimeError("inconsistent trial path: no feasibility failure and no retention")
 

@@ -57,9 +57,7 @@ class RetentionDecision:
 @dataclass(frozen=True)
 class FeasibilityDecision:
     proceed: bool
-    test: TestResult
-    pooled_mean: float
-    control_mean: float
+    test: TestResult  # its means are the (pooled, control) y11 means
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,16 @@ def _nominate(p_value, mean_a1, mean_a2, alpha, direction) -> Optional[str]:
 
 def resolve_retention(
     test_y11: TestResult,
-    means_y11: tuple[float, float],
     test_y12: TestResult,
-    means_y12: tuple[float, float],
     alpha: float,
     directions: tuple,
     default_arm: str,
 ) -> RetentionDecision:
-    """Pure retention rule: nominations from the two test results and the
-    (A1, A2) sample means, union-retained, default on no nomination."""
-    nom11 = _nominate(test_y11.p_value, *means_y11, alpha, directions[0])
-    nom12 = _nominate(test_y12.p_value, *means_y12, alpha, directions[1])
+    """Pure retention rule: nominations from the two A1-vs-A2 test results
+    and the (A1, A2) sample means they carry, union-retained, default on no
+    nomination."""
+    nom11 = _nominate(test_y11.p_value, *test_y11.means, alpha, directions[0])
+    nom12 = _nominate(test_y12.p_value, *test_y12.means, alpha, directions[1])
     retained = frozenset(a for a in (nom11, nom12) if a is not None)
     used_default = not retained
     if used_default:
@@ -114,9 +111,7 @@ def arm_dropping_analysis(
     y12_a1, y12_a2 = subjects.y12[in_a1], subjects.y12[in_a2]
     test_y11 = welch_t_test(y11_a1, y11_a2, Tail.TWO_SIDED)
     test_y12 = welch_t_test(y12_a1, y12_a2, Tail.TWO_SIDED)
-    return resolve_retention(
-        test_y11, test_y11.means, test_y12, test_y12.means, alpha_drop, directions, default_arm
-    )
+    return resolve_retention(test_y11, test_y12, alpha_drop, directions, default_arm)
 
 
 def feasibility_analysis(
@@ -135,13 +130,7 @@ def feasibility_analysis(
     pooled = subjects.y11[in_pool]
     tail = Tail.UPPER if BenefitDirection(direction) is BenefitDirection.INCREASE else Tail.LOWER
     test = welch_t_test(pooled, control, tail)
-    pooled_mean, control_mean = test.means
-    return FeasibilityDecision(
-        proceed=test.p_value < alpha_feas,
-        test=test,
-        pooled_mean=pooled_mean,
-        control_mean=control_mean,
-    )
+    return FeasibilityDecision(proceed=test.p_value < alpha_feas, test=test)
 
 
 def build_schedule(n_drop: int, n_feas: int) -> AnalysisSchedule:

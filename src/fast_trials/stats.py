@@ -114,25 +114,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_CF_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # the two Lentz half-steps of term m
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise FittingError(f"incomplete beta CF did not converge (a={a}, b={b}, x={x})")
@@ -248,9 +241,10 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
 
     ``tail=UPPER`` tests the alternative mean(a) > mean(b), ``LOWER`` the
     reverse. The result carries the two sample means. If both samples have
-    zero variance the result is degenerate:
-    p = 1.0 for equal means (no evidence either way), p = 0.0 otherwise,
-    flagged so simulation loops can proceed without aborting.
+    zero variance the result is degenerate, flagged so simulation loops can
+    proceed without aborting: p = 1.0 for equal means (no evidence either
+    way); otherwise the statistic is +-inf on n_a + n_b - 2 df, so p is 0.0
+    unless a one-sided tail points against the difference.
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -263,32 +257,25 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     mean_a, var_a = _moments(a)
     mean_b, var_b = _moments(b)
     means = (mean_a, mean_b)
-    if var_a == 0.0 and var_b == 0.0:
-        diff = mean_a - mean_b
+    degenerate = var_a == 0.0 and var_b == 0.0
+    if degenerate:
         df = float(n_a + n_b - 2)
-        if diff == 0.0:
-            return TestResult(0.0, df, 1.0, tail, degenerate=True, means=means)
-        stat = math.inf if diff > 0 else -math.inf
-        if tail is Tail.TWO_SIDED:
-            p = 0.0
-        elif tail is Tail.UPPER:
-            p = 0.0 if diff > 0 else 1.0
-        else:
-            p = 0.0 if diff < 0 else 1.0
-        return TestResult(stat, df, p, tail, degenerate=True, means=means)
-
-    se2_a = var_a / n_a
-    se2_b = var_b / n_b
-    se2 = se2_a + se2_b
-    stat = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 * se2 / (se2_a * se2_a / (n_a - 1) + se2_b * se2_b / (n_b - 1))
+        if mean_a == mean_b:
+            return TestResult(0.0, df, 1.0, tail, degenerate, means)
+        stat = math.inf if mean_a > mean_b else -math.inf  # t_sf(+-inf) is 0 or 1
+    else:
+        se2_a = var_a / n_a
+        se2_b = var_b / n_b
+        se2 = se2_a + se2_b
+        stat = (mean_a - mean_b) / math.sqrt(se2)
+        df = se2 * se2 / (se2_a * se2_a / (n_a - 1) + se2_b * se2_b / (n_b - 1))
     if tail is Tail.TWO_SIDED:
         p = min(1.0, 2.0 * t_sf(abs(stat), df))
     elif tail is Tail.UPPER:
         p = t_sf(stat, df)
     else:
         p = t_sf(-stat, df)
-    return TestResult(stat, df, p, tail, means=means)
+    return TestResult(stat, df, p, tail, degenerate, means)
 
 
 # ---------------------------------------------------------------------------

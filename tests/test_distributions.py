@@ -1,12 +1,14 @@
-"""Distribution-function checks against frozen reference values and the
-contractual shape properties (symmetry, monotonicity, limits)."""
+"""Distribution-function checks against frozen reference values, the
+contractual shape properties (symmetry, monotonicity, limits), and bit
+identity of the incomplete-beta continued fraction with its body before
+its half-steps were written once."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fast_trials.stats import InputError, chi_square_sf, normal_cdf, t_sf
+from fast_trials.stats import _EPS, _FPMIN, _MAX_CF_ITER, InputError, _beta_cf, chi_square_sf, normal_cdf, t_sf
 
 
 def test_normal_cdf_at_zero():
@@ -61,6 +63,59 @@ def test_t_sf_monotone_nonincreasing():
 def test_t_sf_large_df_approaches_normal_tail():
     for z in (-2.5, -0.3, 0.6, 1.96, 3.2):
         assert t_sf(z, 1e6) == pytest.approx(1.0 - normal_cdf(z), abs=1e-6)
+
+
+def _reference_beta_cf(a, b, x):
+    """_beta_cf with its two Lentz half-steps written out in turn."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_CF_ITER):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise AssertionError("reference did not converge")
+
+
+def test_beta_cf_bit_identical_to_reference_body():
+    """The (a, b, x) that t_sf hands the continued fraction on the grids of
+    the tests above, on the side of the mean where it converges."""
+    seen = 0
+    for df in (0.3, 0.7, 1.0, 3.0, 8.0, 29.4, 1e6):
+        for t in np.linspace(-12.0, 12.0, 97).tolist() + [2.306, 1.96, 0.6, 1e-3]:
+            a, b, x = 0.5 * df, 0.5, df / (df + t * t)
+            if x >= 1.0:
+                continue
+            if x >= (a + 1.0) / (a + b + 2.0):
+                a, b, x = b, a, 1.0 - x
+            assert _beta_cf(a, b, x) == _reference_beta_cf(a, b, x), (df, t)
+            seen += 1
+    assert seen > 600
 
 
 @pytest.mark.parametrize("df", [0.0, -1.0])

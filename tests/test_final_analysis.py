@@ -39,41 +39,67 @@ def _model(subjects, branch):
 
 # -- model construction -------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "column, value", [("y21", 2), ("arm_b", 2), ("arm_a", -2), ("arm_a", 258), ("y21", 0.5)]
+)
+def test_subject_codes_out_of_range_are_rejected(column, value):
+    # A y21 of 2 would count as a non-event of the next cell, and an arm_b
+    # of 2 as a subject of the next domain-A arm.
+    columns = {"arm_a": [0, 1, 2, -1], "arm_b": [0, 1, 0, 1], "y21": [0, 1, 1, 0]}
+    columns[column][1] = value
+    with pytest.raises(ValueError, match=column):
+        _subjects(**columns)
+
+
 def test_pooled_indicator_is_or_of_arm_indicators():
     arm_a = np.array([0, 1, 2, 1, 0, 2, 2])
     arm_b = np.array([0, 1, 0, 1, 1, 0, 1])
-    model = _model(_subjects(arm_a, arm_b, np.zeros(7, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
-    # (pooled, b1) patterns: A0 -> pooled 0, A1 and A2 -> pooled 1.
-    np.testing.assert_array_equal(model.rows, [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
-    np.testing.assert_array_equal(model.trials, [1, 1, 2, 3])
-    assert model.trials.sum() == 7
+    table = _model(_subjects(arm_a, arm_b, np.zeros(7, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
+    # (pooled, b1) patterns in code order 00, 01, 10, 11: A0 -> pooled 0,
+    # A1 and A2 -> pooled 1.
+    assert table.shape == (2, 4)
+    np.testing.assert_array_equal(table[1], [1, 1, 2, 3])
+    np.testing.assert_array_equal(table[0], 0)
 
 
 def test_dropped_arm_subjects_stay_in_pool():
     # A1 dropped mid-stream: its early subjects still carry the pooled flag.
     arm_a = np.array([1] * 5 + [2] * 10 + [0] * 10)
     arm_b = np.zeros(25, dtype=int)
-    model = _model(_subjects(arm_a, arm_b, np.zeros(25, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
-    np.testing.assert_array_equal(model.rows, [[1, 0, 0], [1, 1, 0]])
-    np.testing.assert_array_equal(model.trials, [10, 15])
+    table = _model(_subjects(arm_a, arm_b, np.zeros(25, dtype=int)), FinalBranch.ONE_ARM_RETAINED)
+    np.testing.assert_array_equal(table[1], [10, 0, 15, 0])
 
 
 def test_terminated_model_uses_all_subjects():
     arm_a = np.array([0, 1, 2, -1, -1, -1])
     arm_b = np.array([0, 1, 0, 1, 0, 1])
-    model = _model(_subjects(arm_a, arm_b, np.zeros(6, dtype=int)), "domain_a_terminated")
-    assert model.branch is FinalBranch.DOMAIN_A_TERMINATED
-    np.testing.assert_array_equal(model.rows, [[1, 0], [1, 1]])
-    np.testing.assert_array_equal(model.trials, [3, 3])
+    table = _model(_subjects(arm_a, arm_b, np.zeros(6, dtype=int)), "domain_a_terminated")
+    assert table.shape == (2, 2)
+    np.testing.assert_array_equal(table[1], [3, 3])
 
 
 def test_both_retained_reference_coding():
     arm_a = np.array([0, 1, 2, 0])
     arm_b = np.array([0, 0, 1, 1])
-    model = _model(_subjects(arm_a, arm_b, np.zeros(4, dtype=int)), "both_arms_retained")
-    # (a1, a2, b1): A0/B0 all-zero, A0/B1, A2/B1, A1/B0, in code order.
-    np.testing.assert_array_equal(model.rows, [[1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 0]])
-    np.testing.assert_array_equal(model.trials, [1, 1, 1, 1])
+    table = _model(_subjects(arm_a, arm_b, np.zeros(4, dtype=int)), "both_arms_retained")
+    # (a1, a2, b1) codes: A0/B0 000, A0/B1 001, A2/B1 011, A1/B0 100.
+    np.testing.assert_array_equal(table[1], [1, 1, 0, 1, 1, 0, 0, 0])
+
+
+def test_gatekeepers_reject_another_branchs_table():
+    cells = cell_table(_subjects([0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 0]))
+    analyses = {
+        FinalBranch.ONE_ARM_RETAINED: gatekeep_one_retained,
+        FinalBranch.BOTH_ARMS_RETAINED: gatekeep_both_retained,
+        FinalBranch.DOMAIN_A_TERMINATED: analyze_terminated,
+    }
+    for branch, analysis in analyses.items():
+        for other in FinalBranch:
+            if other is not branch:
+                with pytest.raises(ValueError, match="pattern table"):
+                    analysis(build_final_model(cells, other), 0.05)
+        with pytest.raises(ValueError, match="pattern table"):
+            analysis(build_final_model(cells, branch)[:, :1], 0.05)
 
 
 def test_grouped_counts_conserve_subjects_and_events():
@@ -81,14 +107,14 @@ def test_grouped_counts_conserve_subjects_and_events():
     arm_a = rng.integers(0, 3, 500)
     arm_b = rng.integers(0, 2, 500)
     y21 = rng.integers(0, 2, 500)
-    model = _model(_subjects(arm_a, arm_b, y21), "both_arms_retained")
-    assert model.trials.sum() == 500
-    assert model.events.sum() == y21.sum()
+    table = _model(_subjects(arm_a, arm_b, y21), "both_arms_retained")
+    assert table[1].sum() == 500
+    assert table[0].sum() == y21.sum()
 
 
 def _reference_build(subjects, branch):
-    """Rows, events and trials as built from the subjects before cell
-    tables: mask, indicator columns, binary codes."""
+    """Events and trials per pattern code as built from the subjects before
+    cell tables: mask, indicator columns, binary codes."""
     mask = subjects.arm_a != -1
     if branch is FinalBranch.DOMAIN_A_TERMINATED:
         mask = np.ones(len(subjects), dtype=bool)
@@ -105,9 +131,7 @@ def _reference_build(subjects, branch):
         codes = codes * 2 + indicators[:, j]
     trials = np.bincount(codes, minlength=2**k)
     events = np.bincount(codes, weights=y21.astype(float), minlength=2**k)
-    present = trials > 0
-    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
-    return rows[present], events[present], trials[present].astype(float)
+    return np.array([events, trials.astype(float)])
 
 
 def _split(subjects, bounds):
@@ -119,8 +143,8 @@ def _split(subjects, bounds):
 
 @pytest.mark.parametrize("branch", list(FinalBranch))
 def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
-    """Summed per-block cell tables give the rows and counts of grouping
-    the concatenated subjects, on random block splits with absent
+    """Summed per-block cell tables give the pattern table of grouping the
+    concatenated subjects, on random block splits with absent
     subjects, missing arms, no B1 and one-subject blocks."""
     rng = np.random.default_rng(606)
     seen = set()
@@ -142,12 +166,7 @@ def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
         for table in tables:
             cells = cells + table
         np.testing.assert_array_equal(cells, cell_table(data), strict=True)
-        model = build_final_model(cells, branch)
-        rows, events, trials = _reference_build(data, branch)
-        assert model.branch is branch
-        np.testing.assert_array_equal(model.rows, rows, strict=True)
-        np.testing.assert_array_equal(model.events, events, strict=True)
-        np.testing.assert_array_equal(model.trials, trials, strict=True)
+        np.testing.assert_array_equal(build_final_model(cells, branch), _reference_build(data, branch), strict=True)
         seen.add(len(blocks) > 1)
         seen.add(min(len(b) for b in blocks) == 1)
         seen.add("absent" if (arm_a == -1).any() else "assigned only")

@@ -102,11 +102,9 @@ def test_retention_rule_exhaustive_enumeration():
     for sig11, sig12, mean11, mean12, default in itertools.product(
         (False, True), (False, True), orderings, orderings, ("A1", "A2")
     ):
-        t11 = TestResult(2.0, 10.0, 0.01 if sig11 else 0.5, Tail.TWO_SIDED)
-        t12 = TestResult(2.0, 10.0, 0.01 if sig12 else 0.5, Tail.TWO_SIDED)
-        decision = resolve_retention(
-            t11, mean11, t12, mean12, 0.05, ("increase", "decrease"), default
-        )
+        t11 = TestResult(2.0, 10.0, 0.01 if sig11 else 0.5, Tail.TWO_SIDED, means=mean11)
+        t12 = TestResult(2.0, 10.0, 0.01 if sig12 else 0.5, Tail.TWO_SIDED, means=mean12)
+        decision = resolve_retention(t11, t12, 0.05, ("increase", "decrease"), default)
         expected = _expected_rule(sig11, mean11, sig12, mean12, default)
         assert decision.retained == expected, (sig11, sig12, mean11, mean12, default)
         assert decision.used_default == (not sig11 and not sig12)
@@ -137,8 +135,9 @@ def test_feasibility_strong_shift_proceeds():
     assert decision.proceed
     assert 60.0 < decision.test.statistic < 82.0
     assert decision.test.p_value < 1e-12
-    assert decision.pooled_mean == pytest.approx(10.0, abs=0.5)
-    assert decision.control_mean == pytest.approx(0.0, abs=0.5)
+    pooled_mean, control_mean = decision.test.means
+    assert pooled_mean == pytest.approx(10.0, abs=0.5)
+    assert control_mean == pytest.approx(0.0, abs=0.5)
 
 
 def test_feasibility_one_sidedness():
@@ -155,7 +154,7 @@ def test_feasibility_pools_dropped_arm_subjects():
     y = y + np.tile([-0.5, 0.5], 40)
     data = _subjects([0] * 40 + [1] * 20 + [2] * 20, y)
     decision = feasibility_analysis(data, 0.05, "increase")
-    assert decision.pooled_mean == pytest.approx(5.0, abs=1e-9)
+    assert decision.test.means[0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_feasibility_invariant_to_permutation():
@@ -221,6 +220,4 @@ def test_decisions_carry_the_welch_sample_means_bit_for_bit():
         for test, y in ((retention.test_y11, y11), (retention.test_y12, y12)):
             assert test.means == (float(y[codes == 1].mean()), float(y[codes == 2].mean()))
         feasibility = feasibility_analysis(data, 0.05)
-        assert feasibility.pooled_mean == float(y11[codes > 0].mean())
-        assert feasibility.control_mean == float(y11[codes == 0].mean())
-        assert feasibility.test.means == (feasibility.pooled_mean, feasibility.control_mean)
+        assert feasibility.test.means == (float(y11[codes > 0].mean()), float(y11[codes == 0].mean()))

@@ -1,7 +1,9 @@
-"""Closed-form saturated fits and the per-design layout memo: the final
-analysis must give the same p-values, failure flags and errors as fitting
-every node by IRLS, which this file keeps as the reference."""
+"""Closed-form saturated fits, the node plans and the per-design layout
+memo: the final analysis must give the same p-values, failure flags and
+errors as fitting every node by IRLS on the patterns that have subjects,
+which this file keeps as the reference."""
 
+import itertools
 import math
 import warnings
 
@@ -11,7 +13,6 @@ import pytest
 from fast_trials import final_analysis
 from fast_trials.final_analysis import (
     FinalBranch,
-    FinalModelData,
     _saturated_pass,
     _stack,
     analyze_terminated,
@@ -69,15 +70,27 @@ _IRLS_FITS = {
 _MODES = ("interior", "boundary", "no_b1", "missing_arm", "tiny", "mixed")
 
 
-def _reference_node_tests(data, full_cols, reduced_map):
+def _grouped(table):
+    """The design rows (intercept first), events and trials of the patterns
+    of a (2, 2^k) table that have subjects; pattern code c has covariate j
+    equal to bit k - 1 - j of c."""
+    events, trials = table
+    k = len(trials).bit_length() - 1
+    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
+    present = trials > 0
+    return rows[present], events[present], trials[present]
+
+
+def _reference_node_tests(table, full_cols, reduced_map):
     """Every node fitted by IRLS: the final analysis before closed forms."""
+    rows, events, trials = _grouped(table)
     failed = False
     try:
-        full = fit_logistic_counts(data.rows[:, list(full_cols)], data.events, data.trials)
+        full = fit_logistic_counts(rows[:, list(full_cols)], events, trials)
         failed |= not full.converged
         p_values = {}
         for node, reduced_cols in reduced_map.items():
-            reduced = fit_logistic_counts(data.rows[:, list(reduced_cols)], data.events, data.trials)
+            reduced = fit_logistic_counts(rows[:, list(reduced_cols)], events, trials)
             failed |= not reduced.converged
             p_values[node] = lr_test(
                 full.log_likelihood, reduced.log_likelihood, len(full_cols) - len(reduced_cols)
@@ -88,7 +101,7 @@ def _reference_node_tests(data, full_cols, reduced_map):
 
 
 def _table(rng, branch, mode):
-    """Final-model data from random per-(arm_a, arm_b) cell counts."""
+    """A pattern table from random per-(arm_a, arm_b) cell counts."""
     _, arms_a, *_ = _LAYOUTS[branch]
     missing = rng.choice([a for a in arms_a if a > 0]) if mode == "missing_arm" and len(arms_a) > 1 else None
     cells = np.zeros((4, 2, 2), dtype=np.intp)
@@ -112,42 +125,63 @@ def _table(rng, branch, mode):
     return build_final_model(cells, branch)
 
 
-def _outcome_or_error(analysis, data):
+def _outcome_or_error(analysis, table):
     try:
-        return analysis(data, 0.05)
+        return analysis(table, 0.05)
     except InputError as exc:
         return str(exc)
 
 
+def _check_against_reference(branch, table, context) -> str:
+    """Assert that the branch's analysis of ``table`` gives the reference's
+    p-values, failure flag or InputError; return which of them it was."""
+    analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
+    try:
+        expected = _reference_node_tests(table, full_cols, reduced_map)
+    except InputError as exc:
+        expected = str(exc)
+    got = _outcome_or_error(analysis, table)
+    if isinstance(expected, str):
+        assert got == expected, context
+        return "input_error"
+    ref_p, ref_failed = expected
+    assert got.fit_failed == ref_failed, context
+    assert got.node_p_values.keys() == ref_p.keys()
+    for node, p in ref_p.items():
+        assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (context, node)
+    return "failed" if ref_failed else "ok"
+
+
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_node_p_values_match_all_irls_reference(branch):
-    analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
     rng = np.random.default_rng(20231019)
     seen = set()
     for _ in range(240):
         mode = _MODES[int(rng.integers(len(_MODES)))]
-        data = _table(rng, branch, mode)
-        try:
-            expected = _reference_node_tests(data, full_cols, reduced_map)
-        except InputError as exc:
-            expected = str(exc)
-        got = _outcome_or_error(analysis, data)
-        if isinstance(expected, str):
-            assert got == expected, mode
-            seen.add("input_error")
-            continue
-        ref_p, ref_failed = expected
-        assert got.fit_failed == ref_failed, mode
-        assert got.node_p_values.keys() == ref_p.keys()
-        for node, p in ref_p.items():
-            assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (mode, node)
-        seen.add("failed" if ref_failed else "ok")
+        seen.add(_check_against_reference(branch, _table(rng, branch, mode), mode))
     # The draws must reach every kind of outcome they are meant to compare.
     assert seen == {"input_error", "failed", "ok"}
 
 
-def _plan(branch, data):
-    return final_analysis._node_plan(branch, data.rows.shape, data.rows.tobytes())
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_every_presence_mask_matches_all_irls_reference(branch):
+    """Each set of patterns with subjects keys its own node plan; every one
+    of the 2^(2^k) sets, with interior counts on its patterns, gives the
+    reference's p-values or error, and the plans stay within the
+    4 + 16 + 256 that exist."""
+    n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
+    rng = np.random.default_rng(1009)
+    seen = set()
+    for mask in itertools.product((False, True), repeat=n):
+        trials = [int(rng.integers(8, 150)) if m else 0 for m in mask]
+        events = [int(rng.integers(1, t)) if t else 0 for t in trials]
+        seen.add(_check_against_reference(branch, np.array([events, trials], dtype=float), mask))
+        assert final_analysis._node_plan.cache_info().currsize <= 4 + 16 + 256
+    assert {"input_error", "ok"} <= seen
+
+
+def _plan(branch, table):
+    return final_analysis._node_plan(branch, tuple((table[1] > 0).tolist()))
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -155,16 +189,17 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
     _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
     rng = np.random.default_rng(7)
     for _ in range(40):
-        data = _table(rng, branch, "interior")
-        plan = _plan(branch, data)
-        closed = _saturated_pass(plan.stack, data.events, data.trials)
+        table = _table(rng, branch, "interior")
+        plan = _plan(branch, table)
+        rows, events, trials = _grouped(table)
+        closed = _saturated_pass(plan.stack, events, trials)
         models = [full_cols, *reduced_map.values()]
         for cols, design, slot in zip(models, plan.designs, plan.slots):
-            np.testing.assert_array_equal(design, data.rows[:, list(cols)], strict=True)
+            np.testing.assert_array_equal(design, rows[:, list(cols)], strict=True)
             assert (slot is not None) == (cols in saturated)
             if slot is None:
                 continue
-            irls = fit_logistic_counts(design, data.events, data.trials)
+            irls = fit_logistic_counts(design, events, trials)
             assert irls.converged
             assert closed[slot] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
 
@@ -188,18 +223,14 @@ def test_boundary_group_is_left_to_irls():
 
 
 def test_closed_form_keeps_input_errors():
-    x = np.array([[1.0, 0.0], [1.0, 1.0]])
-    trials = np.array([20.0, 20.0])
-
-    def analyze(rows, events):
-        return analyze_terminated(FinalModelData(FinalBranch.DOMAIN_A_TERMINATED, rows, events, trials), 0.05)
-
     with pytest.raises(InputError, match="trials"):
-        analyze(x, np.array([5.0, 21.0]))
-    with pytest.raises(InputError, match="intercept"):
-        analyze(x[:, ::-1], np.array([5.0, 6.0]))
-    with pytest.raises(InputError, match="collinear"):
-        analyze(np.ones((2, 2)), np.array([5.0, 6.0]))
+        analyze_terminated(np.array([[5.0, 21.0], [20.0, 20.0]]), 0.05)
+    with pytest.raises(InputError, match="trials"):  # events where no subject is
+        analyze_terminated(np.array([[5.0, 1.0], [20.0, 0.0]]), 0.05)
+    with pytest.raises(InputError, match="collinear"):  # only B1 subjects
+        analyze_terminated(np.array([[0.0, 6.0], [0.0, 20.0]]), 0.05)
+    with pytest.raises(InputError, match="pattern table"):
+        analyze_terminated(np.array([[5.0, 6.0, 0.0], [20.0, 20.0, 0.0]]), 0.05)
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -212,8 +243,8 @@ def test_only_main_effects_models_iterate(branch, monkeypatch):
         return fit_logistic_counts(*args)
 
     monkeypatch.setattr(final_analysis, "fit_logistic_counts", counting)
-    data = _table(np.random.default_rng(3), branch, "interior")
-    assert not analysis(data, 0.05).fit_failed
+    table = _table(np.random.default_rng(3), branch, "interior")
+    assert not analysis(table, 0.05).fit_failed
     assert len(calls) == _IRLS_FITS[branch]
 
 
@@ -274,15 +305,16 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
         warnings.simplefilter("error")  # a boundary group must not warn
         for i in range(360):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
-            data = _table(rng, branch, mode)
+            table = _table(rng, branch, mode)
             try:
-                plan = _plan(branch, data)
+                plan = _plan(branch, table)
             except InputError:
                 seen.add("collinear")
                 continue
-            closed = _saturated_pass(plan.stack, data.events, data.trials)
+            _, events, trials = _grouped(table)
+            closed = _saturated_pass(plan.stack, events, trials)
             for design, slot in zip(plan.designs, plan.slots):
-                expected = _reference_saturated_fit(_design_layout(design), data.events, data.trials)
+                expected = _reference_saturated_fit(_design_layout(design), events, trials)
                 if slot is None:
                     assert expected is None
                     seen.add("unsaturated")

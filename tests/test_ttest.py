@@ -1,13 +1,15 @@
 """Welch two-sample t-test: hand-computed cases, tail relations, the
-degenerate zero-variance handling the simulation loop relies on, and bit
-identity of the one-pass sample moments with numpy's mean and variance."""
+degenerate zero-variance handling the simulation loop relies on, bit
+identity of the one-pass sample moments with numpy's mean and variance, and
+of the test with its body before the tail code was shared."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fast_trials.stats import InputError, Tail, _moments, t_sf, welch_t_test
+from fast_trials.stats import InputError, Tail, TestResult, _moments, t_sf, welch_t_test
 
 
 def test_identical_samples_give_null_result():
@@ -130,3 +132,68 @@ def test_welch_statistic_bit_identical_to_numpy_moments():
         for tail in Tail:
             r = welch_t_test(a, b, tail)
             assert (r.statistic, r.df) == _reference_welch(a, b)
+
+
+def _reference_welch_test(sample_a, sample_b, tail):
+    """welch_t_test as written with a tail code of its own for the
+    degenerate case; inputs are already checked."""
+    a = np.asarray(sample_a, dtype=float)
+    b = np.asarray(sample_b, dtype=float)
+    n_a, n_b = a.size, b.size
+    mean_a, var_a = _moments(a)
+    mean_b, var_b = _moments(b)
+    means = (mean_a, mean_b)
+    if var_a == 0.0 and var_b == 0.0:
+        diff = mean_a - mean_b
+        df = float(n_a + n_b - 2)
+        if diff == 0.0:
+            return TestResult(0.0, df, 1.0, tail, degenerate=True, means=means)
+        stat = math.inf if diff > 0 else -math.inf
+        if tail is Tail.TWO_SIDED:
+            p = 0.0
+        elif tail is Tail.UPPER:
+            p = 0.0 if diff > 0 else 1.0
+        else:
+            p = 0.0 if diff < 0 else 1.0
+        return TestResult(stat, df, p, tail, degenerate=True, means=means)
+
+    se2_a = var_a / n_a
+    se2_b = var_b / n_b
+    se2 = se2_a + se2_b
+    stat = (mean_a - mean_b) / math.sqrt(se2)
+    df = se2 * se2 / (se2_a * se2_a / (n_a - 1) + se2_b * se2_b / (n_b - 1))
+    if tail is Tail.TWO_SIDED:
+        p = min(1.0, 2.0 * t_sf(abs(stat), df))
+    elif tail is Tail.UPPER:
+        p = t_sf(stat, df)
+    else:
+        p = t_sf(-stat, df)
+    return TestResult(stat, df, p, tail, means=means)
+
+
+def test_welch_bit_identical_to_reference_body():
+    """Every pair of the moment samples, constants (degenerate pairs) among
+    them, and the random pairs above, in every tail."""
+    samples = list(_moment_samples())
+    rng = np.random.default_rng(77)
+    pairs = list(itertools.product(samples, repeat=2))
+    for _ in range(300):
+        n_a, n_b = (int(v) for v in rng.integers(2, 400, size=2))
+        a = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 20), n_a)
+        b = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 20), n_b)
+        pairs.append((a, b))
+
+    def outcome(test, a, b, tail):
+        try:
+            return test(a, b, tail)
+        except InputError as exc:  # an underflowing df is nan in both
+            return str(exc)
+
+    degenerate = 0
+    with np.errstate(over="ignore", under="ignore"):  # the extreme samples, alike in both
+        for a, b in pairs:
+            for tail in Tail:
+                got = outcome(welch_t_test, a, b, tail)
+                assert got == outcome(_reference_welch_test, a, b, tail), (a.size, b.size, tail)
+                degenerate += not isinstance(got, str) and got.degenerate and got.statistic != 0.0
+    assert degenerate > 0
