@@ -8,6 +8,9 @@ use two continuous biomarkers (y11, y12); the phase-3 outcome (y21) is
 binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
 ``validate_scenario`` checks the whole document at once; ``SubjectData``
 holds simulated subjects column by column.
+A config owns what derives from it alone: the unclamped event-probability
+table that validation range-checks, and the generation tables, kept on the
+instance once built.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +33,10 @@ __all__ = [
     "ARM_A_CODE",
     "ARM_B_CODE",
     "ABSENT",
+    "PROB_CLAMP_LO",
+    "PROB_CLAMP_HI",
     "BenefitDirection",
+    "GenerationTables",
     "ScenarioConfig",
     "SubjectData",
     "ScenarioValidationError",
@@ -48,10 +55,31 @@ ARM_A_CODE = {"A0": 0, "A1": 1, "A2": 2}
 ARM_B_CODE = {"B0": 0, "B1": 1}
 ABSENT = -1  # arm_a code for subjects enrolled after domain A termination
 
+# Bernoulli probabilities are kept away from 0/1 so extreme configurations
+# stay well-defined; clamps are counted and surfaced in results.
+PROB_CLAMP_LO = 0.001
+PROB_CLAMP_HI = 0.999
+
 
 class BenefitDirection(str, Enum):
     INCREASE = "increase"
     DECREASE = "decrease"
+
+    def favours(self, a: float, b: float) -> bool:
+        """Whether ``a`` lies further than ``b`` in this direction of
+        benefit: larger for an increase, smaller for a decrease."""
+        return a > b if self is BenefitDirection.INCREASE else a < b
+
+
+class GenerationTables(NamedTuple):
+    """Per-arm constants of one scenario, read-only: rows by domain-A code
+    + 1 (row 0: ``ABSENT``), columns of the cell tables by domain-B code."""
+
+    shift11: np.ndarray  # biomarker mean shifts, shape (4,)
+    shift12: np.ndarray
+    p_event: np.ndarray  # clamped event probability per (A, B) cell, (4, 2)
+    clamped: np.ndarray  # cells whose probability was clamped, (4, 2)
+    any_clamped: bool
 
 
 _DEFAULT_GRID = tuple(range(90, 301, 30))
@@ -102,6 +130,28 @@ class ScenarioConfig:
         if arm is None or arm in ("A0", "B0"):
             return 0.0
         return float(self.phase3_effects[arm])
+
+    def event_probabilities(self) -> np.ndarray:
+        """Unclamped event probability per (domain-A code + 1, domain-B code)
+        cell, (4, 2): rate + rd_a + rd_b in this order, as float64 addition
+        is not associative and the pinned outputs depend on every last bit."""
+        rate = float(self.control_event_rate)
+        rd_a = (0.0, 0.0) + tuple(self.risk_difference(arm) for arm in TREATMENT_ARMS_A)
+        rd_b = (0.0, self.risk_difference("B1"))
+        return np.array([[rate + ra + rb for rb in rd_b] for ra in rd_a])
+
+    @cached_property
+    def generation_tables(self) -> GenerationTables:
+        """The biomarker shifts and the clamped event probabilities that
+        subject generation reads, built on first use and kept on this config."""
+        shifts = [[0.0, 0.0] + [self.biomarker_effect(arm, y) for arm in TREATMENT_ARMS_A] for y in (0, 1)]
+        shift11, shift12 = np.array(shifts)
+        p = self.event_probabilities()
+        clamped = (p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)
+        p = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
+        for table in (shift11, shift12, p, clamped):
+            table.setflags(write=False)
+        return GenerationTables(shift11, shift12, p, clamped, bool(clamped.any()))
 
 
 def _codes(values, allowed: tuple, name: str) -> np.ndarray:
@@ -249,9 +299,8 @@ def scenario_issues(config: ScenarioConfig) -> list[str]:
             if not _is_finite(effects[arm])
         ]
     elif _is_number(rate) and 0.0 < rate < 1.0:
-        for arm_a in (None, "A0", "A1", "A2"):
-            for arm_b in ("B0", "B1"):
-                p = rate + config.risk_difference(arm_a) + config.risk_difference(arm_b)
+        for arm_a, row in zip((None, "A0", "A1", "A2"), config.event_probabilities()):
+            for arm_b, p in zip(("B0", "B1"), row):
                 if not 0.0 < p < 1.0:
                     issues.append(
                         f"phase3_effects: event probability for arms ({arm_a or 'none'}, {arm_b}) "

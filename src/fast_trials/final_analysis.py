@@ -42,14 +42,13 @@ counts are integer sums, so the table equals grouping the subjects
 themselves bit for bit.
 
 A replicate computes only what the closed test reads: log-likelihoods and
-convergence flags. What depends only on the design layout is computed
-once, not per replicate: per branch the cell -> pattern lookup, the 2^k
-pattern rows per k, and per (branch, set of patterns with subjects) a
-memoised node plan holding every model's sliced, checked design and the
-row groupings of the saturated ones, stacked. The table is checked once
-against the full model; the fits see the patterns that have subjects, as
-design rows with their events and trials. One vectorised pass
-(``_saturated_pass``) gives every saturated model's log-likelihood, with
+convergence flags. The cell -> pattern lookups and the 2^k pattern rows
+are built at import, and per (branch, set of patterns with subjects) a
+memoised node plan holds every model's checked ``Design`` and the row
+groupings of the saturated ones, stacked. The table is checked once
+against the full model; the fits see the plan's designs on the patterns
+that have subjects, which ``fit_logistic_counts`` trusts. One vectorised
+pass (``_saturated_pass``) gives every saturated model's log-likelihood, with
 the same per-group arithmetic and summation order as fitting each alone.
 ``lr_test`` takes the two log-likelihoods. Every p-value, and every output
 bit, is unchanged.
@@ -70,7 +69,7 @@ from .stats import (
     FittingError,
     InputError,
     _check_table,
-    _checked_layout,
+    check_design,
     fit_logistic_counts,
     lr_test,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "cell_table",
     "build_final_model",
     "closed_test",
-    "gate_two_parameter",
     "gate_three_parameter",
     "gatekeep_one_retained",
     "gatekeep_both_retained",
@@ -236,14 +234,14 @@ class _Stack(NamedTuple):
     owner: np.ndarray
 
 
-def _stack(layouts) -> _Stack:
-    """Stack the row groupings of saturated layouts, in their order; a
-    saturated layout has as many groups as its rank."""
+def _stack(designs) -> _Stack:
+    """Stack the row groupings of saturated designs, in their order; a
+    saturated design has as many groups as columns."""
     rows, groups, owner = [], [], []
-    for model, layout in enumerate(layouts):
-        rows.append(np.arange(len(layout.groups)))
-        groups.append(layout.groups + len(owner))
-        owner += [model] * layout.rank
+    for model, design in enumerate(designs):
+        rows.append(np.arange(len(design.groups)))
+        groups.append(design.groups + len(owner))
+        owner += [model] * design.rows.shape[1]
     arrays = [np.concatenate(rows), np.concatenate(groups), np.array(owner, dtype=np.intp)]
     for a in arrays:
         a.setflags(write=False)
@@ -272,7 +270,7 @@ def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray) -> np
 
 
 class _Plan(NamedTuple):
-    designs: tuple  # each model's design columns: the full model, then every node's
+    designs: tuple  # each model's ``Design``: the full model, then every node's
     slots: tuple  # each model's index in ``stack``; None where it is not saturated
     stack: _Stack  # the row groupings of the saturated models
 
@@ -280,21 +278,17 @@ class _Plan(NamedTuple):
 @cache  # keyed by a mask of 2^k patterns: at most 4 + 16 + 256 plans exist
 def _node_plan(branch: FinalBranch, present: tuple) -> _Plan:
     """The full model and every node's reduced model of ``branch`` on the
-    patterns ``present`` marks, sliced and checked (intercept, full rank)
+    patterns ``present`` marks, each sliced into a checked ``Design``
     once, with the row groupings of the saturated ones stacked for one
     pass. The full model is checked first, so a bad design raises the error
     its fit would."""
     rows = _PATTERN_ROWS[len(_COVARIATES[branch])][np.array(present)]
     full_cols, nodes = _GATING[branch]
-    designs, layouts = [], []
-    for cols in (full_cols,) + tuple(node.reduced for node in nodes):
-        x = rows[:, list(cols)]
-        x.setflags(write=False)
-        designs.append(x)
-        layouts.append(_checked_layout(x))
-    saturated = [m for m, layout in enumerate(layouts) if layout.saturated]
-    slots = tuple(saturated.index(m) if m in saturated else None for m in range(len(layouts)))
-    return _Plan(tuple(designs), slots, _stack([layouts[m] for m in saturated]))
+    models = (full_cols,) + tuple(node.reduced for node in nodes)
+    designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
+    saturated = [m for m, design in enumerate(designs) if design.saturated]
+    slots = tuple(saturated.index(m) if m in saturated else None for m in range(len(designs)))
+    return _Plan(designs, slots, _stack([designs[m] for m in saturated]))
 
 
 def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tuple[float, bool]:
@@ -346,11 +340,6 @@ def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
         if node.ancestors <= rejected and p_values[node.label] < alpha:
             rejected.add(node.label)
     return frozenset(rejected)
-
-
-def gate_two_parameter(p_values: dict, alpha: float) -> frozenset:
-    """Closed testing on the one-arm branch's global/beta1/beta2 nodes."""
-    return closed_test(FinalBranch.ONE_ARM_RETAINED, p_values, alpha)
 
 
 def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import ScenarioConfig, SubjectData, validate_scenario
+from .design import BenefitDirection, ScenarioConfig, SubjectData, validate_scenario
 from .final_analysis import (
     ANCESTORS,
     FinalBranch,
@@ -59,7 +59,6 @@ __all__ = [
     "TrialResult",
     "OperatingCharacteristics",
     "derive_seed",
-    "derive_seeds_vector",
     "designed_correct_arms",
     "truly_effective_arms",
     "gating_violation",
@@ -103,14 +102,6 @@ def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -
     any single index to the seed is exactly injective.
     """
     return _mix_parts(base_seed, (scenario_id, *cell, replicate))
-
-
-def derive_seeds_vector(base_seed: int, scenario_id: int, cell: tuple, replicates: np.ndarray) -> np.ndarray:
-    """Vectorized ``derive_seed`` over replicate indices (collision scans):
-    the last stage's mix runs on uint64 arrays, which wrap mod 2^64."""
-    h = _mix_parts(base_seed, (scenario_id, *cell))
-    x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
-    return _splitmix64(x ^ np.uint64(h))
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +219,14 @@ def run_replicate(
 # scenario-level truth
 # ---------------------------------------------------------------------------
 
-def _beneficial(effect: float, direction: str) -> bool:
-    return effect > 0 if direction == "increase" else effect < 0
-
-
 def designed_correct_arms(config: ScenarioConfig) -> frozenset:
     """The arm the dropping analysis should retain: arms with nonzero
     effects on both biomarkers in the benefit directions; the default arm
     when no arm (or every arm) qualifies."""
-    d11, d12 = config.benefit_directions
+    directions = [BenefitDirection(d) for d in config.benefit_directions]
     qualifying = set()
     for arm in ("A1", "A2"):
-        e11, e12 = config.biomarker_effects[arm]
-        if _beneficial(e11, d11) and _beneficial(e12, d12):
+        if all(d.favours(e, 0) for d, e in zip(directions, config.biomarker_effects[arm])):
             qualifying.add(arm)
     if len(qualifying) in (0, 2):
         return frozenset([config.default_retained_arm])

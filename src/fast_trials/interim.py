@@ -69,9 +69,7 @@ class AnalysisSchedule:
 def _nominate(p_value, mean_a1, mean_a2, alpha, direction) -> Optional[str]:
     if not p_value < alpha:
         return None
-    if BenefitDirection(direction) is BenefitDirection.INCREASE:
-        return "A1" if mean_a1 > mean_a2 else "A2"
-    return "A1" if mean_a1 < mean_a2 else "A2"
+    return "A1" if BenefitDirection(direction).favours(mean_a1, mean_a2) else "A2"
 
 
 def resolve_retention(

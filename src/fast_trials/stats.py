@@ -12,14 +12,14 @@ The Welch test computes each sample's mean and ddof=1 variance in one
 helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
 pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
-cost; the result carries the two means. The layout of a logistic design
-(rank, intercept, row grouping, and whether it is saturated: as many
-distinct rows as columns, at full rank) is computed once per distinct
-design and memoised; the final analysis fits its saturated models in
-closed form from it. The IRLS Newton loop forms the same products in the
-same memory order as the textbook step, so its iterates and iteration
-count are unchanged. A fit carries its coefficients, log-likelihood and
-convergence flags; the final analysis reads only the last two.
+cost; the result carries the two means. ``check_design`` checks a logistic
+design (2-d, intercept, full rank) into a read-only ``Design`` with its row
+grouping and whether it is saturated, which a fit trusts and from which
+the final analysis fits saturated models in closed form. The IRLS Newton
+loop forms the same products in the same memory order as the textbook
+step, so its iterates and iteration count are unchanged. A fit carries its
+coefficients, log-likelihood and convergence flags; the final analysis
+reads only the last two.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +43,8 @@ __all__ = [
     "chi_square_sf",
     "welch_t_test",
     "fit_logistic",
+    "Design",
+    "check_design",
     "fit_logistic_counts",
     "lr_test",
 ]
@@ -57,7 +58,6 @@ _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)  # Gamma(3/2)
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 50
 _DIVERGE_BOUND = 30.0  # |coef| beyond this is numerically certain separation
-_LAYOUT_CACHE_SIZE = 512  # distinct designs remembered; a run typically meets fewer than ten
 
 
 class InputError(ValueError):
@@ -290,30 +290,37 @@ def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -
     return float(np.sum(events * eta - trials * softplus))
 
 
-class _Layout(NamedTuple):
-    """What a fit needs to know of a design beyond its values."""
+class Design(NamedTuple):
+    """A logistic design checked once (``check_design``) and trusted by
+    every fit given it: read-only float rows with an all-ones intercept
+    column and full column rank."""
 
-    rank: int
-    intercept: bool  # column 0 is all ones
+    rows: np.ndarray
     groups: np.ndarray  # row -> index of its distinct covariate row
-    saturated: bool  # as many distinct rows as columns, at full rank
+    saturated: bool  # as many distinct rows as columns
 
 
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _layout(shape: tuple, buffer: bytes) -> _Layout:
-    x = np.frombuffer(buffer).reshape(shape)
-    rank = int(np.linalg.matrix_rank(x))
+def _matrix(rows) -> np.ndarray:
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise InputError("design must be a 2-d matrix")
+    return x
+
+
+def check_design(rows) -> Design:
+    """The ``Design`` of a 2-d float design with an intercept and full
+    column rank. The rows are copied before they are frozen, so the
+    caller's array stays writeable."""
+    x = np.array(_matrix(rows))
+    if not (x[:, 0] == 1.0).all():
+        raise InputError("design must carry an all-ones intercept in column 0")
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise InputError("design columns are collinear")
     distinct, groups = np.unique(x, axis=0, return_inverse=True)
     groups = groups.reshape(-1)
+    x.setflags(write=False)
     groups.setflags(write=False)
-    return _Layout(rank, bool((x[:, 0] == 1.0).all()), groups, distinct.shape[0] == shape[1] == rank)
-
-
-def _design_layout(x: np.ndarray) -> _Layout:
-    """Rank and row grouping of a float design, computed once per distinct
-    design: a simulation's designs are a few small 0/1 matrices that recur
-    in every replicate."""
-    return _layout(x.shape, x.tobytes())
+    return Design(x, groups, distinct.shape[0] == x.shape[1])
 
 
 def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
@@ -323,31 +330,6 @@ def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
     n_subjects = float(trials.sum())
     if n_subjects < k:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
-
-
-def _checked_layout(x: np.ndarray) -> _Layout:
-    """Layout of a float design with an intercept and full column rank."""
-    layout = _design_layout(x)
-    if not layout.intercept:
-        raise InputError("design must carry an all-ones intercept in column 0")
-    if layout.rank < x.shape[1]:
-        raise InputError("design columns are collinear")
-    return layout
-
-
-def _checked_counts(design_rows, events, trials):
-    """Grouped logistic inputs as float arrays plus the design's layout,
-    after every precondition of a fit has been checked."""
-    x = np.asarray(design_rows, dtype=float)
-    events = np.asarray(events, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    if x.ndim != 2:
-        raise InputError("design must be a 2-d matrix")
-    n_rows, k = x.shape
-    if events.shape != (n_rows,) or trials.shape != (n_rows,):
-        raise InputError("events/trials must align with design rows")
-    _check_table(events, trials, k)
-    return x, events, trials, _checked_layout(x)
 
 
 def _raise_singular(err, flag):
@@ -363,20 +345,29 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
-def fit_logistic_counts(design_rows: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
+def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
     """IRLS logistic fit on grouped data (one design row per covariate
     pattern, with event/trial counts).
 
-    The log-likelihood matches the equivalent subject-level Bernoulli model
+    ``design`` is a checked ``Design``, which the fit trusts, or raw rows,
+    which it checks on every call after the counts (``check_design``). The
+    log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
-    fits, and closed-form log-likelihoods. The collinearity (SVD rank) test
-    runs once per distinct design. The Newton step reuses trials * mu for
-    the weights and the score and builds the information as (X' * w) @ X,
-    the same products in the same memory order as (X * w[:, None])' @ X,
-    so every iterate is bit-identical to the textbook form.
+    fits, and closed-form log-likelihoods. The Newton step reuses
+    trials * mu for the weights and the score and builds the information as
+    (X' * w) @ X, the same products in the same memory order as
+    (X * w[:, None])' @ X, so every iterate is bit-identical to the
+    textbook form.
     """
-    x, events, trials, _ = _checked_counts(design_rows, events, trials)
-    k = x.shape[1]
+    x = design.rows if isinstance(design, Design) else _matrix(design)
+    events = np.asarray(events, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    n_rows, k = x.shape
+    if events.shape != (n_rows,) or trials.shape != (n_rows,):
+        raise InputError("events/trials must align with design rows")
+    _check_table(events, trials, k)
+    if not isinstance(design, Design):
+        check_design(x)
     xt = x.T
 
     beta = np.zeros(k)

@@ -17,7 +17,6 @@ from fast_trials.final_analysis import (
     cell_table,
     closed_test,
     gate_three_parameter,
-    gate_two_parameter,
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
@@ -175,6 +174,11 @@ def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
 
 
 # -- pure gating rules ---------------------------------------------------------
+
+def gate_two_parameter(p_values, alpha):
+    """Closed testing on the one-arm branch's global/beta1/beta2 nodes."""
+    return closed_test(FinalBranch.ONE_ARM_RETAINED, p_values, alpha)
+
 
 def test_two_parameter_gate_traces():
     assert gate_two_parameter({"global": 0.001, "beta1": 0.2, "beta2": 0.001}, 0.05) == {

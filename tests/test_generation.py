@@ -3,11 +3,14 @@ additivity and clamping of risk differences, stream determinism, and bit
 identity of the table-driven block generator with the per-subject
 arithmetic it replaced."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from fast_trials.design import ABSENT, ARM_A_CODE, ScenarioConfig
-from fast_trials.generation import PROB_CLAMP_HI, PROB_CLAMP_LO, ActiveArms, _scenario_tables, generate_block
+from fast_trials.generation import PROB_CLAMP_HI, PROB_CLAMP_LO, ActiveArms, generate_block
 
 
 def _freq_tol(p, n):
@@ -45,6 +48,8 @@ def test_active_arms_invariants():
         ActiveArms(domain_a=frozenset({"A1", "A2"}))  # control missing
     with pytest.raises(ValueError):
         ActiveArms(domain_a=frozenset({"A0"}))  # no treatment arm
+    with pytest.raises(ValueError):
+        ActiveArms(domain_a=frozenset({"A0", "A1", "B1"}))  # a domain-B arm
 
 
 def test_biomarker_means():
@@ -122,6 +127,29 @@ def test_blocks_deterministic_given_stream_state():
     assert c1 == c2
     for column in ("arm_a", "arm_b", "y11", "y12", "y21"):
         np.testing.assert_array_equal(getattr(b1, column), getattr(b2, column))
+
+
+def test_generation_tables_are_built_once_per_config():
+    config = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": -0.2, "B1": 0.05})
+    assert "generation_tables" not in vars(config)
+    generate_block(config, ActiveArms(), 50, np.random.default_rng(0))
+    tables = vars(config)["generation_tables"]
+    generate_block(config, ActiveArms(), 50, np.random.default_rng(1))
+    assert config.generation_tables is tables
+    assert not any(t.flags.writeable for t in tables[:4])
+
+    # A replaced config builds its own tables from its own fields.
+    changed = dataclasses.replace(config, control_event_rate=0.3)
+    np.testing.assert_array_equal(
+        changed.generation_tables.p_event,
+        [[0.3, 0.3 + 0.05], [0.3, 0.3 + 0.05], [0.3 + 0.1, 0.3 + 0.1 + 0.05], [0.3 - 0.2, 0.3 - 0.2 + 0.05]],
+        strict=True,
+    )
+    assert tables.p_event[0, 0] == 0.4
+
+    restored = pickle.loads(pickle.dumps(config))
+    for got, want in zip(restored.generation_tables, tables):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 # -- bit identity with the per-subject arithmetic ---------------------------------
@@ -203,7 +231,7 @@ def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
         assert n_clamped == expected_clamped
         # A probability one ulp off would almost never flip an outcome, so
         # the table cells are compared with the per-subject sums directly.
-        p_event = _scenario_tables(config).p_event[block.arm_a + 1, block.arm_b]
+        p_event = config.generation_tables.p_event[block.arm_a + 1, block.arm_b]
         np.testing.assert_array_equal(p_event, p, strict=True)
         for column, want in zip(("arm_a", "arm_b", "y11", "y12", "y21"), expected):
             got = getattr(block, column)

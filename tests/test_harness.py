@@ -15,7 +15,6 @@ from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
 from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome
 from fast_trials.harness import (
     derive_seed,
-    derive_seeds_vector,
     designed_correct_arms,
     gating_violation,
     run_cell_detail,
@@ -31,6 +30,14 @@ def _null_config(**overrides):
 
 
 # -- seed derivation -----------------------------------------------------------
+
+def derive_seeds_vector(base_seed, scenario_id, cell, replicates):
+    """``derive_seed`` over an array of replicate indices, for collision
+    scans: the last stage's mix runs on uint64 arrays, which wrap mod 2^64."""
+    h = harness._mix_parts(base_seed, (scenario_id, *cell))
+    x = np.asarray(replicates, dtype=np.uint64) * np.uint64(harness._PART_MULT[3])
+    return harness._splitmix64(x ^ np.uint64(h))
+
 
 def test_derive_seed_frozen_values():
     # Cross-platform determinism contract: these values must never change.

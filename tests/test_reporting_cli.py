@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fast_trials
 from fast_trials.design import ScenarioConfig, validate_scenario
 from fast_trials.harness import _CHUNK_SIZE, TRACE_FIELDS, _batch_size, run_grid, run_grid_detail
 from fast_trials.reporting import (
@@ -22,6 +23,7 @@ from fast_trials.reporting import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(fast_trials.__file__).resolve().parent.parent
 
 
 def _golden_config():
@@ -83,7 +85,9 @@ def _cli_config_doc(**overrides):
 
 
 def _run_cli(*args, env=None):
-    full_env = dict(os.environ)
+    # The CLI runs on the package these tests import, installed or not.
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    full_env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     if env:
         full_env.update(env)
     return subprocess.run(

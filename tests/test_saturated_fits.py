@@ -1,16 +1,18 @@
-"""Closed-form saturated fits, the node plans and the per-design layout
-memo: the final analysis must give the same p-values, failure flags and
+"""Closed-form saturated fits, the node plans and the checked designs they
+hold: the final analysis must give the same p-values, failure flags and
 errors as fitting every node by IRLS on the patterns that have subjects,
 which this file keeps as the reference."""
 
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fast_trials import final_analysis
+from fast_trials import final_analysis, stats
+from fast_trials.design import load_scenarios
 from fast_trials.final_analysis import (
     FinalBranch,
     _saturated_pass,
@@ -20,14 +22,16 @@ from fast_trials.final_analysis import (
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
+from fast_trials.harness import run_replicate
 from fast_trials.stats import (
     FittingError,
     InputError,
-    _design_layout,
-    _layout,
+    check_design,
     fit_logistic_counts,
     lr_test,
 )
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 # branch -> (analysis, arm_a values, full columns, node -> reduced columns,
 #            columns of the models saturated on their own grouping)
@@ -195,7 +199,7 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
         closed = _saturated_pass(plan.stack, events, trials)
         models = [full_cols, *reduced_map.values()]
         for cols, design, slot in zip(models, plan.designs, plan.slots):
-            np.testing.assert_array_equal(design, rows[:, list(cols)], strict=True)
+            np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
             assert (slot is not None) == (cols in saturated)
             if slot is None:
                 continue
@@ -205,9 +209,9 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
 
 
 def _closed_form(x, events, trials):
-    layout = _design_layout(x)
-    assert layout.saturated
-    return _saturated_pass(_stack([layout]), np.asarray(events), np.asarray(trials))[0]
+    design = check_design(x)
+    assert design.saturated
+    return _saturated_pass(_stack([design]), np.asarray(events), np.asarray(trials))[0]
 
 
 def test_boundary_group_is_left_to_irls():
@@ -248,47 +252,71 @@ def test_only_main_effects_models_iterate(branch, monkeypatch):
     assert len(calls) == _IRLS_FITS[branch]
 
 
-# -- the layout memo ----------------------------------------------------------
+# -- the checked design ------------------------------------------------------
 
-def test_memoised_rank_matches_matrix_rank():
+def test_design_check_matches_matrix_rank():
     rng = np.random.default_rng(99)
     for _ in range(400):
         n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         if rng.random() < 0.5:
             x = rng.integers(0, 2, (n, k)).astype(float)
+            x[:, 0] = 1.0
         else:
             x = rng.standard_normal((n, k))
+            x[:, 0] = 1.0
             if k > 1 and rng.random() < 0.4:
                 x[:, -1] = 2.0 * x[:, 0]
         if rng.random() < 0.3:
             x = np.asfortranarray(x)
-        expected = np.linalg.matrix_rank(x)
-        assert _design_layout(x).rank == expected
-        assert _design_layout(x.copy()).rank == expected  # served from the memo
+        before = x.copy()
+        if np.linalg.matrix_rank(x) < k:
+            with pytest.raises(InputError, match="collinear"):
+                check_design(x)
+        else:
+            design = check_design(x)
+            np.testing.assert_array_equal(design.rows, before, strict=True)
+            assert not design.rows.flags.writeable and not design.groups.flags.writeable
+        assert x.flags.writeable
+        np.testing.assert_array_equal(x, before, strict=True)
 
 
-def test_layout_memo_is_bounded_and_read_only():
-    maxsize = _layout.cache_info().maxsize
-    assert maxsize is not None
-    try:
-        for i in range(maxsize + 40):
-            layout = _design_layout(np.array([[1.0, float(i)], [1.0, -1.0]]))
-        assert _layout.cache_info().currsize == maxsize
-        assert not layout.groups.flags.writeable
-    finally:
-        _layout.cache_clear()
+def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
+    """Once the node plans of a both-arms replicate exist, its fits use the
+    plans' checked designs: a replicate run again with the rank and
+    grouping routines disabled gives the same result."""
+    config = load_scenarios(_ROOT / "perfbench" / "scenarios" / "both_arms.json")[0]
+    cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
+    both_arms = FinalBranch.BOTH_ARMS_RETAINED
+    seed = next(s for s in range(200) if run_replicate(config, *cell, s).branch is both_arms)
+    expected = run_replicate(config, *cell, seed)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a fit rechecked its design")
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fit_logistic_counts(*args)
+
+    monkeypatch.setattr(stats, "check_design", disabled)
+    monkeypatch.setattr(np.linalg, "matrix_rank", disabled)
+    monkeypatch.setattr(np, "unique", disabled)
+    monkeypatch.setattr(final_analysis, "fit_logistic_counts", counting)
+    assert run_replicate(config, *cell, seed) == expected
+    assert len(calls) == _IRLS_FITS[both_arms]
 
 
 # -- one pass for every saturated node ----------------------------------------
 
-def _reference_saturated_fit(layout, events, trials):
+def _reference_saturated_fit(design, events, trials):
     """The per-model closed-form log-likelihood before the one-pass rewrite;
     None where the model is not saturated or has no interior maximum."""
-    if not layout.saturated:
+    if not design.saturated:
         return None
-    k = layout.rank
-    e = np.bincount(layout.groups, weights=events, minlength=k)
-    n = np.bincount(layout.groups, weights=trials, minlength=k)
+    k = design.rows.shape[1]
+    e = np.bincount(design.groups, weights=events, minlength=k)
+    n = np.bincount(design.groups, weights=trials, minlength=k)
     non_events = n - e
     if not (e.min() > 0 and non_events.min() > 0):
         return None
@@ -314,7 +342,7 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
             _, events, trials = _grouped(table)
             closed = _saturated_pass(plan.stack, events, trials)
             for design, slot in zip(plan.designs, plan.slots):
-                expected = _reference_saturated_fit(_design_layout(design), events, trials)
+                expected = _reference_saturated_fit(design, events, trials)
                 if slot is None:
                     assert expected is None
                     seen.add("unsaturated")

@@ -3,7 +3,9 @@ round-trip identity."""
 
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 from fast_trials.design import (
@@ -48,6 +50,29 @@ def test_probability_bound_violation_reported():
     assert any("A1" in i and "outside (0, 1)" in i for i in issues)
     with pytest.raises(ScenarioValidationError):
         validate_scenario(cfg)
+
+
+def test_probability_issues_name_exactly_the_cells_outside_unit_interval():
+    """Validation and subject generation read one event-probability table:
+    over random configs, the cells reported outside (0, 1) are exactly the
+    cells whose unclamped sum rate + rd_a + rd_b lies outside it."""
+    rng = np.random.default_rng(2024)
+    flagged_any = False
+    for _ in range(300):
+        rate = float(rng.uniform(0.01, 0.99))
+        rd = {arm: float(rng.uniform(-0.7, 0.7)) for arm in ("A1", "A2", "B1")}
+        cfg = dataclasses.replace(reference_config(), control_event_rate=rate, phase3_effects=rd)
+        expected = set()
+        for arm_a, rd_a in (("none", 0.0), ("A0", 0.0), ("A1", rd["A1"]), ("A2", rd["A2"])):
+            for arm_b, rd_b in (("B0", 0.0), ("B1", rd["B1"])):
+                if not 0.0 < rate + rd_a + rd_b < 1.0:
+                    expected.add((arm_a, arm_b))
+        issues = scenario_issues(cfg)
+        reported = {m.groups() for i in issues if (m := re.search(r"for arms \((\w+), (B\d)\)", i))}
+        assert reported == expected
+        assert len(issues) == len(expected)
+        flagged_any |= bool(expected)
+    assert flagged_any
 
 
 def test_empty_grid_rejected():
