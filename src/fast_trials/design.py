@@ -10,7 +10,8 @@ binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
 holds simulated subjects column by column.
 A config owns what derives from it alone: the unclamped event-probability
 table that validation range-checks, and the generation tables, kept on the
-instance once built.
+instance once built. So its effect maps are read-only (a pair given as a
+list becomes a tuple); ``dataclasses.replace`` gives new effects new tables.
 """
 
 from __future__ import annotations
@@ -85,6 +86,19 @@ class GenerationTables(NamedTuple):
 _DEFAULT_GRID = tuple(range(90, 301, 30))
 
 
+class _ReadOnlyDict(dict):
+    """A dict that cannot change once built; it pickles and copies as a new
+    one from its items."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("scenario effects are read-only; build a new config with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full specification of one simulation scenario.
@@ -117,34 +131,30 @@ class ScenarioConfig:
     replicates: int = 1000
     base_seed: int = 20230901
 
-    def biomarker_effect(self, arm_a: Optional[str], outcome: int) -> float:
-        """Mean shift of biomarker ``outcome`` (0 for y11, 1 for y12) for a
-        domain-A assignment; control and absent assignments shift nothing."""
-        if arm_a is None or arm_a == "A0":
-            return 0.0
-        return float(self.biomarker_effects[arm_a][outcome])
-
-    def risk_difference(self, arm: Optional[str]) -> float:
-        """Additive phase-3 risk difference for an arm; controls and absent
-        assignments contribute zero."""
-        if arm is None or arm in ("A0", "B0"):
-            return 0.0
-        return float(self.phase3_effects[arm])
+    def __post_init__(self):
+        # The kept generation tables read the effects, so they cannot change.
+        for name in ("biomarker_effects", "phase3_effects"):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+                object.__setattr__(self, name, _ReadOnlyDict(frozen))
 
     def event_probabilities(self) -> np.ndarray:
         """Unclamped event probability per (domain-A code + 1, domain-B code)
         cell, (4, 2): rate + rd_a + rd_b in this order, as float64 addition
         is not associative and the pinned outputs depend on every last bit."""
         rate = float(self.control_event_rate)
-        rd_a = (0.0, 0.0) + tuple(self.risk_difference(arm) for arm in TREATMENT_ARMS_A)
-        rd_b = (0.0, self.risk_difference("B1"))
+        effects = self.phase3_effects
+        rd_a = (0.0, 0.0) + tuple(float(effects[arm]) for arm in TREATMENT_ARMS_A)
+        rd_b = (0.0, float(effects["B1"]))
         return np.array([[rate + ra + rb for rb in rd_b] for ra in rd_a])
 
     @cached_property
     def generation_tables(self) -> GenerationTables:
         """The biomarker shifts and the clamped event probabilities that
         subject generation reads, built on first use and kept on this config."""
-        shifts = [[0.0, 0.0] + [self.biomarker_effect(arm, y) for arm in TREATMENT_ARMS_A] for y in (0, 1)]
+        effects = self.biomarker_effects
+        shifts = [[0.0, 0.0] + [float(effects[arm][y]) for arm in TREATMENT_ARMS_A] for y in (0, 1)]
         shift11, shift12 = np.array(shifts)
         p = self.event_probabilities()
         clamped = (p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)

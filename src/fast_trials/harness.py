@@ -18,13 +18,15 @@ into its first task's tally.
 A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
 worker, tasks go to a process pool in batches: each message carries as many
 tasks as fit in ``_CHUNK_SIZE`` replicates, but every worker gets at least
-four messages. A grid run opens its own pool, or maps on one it is handed;
-``fast-trials simulate`` opens one pool per call (``open_pool``) for all of
-its scenarios.
+four messages. A grid run opens its own pool (``open_pool``), or maps on
+one it is handed; ``fast-trials simulate`` opens one pool per call for all
+of its scenarios. A cell run is the grid run of the one-cell grid, so its
+triggers and replicate count are validated with the rest of the config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -189,19 +191,14 @@ def run_replicate(
         n_clamped += clamped
 
     if feasibility is not None and not feasibility.proceed:
-        branch = FinalBranch.DOMAIN_A_TERMINATED
-        table = build_final_model(cells, branch)
-        outcome = analyze_terminated(table, config.alpha_final)
+        branch, gatekeeper = FinalBranch.DOMAIN_A_TERMINATED, analyze_terminated
     elif retention is not None and len(retention.retained) == 1:
-        branch = FinalBranch.ONE_ARM_RETAINED
-        table = build_final_model(cells, branch)
-        outcome = gatekeep_one_retained(table, config.alpha_final)
+        branch, gatekeeper = FinalBranch.ONE_ARM_RETAINED, gatekeep_one_retained
     elif retention is not None:
-        branch = FinalBranch.BOTH_ARMS_RETAINED
-        table = build_final_model(cells, branch)
-        outcome = gatekeep_both_retained(table, config.alpha_final)
+        branch, gatekeeper = FinalBranch.BOTH_ARMS_RETAINED, gatekeep_both_retained
     else:  # triggers are validated <= n_total, so both analyses must have run
         raise RuntimeError("inconsistent trial path: no feasibility failure and no retention")
+    outcome = gatekeeper(build_final_model(cells, branch), config.alpha_final)
 
     return TrialResult(
         n_drop=int(n_drop),
@@ -438,38 +435,6 @@ def open_pool(configs, threads: int):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-def _execute(config, cells, threads, collect_traces, replicates=None, pool=None):
-    replicates = config.replicates if replicates is None else replicates
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    n_chunks = _chunks_per_cell(replicates)
-    tasks = [
-        (config, n_drop, n_feas, start, min(start + _CHUNK_SIZE, replicates), collect_traces)
-        for n_drop, n_feas in cells
-        for start in range(0, replicates, _CHUNK_SIZE)
-    ]
-    workers = min(threads, len(tasks))
-    if workers > 1:
-        chunksize = _batch_size(len(tasks), min(replicates, _CHUNK_SIZE), workers)
-        with (nullcontext(pool) if pool is not None else ProcessPoolExecutor(max_workers=workers)) as executor:
-            outputs = list(executor.map(_run_chunk, tasks, chunksize=chunksize))
-    else:
-        outputs = [_run_chunk(t) for t in tasks]
-
-    results = []
-    traces: list[dict] = []
-    for j, (n_drop, n_feas) in enumerate(cells):
-        chunk_outputs = outputs[j * n_chunks : (j + 1) * n_chunks]
-        tally = chunk_outputs[0][0]
-        for later, _ in chunk_outputs[1:]:
-            for key, count in later.items():
-                tally[key] += count
-        results.append(_characteristics(config, n_drop, n_feas, tally))
-        for _, rows in chunk_outputs:
-            traces.extend(rows)
-    return results, traces
-
-
 def run_cell_detail(
     config: ScenarioConfig,
     n_drop: int,
@@ -478,11 +443,14 @@ def run_cell_detail(
     collect_traces: bool = False,
     replicates: Optional[int] = None,
 ) -> tuple[OperatingCharacteristics, list]:
-    """Run one grid cell; returns characteristics and (optionally) one
-    trace row per replicate."""
+    """Run one grid cell, ``replicates`` times (default: the config's); returns
+    characteristics and (optionally) one trace row per replicate. This is the
+    grid run of the one-cell grid, so the triggers are validated with it."""
     validate_scenario(config)
-    results, traces = _execute(config, [(n_drop, n_feas)], threads, collect_traces, replicates)
-    return results[0], traces
+    replicates = config.replicates if replicates is None else replicates
+    cell = dataclasses.replace(config, n_drop_grid=(n_drop,), n_feas_grid=(n_feas,), replicates=replicates)
+    (result,), traces = run_grid_detail(cell, threads=threads, collect_traces=collect_traces)
+    return result, traces
 
 
 def run_cell(
@@ -490,10 +458,6 @@ def run_cell(
 ) -> OperatingCharacteristics:
     """Operating characteristics of one (n_drop, n_feas) cell."""
     return run_cell_detail(config, n_drop, n_feas, threads=threads)[0]
-
-
-def _sorted_cells(config: ScenarioConfig) -> list:
-    return [(d, f) for d in sorted(config.n_drop_grid) for f in sorted(config.n_feas_grid)]
 
 
 def run_grid_detail(
@@ -506,7 +470,34 @@ def run_grid_detail(
     one, a call on more than one thread opens and joins a pool of its own.
     """
     validate_scenario(config)
-    return _execute(config, _sorted_cells(config), threads, collect_traces, pool=pool)
+    replicates = config.replicates
+    cells = [(d, f) for d in sorted(config.n_drop_grid) for f in sorted(config.n_feas_grid)]
+    tasks = [
+        (config, n_drop, n_feas, start, min(start + _CHUNK_SIZE, replicates), collect_traces)
+        for n_drop, n_feas in cells
+        for start in range(0, replicates, _CHUNK_SIZE)
+    ]
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        chunksize = _batch_size(len(tasks), min(replicates, _CHUNK_SIZE), workers)
+        with (nullcontext(pool) if pool is not None else open_pool([config], threads)) as executor:
+            outputs = list(executor.map(_run_chunk, tasks, chunksize=chunksize))
+    else:
+        outputs = [_run_chunk(t) for t in tasks]
+
+    n_chunks = _chunks_per_cell(replicates)
+    results = []
+    traces: list[dict] = []
+    for j, (n_drop, n_feas) in enumerate(cells):
+        chunk_outputs = outputs[j * n_chunks : (j + 1) * n_chunks]
+        tally = chunk_outputs[0][0]
+        for later, _ in chunk_outputs[1:]:
+            for key, count in later.items():
+                tally[key] += count
+        results.append(_characteristics(config, n_drop, n_feas, tally))
+        for _, rows in chunk_outputs:
+            traces.extend(rows)
+    return results, traces
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> list:

@@ -14,8 +14,9 @@ pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
 cost; the result carries the two means. ``check_design`` checks a logistic
 design (2-d, intercept, full rank) into a read-only ``Design`` with its row
-grouping and whether it is saturated, which a fit trusts and from which
-the final analysis fits saturated models in closed form. The IRLS Newton
+grouping and whether it is saturated; ``fit_logistic_counts`` takes only a
+``Design``, which it trusts, and the final analysis fits saturated models
+from it in closed form. The IRLS Newton
 loop forms the same products in the same memory order as the textbook
 step, so its iterates and iteration count are unchanged. A fit carries its
 coefficients, log-likelihood and convergence flags; the final analysis
@@ -300,18 +301,13 @@ class Design(NamedTuple):
     saturated: bool  # as many distinct rows as columns
 
 
-def _matrix(rows) -> np.ndarray:
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise InputError("design must be a 2-d matrix")
-    return x
-
-
 def check_design(rows) -> Design:
     """The ``Design`` of a 2-d float design with an intercept and full
     column rank. The rows are copied before they are frozen, so the
     caller's array stays writeable."""
-    x = np.array(_matrix(rows))
+    x = np.array(rows, dtype=float)
+    if x.ndim != 2:
+        raise InputError("design must be a 2-d matrix")
     if not (x[:, 0] == 1.0).all():
         raise InputError("design must carry an all-ones intercept in column 0")
     if np.linalg.matrix_rank(x) < x.shape[1]:
@@ -349,9 +345,8 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> Logis
     """IRLS logistic fit on grouped data (one design row per covariate
     pattern, with event/trial counts).
 
-    ``design`` is a checked ``Design``, which the fit trusts, or raw rows,
-    which it checks on every call after the counts (``check_design``). The
-    log-likelihood matches the equivalent subject-level Bernoulli model
+    ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
+    The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
     fits, and closed-form log-likelihoods. The Newton step reuses
     trials * mu for the weights and the score and builds the information as
@@ -359,15 +354,15 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> Logis
     (X * w[:, None])' @ X, so every iterate is bit-identical to the
     textbook form.
     """
-    x = design.rows if isinstance(design, Design) else _matrix(design)
+    if not isinstance(design, Design):
+        raise InputError("fit_logistic_counts needs a Design: pass the rows through check_design")
+    x = design.rows
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
     n_rows, k = x.shape
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
     _check_table(events, trials, k)
-    if not isinstance(design, Design):
-        check_design(x)
     xt = x.T
 
     beta = np.zeros(k)
@@ -415,7 +410,7 @@ def fit_logistic(design, outcome) -> LogisticFit:
     rows, inverse = np.unique(x, axis=0, return_inverse=True)
     trials = np.bincount(inverse, minlength=rows.shape[0]).astype(float)
     events = np.bincount(inverse, weights=y, minlength=rows.shape[0])
-    return fit_logistic_counts(rows, events, trials)
+    return fit_logistic_counts(check_design(rows), events, trials)
 
 
 def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:

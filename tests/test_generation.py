@@ -168,8 +168,8 @@ def _reference_generate_block(config, active, n, stream):
     shift11 = np.zeros(3)
     shift12 = np.zeros(3)
     for arm in ("A1", "A2"):
-        shift11[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 0)
-        shift12[ARM_A_CODE[arm]] = config.biomarker_effect(arm, 1)
+        shift11[ARM_A_CODE[arm]] = float(config.biomarker_effects[arm][0])
+        shift12[ARM_A_CODE[arm]] = float(config.biomarker_effects[arm][1])
     mean11 = np.where(arm_a == ABSENT, 0.0, shift11[np.maximum(arm_a, 0)])
     mean12 = np.where(arm_a == ABSENT, 0.0, shift12[np.maximum(arm_a, 0)])
     s11, s12 = config.biomarker_sds
@@ -178,8 +178,8 @@ def _reference_generate_block(config, active, n, stream):
 
     rd_a = np.zeros(3)
     for arm in ("A1", "A2"):
-        rd_a[ARM_A_CODE[arm]] = config.risk_difference(arm)
-    rd_b = np.array([0.0, config.risk_difference("B1")])
+        rd_a[ARM_A_CODE[arm]] = float(config.phase3_effects[arm])
+    rd_b = np.array([0.0, float(config.phase3_effects["B1"])])
     p = (
         config.control_event_rate
         + np.where(arm_a == ABSENT, 0.0, rd_a[np.maximum(arm_a, 0)])

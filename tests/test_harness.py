@@ -19,6 +19,7 @@ from fast_trials.harness import (
     gating_violation,
     run_cell_detail,
     run_grid,
+    run_grid_detail,
     run_replicate,
     truly_effective_arms,
 )
@@ -303,6 +304,33 @@ def test_pool_never_exceeds_task_count(recording_pool, threads, n_feas_grid, rep
     assert chunksize == 1 or -(-n_tasks // chunksize) >= 4 * expected
     assert chunksize * min(replicates, harness._CHUNK_SIZE) <= harness._CHUNK_SIZE
     assert pooled == run_grid(cfg, threads=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cell_run_is_the_one_cell_grid_run(threads):
+    cfg = _null_config(
+        biomarker_effects={"A1": (10.0, -10.0), "A2": (10.0, -10.0)},
+        phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1},
+        n_drop_grid=(90, 120),
+        n_feas_grid=(90,),
+        n_total=300,
+        replicates=3,
+        base_seed=505,
+    )
+    cell, replicates = (150, 210), 260  # outside cfg's grid; two tasks
+    one_cell = dataclasses.replace(cfg, n_drop_grid=(150,), n_feas_grid=(210,), replicates=replicates)
+    (expected,), expected_traces = run_grid_detail(one_cell, collect_traces=True)
+    oc, traces = run_cell_detail(cfg, *cell, threads=threads, collect_traces=True, replicates=replicates)
+    assert oc == expected and traces == expected_traces
+    assert len(traces) == replicates
+
+
+@pytest.mark.parametrize("cell", [(201, 90), (90, 201), (0, 90), (90, 0)])
+def test_cell_triggers_are_validated_before_any_pool_opens(recording_pool, cell):
+    cfg = _null_config(n_drop_grid=(90,), n_feas_grid=(90,), n_total=200, replicates=600)
+    with pytest.raises(ValueError, match="triggers must"):
+        run_cell_detail(cfg, *cell, threads=2)
+    assert _RecordingPool.opened == []
 
 
 def test_library_grid_opens_and_closes_a_pool_per_call(recording_pool):

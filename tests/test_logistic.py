@@ -13,6 +13,7 @@ from fast_trials.stats import (
     InputError,
     _bernoulli_loglik,
     _solve,
+    check_design,
     chi_square_sf,
     fit_logistic,
     fit_logistic_counts,
@@ -112,10 +113,19 @@ def test_grouped_fit_matches_row_level_fit():
     x, y = _two_group_design(120, 30, 80, 50)
     row_fit = fit_logistic(x, y)
     grouped = fit_logistic_counts(
-        np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([30.0, 50.0]), np.array([120.0, 80.0])
+        check_design([[1.0, 0.0], [1.0, 1.0]]), np.array([30.0, 50.0]), np.array([120.0, 80.0])
     )
     np.testing.assert_allclose(row_fit.coefficients, grouped.coefficients, atol=1e-12)
     assert row_fit.log_likelihood == pytest.approx(grouped.log_likelihood, abs=1e-9)
+
+
+def test_grouped_fit_takes_only_a_checked_design():
+    rows = np.array([[1.0, 0.0], [1.0, 1.0]])
+    events, trials = np.array([30.0, 50.0]), np.array([120.0, 80.0])
+    for raw in (rows, rows.tolist(), check_design(rows).rows):
+        with pytest.raises(InputError, match="check_design"):
+            fit_logistic_counts(raw, events, trials)
+    assert fit_logistic_counts(check_design(rows), events, trials).converged
 
 
 # -- likelihood-ratio tests -------------------------------------------------
@@ -225,7 +235,7 @@ def _irls_tables(kind, rng):
 def test_irls_bit_identical_to_reference_loop(kind):
     seen = set()
     for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
-        fit = fit_logistic_counts(x, events, trials)
+        fit = fit_logistic_counts(check_design(x), events, trials)
         beta, loglik, n_iter, converged, diverged = _reference_irls(x, events, trials)
         np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
         assert fit.log_likelihood == loglik

@@ -26,6 +26,7 @@ from fast_trials.harness import run_replicate
 from fast_trials.stats import (
     FittingError,
     InputError,
+    _check_table,
     check_design,
     fit_logistic_counts,
     lr_test,
@@ -85,16 +86,22 @@ def _grouped(table):
     return rows[present], events[present], trials[present]
 
 
+def _fit_rows(rows, events, trials):
+    """IRLS fit of raw design rows, checking the counts before the design."""
+    _check_table(events, trials, rows.shape[1])
+    return fit_logistic_counts(check_design(rows), events, trials)
+
+
 def _reference_node_tests(table, full_cols, reduced_map):
     """Every node fitted by IRLS: the final analysis before closed forms."""
     rows, events, trials = _grouped(table)
     failed = False
     try:
-        full = fit_logistic_counts(rows[:, list(full_cols)], events, trials)
+        full = _fit_rows(rows[:, list(full_cols)], events, trials)
         failed |= not full.converged
         p_values = {}
         for node, reduced_cols in reduced_map.items():
-            reduced = fit_logistic_counts(rows[:, list(reduced_cols)], events, trials)
+            reduced = _fit_rows(rows[:, list(reduced_cols)], events, trials)
             failed |= not reduced.converged
             p_values[node] = lr_test(
                 full.log_likelihood, reduced.log_likelihood, len(full_cols) - len(reduced_cols)

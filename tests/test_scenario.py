@@ -1,8 +1,11 @@
-"""Scenario configuration: validation coverage, strict JSON parsing, and
-round-trip identity."""
+"""Scenario configuration: validation coverage, strict JSON parsing,
+round-trip identity, and effects that stay read-only once built."""
 
+import copy
 import dataclasses
 import json
+import operator
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +20,7 @@ from fast_trials.design import (
     scenario_to_dict,
     validate_scenario,
 )
+from fast_trials.generation import ActiveArms, generate_block
 
 
 def reference_config():
@@ -171,3 +175,54 @@ def test_booleans_are_not_integers(field, value):
     cfg = dataclasses.replace(reference_config(), **{field: value})
     issues = scenario_issues(cfg)
     assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
+
+
+# -- effects are read-only once the config is built -------------------------------
+
+def test_effects_cannot_change_after_tables_are_built():
+    cfg = ScenarioConfig(biomarker_effects={"A1": [1.0, 2.0], "A2": (0.0, 0.0)})
+    generate_block(cfg, ActiveArms(), 10, np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        cfg.phase3_effects["A1"] = 0.3
+    effects = cfg.biomarker_effects
+    mutations = [
+        lambda: effects.__setitem__("A1", (5.0, 5.0)),
+        lambda: effects.__delitem__("A1"),
+        lambda: effects.update(A1=(5.0, 5.0)),
+        lambda: effects.setdefault("A3", (5.0, 5.0)),
+        lambda: effects.pop("A1"),
+        lambda: effects.popitem(),
+        lambda: effects.clear(),
+        lambda: effects.__ior__({"A1": (5.0, 5.0)}),
+        lambda: operator.setitem(effects["A1"], 0, 5.0),  # a pair given as a list is a tuple now
+    ]
+    for mutate in mutations:
+        with pytest.raises(TypeError):
+            mutate()
+    assert isinstance(effects, dict) and effects == {"A1": (1.0, 2.0), "A2": (0.0, 0.0)}
+    np.testing.assert_array_equal(cfg.generation_tables.p_event, cfg.event_probabilities())
+
+
+def test_read_only_config_round_trips_pickle_and_deepcopy():
+    cfg = reference_config()
+    cfg.generation_tables  # built, so it travels too
+    for copied in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert copied == cfg
+        assert scenario_to_dict(copied) == scenario_to_dict(cfg)
+        with pytest.raises(TypeError):
+            copied.phase3_effects["A1"] = 0.3
+
+
+def test_replace_with_new_effects_builds_new_tables():
+    cfg = reference_config()
+    old = cfg.generation_tables
+    new = dataclasses.replace(
+        cfg,
+        phase3_effects={"A1": 0.3, "A2": 0.1, "B1": 0.0},
+        biomarker_effects={"A1": (1.0, 2.0), "A2": (3.0, 4.0)},
+    )
+    assert new.generation_tables.p_event[2, 0] == pytest.approx(0.7)
+    assert old.p_event[2, 0] == pytest.approx(0.5)
+    np.testing.assert_array_equal(new.generation_tables.shift11, [0.0, 0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(new.generation_tables.shift12, [0.0, 0.0, 2.0, 4.0])
+    assert cfg.generation_tables is old
