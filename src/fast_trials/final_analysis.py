@@ -30,10 +30,10 @@ every unsaturated one, goes through ``fit_logistic_counts``, whose
 divergence flags the replicate as before.
 
 The likelihood of every model depends on the data only through the events
-and trials of each (domain-A arm, domain-B arm) cell. So each enrollment
-block is reduced, as soon as it is drawn, to a 4 x 2 cell table indexed by
-(arm_a + 1, arm_b) that counts each cell's non-events and events in one
-bincount (``cell_table``); a replicate adds its blocks' tables. A branch
+and trials of each (domain-A arm, domain-B arm) cell. So generation counts
+each enrollment block, as it draws it, into a 4 x 2 x 2 cell table:
+``cells[arm_a + 1, arm_b]`` holds the cell's (non-events, events), and a
+replicate adds its blocks' tables. A branch
 whose full model has k covariates has 2^k covariate patterns, and
 ``build_final_model`` maps the cells to them with one bincount, giving a
 fixed-shape (2, 2^k) pattern table: the events and the trials of every
@@ -79,7 +79,6 @@ __all__ = [
     "GatekeepingOutcome",
     "HIERARCHY",
     "ANCESTORS",
-    "cell_table",
     "build_final_model",
     "closed_test",
     "gate_three_parameter",
@@ -199,17 +198,9 @@ class GatekeepingOutcome:
     fit_failed: bool = False
 
 
-def cell_table(block) -> np.ndarray:
-    """Outcome counts of a block of subjects per (domain-A arm, domain-B
-    arm) cell: ``table[arm_a + 1, arm_b]`` holds the cell's (non-events,
-    events), so its trials are their sum. The tables of several blocks add
-    up to the table of their subjects together."""
-    cells = ((block.arm_a + 1) * 2 + block.arm_b) * 2 + block.y21
-    return np.bincount(cells, minlength=16).reshape(4, 2, 2)
-
-
 def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
-    """The branch's pattern table from a cell table (``cell_table``): row 0
+    """The branch's pattern table from a cell table (``generate_block``
+    returns one per block): row 0
     holds the events and row 1 the trials of each of the 2^k covariate
     patterns of its full model, in the order of their binary codes
     (``_PATTERN_ROWS[k]``), 0 for a pattern no subject has. In the one-arm

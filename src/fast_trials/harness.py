@@ -5,8 +5,8 @@ pauses at each interim trigger to apply the corresponding decision
 (restricting or terminating domain-A allocation), finishes enrollment, and
 runs the branch-appropriate final analysis. The interims read the subjects
 enrolled so far; the final analysis reads only the events and trials per
-(domain-A arm, domain-B arm) cell, so each block is reduced to its cell
-table as soon as it is drawn and the tables are summed. Every replicate
+(domain-A arm, domain-B arm) cell, so generation returns each block's
+cell table with the block and the tables are summed. Every replicate
 owns a seed derived injectively from (base_seed, scenario, cell, replicate
 index), so grid runs are bitwise reproducible regardless of execution order
 or worker count: each task returns its integer tallies and, when asked for,
@@ -42,7 +42,6 @@ from .final_analysis import (
     GatekeepingOutcome,
     analyze_terminated,
     build_final_model,
-    cell_table,
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
@@ -167,9 +166,9 @@ def run_replicate(
         if active.domain_a is None:
             break  # domain terminated; the later trigger can never be reached
         if trigger > enrolled:
-            block, clamped = generate_block(config, active, trigger - enrolled, rng)
+            block, clamped, block_cells = generate_block(config, active, trigger - enrolled, rng)
             blocks.append(block)
-            cells = cells + cell_table(block)
+            cells = cells + block_cells
             enrolled = trigger
             n_clamped += clamped
         snapshot = _concat_blocks(blocks)
@@ -186,8 +185,8 @@ def run_replicate(
                 active = ActiveArms(domain_a=None)
 
     if config.n_total > enrolled:
-        block, clamped = generate_block(config, active, config.n_total - enrolled, rng)
-        cells = cells + cell_table(block)
+        _, clamped, block_cells = generate_block(config, active, config.n_total - enrolled, rng)
+        cells = cells + block_cells
         n_clamped += clamped
 
     if feasibility is not None and not feasibility.proceed:

@@ -18,9 +18,13 @@ grouping and whether it is saturated; ``fit_logistic_counts`` takes only a
 ``Design``, which it trusts, and the final analysis fits saturated models
 from it in closed form. The IRLS Newton
 loop forms the same products in the same memory order as the textbook
-step, so its iterates and iteration count are unchanged. A fit carries its
-coefficients, log-likelihood and convergence flags; the final analysis
-reads only the last two.
+step, so its iterates and iteration count are unchanged. On arrays of a
+few rows numpy's per-call cost outweighs the arithmetic, so the loop pays
+it once where it can: one error state per fit around every iteration, mu
+from in-place unary ufuncs with the same IEEE results, and the divergence
+and convergence tests on Python floats. A fit carries its coefficients,
+log-likelihood and convergence flags; the final analysis reads only the
+last two. A count table must be finite, with events in [0, trials].
 """
 
 from __future__ import annotations
@@ -103,30 +107,39 @@ class LogisticFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz). Term m
+    takes two half-steps, even then odd, written out in turn; a partial
+    value within _FPMIN of zero is moved to _FPMIN (never for a NaN)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
+    if -_FPMIN < d < _FPMIN:
         d = _FPMIN
     d = 1.0 / d
     h = d
     for m in range(1, _MAX_CF_ITER):
         m2 = 2 * m
-        even = m * (b - m) * x / ((qam + m2) * (a + m2))
-        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        for aa in (even, odd):  # the two Lentz half-steps of term m
-            d = 1.0 + aa * d
-            if abs(d) < _FPMIN:
-                d = _FPMIN
-            c = 1.0 + aa / c
-            if abs(c) < _FPMIN:
-                c = _FPMIN
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise FittingError(f"incomplete beta CF did not converge (a={a}, b={b}, x={x})")
@@ -288,7 +301,7 @@ def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -
     # as max(eta, 0) + log1p(exp(-|eta|)), the same bits as branching on the
     # sign of eta (log1p(exp(eta)) below zero).
     softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-    return float(np.sum(events * eta - trials * softplus))
+    return float((events * eta - trials * softplus).sum())
 
 
 class Design(NamedTuple):
@@ -320,10 +333,14 @@ def check_design(rows) -> Design:
 
 
 def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
-    """Preconditions of a fit on the counts of a k-column model."""
-    if ((events < 0) | (events > trials)).any():
+    """Preconditions of a fit on the counts of a k-column model: finite
+    events in [0, trials] per row (a NaN lies in no range) and a finite
+    total of at least k trials."""
+    if not ((events >= 0) & (events <= trials)).all():
         raise InputError("event counts must lie in [0, trials] per row")
     n_subjects = float(trials.sum())
+    if not math.isfinite(n_subjects):
+        raise InputError(f"trial counts must be finite, got a total of {n_subjects:g}")
     if n_subjects < k:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
 
@@ -332,13 +349,10 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for one float64 system and vector: the same
-    LAPACK gufunc under the same error state, so the same bits and the same
-    ``LinAlgError`` on a singular ``a``, without the wrapper's per-call
-    argument handling, which costs more than the solve itself."""
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve1(a, b, signature="dd->d")
+# The error state np.linalg.solve sets. A fit's Newton loop runs under it,
+# so the invalid flag the LAPACK gufunc raises on a singular system becomes
+# the same LinAlgError.
+_FIT_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
@@ -352,7 +366,11 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> Logis
     trials * mu for the weights and the score and builds the information as
     (X' * w) @ X, the same products in the same memory order as
     (X * w[:, None])' @ X, so every iterate is bit-identical to the
-    textbook form.
+    textbook form. It solves through the LAPACK gufunc behind
+    ``np.linalg.solve``, under that function's error state (``_FIT_ERRSTATE``,
+    entered once per fit), so the step has the same bits and a singular
+    information matrix the same ``LinAlgError``, without the wrapper's
+    per-call argument handling.
     """
     if not isinstance(design, Design):
         raise InputError("fit_logistic_counts needs a Design: pass the rows through check_design")
@@ -369,21 +387,32 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> Logis
     converged = False
     diverged = False
     n_iter = 0
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
-        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
-        expected = trials * mu
-        try:
-            step = _solve((xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected))
-        except np.linalg.LinAlgError:
-            diverged = True
-            break
-        beta += step
-        if np.abs(beta).max() > _DIVERGE_BOUND:
-            diverged = True
-            break
-        if np.abs(step).max() < IRLS_TOL:
-            converged = True
-            break
+    with np.errstate(**_FIT_ERRSTATE):
+        for n_iter in range(1, IRLS_MAX_ITER + 1):
+            mu = np.negative(x @ beta)
+            np.exp(mu, out=mu)
+            mu += 1.0
+            np.reciprocal(mu, out=mu)
+            expected = trials * mu
+            try:
+                step = _umath_linalg.solve1(
+                    (xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected), signature="dd->d"
+                )
+            except np.linalg.LinAlgError:
+                diverged = True
+                break
+            beta += step
+            # The same comparisons as np.abs(v).max() on the same doubles:
+            # the table is finite and the bound stops the loop, so no NaN
+            # reaches them.
+            coefficients = beta.tolist()
+            if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
+                diverged = True
+                break
+            steps = step.tolist()
+            if max(steps) < IRLS_TOL and min(steps) > -IRLS_TOL:
+                converged = True
+                break
 
     return LogisticFit(
         coefficients=beta,

@@ -14,7 +14,6 @@ from fast_trials.final_analysis import (
     GatekeepingOutcome,
     analyze_terminated,
     build_final_model,
-    cell_table,
     closed_test,
     gate_three_parameter,
     gatekeep_both_retained,
@@ -25,6 +24,15 @@ from fast_trials.harness import gating_violation
 from fast_trials.oracles import oracle_gatekeeping_enumerate
 
 _NODES = ("H01", "H02", "H03", "H04", "H05", "H06", "H07")
+
+
+def cell_table(block):
+    """The reference cell table of a block of subjects, counted from its
+    columns: ``table[arm_a + 1, arm_b]`` holds the cell's (non-events,
+    events). The tables of several blocks add up to the table of their
+    subjects together."""
+    cells = ((block.arm_a + 1) * 2 + block.arm_b) * 2 + block.y21
+    return np.bincount(cells, minlength=16).reshape(4, 2, 2)
 
 
 def _subjects(arm_a, arm_b, y21):
@@ -364,14 +372,14 @@ def test_terminated_branch_calibration_and_effect():
     hits = 0
     n_rep = 400
     for rep in range(n_rep):
-        block, _ = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
+        block, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
         model = _model(block, "domain_a_terminated")
         hits += analyze_terminated(model, 0.05).successful_arms == frozenset({"B1"})
     rate = hits / n_rep
     assert rate < 0.05 + 3.5 * np.sqrt(0.05 * 0.95 / n_rep)
 
     strong = ScenarioConfig(phase3_effects={"A1": 0.0, "A2": 0.0, "B1": 0.2})
-    block, _ = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
+    block, _, _ = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
     outcome = analyze_terminated(_model(block, "domain_a_terminated"), 0.05)
     assert outcome.successful_arms == frozenset({"B1"})
 

@@ -11,6 +11,7 @@ import pytest
 
 from fast_trials.design import ABSENT, ARM_A_CODE, ScenarioConfig
 from fast_trials.generation import PROB_CLAMP_HI, PROB_CLAMP_LO, ActiveArms, generate_block
+from test_final_analysis import cell_table
 
 
 def _freq_tol(p, n):
@@ -19,7 +20,7 @@ def _freq_tol(p, n):
 
 def test_block_allocation_thirds_and_halves():
     cfg = ScenarioConfig()
-    block, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(1))
+    block, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(1))
     for code in (0, 1, 2):
         freq = np.mean(block.arm_a == code)
         assert abs(freq - 1 / 3) < _freq_tol(1 / 3, 300_000)
@@ -29,7 +30,7 @@ def test_block_allocation_thirds_and_halves():
 def test_terminated_domain_never_assigns():
     cfg = ScenarioConfig()
     stream = np.random.default_rng(2)
-    block, _ = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
+    block, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
     assert np.all(block.arm_a == ABSENT)
     assert abs(np.mean(block.arm_b == 1) - 0.5) < _freq_tol(0.5, 50_000)
 
@@ -37,7 +38,7 @@ def test_terminated_domain_never_assigns():
 def test_restricted_allocation_excludes_dropped_arm():
     cfg = ScenarioConfig()
     active = ActiveArms(domain_a=frozenset({"A0", "A2"}))
-    block, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
+    block, _, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
     assert not np.any(block.arm_a == 1)  # A1 never assigned
     assert abs(np.mean(block.arm_a == 0) - 0.5) < _freq_tol(0.5, 20_000)
     assert set(np.unique(block.arm_a)) == {0, 2}
@@ -57,7 +58,7 @@ def test_biomarker_means():
         biomarker_effects={"A1": (-10.0, 10.0), "A2": (4.0, -6.0)},
         biomarker_sds=(10.0, 10.0),
     )
-    block, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
+    block, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
     for code, (m11, m12) in ((0, (0.0, 0.0)), (1, (-10.0, 10.0)), (2, (4.0, -6.0))):
         arm = block.arm_a == code  # about 100k subjects: 3 MC standard errors < 0.1
         assert abs(block.y11[arm].mean() - m11) < 0.1
@@ -70,14 +71,14 @@ def test_control_and_degenerate_sd():
         biomarker_effects={"A1": (7.0, -3.0), "A2": (0.0, 0.0)},
         biomarker_sds=(0.0, 0.0),
     )
-    block, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
+    block, _, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
     expected = {0: (0.0, 0.0), 1: (7.0, -3.0), 2: (0.0, 0.0)}
     for code, (m11, m12) in expected.items():
         arm = block.arm_a == code
         assert arm.any()
         assert np.all(block.y11[arm] == m11) and np.all(block.y12[arm] == m12)
     # Subjects enrolled after domain A terminated carry no shift.
-    absent, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
+    absent, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
     assert np.all(absent.arm_a == ABSENT)
     assert np.all(absent.y11 == 0.0) and np.all(absent.y12 == 0.0)
 
@@ -87,7 +88,7 @@ def test_event_probability_clamps_and_flags():
     # into [0.001, 0.999] and counted; a probability inside stays as it is.
     for risk_difference, clamped, rate in ((0.9, True, 0.999), (-0.9, True, 0.001), (0.55, False, 0.95)):
         cfg = ScenarioConfig(phase3_effects={"A1": risk_difference, "A2": 0.0, "B1": 0.0})
-        block, n_clamped = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
+        block, n_clamped, _ = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
         a1 = block.arm_a == 1
         assert n_clamped == (int(a1.sum()) if clamped else 0)
         assert abs(block.y21[a1].mean() - rate) < _freq_tol(rate, int(a1.sum()))
@@ -95,14 +96,14 @@ def test_event_probability_clamps_and_flags():
 
 def test_phase3_outcome_frequency():
     cfg = ScenarioConfig()
-    block, _ = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
+    block, _, _ = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
     control = (block.arm_a == 0) & (block.arm_b == 0)
     assert abs(block.y21[control].mean() - 0.4) < _freq_tol(0.4, int(control.sum()))
 
 
 def test_block_outcome_frequency_with_effects():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1})
-    block, n_clamped = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
+    block, n_clamped, _ = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
     assert n_clamped == 0
     # Risk differences add: control 0.4, one active arm 0.5, both 0.6.
     for a, b, rate in ((0, 0, 0.4), (2, 0, 0.5), (0, 1, 0.5), (2, 1, 0.6), (1, 1, 0.6)):
@@ -112,7 +113,7 @@ def test_block_outcome_frequency_with_effects():
 
 def test_global_null_exchangeable_across_arms():
     cfg = ScenarioConfig()  # all effects zero
-    block, _ = generate_block(cfg, ActiveArms(), 120_000, np.random.default_rng(9))
+    block, _, _ = generate_block(cfg, ActiveArms(), 120_000, np.random.default_rng(9))
     means = [block.y11[block.arm_a == code].mean() for code in (0, 1, 2)]
     rates = [block.y21[block.arm_a == code].mean() for code in (0, 1, 2)]
     for m in means:
@@ -122,8 +123,8 @@ def test_global_null_exchangeable_across_arms():
 
 def test_blocks_deterministic_given_stream_state():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.0, "B1": 0.0})
-    b1, c1 = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
-    b2, c2 = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
+    b1, c1, _ = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
+    b2, c2, _ = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
     assert c1 == c2
     for column in ("arm_a", "arm_b", "y11", "y12", "y21"):
         np.testing.assert_array_equal(getattr(b1, column), getattr(b2, column))
@@ -224,11 +225,13 @@ _IDENTITY_CONFIGS = {
 @pytest.mark.parametrize("arms_name", list(_ARM_SETS))
 def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
     config, active = _IDENTITY_CONFIGS[config_name], _ARM_SETS[arms_name]
-    for seed, n in ((0, 1), (1, 2), (2, 97), (3, 1000), (4, 4321)):
+    for seed, n in ((0, 1), (1, 2), (2, 97), (3, 1000), (4, 4321), (5, 150), (6, 800)):
         stream, reference_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-        block, n_clamped = generate_block(config, active, n, stream)
+        block, n_clamped, cells = generate_block(config, active, n, stream)
         expected, expected_clamped, p = _reference_generate_block(config, active, n, reference_stream)
         assert n_clamped == expected_clamped
+        # The returned cell table is the block's, counted from its columns.
+        np.testing.assert_array_equal(cells, cell_table(block), strict=True)
         # A probability one ulp off would almost never flip an outcome, so
         # the table cells are compared with the per-subject sums directly.
         p_event = config.generation_tables.p_event[block.arm_a + 1, block.arm_b]

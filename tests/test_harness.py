@@ -4,6 +4,7 @@ conservation identities, and execution-order invariance."""
 import dataclasses
 import itertools
 import json
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -123,6 +124,23 @@ def test_branch_matches_decisions():
             assert result.branch is FinalBranch.ONE_ARM_RETAINED
         else:
             assert result.branch is FinalBranch.BOTH_ARMS_RETAINED
+
+
+def test_one_replicate_per_branch_raises_no_warning():
+    """Every warning is an error here, not only a RuntimeWarning: a kernel
+    that starts leaking overflow or invalid-value warnings fails."""
+    cases = {
+        "domain_a_terminated": _ROOT / "scenarios" / "null.json",
+        "one_arm_retained": _ROOT / "scenarios" / "first_arm_effective.json",
+        "both_arms_retained": _ROOT / "perfbench" / "scenarios" / "both_arms.json",
+    }
+    for branch, path in cases.items():
+        (config,) = load_scenarios(path)
+        cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branches = (run_replicate(config, *cell, seed).branch.value for seed in range(200))
+            assert branch in branches
 
 
 def test_trigger_beyond_n_total_rejected():

@@ -4,15 +4,17 @@ identity of the IRLS loop with the textbook Newton step it replaced."""
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from fast_trials.final_analysis import gatekeep_both_retained
 from fast_trials.stats import (
     _DIVERGE_BOUND,
+    _FIT_ERRSTATE,
     IRLS_MAX_ITER,
     IRLS_TOL,
     FittingError,
     InputError,
     _bernoulli_loglik,
-    _solve,
     check_design,
     chi_square_sf,
     fit_logistic,
@@ -226,12 +228,17 @@ def _irls_tables(kind, rng):
             elif kind == "boundary":
                 row = int(rng.integers(len(x)))
                 events[row] = 0.0 if rng.random() < 0.5 else trials[row]
-            else:  # separated: the events follow the last covariate exactly
+            elif kind == "separated":  # the events follow the last covariate exactly
                 events = np.where(x[:, -1] == 1.0, trials, 0.0)
+            else:  # singular: all events where the last covariate is 1, all but
+                # one of a huge count elsewhere, so the weights of the all-event
+                # rows round to 0 while every coefficient is in bounds
+                trials = np.where(x[:, -1] == 1.0, trials, 10.0 ** rng.uniform(6, 9, size=len(x)))
+                events = np.where(x[:, -1] == 1.0, trials, trials - 1.0)
             yield x, events, trials
 
 
-@pytest.mark.parametrize("kind", ["interior", "boundary", "separated"])
+@pytest.mark.parametrize("kind", ["interior", "boundary", "separated", "singular"])
 def test_irls_bit_identical_to_reference_loop(kind):
     seen = set()
     for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
@@ -241,22 +248,83 @@ def test_irls_bit_identical_to_reference_loop(kind):
         assert fit.log_likelihood == loglik
         assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
         seen.add((converged, diverged))
-    # Interior tables converge; separated ones diverge; boundary ones reach both.
-    expected = {"interior": {(True, False)}, "separated": {(False, True)}, "boundary": {(True, False), (False, True)}}
+        if kind == "singular":  # stopped by a singular step, not by the bound
+            assert np.abs(beta).max() <= _DIVERGE_BOUND
+    # Interior tables converge; separated and singular ones diverge;
+    # boundary ones reach both.
+    expected = {
+        "interior": {(True, False)},
+        "separated": {(False, True)},
+        "singular": {(False, True)},
+        "boundary": {(True, False), (False, True)},
+    }
     assert seen == expected[kind]
 
 
 def test_solve_matches_numpy_and_raises_on_singular():
+    """The Newton step's solve, as the fit calls it: the LAPACK gufunc under
+    the fit's error state."""
+
+    def solve(a, b):
+        with np.errstate(**_FIT_ERRSTATE):
+            return _umath_linalg.solve1(a, b, signature="dd->d")
+
     rng = np.random.default_rng(17)
     for k in (1, 2, 3, 4):
         for _ in range(50):
             m = rng.standard_normal((k, k))
             a, b = m @ m.T + 1e-3 * np.eye(k), rng.standard_normal(k)
-            np.testing.assert_array_equal(_solve(a, b), np.linalg.solve(a, b), strict=True)
+            np.testing.assert_array_equal(solve(a, b), np.linalg.solve(a, b), strict=True)
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        _solve(singular, np.ones(2))
+        solve(singular, np.ones(2))
     assert np.geterrcall() is None  # the error state is restored
+
+
+def test_fits_leave_the_error_state_as_they_found_it():
+    rows = check_design([[1.0, 0.0], [1.0, 1.0]])
+    cases = {
+        "converged": (np.array([30.0, 50.0]), np.array([120.0, 80.0])),
+        "diverged": (np.array([0.0, 80.0]), np.array([120.0, 80.0])),  # past the bound
+        "singular": (np.array([1e9 - 1.0, 10.0]), np.array([1e9, 10.0])),
+    }
+    before = np.geterr()
+    for name, (events, trials) in cases.items():
+        fit = fit_logistic_counts(rows, events, trials)
+        bounded = np.abs(fit.coefficients).max() <= _DIVERGE_BOUND
+        outcome = "converged" if fit.converged else "singular" if bounded else "diverged"
+        assert outcome == name  # a bounded divergence is the singular step
+        assert np.geterr() == before
+        assert np.geterrcall() is None
+
+
+@pytest.mark.parametrize(
+    "events, trials",
+    [
+        ([np.nan, 5.0], [10.0, 10.0]),
+        ([3.0, 5.0], [np.inf, 10.0]),
+        ([np.inf, 5.0], [np.inf, 10.0]),
+        ([3.0, 5.0], [np.nan, 10.0]),
+        ([3.0, 5.0], [-np.inf, 10.0]),
+    ],
+)
+def test_non_finite_counts_are_rejected(events, trials):
+    with pytest.raises(InputError):
+        fit_logistic_counts(check_design([[1.0, 0.0], [1.0, 1.0]]), np.array(events), np.array(trials))
+    # the both-arms pattern table: its first two patterns carry the counts
+    table = np.full((2, 8), 10.0)
+    table[0] = 5.0
+    table[:, :2] = [events, trials]
+    with pytest.raises(InputError):
+        gatekeep_both_retained(table, 0.05)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_outcomes_are_rejected(bad):
+    x, y = _two_group_design(20, 5, 20, 10)
+    y[3] = bad
+    with pytest.raises(InputError):
+        fit_logistic(x, y)
 
 
 def test_loglik_softplus_bit_identical_to_sign_branches():
