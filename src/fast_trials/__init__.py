@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .design import (
     ScenarioConfig,
     ScenarioValidationError,
-    SubjectData,
     load_scenarios,
     scenario_from_dict,
     scenario_to_dict,
@@ -57,7 +56,6 @@ __all__ = [
     "__version__",
     "ScenarioConfig",
     "ScenarioValidationError",
-    "SubjectData",
     "load_scenarios",
     "scenario_from_dict",
     "scenario_to_dict",

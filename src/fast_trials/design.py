@@ -6,8 +6,9 @@ subject to the phase-2 interim machinery; domain B compares one active arm
 (B1) against control B0 and is analyzed only at the end. Phase-2 decisions
 use two continuous biomarkers (y11, y12); the phase-3 outcome (y21) is
 binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
-``validate_scenario`` checks the whole document at once; ``SubjectData``
-holds simulated subjects column by column.
+``validate_scenario`` checks the whole document at once. A subject's
+domain-A arm is an intp code (``ARM_A_CODE``, or ``ABSENT`` once domain A
+is terminated), its domain-B arm 0 (B0) or 1 (B1).
 A config owns what derives from it alone: the unclamped event-probability
 table that validation range-checks, and the generation tables, kept on the
 instance once built. So its effect maps are read-only (a pair given as a
@@ -29,17 +30,14 @@ import numpy as np
 
 __all__ = [
     "DOMAIN_A_ARMS",
-    "DOMAIN_B_ARMS",
     "TREATMENT_ARMS_A",
     "ARM_A_CODE",
-    "ARM_B_CODE",
     "ABSENT",
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
     "BenefitDirection",
     "GenerationTables",
     "ScenarioConfig",
-    "SubjectData",
     "ScenarioValidationError",
     "scenario_issues",
     "validate_scenario",
@@ -49,11 +47,9 @@ __all__ = [
 ]
 
 DOMAIN_A_ARMS = ("A0", "A1", "A2")
-DOMAIN_B_ARMS = ("B0", "B1")
 TREATMENT_ARMS_A = ("A1", "A2")
 
 ARM_A_CODE = {"A0": 0, "A1": 1, "A2": 2}
-ARM_B_CODE = {"B0": 0, "B1": 1}
 ABSENT = -1  # arm_a code for subjects enrolled after domain A termination
 
 # Bernoulli probabilities are kept away from 0/1 so extreme configurations
@@ -162,44 +158,6 @@ class ScenarioConfig:
         for table in (shift11, shift12, p, clamped):
             table.setflags(write=False)
         return GenerationTables(shift11, shift12, p, clamped, bool(clamped.any()))
-
-
-def _codes(values, allowed: tuple, name: str) -> np.ndarray:
-    """An int8 code column, once every value is one of ``allowed``: the
-    cast alone would wrap 258 to 2 and truncate 0.5 to 0."""
-    values = np.asarray(values)
-    if not np.isin(values, allowed).all():
-        raise ValueError(f"{name} codes must lie in {allowed}")
-    return np.asarray(values, dtype=np.int8)
-
-
-class SubjectData:
-    """Column-oriented subject store in enrollment order: domain-A arm code
-    (``ABSENT`` once domain A has been terminated), domain-B arm code, the
-    two biomarkers and the binary phase-3 outcome."""
-
-    __slots__ = ("arm_a", "arm_b", "y11", "y12", "y21")
-
-    def __init__(self, arm_a, arm_b, y11, y12, y21):
-        self.arm_a = _codes(arm_a, (ABSENT, *ARM_A_CODE.values()), "arm_a")
-        self.arm_b = _codes(arm_b, tuple(ARM_B_CODE.values()), "arm_b")
-        self.y11 = np.asarray(y11, dtype=float)
-        self.y12 = np.asarray(y12, dtype=float)
-        self.y21 = _codes(y21, (0, 1), "y21")
-        n = len(self.arm_a)
-        if not (len(self.arm_b) == len(self.y11) == len(self.y12) == len(self.y21) == n):
-            raise ValueError("subject columns must have equal length")
-
-    @classmethod
-    def _unchecked(cls, arm_a, arm_b, y11, y12, y21) -> "SubjectData":
-        """The engine's own subjects, taken as they are: int8 codes in range
-        and float biomarkers, of equal length by construction."""
-        data = cls.__new__(cls)
-        data.arm_a, data.arm_b, data.y11, data.y12, data.y21 = arm_a, arm_b, y11, y12, y21
-        return data
-
-    def __len__(self) -> int:
-        return len(self.arm_a)
 
 
 # ---------------------------------------------------------------------------

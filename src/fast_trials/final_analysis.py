@@ -104,6 +104,13 @@ _COVARIATES = {
 
 # The arm declared successful when a covariate's elementary node is rejected.
 _ARM_OF = {"fluid_pooled": "A_pooled", "a1": "A1", "a2": "A2", "b1": "B1"}
+# Each covariate's indicator, from subjects' domain-A and domain-B arm codes.
+_INDICATOR = {
+    "fluid_pooled": lambda arm_a, arm_b: arm_a > 0,
+    "a1": lambda arm_a, arm_b: arm_a == 1,
+    "a2": lambda arm_a, arm_b: arm_a == 2,
+    "b1": lambda arm_a, arm_b: arm_b == 1,
+}
 
 # The gating hierarchy of every branch, written once: trace label -> the
 # covariates whose coefficients the node's null hypothesis sets to zero.
@@ -153,15 +160,6 @@ _GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIER
 # branch -> node label -> the labels that must be rejected before it may be.
 ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
 
-# The indicator columns of each branch's full model, from the arm codes of
-# the subjects the model includes.
-_INDICATORS = {
-    FinalBranch.ONE_ARM_RETAINED: lambda arm_a, arm_b: (arm_a > 0, arm_b == 1),
-    FinalBranch.BOTH_ARMS_RETAINED: lambda arm_a, arm_b: (arm_a == 1, arm_a == 2, arm_b == 1),
-    FinalBranch.DOMAIN_A_TERMINATED: lambda arm_a, arm_b: (arm_b == 1,),
-}
-
-
 def _table_slots(branch: FinalBranch) -> np.ndarray:
     """Cell-table entry (arm_a + 1, arm_b, y21), flattened -> its slot in
     the flattened (2, 2^k) pattern table: the binary code of its subjects'
@@ -171,8 +169,8 @@ def _table_slots(branch: FinalBranch) -> np.ndarray:
     terminated."""
     arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), np.arange(2), indexing="ij")
     codes = np.zeros(arm_a.shape, dtype=np.intp)
-    for column in _INDICATORS[branch](arm_a, arm_b):
-        codes = codes * 2 + column
+    for name in _COVARIATES[branch]:
+        codes = codes * 2 + _INDICATOR[name](arm_a, arm_b)
     k = len(_COVARIATES[branch])
     slots = codes + (1 - y21) * 2**k
     if branch is not FinalBranch.DOMAIN_A_TERMINATED:

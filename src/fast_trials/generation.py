@@ -14,7 +14,8 @@ the mask of the clamped cells. Each cell is the sum rate + rd_a + rd_b in
 the order the per-subject arithmetic evaluated it, so every draw compared
 against it is bit-identical. The same code, times 2 plus the outcome,
 counts the block into the 4 x 2 x 2 cell table the final analysis reads,
-in one bincount, and the block is returned with it.
+in one bincount. A block is returned as the columns the interims read,
+its domain-A arm codes and two biomarkers, with that table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .design import (
     PROB_CLAMP_HI,
     PROB_CLAMP_LO,
     ScenarioConfig,
-    SubjectData,
 )
 
 __all__ = [
@@ -41,15 +41,13 @@ __all__ = [
     "generate_block",
 ]
 
-# Each domain-A arm set that may be open to randomization -> its arm codes
-# in sorted arm order (every arm, or control and the one retained arm), as
-# stored (int8) and as table rows (code + 1, intp).
+# Each domain-A arm set that may be open to randomization -> its intp arm
+# codes in sorted arm order (every arm, or control and the one retained arm).
 _ACTIVE_CODES = {
-    frozenset(arms): np.array([ARM_A_CODE[a] for a in arms], dtype=np.int8)
+    frozenset(arms): np.array([ARM_A_CODE[a] for a in arms], dtype=np.intp)
     for arms in (DOMAIN_A_ARMS, ("A0", "A1"), ("A0", "A2"))
 }
-_ACTIVE_ROWS = {arms: codes.astype(np.intp) + 1 for arms, codes in _ACTIVE_CODES.items()}
-for _codes in (*_ACTIVE_CODES.values(), *_ACTIVE_ROWS.values()):
+for _codes in _ACTIVE_CODES.values():
     _codes.setflags(write=False)
 
 
@@ -71,26 +69,26 @@ class ActiveArms:
 
 def generate_block(
     config: ScenarioConfig, active: ActiveArms, n: int, stream: np.random.Generator
-) -> tuple[SubjectData, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Draw ``n`` subjects under a fixed set of active arms.
 
     Allocation is equal within each active domain and independent across
     domains; biomarkers are normal around the arm's mean shifts (zero for
     control and absent assignments); the event probability is the control
     rate plus the additive risk differences, clamped into
-    [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns the block, the number of
-    clamped event probabilities, and the block's outcome counts per cell:
-    ``cells[arm_a + 1, arm_b]`` holds the cell's (non-events, events).
+    [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns ``(arm_a, y11, y12, n_clamped,
+    cells)``: the subjects' intp domain-A arm codes and biomarkers, the
+    number of clamped event probabilities, and the block's outcome counts
+    per cell: ``cells[arm_a + 1, arm_b]`` holds the cell's (non-events,
+    events).
     """
     tables = config.generation_tables
     if active.domain_a is not None:
         codes = _ACTIVE_CODES[active.domain_a]
-        draws = stream.integers(len(codes), size=n)
-        arm_a = codes[draws]
-        row = _ACTIVE_ROWS[active.domain_a][draws]
+        arm_a = codes[stream.integers(len(codes), size=n)]
     else:
-        arm_a = np.full(n, ABSENT, dtype=np.int8)
-        row = np.zeros(n, dtype=np.intp)
+        arm_a = np.full(n, ABSENT, dtype=np.intp)
+    row = arm_a + 1
     b = stream.integers(2, size=n)
     cell = row * 2 + b
 
@@ -101,6 +99,4 @@ def generate_block(
     n_clamped = int(np.count_nonzero(tables.clamped.ravel()[cell])) if tables.any_clamped else 0
     event = stream.random(n) < tables.p_event.ravel()[cell]
     cells = np.bincount(cell * 2 + event, minlength=16).reshape(4, 2, 2)
-
-    block = SubjectData._unchecked(arm_a, b.astype(np.int8), y11, y12, event.astype(np.int8))
-    return block, n_clamped, cells
+    return arm_a, y11, y12, n_clamped, cells

@@ -3,10 +3,12 @@
 A replicate enrolls subjects sequentially under the currently active arms,
 pauses at each interim trigger to apply the corresponding decision
 (restricting or terminating domain-A allocation), finishes enrollment, and
-runs the branch-appropriate final analysis. The interims read the subjects
-enrolled so far; the final analysis reads only the events and trials per
-(domain-A arm, domain-B arm) cell, so generation returns each block's
-cell table with the block and the tables are summed. Every replicate
+runs the branch-appropriate final analysis. The interims read the domain-A
+arm codes and biomarkers of the subjects enrolled so far, so a replicate
+keeps only those columns of each block, concatenated when a second block
+precedes an interim; the final analysis reads only the events and trials
+per (domain-A arm, domain-B arm) cell, so generation returns each block's
+cell table with its columns and the tables are summed. Every replicate
 owns a seed derived injectively from (base_seed, scenario, cell, replicate
 index), so grid runs are bitwise reproducible regardless of execution order
 or worker count: each task returns its integer tallies and, when asked for,
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import BenefitDirection, ScenarioConfig, SubjectData, validate_scenario
+from .design import BenefitDirection, ScenarioConfig, validate_scenario
 from .final_analysis import (
     ANCESTORS,
     FinalBranch,
@@ -131,18 +133,6 @@ class TrialResult:
         return self.gatekeeping.fit_failed
 
 
-def _concat_blocks(blocks: list) -> SubjectData:
-    if len(blocks) == 1:
-        return blocks[0]
-    return SubjectData._unchecked(
-        np.concatenate([b.arm_a for b in blocks]),
-        np.concatenate([b.arm_b for b in blocks]),
-        np.concatenate([b.y11 for b in blocks]),
-        np.concatenate([b.y12 for b in blocks]),
-        np.concatenate([b.y21 for b in blocks]),
-    )
-
-
 def run_replicate(
     config: ScenarioConfig, n_drop: int, n_feas: int, replicate_seed: int
 ) -> TrialResult:
@@ -154,7 +144,7 @@ def run_replicate(
     rng = np.random.default_rng(int(replicate_seed) & _MASK64)
     schedule = build_schedule(n_drop, n_feas)
     active = ActiveArms()
-    blocks: list[SubjectData] = []  # what the interims read
+    columns = None  # (arm_a, y11, y12) of the subjects so far: what the interims read
     # The final analysis reads only the sum of the blocks' cell tables.
     cells = np.zeros((4, 2, 2), dtype=np.intp)
     enrolled = 0
@@ -166,26 +156,24 @@ def run_replicate(
         if active.domain_a is None:
             break  # domain terminated; the later trigger can never be reached
         if trigger > enrolled:
-            block, clamped, block_cells = generate_block(config, active, trigger - enrolled, rng)
-            blocks.append(block)
+            *block, clamped, block_cells = generate_block(config, active, trigger - enrolled, rng)
+            columns = block if columns is None else [np.concatenate(c) for c in zip(columns, block)]
             cells = cells + block_cells
             enrolled = trigger
             n_clamped += clamped
-        snapshot = _concat_blocks(blocks)
+        arm_a, y11, y12 = columns
         if kind is AnalysisKind.ARM_DROPPING:
             retention = arm_dropping_analysis(
-                snapshot, config.alpha_drop, config.benefit_directions, config.default_retained_arm
+                arm_a, y11, y12, config.alpha_drop, config.benefit_directions, config.default_retained_arm
             )
             active = ActiveArms(domain_a=frozenset({"A0"}) | retention.retained)
         else:
-            feasibility = feasibility_analysis(
-                snapshot, config.alpha_feas, config.benefit_directions[0]
-            )
+            feasibility = feasibility_analysis(arm_a, y11, config.alpha_feas, config.benefit_directions[0])
             if not feasibility.proceed:
                 active = ActiveArms(domain_a=None)
 
     if config.n_total > enrolled:
-        _, clamped, block_cells = generate_block(config, active, config.n_total - enrolled, rng)
+        *_, clamped, block_cells = generate_block(config, active, config.n_total - enrolled, rng)
         cells = cells + block_cells
         n_clamped += clamped
 

@@ -8,7 +8,9 @@ whose sample mean sits further in that biomarker's benefit direction, the
 retained set is the union of nominations, and no nominations fall back to
 the pre-selected default arm. Feasibility is a one-sided pooled-vs-control
 comparison on y11 using every subject ever randomized to a treatment arm,
-including any already-dropped arm's subjects.
+including any already-dropped arm's subjects. Both analyses take the
+subjects enrolled so far as columns of equal length: the domain-A arm codes
+and the biomarkers they test.
 """
 
 from __future__ import annotations
@@ -92,42 +94,46 @@ def resolve_retention(
 
 
 def arm_dropping_analysis(
-    subjects,
+    arm_a,
+    y11,
+    y12,
     alpha_drop: float,
     directions: tuple = ("increase", "decrease"),
     default_arm: str = "A2",
 ) -> RetentionDecision:
     """Head-to-head comparison of the two treatment arms on both biomarkers."""
-    in_a1 = subjects.arm_a == ARM_A_CODE["A1"]
-    in_a2 = subjects.arm_a == ARM_A_CODE["A2"]
+    arm_a, y11, y12 = np.asarray(arm_a), np.asarray(y11), np.asarray(y12)
+    if arm_a.ndim != 1 or not arm_a.shape == y11.shape == y12.shape:
+        raise ValueError("subject columns must be 1-d and of equal length")
+    in_a1 = arm_a == ARM_A_CODE["A1"]
+    in_a2 = arm_a == ARM_A_CODE["A2"]
     if np.count_nonzero(in_a1) < 2 or np.count_nonzero(in_a2) < 2:
         raise SchedulingError(
             "arm-dropping trigger too early: fewer than 2 subjects in a treatment arm "
             f"(A1={np.count_nonzero(in_a1)}, A2={np.count_nonzero(in_a2)})"
         )
-    y11_a1, y11_a2 = subjects.y11[in_a1], subjects.y11[in_a2]
-    y12_a1, y12_a2 = subjects.y12[in_a1], subjects.y12[in_a2]
-    test_y11 = welch_t_test(y11_a1, y11_a2, Tail.TWO_SIDED)
-    test_y12 = welch_t_test(y12_a1, y12_a2, Tail.TWO_SIDED)
+    test_y11 = welch_t_test(y11[in_a1], y11[in_a2], Tail.TWO_SIDED)
+    test_y12 = welch_t_test(y12[in_a1], y12[in_a2], Tail.TWO_SIDED)
     return resolve_retention(test_y11, test_y12, alpha_drop, directions, default_arm)
 
 
 def feasibility_analysis(
-    subjects, alpha_feas: float, direction="increase"
+    arm_a, y11, alpha_feas: float, direction="increase"
 ) -> FeasibilityDecision:
     """One-sided pooled-treatment vs control comparison on y11; failing to
     reject terminates the domain."""
-    in_control = subjects.arm_a == ARM_A_CODE["A0"]
-    in_pool = (subjects.arm_a == ARM_A_CODE["A1"]) | (subjects.arm_a == ARM_A_CODE["A2"])
+    arm_a, y11 = np.asarray(arm_a), np.asarray(y11)
+    if arm_a.ndim != 1 or arm_a.shape != y11.shape:
+        raise ValueError("subject columns must be 1-d and of equal length")
+    in_control = arm_a == ARM_A_CODE["A0"]
+    in_pool = (arm_a == ARM_A_CODE["A1"]) | (arm_a == ARM_A_CODE["A2"])
     if np.count_nonzero(in_control) < 2 or np.count_nonzero(in_pool) < 2:
         raise SchedulingError(
             "feasibility trigger too early: fewer than 2 subjects in control or pooled group "
             f"(control={np.count_nonzero(in_control)}, pooled={np.count_nonzero(in_pool)})"
         )
-    control = subjects.y11[in_control]
-    pooled = subjects.y11[in_pool]
     tail = Tail.UPPER if BenefitDirection(direction) is BenefitDirection.INCREASE else Tail.LOWER
-    test = welch_t_test(pooled, control, tail)
+    test = welch_t_test(y11[in_pool], y11[in_control], tail)
     return FeasibilityDecision(proceed=test.p_value < alpha_feas, test=test)
 
 

@@ -13,10 +13,10 @@ helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
 pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
 cost; the result carries the two means. ``check_design`` checks a logistic
-design (2-d, intercept, full rank) into a read-only ``Design`` with its row
-grouping and whether it is saturated; ``fit_logistic_counts`` takes only a
-``Design``, which it trusts, and the final analysis fits saturated models
-from it in closed form. The IRLS Newton
+design (2-d, intercept, full rank) into a read-only, Fortran-ordered
+``Design`` with its row grouping and whether it is saturated;
+``fit_logistic_counts`` takes only a ``Design``, which it trusts, and the
+final analysis fits saturated models from it in closed form. The IRLS Newton
 loop forms the same products in the same memory order as the textbook
 step, so its iterates and iteration count are unchanged. On arrays of a
 few rows numpy's per-call cost outweighs the arithmetic, so the loop pays
@@ -196,6 +196,11 @@ def t_sf(x: float, df: float) -> float:
     return tail if x > 0.0 else 1.0 - tail
 
 
+def _positive_int(v) -> bool:
+    """A positive integer; a bool is not one here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail survival function of the chi-square distribution.
 
@@ -205,9 +210,9 @@ def chi_square_sf(x: float, df: int) -> float:
     for odd df. Every term is positive, so the sum loses no precision.
     """
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:  # a NaN would return 0.0, a rejection
         raise InputError(f"chi_square_sf requires x >= 0, got {x}")
-    if not (isinstance(df, (int, np.integer)) and df >= 1):
+    if not _positive_int(df):
         raise InputError(f"chi_square_sf requires a positive integer df, got {df!r}")
     if not math.isfinite(x):
         return 0.0
@@ -317,8 +322,10 @@ class Design(NamedTuple):
 def check_design(rows) -> Design:
     """The ``Design`` of a 2-d float design with an intercept and full
     column rank. The rows are copied before they are frozen, so the
-    caller's array stays writeable."""
-    x = np.array(rows, dtype=float)
+    caller's array stays writeable, and in Fortran order: the BLAS products
+    of a fit round by memory layout, so every copy of a design fits to the
+    same bits."""
+    x = np.array(rows, dtype=float, order="F")
     if x.ndim != 2:
         raise InputError("design must be a 2-d matrix")
     if not (x[:, 0] == 1.0).all():
@@ -445,13 +452,13 @@ def fit_logistic(design, outcome) -> LogisticFit:
 def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:
     """Likelihood-ratio chi-square test of a reduced model nested in a full
     model, from the two maximised log-likelihoods; ``df_diff`` = difference
-    in parameter count."""
-    if not (isinstance(df_diff, (int, np.integer)) and df_diff >= 1):
+    in parameter count. A NaN log-likelihood is a failed fit."""
+    if not _positive_int(df_diff):
         raise InputError(f"df_diff must be a positive integer, got {df_diff!r}")
     stat = 2.0 * (full - reduced)
-    if stat < -1e-6:
+    if not stat >= -1e-6:  # a NaN would give p = 0.0, a rejection
         raise FittingError(
-            f"full-model log-likelihood below reduced model ({full} < {reduced}); fit failed"
+            f"full-model log-likelihood NaN or below reduced model ({full} < {reduced}); fit failed"
         )
     stat = max(stat, 0.0)
     return TestResult(stat, float(df_diff), chi_square_sf(stat, int(df_diff)), Tail.UPPER)

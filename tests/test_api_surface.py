@@ -69,3 +69,28 @@ def test_one_replicate_per_branch_reaches_every_traced_function(tracing):
             branches.add(harness.run_replicate(config, *cell, seed).branch.value)
     assert branches == set(cases)
     assert tracing.Layers(recorder.spans).never_called(recorder) == []
+
+
+def test_traced_subject_counts_sum_to_n_total(tracing):
+    """``generation.subjects_per_rep`` counts each ``generate_block`` call's
+    subjects from its return value; a change to that return must keep the
+    count of one replicate at the config's ``n_total``, on every branch."""
+    from fast_trials import harness
+    from fast_trials.design import load_scenarios
+
+    root = PERFBENCH.parent
+    cases = {
+        "domain_a_terminated": root / "scenarios" / "null.json",
+        "one_arm_retained": root / "scenarios" / "first_arm_effective.json",
+        "both_arms_retained": PERFBENCH / "scenarios" / "both_arms.json",
+    }
+    for branch, path in cases.items():
+        config = load_scenarios(path)[0]
+        cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
+        seed = next(s for s in range(200) if harness.run_replicate(config, *cell, s).branch.value == branch)
+        with tracing.Recorder(tracing.WORKER_SIDE) as recorder:
+            harness.run_replicate(config, *cell, seed)
+        layers = tracing.Layers(recorder.spans)
+        assert layers.calls["generation.generate_block"] >= 2, branch
+        assert sum(layers.counts["generation.generate_block"]) == config.n_total, branch
+        assert tracing.worker_metrics(layers)["generation.subjects_per_rep"] == config.n_total, branch

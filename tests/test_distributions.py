@@ -152,6 +152,10 @@ def test_chi_square_rejects_bad_arguments():
         chi_square_sf(1.0, 0)
     with pytest.raises(InputError):
         chi_square_sf(1.0, 1.5)
+    with pytest.raises(InputError):  # a NaN statistic used to give 0.0, a rejection
+        chi_square_sf(np.nan, 1)
+    with pytest.raises(InputError):  # a bool is not a df
+        chi_square_sf(3.0, True)
 
 
 # -- closed-form tails against the incomplete-gamma routine they replaced ----

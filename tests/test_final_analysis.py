@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from fast_trials.design import ScenarioConfig, SubjectData
+from fast_trials.design import ScenarioConfig
 from fast_trials.final_analysis import (
+    _TABLE_SLOTS,
     HIERARCHY,
     FinalBranch,
     GatekeepingOutcome,
@@ -26,37 +27,25 @@ from fast_trials.oracles import oracle_gatekeeping_enumerate
 _NODES = ("H01", "H02", "H03", "H04", "H05", "H06", "H07")
 
 
-def cell_table(block):
-    """The reference cell table of a block of subjects, counted from its
-    columns: ``table[arm_a + 1, arm_b]`` holds the cell's (non-events,
-    events). The tables of several blocks add up to the table of their
-    subjects together."""
-    cells = ((block.arm_a + 1) * 2 + block.arm_b) * 2 + block.y21
+def cell_table(arm_a, arm_b, y21):
+    """The reference cell table of subjects, counted from their domain-A
+    and domain-B arm codes and outcomes: ``table[arm_a + 1, arm_b]`` holds
+    the cell's (non-events, events). The tables of several blocks add up to
+    the table of their subjects together."""
+    cells = ((np.asarray(arm_a) + 1) * 2 + np.asarray(arm_b)) * 2 + np.asarray(y21)
     return np.bincount(cells, minlength=16).reshape(4, 2, 2)
 
 
 def _subjects(arm_a, arm_b, y21):
-    n = len(arm_a)
-    return SubjectData(arm_a, arm_b, np.zeros(n), np.zeros(n), y21)
+    """The (arm_a, arm_b, y21) columns of subjects, as arrays."""
+    return np.asarray(arm_a), np.asarray(arm_b), np.asarray(y21)
 
 
 def _model(subjects, branch):
-    return build_final_model(cell_table(subjects), branch)
+    return build_final_model(cell_table(*subjects), branch)
 
 
 # -- model construction -------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "column, value", [("y21", 2), ("arm_b", 2), ("arm_a", -2), ("arm_a", 258), ("y21", 0.5)]
-)
-def test_subject_codes_out_of_range_are_rejected(column, value):
-    # A y21 of 2 would count as a non-event of the next cell, and an arm_b
-    # of 2 as a subject of the next domain-A arm.
-    columns = {"arm_a": [0, 1, 2, -1], "arm_b": [0, 1, 0, 1], "y21": [0, 1, 1, 0]}
-    columns[column][1] = value
-    with pytest.raises(ValueError, match=column):
-        _subjects(**columns)
-
 
 def test_pooled_indicator_is_or_of_arm_indicators():
     arm_a = np.array([0, 1, 2, 1, 0, 2, 2])
@@ -94,7 +83,7 @@ def test_both_retained_reference_coding():
 
 
 def test_gatekeepers_reject_another_branchs_table():
-    cells = cell_table(_subjects([0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 0]))
+    cells = cell_table([0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 0])
     analyses = {
         FinalBranch.ONE_ARM_RETAINED: gatekeep_one_retained,
         FinalBranch.BOTH_ARMS_RETAINED: gatekeep_both_retained,
@@ -107,6 +96,20 @@ def test_gatekeepers_reject_another_branchs_table():
                     analysis(build_final_model(cells, other), 0.05)
         with pytest.raises(ValueError, match="pattern table"):
             analysis(build_final_model(cells, branch)[:, :1], 0.05)
+
+
+def test_table_slots_are_pinned():
+    """Cell-table entry (arm_a + 1, arm_b, y21), flattened -> pattern-table
+    slot: events in row 0, non-events in row 1, 2^(k + 1) for the subjects
+    the model leaves out."""
+    pinned = {
+        FinalBranch.ONE_ARM_RETAINED: [8, 8, 8, 8, 4, 0, 5, 1, 6, 2, 7, 3, 6, 2, 7, 3],
+        FinalBranch.BOTH_ARMS_RETAINED: [16, 16, 16, 16, 8, 0, 9, 1, 12, 4, 13, 5, 10, 2, 11, 3],
+        FinalBranch.DOMAIN_A_TERMINATED: [2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1],
+    }
+    assert set(_TABLE_SLOTS) == set(pinned)
+    for branch, slots in pinned.items():
+        np.testing.assert_array_equal(_TABLE_SLOTS[branch], np.array(slots, dtype=np.intp), strict=True)
 
 
 def test_grouped_counts_conserve_subjects_and_events():
@@ -122,10 +125,11 @@ def test_grouped_counts_conserve_subjects_and_events():
 def _reference_build(subjects, branch):
     """Events and trials per pattern code as built from the subjects before
     cell tables: mask, indicator columns, binary codes."""
-    mask = subjects.arm_a != -1
+    arm_a, arm_b, y21 = subjects
+    mask = arm_a != -1
     if branch is FinalBranch.DOMAIN_A_TERMINATED:
-        mask = np.ones(len(subjects), dtype=bool)
-    arm_a, arm_b, y21 = subjects.arm_a[mask], subjects.arm_b[mask], subjects.y21[mask]
+        mask = np.ones(len(arm_a), dtype=bool)
+    arm_a, arm_b, y21 = arm_a[mask], arm_b[mask], y21[mask]
     if branch is FinalBranch.ONE_ARM_RETAINED:
         indicators = np.column_stack([(arm_a > 0), arm_b == 1]).astype(np.int8)
     elif branch is FinalBranch.BOTH_ARMS_RETAINED:
@@ -143,8 +147,8 @@ def _reference_build(subjects, branch):
 
 def _split(subjects, bounds):
     return [
-        _subjects(*(getattr(subjects, c)[lo:hi] for c in ("arm_a", "arm_b", "y21")))
-        for lo, hi in zip((0, *bounds), (*bounds, len(subjects)))
+        tuple(column[lo:hi] for column in subjects)
+        for lo, hi in zip((0, *bounds), (*bounds, len(subjects[0])))
     ]
 
 
@@ -167,15 +171,15 @@ def test_table_lookup_grouping_bit_identical_to_indicator_codes(branch):
         if rng.random() < 0.3 and n > 2:  # a one-subject block
             bounds = np.unique(np.append(bounds, [n - 1] if rng.random() < 0.5 else [1]))
         blocks = _split(data, bounds)
-        assert sum(len(b) for b in blocks) == n
-        tables = [cell_table(b) for b in blocks]
+        assert sum(len(b[0]) for b in blocks) == n
+        tables = [cell_table(*b) for b in blocks]
         cells = np.zeros((4, 2, 2), dtype=np.intp)
         for table in tables:
             cells = cells + table
-        np.testing.assert_array_equal(cells, cell_table(data), strict=True)
+        np.testing.assert_array_equal(cells, cell_table(*data), strict=True)
         np.testing.assert_array_equal(build_final_model(cells, branch), _reference_build(data, branch), strict=True)
         seen.add(len(blocks) > 1)
-        seen.add(min(len(b) for b in blocks) == 1)
+        seen.add(min(len(b[0]) for b in blocks) == 1)
         seen.add("absent" if (arm_a == -1).any() else "assigned only")
         seen.add("no_b1" if not arm_b.any() else "b1")
     assert seen == {True, False, "absent", "assigned only", "no_b1", "b1"}
@@ -372,15 +376,15 @@ def test_terminated_branch_calibration_and_effect():
     hits = 0
     n_rep = 400
     for rep in range(n_rep):
-        block, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
-        model = _model(block, "domain_a_terminated")
+        *_, cells = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
+        model = build_final_model(cells, "domain_a_terminated")
         hits += analyze_terminated(model, 0.05).successful_arms == frozenset({"B1"})
     rate = hits / n_rep
     assert rate < 0.05 + 3.5 * np.sqrt(0.05 * 0.95 / n_rep)
 
     strong = ScenarioConfig(phase3_effects={"A1": 0.0, "A2": 0.0, "B1": 0.2})
-    block, _, _ = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
-    outcome = analyze_terminated(_model(block, "domain_a_terminated"), 0.05)
+    *_, cells = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
+    outcome = analyze_terminated(build_final_model(cells, "domain_a_terminated"), 0.05)
     assert outcome.successful_arms == frozenset({"B1"})
 
 

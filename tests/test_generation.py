@@ -18,30 +18,37 @@ def _freq_tol(p, n):
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
 
 
+def _event_rate(cells):
+    """Events over subjects of a slice of a block's cell table, and the
+    subjects."""
+    return cells[..., 1].sum() / cells.sum(), int(cells.sum())
+
+
 def test_block_allocation_thirds_and_halves():
     cfg = ScenarioConfig()
-    block, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(1))
+    arm_a, _, _, _, cells = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(1))
     for code in (0, 1, 2):
-        freq = np.mean(block.arm_a == code)
+        freq = np.mean(arm_a == code)
         assert abs(freq - 1 / 3) < _freq_tol(1 / 3, 300_000)
-    assert abs(np.mean(block.arm_b == 1) - 0.5) < _freq_tol(0.5, 300_000)
+    assert abs(cells[:, 1].sum() / 300_000 - 0.5) < _freq_tol(0.5, 300_000)
 
 
 def test_terminated_domain_never_assigns():
     cfg = ScenarioConfig()
     stream = np.random.default_rng(2)
-    block, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
-    assert np.all(block.arm_a == ABSENT)
-    assert abs(np.mean(block.arm_b == 1) - 0.5) < _freq_tol(0.5, 50_000)
+    arm_a, _, _, _, cells = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
+    assert np.all(arm_a == ABSENT)
+    assert cells[0].sum() == 50_000  # every subject in the ABSENT row
+    assert abs(cells[:, 1].sum() / 50_000 - 0.5) < _freq_tol(0.5, 50_000)
 
 
 def test_restricted_allocation_excludes_dropped_arm():
     cfg = ScenarioConfig()
     active = ActiveArms(domain_a=frozenset({"A0", "A2"}))
-    block, _, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
-    assert not np.any(block.arm_a == 1)  # A1 never assigned
-    assert abs(np.mean(block.arm_a == 0) - 0.5) < _freq_tol(0.5, 20_000)
-    assert set(np.unique(block.arm_a)) == {0, 2}
+    arm_a, _, _, _, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
+    assert not np.any(arm_a == 1)  # A1 never assigned
+    assert abs(np.mean(arm_a == 0) - 0.5) < _freq_tol(0.5, 20_000)
+    assert set(np.unique(arm_a)) == {0, 2}
 
 
 def test_active_arms_invariants():
@@ -58,12 +65,12 @@ def test_biomarker_means():
         biomarker_effects={"A1": (-10.0, 10.0), "A2": (4.0, -6.0)},
         biomarker_sds=(10.0, 10.0),
     )
-    block, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
+    arm_a, y11, y12, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
     for code, (m11, m12) in ((0, (0.0, 0.0)), (1, (-10.0, 10.0)), (2, (4.0, -6.0))):
-        arm = block.arm_a == code  # about 100k subjects: 3 MC standard errors < 0.1
-        assert abs(block.y11[arm].mean() - m11) < 0.1
-        assert abs(block.y12[arm].mean() - m12) < 0.1
-        assert block.y11[arm].std() == pytest.approx(10.0, abs=0.1)
+        arm = arm_a == code  # about 100k subjects: 3 MC standard errors < 0.1
+        assert abs(y11[arm].mean() - m11) < 0.1
+        assert abs(y12[arm].mean() - m12) < 0.1
+        assert y11[arm].std() == pytest.approx(10.0, abs=0.1)
 
 
 def test_control_and_degenerate_sd():
@@ -71,16 +78,16 @@ def test_control_and_degenerate_sd():
         biomarker_effects={"A1": (7.0, -3.0), "A2": (0.0, 0.0)},
         biomarker_sds=(0.0, 0.0),
     )
-    block, _, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
+    arm_a, y11, y12, _, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
     expected = {0: (0.0, 0.0), 1: (7.0, -3.0), 2: (0.0, 0.0)}
     for code, (m11, m12) in expected.items():
-        arm = block.arm_a == code
+        arm = arm_a == code
         assert arm.any()
-        assert np.all(block.y11[arm] == m11) and np.all(block.y12[arm] == m12)
+        assert np.all(y11[arm] == m11) and np.all(y12[arm] == m12)
     # Subjects enrolled after domain A terminated carry no shift.
-    absent, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
-    assert np.all(absent.arm_a == ABSENT)
-    assert np.all(absent.y11 == 0.0) and np.all(absent.y12 == 0.0)
+    absent, y11, y12, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
+    assert np.all(absent == ABSENT)
+    assert np.all(y11 == 0.0) and np.all(y12 == 0.0)
 
 
 def test_event_probability_clamps_and_flags():
@@ -88,34 +95,36 @@ def test_event_probability_clamps_and_flags():
     # into [0.001, 0.999] and counted; a probability inside stays as it is.
     for risk_difference, clamped, rate in ((0.9, True, 0.999), (-0.9, True, 0.001), (0.55, False, 0.95)):
         cfg = ScenarioConfig(phase3_effects={"A1": risk_difference, "A2": 0.0, "B1": 0.0})
-        block, n_clamped, _ = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
-        a1 = block.arm_a == 1
-        assert n_clamped == (int(a1.sum()) if clamped else 0)
-        assert abs(block.y21[a1].mean() - rate) < _freq_tol(rate, int(a1.sum()))
+        arm_a, _, _, n_clamped, cells = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
+        n_a1 = int(np.count_nonzero(arm_a == 1))
+        assert n_clamped == (n_a1 if clamped else 0)
+        observed, n = _event_rate(cells[1 + 1])
+        assert n == n_a1
+        assert abs(observed - rate) < _freq_tol(rate, n)
 
 
 def test_phase3_outcome_frequency():
     cfg = ScenarioConfig()
-    block, _, _ = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
-    control = (block.arm_a == 0) & (block.arm_b == 0)
-    assert abs(block.y21[control].mean() - 0.4) < _freq_tol(0.4, int(control.sum()))
+    *_, cells = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
+    observed, n = _event_rate(cells[0 + 1, 0])  # A0 and B0
+    assert abs(observed - 0.4) < _freq_tol(0.4, n)
 
 
 def test_block_outcome_frequency_with_effects():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1})
-    block, n_clamped, _ = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
+    *_, n_clamped, cells = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
     assert n_clamped == 0
     # Risk differences add: control 0.4, one active arm 0.5, both 0.6.
     for a, b, rate in ((0, 0, 0.4), (2, 0, 0.5), (0, 1, 0.5), (2, 1, 0.6), (1, 1, 0.6)):
-        cell = (block.arm_a == a) & (block.arm_b == b)
-        assert abs(block.y21[cell].mean() - rate) < _freq_tol(rate, int(cell.sum()))
+        observed, n = _event_rate(cells[a + 1, b])
+        assert abs(observed - rate) < _freq_tol(rate, n)
 
 
 def test_global_null_exchangeable_across_arms():
     cfg = ScenarioConfig()  # all effects zero
-    block, _, _ = generate_block(cfg, ActiveArms(), 120_000, np.random.default_rng(9))
-    means = [block.y11[block.arm_a == code].mean() for code in (0, 1, 2)]
-    rates = [block.y21[block.arm_a == code].mean() for code in (0, 1, 2)]
+    arm_a, y11, _, _, cells = generate_block(cfg, ActiveArms(), 120_000, np.random.default_rng(9))
+    means = [y11[arm_a == code].mean() for code in (0, 1, 2)]
+    rates = [_event_rate(cells[code + 1])[0] for code in (0, 1, 2)]
     for m in means:
         assert abs(m) < 0.16  # 3 SE with sigma=10, n~40000
     assert max(rates) - min(rates) < 2 * _freq_tol(0.4, 40_000)
@@ -123,11 +132,11 @@ def test_global_null_exchangeable_across_arms():
 
 def test_blocks_deterministic_given_stream_state():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.0, "B1": 0.0})
-    b1, c1, _ = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
-    b2, c2, _ = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
-    assert c1 == c2
-    for column in ("arm_a", "arm_b", "y11", "y12", "y21"):
-        np.testing.assert_array_equal(getattr(b1, column), getattr(b2, column))
+    first = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
+    second = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
+    assert first[3] == second[3]
+    for got, want in zip(first, second):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_generation_tables_are_built_once_per_config():
@@ -161,10 +170,10 @@ def _reference_generate_block(config, active, n, stream):
     arms_a = () if active.domain_a is None else tuple(sorted(active.domain_a))
     if arms_a:
         idx = stream.integers(len(arms_a), size=n)
-        arm_a = np.array([ARM_A_CODE[a] for a in arms_a], dtype=np.int8)[idx]
+        arm_a = np.array([ARM_A_CODE[a] for a in arms_a], dtype=np.intp)[idx]
     else:
-        arm_a = np.full(n, ABSENT, dtype=np.int8)
-    arm_b = stream.integers(2, size=n).astype(np.int8)
+        arm_a = np.full(n, ABSENT, dtype=np.intp)
+    arm_b = stream.integers(2, size=n).astype(np.intp)
 
     shift11 = np.zeros(3)
     shift12 = np.zeros(3)
@@ -188,7 +197,7 @@ def _reference_generate_block(config, active, n, stream):
     )
     n_clamped = int(np.count_nonzero((p < PROB_CLAMP_LO) | (p > PROB_CLAMP_HI)))
     p = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    y21 = (stream.random(n) < p).astype(np.int8)
+    y21 = (stream.random(n) < p).astype(np.intp)
     return (arm_a, arm_b, y11, y12, y21), n_clamped, p
 
 
@@ -227,17 +236,18 @@ def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
     config, active = _IDENTITY_CONFIGS[config_name], _ARM_SETS[arms_name]
     for seed, n in ((0, 1), (1, 2), (2, 97), (3, 1000), (4, 4321), (5, 150), (6, 800)):
         stream, reference_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-        block, n_clamped, cells = generate_block(config, active, n, stream)
+        *columns, n_clamped, cells = generate_block(config, active, n, stream)
         expected, expected_clamped, p = _reference_generate_block(config, active, n, reference_stream)
+        arm_a, arm_b, y11, y12, y21 = expected
         assert n_clamped == expected_clamped
-        # The returned cell table is the block's, counted from its columns.
-        np.testing.assert_array_equal(cells, cell_table(block), strict=True)
+        # The returned cell table is the reference subjects', counted from
+        # their columns.
+        np.testing.assert_array_equal(cells, cell_table(arm_a, arm_b, y21), strict=True)
         # A probability one ulp off would almost never flip an outcome, so
         # the table cells are compared with the per-subject sums directly.
-        p_event = config.generation_tables.p_event[block.arm_a + 1, block.arm_b]
+        p_event = config.generation_tables.p_event[arm_a + 1, arm_b]
         np.testing.assert_array_equal(p_event, p, strict=True)
-        for column, want in zip(("arm_a", "arm_b", "y11", "y12", "y21"), expected):
-            got = getattr(block, column)
+        for got, want in zip(columns, (arm_a, y11, y12)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want, strict=True)
         # The stream is left where the reference leaves it.

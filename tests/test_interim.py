@@ -6,7 +6,6 @@ import itertools
 import numpy as np
 import pytest
 
-from fast_trials.design import SubjectData
 from fast_trials.interim import (
     SchedulingError,
     AnalysisKind,
@@ -19,9 +18,9 @@ from fast_trials.stats import Tail, TestResult
 
 
 def _subjects(arm_a_codes, y11, y12=None):
-    n = len(arm_a_codes)
-    y12 = y12 if y12 is not None else np.zeros(n)
-    return SubjectData(arm_a_codes, np.zeros(n, dtype=int), y11, y12, np.zeros(n, dtype=int))
+    """The (arm_a, y11, y12) columns the interims read; y12 defaults to 0."""
+    y12 = y12 if y12 is not None else np.zeros(len(arm_a_codes))
+    return np.asarray(arm_a_codes), np.asarray(y11, dtype=float), np.asarray(y12, dtype=float)
 
 
 def _two_arm_data(y11_a1, y11_a2, y12_a1=None, y12_a2=None):
@@ -34,12 +33,12 @@ def _two_arm_data(y11_a1, y11_a2, y12_a1=None, y12_a2=None):
 def test_identical_arms_fall_back_to_default():
     base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     data = _two_arm_data(base, base, base, base)
-    decision = arm_dropping_analysis(data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05)
     assert decision.used_default
     assert decision.retained == frozenset({"A2"})
     assert decision.nominated_by_y11 is None and decision.nominated_by_y12 is None
 
-    decision_a1 = arm_dropping_analysis(data, 0.05, default_arm="A1")
+    decision_a1 = arm_dropping_analysis(*data, 0.05, default_arm="A1")
     assert decision_a1.retained == frozenset({"A1"})
 
 
@@ -50,7 +49,7 @@ def test_clear_separation_nominates_single_arm():
     flat = rng.normal(0.0, 1.0, 40)
     # y11 separated (A1 higher, benefit=increase), y12 null
     data = _two_arm_data(high, low, flat, rng.normal(0.0, 1.0, 40))
-    decision = arm_dropping_analysis(data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05)
     assert decision.nominated_by_y11 == "A1"
     assert decision.nominated_by_y12 is None
     assert decision.retained == frozenset({"A1"})
@@ -66,11 +65,11 @@ def test_conflicting_nominations_retain_both():
         rng.normal(0.0, 1.0, 40),
         rng.normal(20.0, 1.0, 40),
     )
-    decision = arm_dropping_analysis(data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05)
     assert decision.nominated_by_y11 == "A1"
     assert decision.nominated_by_y12 == "A1"
     # both nominations agree here; flip y12 direction to force a conflict
-    conflicted = arm_dropping_analysis(data, 0.05, directions=("increase", "increase"))
+    conflicted = arm_dropping_analysis(*data, 0.05, directions=("increase", "increase"))
     assert conflicted.nominated_by_y11 == "A1"
     assert conflicted.nominated_by_y12 == "A2"
     assert conflicted.retained == frozenset({"A1", "A2"})
@@ -79,8 +78,8 @@ def test_conflicting_nominations_retain_both():
 def test_directions_flip_nominations():
     rng = np.random.default_rng(44)
     data = _two_arm_data(rng.normal(10.0, 1.0, 30), rng.normal(0.0, 1.0, 30))
-    up = arm_dropping_analysis(data, 0.05, directions=("increase", "decrease"))
-    down = arm_dropping_analysis(data, 0.05, directions=("decrease", "decrease"))
+    up = arm_dropping_analysis(*data, 0.05, directions=("increase", "decrease"))
+    down = arm_dropping_analysis(*data, 0.05, directions=("decrease", "decrease"))
     assert up.nominated_by_y11 == "A1"
     assert down.nominated_by_y11 == "A2"
 
@@ -113,7 +112,20 @@ def test_retention_rule_exhaustive_enumeration():
 def test_retention_requires_two_per_arm():
     data = _subjects([1, 1, 2], [1.0, 2.0, 3.0])
     with pytest.raises(SchedulingError):
-        arm_dropping_analysis(data, 0.05)
+        arm_dropping_analysis(*data, 0.05)
+
+
+def test_interims_reject_columns_of_unequal_length():
+    # Without the check, a short biomarker column would be masked by a
+    # longer arm column and raise IndexError, or a 2-d one tested flat.
+    codes, y11, y12 = _subjects([0, 0, 1, 1, 2, 2], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    for args in ((codes, y11, y12[:-1]), (codes[:-1], y11, y12), (codes, y11, y12.reshape(2, 3))):
+        with pytest.raises(ValueError, match="equal length"):
+            arm_dropping_analysis(*args, 0.05)
+    with pytest.raises(ValueError, match="equal length"):
+        feasibility_analysis(codes, y11[1:], 0.05)
+    with pytest.raises(ValueError, match="equal length"):
+        feasibility_analysis(codes.reshape(2, 3), y11.reshape(2, 3), 0.05)
 
 
 def test_feasibility_null_rejection_rate_near_alpha():
@@ -122,7 +134,7 @@ def test_feasibility_null_rejection_rate_near_alpha():
     n_rep = 2000
     for _ in range(n_rep):
         data = _subjects([0] * 30 + [1] * 30 + [2] * 30, rng.normal(0.0, 10.0, 90))
-        hits += feasibility_analysis(data, 0.05, "increase").proceed
+        hits += feasibility_analysis(*data[:2], 0.05, "increase").proceed
     rate = hits / n_rep
     assert abs(rate - 0.05) < 3.0 * np.sqrt(0.05 * 0.95 / n_rep)
 
@@ -131,7 +143,7 @@ def test_feasibility_strong_shift_proceeds():
     rng = np.random.default_rng(31)
     y = np.r_[rng.normal(0.0, 1.0, 100), rng.normal(10.0, 1.0, 100)]
     data = _subjects([0] * 100 + [1] * 50 + [2] * 50, y)
-    decision = feasibility_analysis(data, 0.05, "increase")
+    decision = feasibility_analysis(*data[:2], 0.05, "increase")
     assert decision.proceed
     assert 60.0 < decision.test.statistic < 82.0
     assert decision.test.p_value < 1e-12
@@ -144,7 +156,7 @@ def test_feasibility_one_sidedness():
     rng = np.random.default_rng(32)
     y = np.r_[rng.normal(0.0, 1.0, 100), rng.normal(10.0, 1.0, 100)]
     data = _subjects([0] * 100 + [1] * 50 + [2] * 50, y)
-    assert not feasibility_analysis(data, 0.05, "decrease").proceed
+    assert not feasibility_analysis(*data[:2], 0.05, "decrease").proceed
 
 
 def test_feasibility_pools_dropped_arm_subjects():
@@ -153,7 +165,7 @@ def test_feasibility_pools_dropped_arm_subjects():
     y = np.r_[np.full(40, 0.0), np.full(20, 0.0), np.full(20, 10.0)]
     y = y + np.tile([-0.5, 0.5], 40)
     data = _subjects([0] * 40 + [1] * 20 + [2] * 20, y)
-    decision = feasibility_analysis(data, 0.05, "increase")
+    decision = feasibility_analysis(*data[:2], 0.05, "increase")
     assert decision.test.means[0] == pytest.approx(5.0, abs=1e-9)
 
 
@@ -164,8 +176,8 @@ def test_feasibility_invariant_to_permutation():
     data = _subjects(codes, y)
     perm = rng.permutation(90)
     shuffled = _subjects(codes[perm], y[perm])
-    d1 = feasibility_analysis(data, 0.05, "increase")
-    d2 = feasibility_analysis(shuffled, 0.05, "increase")
+    d1 = feasibility_analysis(*data[:2], 0.05, "increase")
+    d2 = feasibility_analysis(*shuffled[:2], 0.05, "increase")
     assert d1.proceed == d2.proceed
     assert d1.test.p_value == pytest.approx(d2.test.p_value, abs=1e-12)
 
@@ -177,12 +189,12 @@ def test_scale_invariance_of_decisions():
     y12 = rng.normal(0.0, 4.0, 90)
     data = _subjects(codes, y11, y12)
     scaled = _subjects(codes, 3.7 * y11, y12)
-    d1 = arm_dropping_analysis(data, 0.2)
-    d2 = arm_dropping_analysis(scaled, 0.2)
+    d1 = arm_dropping_analysis(*data, 0.2)
+    d2 = arm_dropping_analysis(*scaled, 0.2)
     assert d1.nominated_by_y11 == d2.nominated_by_y11
     assert d1.test_y11.p_value == pytest.approx(d2.test_y11.p_value, abs=1e-9)
-    f1 = feasibility_analysis(data, 0.2, "increase")
-    f2 = feasibility_analysis(scaled, 0.2, "increase")
+    f1 = feasibility_analysis(*data[:2], 0.2, "increase")
+    f2 = feasibility_analysis(*scaled[:2], 0.2, "increase")
     assert f1.proceed == f2.proceed
     assert f1.test.p_value == pytest.approx(f2.test.p_value, abs=1e-9)
 
@@ -216,8 +228,8 @@ def test_decisions_carry_the_welch_sample_means_bit_for_bit():
         y11 = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(0.1, 50.0), codes.size)
         y12 = rng.normal(0.0, 10.0, codes.size)
         data = _subjects(codes, y11, y12)
-        retention = arm_dropping_analysis(data, 0.05)
+        retention = arm_dropping_analysis(*data, 0.05)
         for test, y in ((retention.test_y11, y11), (retention.test_y12, y12)):
             assert test.means == (float(y[codes == 1].mean()), float(y[codes == 2].mean()))
-        feasibility = feasibility_analysis(data, 0.05)
+        feasibility = feasibility_analysis(*data[:2], 0.05)
         assert feasibility.test.means == (float(y11[codes > 0].mean()), float(y11[codes == 0].mean()))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
+from fast_trials import final_analysis
 from fast_trials.final_analysis import gatekeep_both_retained
 from fast_trials.stats import (
     _DIVERGE_BOUND,
@@ -14,6 +15,7 @@ from fast_trials.stats import (
     IRLS_TOL,
     FittingError,
     InputError,
+    LogisticFit,
     _bernoulli_loglik,
     check_design,
     chi_square_sf,
@@ -162,6 +164,22 @@ def test_lr_inconsistent_fits_error():
 def test_lr_df_validation():
     with pytest.raises(InputError):
         lr_test(-60.0, -61.0, 0)
+    with pytest.raises(InputError):  # a bool is not a df
+        lr_test(-1.0, -3.0, True)
+
+
+def test_lr_nan_log_likelihood_is_a_failed_fit(monkeypatch):
+    # A NaN statistic used to give p = 0.0, a rejection.
+    for full, reduced in ((np.nan, -5.0), (-5.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(FittingError):
+            lr_test(full, reduced, 1)
+    # The final analysis flags such a replicate instead of rejecting on it.
+    nan_fit = LogisticFit(np.zeros(4), np.nan, True, 1, False)
+    monkeypatch.setattr(final_analysis, "fit_logistic_counts", lambda *args: nan_fit)
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 8.0, 14.0], [40.0] * 8])
+    outcome = gatekeep_both_retained(table, 0.05)
+    assert outcome.fit_failed
+    assert outcome.rejected == frozenset()
 
 
 def test_lr_invariant_to_row_order():
@@ -242,8 +260,10 @@ def _irls_tables(kind, rng):
 def test_irls_bit_identical_to_reference_loop(kind):
     seen = set()
     for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
-        fit = fit_logistic_counts(check_design(x), events, trials)
-        beta, loglik, n_iter, converged, diverged = _reference_irls(x, events, trials)
+        design = check_design(x)
+        fit = fit_logistic_counts(design, events, trials)
+        # on the same Fortran-ordered rows: the products round by layout
+        beta, loglik, n_iter, converged, diverged = _reference_irls(design.rows, events, trials)
         np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
         assert fit.log_likelihood == loglik
         assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
@@ -296,6 +316,24 @@ def test_fits_leave_the_error_state_as_they_found_it():
         assert outcome == name  # a bounded divergence is the singular step
         assert np.geterr() == before
         assert np.geterrcall() is None
+
+
+def test_fit_bits_do_not_depend_on_the_callers_memory_order():
+    # The node plan slices F-ordered designs; the BLAS products round by
+    # layout, so a C-ordered copy of one design fitted to other last bits.
+    rng = np.random.default_rng(1313)
+    for k in (1, 2, 3):
+        rows = np.array([[1.0] + [float((c >> j) & 1) for j in range(k)] for c in range(2**k)])
+        for _ in range(300):
+            trials = rng.integers(2, 400, size=2**k).astype(float)
+            events = np.floor(rng.uniform(1.0, trials))
+            c_fit, f_fit = (
+                fit_logistic_counts(check_design(order(rows)), events, trials)
+                for order in (np.ascontiguousarray, np.asfortranarray)
+            )
+            assert c_fit.log_likelihood == f_fit.log_likelihood
+            np.testing.assert_array_equal(c_fit.coefficients, f_fit.coefficients, strict=True)
+            assert c_fit.n_iterations == f_fit.n_iterations
 
 
 @pytest.mark.parametrize(
