@@ -31,7 +31,7 @@ for replicate in (0, 1, 2, 3, 4):
     result = run_replicate(config, n_drop, n_feas, seed)
 
     print(f"-- replicate {replicate} (seed {seed}) --")
-    order = [result.schedule.first[0].value, result.schedule.second[0].value]
+    order = [result.schedule[0][0].value, result.schedule[1][0].value]
     print(f"   interim order: {order[0]} then {order[1]}")
 
     ret = result.retention

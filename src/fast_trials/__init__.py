@@ -12,44 +12,11 @@ from .design import (
     scenario_to_dict,
     validate_scenario,
 )
-from .final_analysis import (
-    FinalBranch,
-    GatekeepingOutcome,
-    analyze_terminated,
-    build_final_model,
-    gatekeep_both_retained,
-    gatekeep_one_retained,
-)
-from .generation import (
-    ActiveArms,
-    generate_block,
-)
 from .harness import (
     OperatingCharacteristics,
-    TrialResult,
     derive_seed,
     run_cell,
     run_grid,
-    run_replicate,
-)
-from .interim import (
-    AnalysisSchedule,
-    FeasibilityDecision,
-    RetentionDecision,
-    arm_dropping_analysis,
-    build_schedule,
-    feasibility_analysis,
-)
-from .stats import (
-    LogisticFit,
-    Tail,
-    TestResult,
-    chi_square_sf,
-    fit_logistic,
-    lr_test,
-    normal_cdf,
-    t_sf,
-    welch_t_test,
 )
 
 __all__ = [
@@ -60,33 +27,8 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "validate_scenario",
-    "FinalBranch",
-    "GatekeepingOutcome",
-    "analyze_terminated",
-    "build_final_model",
-    "gatekeep_both_retained",
-    "gatekeep_one_retained",
-    "ActiveArms",
-    "generate_block",
     "OperatingCharacteristics",
-    "TrialResult",
     "derive_seed",
     "run_cell",
     "run_grid",
-    "run_replicate",
-    "AnalysisSchedule",
-    "FeasibilityDecision",
-    "RetentionDecision",
-    "arm_dropping_analysis",
-    "build_schedule",
-    "feasibility_analysis",
-    "LogisticFit",
-    "Tail",
-    "TestResult",
-    "chi_square_sf",
-    "fit_logistic",
-    "lr_test",
-    "normal_cdf",
-    "t_sf",
-    "welch_t_test",
 ]

@@ -4,7 +4,8 @@ arms, normal biomarker draws, and the binary phase-3 outcome.
 All draws go through an explicit ``numpy.random.Generator``.
 ``generate_block`` draws a whole enrollment window in one shot and consumes
 the stream column by column (domain A assignments, then domain B, then y11,
-y12, y21), a documented and reproducible draw order.
+y12, y21), a documented and reproducible draw order, under a frozenset of
+open domain-A arm names (``None`` once domain A is terminated).
 
 What depends only on the scenario is looked up per subject in the
 config's ``generation_tables``: the biomarker mean shifts by domain-A
@@ -20,26 +21,13 @@ its domain-A arm codes and two biomarkers, with that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .design import (
-    ABSENT,
-    ARM_A_CODE,
-    DOMAIN_A_ARMS,
-    PROB_CLAMP_HI,
-    PROB_CLAMP_LO,
-    ScenarioConfig,
-)
+from .design import ABSENT, ARM_A_CODE, DOMAIN_A_ARMS, ScenarioConfig
 
-__all__ = [
-    "PROB_CLAMP_LO",
-    "PROB_CLAMP_HI",
-    "ActiveArms",
-    "generate_block",
-]
+__all__ = ["generate_block"]
 
 # Each domain-A arm set that may be open to randomization -> its intp arm
 # codes in sorted arm order (every arm, or control and the one retained arm).
@@ -51,26 +39,11 @@ for _codes in _ACTIVE_CODES.values():
     _codes.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ActiveArms:
-    """Domain-A arms currently open to randomization (domain B always
-    randomizes both of its arms); ``domain_a=None`` after the fluid-domain
-    termination."""
-
-    domain_a: Optional[frozenset] = frozenset(DOMAIN_A_ARMS)
-
-    def __post_init__(self):
-        if self.domain_a is not None:
-            arms = frozenset(self.domain_a)
-            if arms not in _ACTIVE_CODES:
-                raise ValueError(f"active domain A must be A0 with A1, A2 or both, got {sorted(arms)}")
-            object.__setattr__(self, "domain_a", arms)
-
-
 def generate_block(
-    config: ScenarioConfig, active: ActiveArms, n: int, stream: np.random.Generator
+    config: ScenarioConfig, arms: Optional[frozenset], n: int, stream: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Draw ``n`` subjects under a fixed set of active arms.
+    """Draw ``n`` subjects under the open domain-A ``arms``: all three, or
+    A0 with A1 or A2; ``None`` once domain A is terminated.
 
     Allocation is equal within each active domain and independent across
     domains; biomarkers are normal around the arm's mean shifts (zero for
@@ -83,8 +56,10 @@ def generate_block(
     events).
     """
     tables = config.generation_tables
-    if active.domain_a is not None:
-        codes = _ACTIVE_CODES[active.domain_a]
+    if arms is not None:
+        codes = _ACTIVE_CODES.get(frozenset(arms))
+        if codes is None:
+            raise ValueError(f"active domain A must be A0 with A1, A2 or both, got {sorted(arms)}")
         arm_a = codes[stream.integers(len(codes), size=n)]
     else:
         arm_a = np.full(n, ABSENT, dtype=np.intp)

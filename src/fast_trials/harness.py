@@ -1,9 +1,9 @@
 """End-to-end replicate execution and operating-characteristic aggregation.
 
-A replicate enrolls subjects sequentially under the currently active arms,
-pauses at each interim trigger to apply the corresponding decision
-(restricting or terminating domain-A allocation), finishes enrollment, and
-runs the branch-appropriate final analysis. The interims read the domain-A
+A replicate enrolls subjects under the open domain-A arms, a frozenset of
+arm names; at each interim trigger arm dropping narrows the set or a failed
+feasibility test makes it None, and the set left open names the final
+analysis's branch. The interims read the domain-A
 arm codes and biomarkers of the subjects enrolled so far, so a replicate
 keeps only those columns of each block, concatenated when a second block
 precedes an interim; the final analysis reads only the events and trials
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import BenefitDirection, ScenarioConfig, validate_scenario
+from .design import DOMAIN_A_ARMS, BenefitDirection, ScenarioConfig, validate_scenario
 from .final_analysis import (
     ANCESTORS,
     FinalBranch,
@@ -47,10 +47,9 @@ from .final_analysis import (
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
-from .generation import ActiveArms, generate_block
+from .generation import generate_block
 from .interim import (
     AnalysisKind,
-    AnalysisSchedule,
     FeasibilityDecision,
     RetentionDecision,
     arm_dropping_analysis,
@@ -117,7 +116,7 @@ class TrialResult:
 
     n_drop: int
     n_feas: int
-    schedule: AnalysisSchedule
+    schedule: tuple  # the two (AnalysisKind, trigger) pairs in run order
     retention: Optional[RetentionDecision]
     feasibility: Optional[FeasibilityDecision]
     branch: FinalBranch
@@ -143,7 +142,7 @@ def run_replicate(
         )
     rng = np.random.default_rng(int(replicate_seed) & _MASK64)
     schedule = build_schedule(n_drop, n_feas)
-    active = ActiveArms()
+    arms = frozenset(DOMAIN_A_ARMS)  # open domain-A arms; None once terminated
     columns = None  # (arm_a, y11, y12) of the subjects so far: what the interims read
     # The final analysis reads only the sum of the blocks' cell tables.
     cells = np.zeros((4, 2, 2), dtype=np.intp)
@@ -152,11 +151,11 @@ def run_replicate(
     retention: Optional[RetentionDecision] = None
     feasibility: Optional[FeasibilityDecision] = None
 
-    for kind, trigger in (schedule.first, schedule.second):
-        if active.domain_a is None:
+    for kind, trigger in schedule:
+        if arms is None:
             break  # domain terminated; the later trigger can never be reached
         if trigger > enrolled:
-            *block, clamped, block_cells = generate_block(config, active, trigger - enrolled, rng)
+            *block, clamped, block_cells = generate_block(config, arms, trigger - enrolled, rng)
             columns = block if columns is None else [np.concatenate(c) for c in zip(columns, block)]
             cells = cells + block_cells
             enrolled = trigger
@@ -166,25 +165,24 @@ def run_replicate(
             retention = arm_dropping_analysis(
                 arm_a, y11, y12, config.alpha_drop, config.benefit_directions, config.default_retained_arm
             )
-            active = ActiveArms(domain_a=frozenset({"A0"}) | retention.retained)
+            arms = frozenset({"A0"}) | retention.retained
         else:
             feasibility = feasibility_analysis(arm_a, y11, config.alpha_feas, config.benefit_directions[0])
             if not feasibility.proceed:
-                active = ActiveArms(domain_a=None)
+                arms = None
 
     if config.n_total > enrolled:
-        *_, clamped, block_cells = generate_block(config, active, config.n_total - enrolled, rng)
+        *_, clamped, block_cells = generate_block(config, arms, config.n_total - enrolled, rng)
         cells = cells + block_cells
         n_clamped += clamped
 
-    if feasibility is not None and not feasibility.proceed:
+    # Arm dropping ran unless domain A was terminated, so the open arms name the branch.
+    if arms is None:
         branch, gatekeeper = FinalBranch.DOMAIN_A_TERMINATED, analyze_terminated
-    elif retention is not None and len(retention.retained) == 1:
+    elif len(arms) == 2:
         branch, gatekeeper = FinalBranch.ONE_ARM_RETAINED, gatekeep_one_retained
-    elif retention is not None:
+    else:
         branch, gatekeeper = FinalBranch.BOTH_ARMS_RETAINED, gatekeep_both_retained
-    else:  # triggers are validated <= n_total, so both analyses must have run
-        raise RuntimeError("inconsistent trial path: no feasibility failure and no retention")
     outcome = gatekeeper(build_final_model(cells, branch), config.alpha_final)
 
     return TrialResult(
@@ -337,7 +335,7 @@ def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> d
         "n_drop": result.n_drop,
         "n_feas": result.n_feas,
         "replicate": replicate,
-        "order_first": result.schedule.first[0].value,
+        "order_first": result.schedule[0][0].value,
         "retained": "|".join(sorted(ret.retained)) if ret else "",
         "used_default": int(ret.used_default) if ret else "",
         "p_drop_y11": f"{ret.test_y11.p_value:.6g}" if ret else "",
@@ -376,7 +374,7 @@ def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: de
         scenario_id=config.scenario_id,
         n_drop=int(n_drop),
         n_feas=int(n_feas),
-        order_first=build_schedule(n_drop, n_feas).first[0].value,
+        order_first=build_schedule(n_drop, n_feas)[0][0].value,
         p_retain_correct=tally["n_retain_correct"] / n_ret if n_ret else 0.0,
         p_retain_both=tally["n_retain_both"] / n_ret if n_ret else 0.0,
         p_proceed=per_eff("n_proceed"),

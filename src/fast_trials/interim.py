@@ -1,6 +1,6 @@
 """Phase-2 decision machinery: the arm-dropping analysis, the pooled
 feasibility analysis, and the schedule ordering them by sample-size
-triggers.
+triggers: a plain pair of ``(AnalysisKind, trigger)`` pairs in run order.
 
 Arm dropping compares the two active domain-A arms head-to-head on each
 biomarker with two-sided tests; a significant biomarker nominates the arm
@@ -29,7 +29,6 @@ __all__ = [
     "AnalysisKind",
     "RetentionDecision",
     "FeasibilityDecision",
-    "AnalysisSchedule",
     "resolve_retention",
     "arm_dropping_analysis",
     "feasibility_analysis",
@@ -62,12 +61,6 @@ class FeasibilityDecision:
     test: TestResult  # its means are the (pooled, control) y11 means
 
 
-@dataclass(frozen=True)
-class AnalysisSchedule:
-    first: tuple[AnalysisKind, int]
-    second: tuple[AnalysisKind, int]
-
-
 def _nominate(p_value, mean_a1, mean_a2, alpha, direction) -> Optional[str]:
     if not p_value < alpha:
         return None
@@ -93,6 +86,14 @@ def resolve_retention(
     return RetentionDecision(retained, test_y11, test_y12, nom11, nom12, used_default)
 
 
+def _subject_columns(*columns) -> list:
+    """The columns as arrays, checked 1-d and of equal length."""
+    arrays = [np.asarray(c) for c in columns]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("subject columns must be 1-d and of equal length")
+    return arrays
+
+
 def arm_dropping_analysis(
     arm_a,
     y11,
@@ -102,9 +103,7 @@ def arm_dropping_analysis(
     default_arm: str = "A2",
 ) -> RetentionDecision:
     """Head-to-head comparison of the two treatment arms on both biomarkers."""
-    arm_a, y11, y12 = np.asarray(arm_a), np.asarray(y11), np.asarray(y12)
-    if arm_a.ndim != 1 or not arm_a.shape == y11.shape == y12.shape:
-        raise ValueError("subject columns must be 1-d and of equal length")
+    arm_a, y11, y12 = _subject_columns(arm_a, y11, y12)
     in_a1 = arm_a == ARM_A_CODE["A1"]
     in_a2 = arm_a == ARM_A_CODE["A2"]
     if np.count_nonzero(in_a1) < 2 or np.count_nonzero(in_a2) < 2:
@@ -122,9 +121,7 @@ def feasibility_analysis(
 ) -> FeasibilityDecision:
     """One-sided pooled-treatment vs control comparison on y11; failing to
     reject terminates the domain."""
-    arm_a, y11 = np.asarray(arm_a), np.asarray(y11)
-    if arm_a.ndim != 1 or arm_a.shape != y11.shape:
-        raise ValueError("subject columns must be 1-d and of equal length")
+    arm_a, y11 = _subject_columns(arm_a, y11)
     in_control = arm_a == ARM_A_CODE["A0"]
     in_pool = (arm_a == ARM_A_CODE["A1"]) | (arm_a == ARM_A_CODE["A2"])
     if np.count_nonzero(in_control) < 2 or np.count_nonzero(in_pool) < 2:
@@ -137,13 +134,14 @@ def feasibility_analysis(
     return FeasibilityDecision(proceed=test.p_value < alpha_feas, test=test)
 
 
-def build_schedule(n_drop: int, n_feas: int) -> AnalysisSchedule:
-    """Order the two interim analyses by trigger; a tie runs arm dropping
-    first so the feasibility pooling sees the post-drop allocation."""
+def build_schedule(n_drop: int, n_feas: int) -> tuple:
+    """The two ``(AnalysisKind, trigger)`` pairs in run order, ordered by
+    trigger; a tie runs arm dropping first so the feasibility pooling sees
+    the post-drop allocation."""
     if n_drop < 1 or n_feas < 1:
         raise ValueError(f"triggers must be >= 1, got n_drop={n_drop}, n_feas={n_feas}")
     drop = (AnalysisKind.ARM_DROPPING, int(n_drop))
     feas = (AnalysisKind.FEASIBILITY, int(n_feas))
     if n_drop <= n_feas:
-        return AnalysisSchedule(first=drop, second=feas)
-    return AnalysisSchedule(first=feas, second=drop)
+        return drop, feas
+    return feas, drop

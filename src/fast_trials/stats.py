@@ -452,13 +452,16 @@ def fit_logistic(design, outcome) -> LogisticFit:
 def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:
     """Likelihood-ratio chi-square test of a reduced model nested in a full
     model, from the two maximised log-likelihoods; ``df_diff`` = difference
-    in parameter count. A NaN log-likelihood is a failed fit."""
+    in parameter count. A log-likelihood that no binary-outcome fit can give
+    (NaN, infinite or positive) is a failed fit, not a rejection."""
     if not _positive_int(df_diff):
         raise InputError(f"df_diff must be a positive integer, got {df_diff!r}")
-    stat = 2.0 * (full - reduced)
-    if not stat >= -1e-6:  # a NaN would give p = 0.0, a rejection
+    if not (-math.inf < full <= 0.0 and -math.inf < reduced <= 0.0):
         raise FittingError(
-            f"full-model log-likelihood NaN or below reduced model ({full} < {reduced}); fit failed"
+            f"log-likelihoods must be finite and <= 0 (full={full}, reduced={reduced}); fit failed"
         )
+    stat = 2.0 * (full - reduced)
+    if not stat >= -1e-6:
+        raise FittingError(f"full-model log-likelihood below reduced model ({full} < {reduced}); fit failed")
     stat = max(stat, 0.0)
     return TestResult(stat, float(df_diff), chi_square_sf(stat, int(df_diff)), Tail.UPPER)

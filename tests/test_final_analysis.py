@@ -20,7 +20,7 @@ from fast_trials.final_analysis import (
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
-from fast_trials.generation import ActiveArms, generate_block
+from fast_trials.generation import generate_block
 from fast_trials.harness import gating_violation
 from fast_trials.oracles import oracle_gatekeeping_enumerate
 
@@ -376,14 +376,14 @@ def test_terminated_branch_calibration_and_effect():
     hits = 0
     n_rep = 400
     for rep in range(n_rep):
-        *_, cells = generate_block(cfg, ActiveArms(domain_a=None), 600, np.random.default_rng(rep))
+        *_, cells = generate_block(cfg, None, 600, np.random.default_rng(rep))
         model = build_final_model(cells, "domain_a_terminated")
         hits += analyze_terminated(model, 0.05).successful_arms == frozenset({"B1"})
     rate = hits / n_rep
     assert rate < 0.05 + 3.5 * np.sqrt(0.05 * 0.95 / n_rep)
 
     strong = ScenarioConfig(phase3_effects={"A1": 0.0, "A2": 0.0, "B1": 0.2})
-    *_, cells = generate_block(strong, ActiveArms(domain_a=None), 1000, np.random.default_rng(5150))
+    *_, cells = generate_block(strong, None, 1000, np.random.default_rng(5150))
     outcome = analyze_terminated(build_final_model(cells, "domain_a_terminated"), 0.05)
     assert outcome.successful_arms == frozenset({"B1"})
 

@@ -9,8 +9,8 @@ import pickle
 import numpy as np
 import pytest
 
-from fast_trials.design import ABSENT, ARM_A_CODE, ScenarioConfig
-from fast_trials.generation import PROB_CLAMP_HI, PROB_CLAMP_LO, ActiveArms, generate_block
+from fast_trials.design import ABSENT, ARM_A_CODE, DOMAIN_A_ARMS, PROB_CLAMP_HI, PROB_CLAMP_LO, ScenarioConfig
+from fast_trials.generation import generate_block
 from test_final_analysis import cell_table
 
 
@@ -26,7 +26,7 @@ def _event_rate(cells):
 
 def test_block_allocation_thirds_and_halves():
     cfg = ScenarioConfig()
-    arm_a, _, _, _, cells = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(1))
+    arm_a, _, _, _, cells = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 300_000, np.random.default_rng(1))
     for code in (0, 1, 2):
         freq = np.mean(arm_a == code)
         assert abs(freq - 1 / 3) < _freq_tol(1 / 3, 300_000)
@@ -36,7 +36,7 @@ def test_block_allocation_thirds_and_halves():
 def test_terminated_domain_never_assigns():
     cfg = ScenarioConfig()
     stream = np.random.default_rng(2)
-    arm_a, _, _, _, cells = generate_block(cfg, ActiveArms(domain_a=None), 50_000, stream)
+    arm_a, _, _, _, cells = generate_block(cfg, None, 50_000, stream)
     assert np.all(arm_a == ABSENT)
     assert cells[0].sum() == 50_000  # every subject in the ABSENT row
     assert abs(cells[:, 1].sum() / 50_000 - 0.5) < _freq_tol(0.5, 50_000)
@@ -44,20 +44,20 @@ def test_terminated_domain_never_assigns():
 
 def test_restricted_allocation_excludes_dropped_arm():
     cfg = ScenarioConfig()
-    active = ActiveArms(domain_a=frozenset({"A0", "A2"}))
-    arm_a, _, _, _, _ = generate_block(cfg, active, 20_000, np.random.default_rng(3))
+    arm_a, _, _, _, _ = generate_block(cfg, frozenset({"A0", "A2"}), 20_000, np.random.default_rng(3))
     assert not np.any(arm_a == 1)  # A1 never assigned
     assert abs(np.mean(arm_a == 0) - 0.5) < _freq_tol(0.5, 20_000)
     assert set(np.unique(arm_a)) == {0, 2}
 
 
 def test_active_arms_invariants():
-    with pytest.raises(ValueError):
-        ActiveArms(domain_a=frozenset({"A1", "A2"}))  # control missing
-    with pytest.raises(ValueError):
-        ActiveArms(domain_a=frozenset({"A0"}))  # no treatment arm
-    with pytest.raises(ValueError):
-        ActiveArms(domain_a=frozenset({"A0", "A1", "B1"}))  # a domain-B arm
+    cfg, stream = ScenarioConfig(), np.random.default_rng(4)
+    with pytest.raises(ValueError, match="active domain A must be A0 with A1, A2 or both"):
+        generate_block(cfg, frozenset({"A1", "A2"}), 10, stream)  # control missing
+    with pytest.raises(ValueError, match="active domain A must be A0 with A1, A2 or both"):
+        generate_block(cfg, frozenset({"A0"}), 10, stream)  # no treatment arm
+    with pytest.raises(ValueError, match="active domain A must be A0 with A1, A2 or both"):
+        generate_block(cfg, frozenset({"A0", "A1", "B1"}), 10, stream)  # a domain-B arm
 
 
 def test_biomarker_means():
@@ -65,7 +65,7 @@ def test_biomarker_means():
         biomarker_effects={"A1": (-10.0, 10.0), "A2": (4.0, -6.0)},
         biomarker_sds=(10.0, 10.0),
     )
-    arm_a, y11, y12, _, _ = generate_block(cfg, ActiveArms(), 300_000, np.random.default_rng(5))
+    arm_a, y11, y12, _, _ = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 300_000, np.random.default_rng(5))
     for code, (m11, m12) in ((0, (0.0, 0.0)), (1, (-10.0, 10.0)), (2, (4.0, -6.0))):
         arm = arm_a == code  # about 100k subjects: 3 MC standard errors < 0.1
         assert abs(y11[arm].mean() - m11) < 0.1
@@ -78,14 +78,14 @@ def test_control_and_degenerate_sd():
         biomarker_effects={"A1": (7.0, -3.0), "A2": (0.0, 0.0)},
         biomarker_sds=(0.0, 0.0),
     )
-    arm_a, y11, y12, _, _ = generate_block(cfg, ActiveArms(), 300, np.random.default_rng(6))
+    arm_a, y11, y12, _, _ = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 300, np.random.default_rng(6))
     expected = {0: (0.0, 0.0), 1: (7.0, -3.0), 2: (0.0, 0.0)}
     for code, (m11, m12) in expected.items():
         arm = arm_a == code
         assert arm.any()
         assert np.all(y11[arm] == m11) and np.all(y12[arm] == m12)
     # Subjects enrolled after domain A terminated carry no shift.
-    absent, y11, y12, _, _ = generate_block(cfg, ActiveArms(domain_a=None), 50, np.random.default_rng(6))
+    absent, y11, y12, _, _ = generate_block(cfg, None, 50, np.random.default_rng(6))
     assert np.all(absent == ABSENT)
     assert np.all(y11 == 0.0) and np.all(y12 == 0.0)
 
@@ -95,7 +95,7 @@ def test_event_probability_clamps_and_flags():
     # into [0.001, 0.999] and counted; a probability inside stays as it is.
     for risk_difference, clamped, rate in ((0.9, True, 0.999), (-0.9, True, 0.001), (0.55, False, 0.95)):
         cfg = ScenarioConfig(phase3_effects={"A1": risk_difference, "A2": 0.0, "B1": 0.0})
-        arm_a, _, _, n_clamped, cells = generate_block(cfg, ActiveArms(), 60_000, np.random.default_rng(12))
+        arm_a, _, _, n_clamped, cells = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 60_000, np.random.default_rng(12))
         n_a1 = int(np.count_nonzero(arm_a == 1))
         assert n_clamped == (n_a1 if clamped else 0)
         observed, n = _event_rate(cells[1 + 1])
@@ -105,14 +105,14 @@ def test_event_probability_clamps_and_flags():
 
 def test_phase3_outcome_frequency():
     cfg = ScenarioConfig()
-    *_, cells = generate_block(cfg, ActiveArms(), 150_000, np.random.default_rng(7))
+    *_, cells = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 150_000, np.random.default_rng(7))
     observed, n = _event_rate(cells[0 + 1, 0])  # A0 and B0
     assert abs(observed - 0.4) < _freq_tol(0.4, n)
 
 
 def test_block_outcome_frequency_with_effects():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.1, "B1": 0.1})
-    *_, n_clamped, cells = generate_block(cfg, ActiveArms(), 200_000, np.random.default_rng(8))
+    *_, n_clamped, cells = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 200_000, np.random.default_rng(8))
     assert n_clamped == 0
     # Risk differences add: control 0.4, one active arm 0.5, both 0.6.
     for a, b, rate in ((0, 0, 0.4), (2, 0, 0.5), (0, 1, 0.5), (2, 1, 0.6), (1, 1, 0.6)):
@@ -122,7 +122,7 @@ def test_block_outcome_frequency_with_effects():
 
 def test_global_null_exchangeable_across_arms():
     cfg = ScenarioConfig()  # all effects zero
-    arm_a, y11, _, _, cells = generate_block(cfg, ActiveArms(), 120_000, np.random.default_rng(9))
+    arm_a, y11, _, _, cells = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 120_000, np.random.default_rng(9))
     means = [y11[arm_a == code].mean() for code in (0, 1, 2)]
     rates = [_event_rate(cells[code + 1])[0] for code in (0, 1, 2)]
     for m in means:
@@ -132,8 +132,8 @@ def test_global_null_exchangeable_across_arms():
 
 def test_blocks_deterministic_given_stream_state():
     cfg = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": 0.0, "B1": 0.0})
-    first = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
-    second = generate_block(cfg, ActiveArms(), 500, np.random.default_rng(10))
+    first = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 500, np.random.default_rng(10))
+    second = generate_block(cfg, frozenset(DOMAIN_A_ARMS), 500, np.random.default_rng(10))
     assert first[3] == second[3]
     for got, want in zip(first, second):
         np.testing.assert_array_equal(got, want, strict=True)
@@ -142,9 +142,9 @@ def test_blocks_deterministic_given_stream_state():
 def test_generation_tables_are_built_once_per_config():
     config = ScenarioConfig(phase3_effects={"A1": 0.1, "A2": -0.2, "B1": 0.05})
     assert "generation_tables" not in vars(config)
-    generate_block(config, ActiveArms(), 50, np.random.default_rng(0))
+    generate_block(config, frozenset(DOMAIN_A_ARMS), 50, np.random.default_rng(0))
     tables = vars(config)["generation_tables"]
-    generate_block(config, ActiveArms(), 50, np.random.default_rng(1))
+    generate_block(config, frozenset(DOMAIN_A_ARMS), 50, np.random.default_rng(1))
     assert config.generation_tables is tables
     assert not any(t.flags.writeable for t in tables[:4])
 
@@ -164,10 +164,10 @@ def test_generation_tables_are_built_once_per_config():
 
 # -- bit identity with the per-subject arithmetic ---------------------------------
 
-def _reference_generate_block(config, active, n, stream):
+def _reference_generate_block(config, arms, n, stream):
     """``generate_block`` before its per-scenario tables: np.where lookups of
     the arm shifts and risk differences and a per-subject clip."""
-    arms_a = () if active.domain_a is None else tuple(sorted(active.domain_a))
+    arms_a = () if arms is None else tuple(sorted(arms))
     if arms_a:
         idx = stream.integers(len(arms_a), size=n)
         arm_a = np.array([ARM_A_CODE[a] for a in arms_a], dtype=np.intp)[idx]
@@ -202,10 +202,10 @@ def _reference_generate_block(config, active, n, stream):
 
 
 _ARM_SETS = {
-    "full": ActiveArms(),
-    "restricted_a1": ActiveArms(domain_a=frozenset({"A0", "A1"})),
-    "restricted_a2": ActiveArms(domain_a=frozenset({"A0", "A2"})),
-    "terminated": ActiveArms(domain_a=None),
+    "full": frozenset(DOMAIN_A_ARMS),
+    "restricted_a1": frozenset({"A0", "A1"}),
+    "restricted_a2": frozenset({"A0", "A2"}),
+    "terminated": None,
 }
 _IDENTITY_CONFIGS = {
     "null": ScenarioConfig(),
@@ -233,11 +233,11 @@ _IDENTITY_CONFIGS = {
 @pytest.mark.parametrize("config_name", list(_IDENTITY_CONFIGS))
 @pytest.mark.parametrize("arms_name", list(_ARM_SETS))
 def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
-    config, active = _IDENTITY_CONFIGS[config_name], _ARM_SETS[arms_name]
+    config, arms = _IDENTITY_CONFIGS[config_name], _ARM_SETS[arms_name]
     for seed, n in ((0, 1), (1, 2), (2, 97), (3, 1000), (4, 4321), (5, 150), (6, 800)):
         stream, reference_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-        *columns, n_clamped, cells = generate_block(config, active, n, stream)
-        expected, expected_clamped, p = _reference_generate_block(config, active, n, reference_stream)
+        *columns, n_clamped, cells = generate_block(config, arms, n, stream)
+        expected, expected_clamped, p = _reference_generate_block(config, arms, n, reference_stream)
         arm_a, arm_b, y11, y12, y21 = expected
         assert n_clamped == expected_clamped
         # The returned cell table is the reference subjects', counted from
@@ -257,5 +257,5 @@ def test_block_bit_identical_to_per_subject_reference(config_name, arms_name):
 def test_clamping_reference_case_clamps():
     # Guards the identity test above: its clamping scenario really clamps.
     config = _IDENTITY_CONFIGS["clamping"]
-    _, n_clamped, _ = _reference_generate_block(config, ActiveArms(), 1000, np.random.default_rng(3))
+    _, n_clamped, _ = _reference_generate_block(config, frozenset(DOMAIN_A_ARMS), 1000, np.random.default_rng(3))
     assert 0 < n_clamped < 1000

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from fast_trials import cli, harness
-from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
-from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome
+from fast_trials.design import ABSENT, DOMAIN_A_ARMS, ScenarioConfig, load_scenarios, validate_scenario
+from fast_trials.final_analysis import FinalBranch, GatekeepingOutcome, build_final_model
+from fast_trials.generation import generate_block
 from fast_trials.harness import (
     derive_seed,
     designed_correct_arms,
@@ -88,24 +89,43 @@ def test_forced_termination_path():
     assert result.branch is FinalBranch.DOMAIN_A_TERMINATED
     assert result.retention is None  # arm dropping never triggered
     assert not result.feasibility.proceed
-    assert result.schedule.first[0] is AnalysisKind.FEASIBILITY
+    assert result.schedule[0][0] is AnalysisKind.FEASIBILITY
 
 
-def test_termination_stops_domain_a_assignment():
+def test_termination_stops_domain_a_assignment(monkeypatch):
     cfg = _null_config(alpha_feas=1e-12, base_seed=6, n_total=400)
-    # Re-run the enrollment to inspect subjects: use the engine's own path
-    # via a forced terminated replicate, then regenerate identically.
+    blocks, tables = [], []
+
+    def recording_generate_block(config, arms, n, stream):
+        block = generate_block(config, arms, n, stream)
+        blocks.append((arms, block[0]))
+        return block
+
+    def recording_build_final_model(cells, branch):
+        tables.append(cells.copy())
+        return build_final_model(cells, branch)
+
+    monkeypatch.setattr(harness, "generate_block", recording_generate_block)
+    monkeypatch.setattr(harness, "build_final_model", recording_build_final_model)
     result = run_replicate(cfg, 300, 90, derive_seed(6, 0, (300, 90), 1))
     assert result.branch is FinalBranch.DOMAIN_A_TERMINATED
-    # the terminated model keeps all 400 subjects
     assert result.gatekeeping.node_p_values.keys() == {"beta1"}
+    # The feasibility interim at 90 fails; every later subject is drawn with
+    # domain A closed and lands in the ABSENT row of the final cell table.
+    (first_arms, first_arm_a), (arms, arm_a) = blocks
+    assert first_arms == frozenset(DOMAIN_A_ARMS) and len(first_arm_a) == 90
+    assert arms is None
+    assert len(arm_a) == 310 and np.all(arm_a == ABSENT)
+    (cells,) = tables
+    assert cells.sum() == 400
+    assert cells[ABSENT + 1].sum() == 400 - 90
 
 
 def test_tie_runs_dropping_then_feasibility_on_same_snapshot():
     cfg = _null_config(base_seed=8)
     result = run_replicate(cfg, 120, 120, derive_seed(8, 0, (120, 120), 2))
-    assert result.schedule.first == (AnalysisKind.ARM_DROPPING, 120)
-    assert result.schedule.second == (AnalysisKind.FEASIBILITY, 120)
+    assert result.schedule[0] == (AnalysisKind.ARM_DROPPING, 120)
+    assert result.schedule[1] == (AnalysisKind.FEASIBILITY, 120)
     assert result.retention is not None
     assert result.feasibility is not None
 

@@ -201,18 +201,18 @@ def test_scale_invariance_of_decisions():
 
 def test_schedule_ordering():
     s = build_schedule(150, 300)
-    assert s.first == (AnalysisKind.ARM_DROPPING, 150)
-    assert s.second == (AnalysisKind.FEASIBILITY, 300)
+    assert s[0] == (AnalysisKind.ARM_DROPPING, 150)
+    assert s[1] == (AnalysisKind.FEASIBILITY, 300)
 
     s = build_schedule(300, 90)
-    assert s.first == (AnalysisKind.FEASIBILITY, 90)
-    assert s.second == (AnalysisKind.ARM_DROPPING, 300)
+    assert s[0] == (AnalysisKind.FEASIBILITY, 90)
+    assert s[1] == (AnalysisKind.ARM_DROPPING, 300)
 
 
 def test_schedule_tie_runs_arm_dropping_first():
     s = build_schedule(120, 120)
-    assert s.first[0] is AnalysisKind.ARM_DROPPING
-    assert s.second[0] is AnalysisKind.FEASIBILITY
+    assert s[0][0] is AnalysisKind.ARM_DROPPING
+    assert s[1][0] is AnalysisKind.FEASIBILITY
 
 
 def test_schedule_rejects_bad_triggers():

@@ -182,6 +182,35 @@ def test_lr_nan_log_likelihood_is_a_failed_fit(monkeypatch):
     assert outcome.rejected == frozenset()
 
 
+@pytest.mark.parametrize("full, reduced", [(np.inf, -5.0), (-1.0, -np.inf), (3.0, -5.0), (-1.0, 2.0)])
+def test_lr_impossible_log_likelihood_is_a_failed_fit(full, reduced):
+    # A binary-outcome log-likelihood is finite and <= 0; these used to give
+    # p = 0.0 or 6.3e-05, rejections.
+    with pytest.raises(FittingError):
+        lr_test(full, reduced, 1)
+
+
+def test_lr_boundary_log_likelihoods_are_tests():
+    # A perfect fit has log-likelihood exactly 0.
+    r = lr_test(0.0, -5.0, 1)
+    assert r.statistic == 10.0
+    assert r.p_value == chi_square_sf(10.0, 1)
+    assert lr_test(0.0, 0.0, 1).p_value == 1.0
+
+
+def test_positive_log_likelihood_flags_the_replicate(monkeypatch):
+    # The closed-form reduced models have negative log-likelihoods, so a
+    # full fit reporting +3.0 used to reject every node on a spurious
+    # statistic; the final analysis now flags the replicate instead.
+    positive_fit = LogisticFit(np.zeros(4), 3.0, True, 1, False)
+    monkeypatch.setattr(final_analysis, "fit_logistic_counts", lambda *args: positive_fit)
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 8.0, 14.0], [40.0] * 8])
+    outcome = gatekeep_both_retained(table, 0.05)
+    assert outcome.fit_failed
+    assert outcome.rejected == frozenset()
+    assert set(outcome.node_p_values.values()) == {1.0}
+
+
 def test_lr_invariant_to_row_order():
     rng = np.random.default_rng(17)
     x, y = _two_group_design(90, 25, 110, 40)

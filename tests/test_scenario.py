@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fast_trials.design import (
+    DOMAIN_A_ARMS,
     ScenarioConfig,
     ScenarioValidationError,
     load_scenarios,
@@ -20,7 +21,7 @@ from fast_trials.design import (
     scenario_to_dict,
     validate_scenario,
 )
-from fast_trials.generation import ActiveArms, generate_block
+from fast_trials.generation import generate_block
 
 
 def reference_config():
@@ -181,7 +182,7 @@ def test_booleans_are_not_integers(field, value):
 
 def test_effects_cannot_change_after_tables_are_built():
     cfg = ScenarioConfig(biomarker_effects={"A1": [1.0, 2.0], "A2": (0.0, 0.0)})
-    generate_block(cfg, ActiveArms(), 10, np.random.default_rng(0))
+    generate_block(cfg, frozenset(DOMAIN_A_ARMS), 10, np.random.default_rng(0))
     with pytest.raises(TypeError):
         cfg.phase3_effects["A1"] = 0.3
     effects = cfg.biomarker_effects
