@@ -9,10 +9,11 @@ binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
 ``validate_scenario`` checks the whole document at once. A subject's
 domain-A arm is an intp code (``ARM_A_CODE``, or ``ABSENT`` once domain A
 is terminated), its domain-B arm 0 (B0) or 1 (B1).
-A config owns what derives from it alone: the unclamped event-probability
+A config owns what derives from it alone: its normal form (``__post_init__``
+makes every list a tuple and the effect maps read-only, and keeps every
+other value as written, for validation), the unclamped event-probability
 table that validation range-checks, and the generation tables, kept on the
-instance once built. So its effect maps are read-only (a pair given as a
-list becomes a tuple); ``dataclasses.replace`` gives new effects new tables.
+instance once built; ``dataclasses.replace`` gives new effects new tables.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class GenerationTables(NamedTuple):
 _DEFAULT_GRID = tuple(range(90, 301, 30))
 
 
+def _tuple(value):
+    """A list as a tuple; any other value as it is."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 class _ReadOnlyDict(dict):
     """A dict that cannot change once built; it pickles and copies as a new
     one from its items."""
@@ -128,12 +134,13 @@ class ScenarioConfig:
     base_seed: int = 20230901
 
     def __post_init__(self):
-        # The kept generation tables read the effects, so they cannot change.
-        for name in ("biomarker_effects", "phase3_effects"):
-            value = getattr(self, name)
+        # The one normal form, however the config was built. The kept
+        # generation tables read the effects, so they cannot change.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, dict):
-                frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
-                object.__setattr__(self, name, _ReadOnlyDict(frozen))
+                value = _ReadOnlyDict({k: _tuple(v) for k, v in value.items()})
+            object.__setattr__(self, f.name, _tuple(value))
 
     def event_probabilities(self) -> np.ndarray:
         """Unclamped event probability per (domain-A code + 1, domain-B code)
@@ -187,10 +194,6 @@ def _is_finite(v) -> bool:
         return _is_number(v) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
-
-
-def _float(v):
-    return float(v) if _is_number(v) else v
 
 
 def _items(v) -> Optional[tuple]:
@@ -341,27 +344,14 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Parse a scenario document; unknown keys are rejected."""
+    """Parse a scenario document; unknown keys are rejected. Every value is
+    passed as written, for ``scenario_issues`` to report."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError([f"scenario document must be an object, got {type(doc).__name__}"])
     unknown = set(doc) - set(_FIELD_NAMES)
     if unknown:
         raise ScenarioValidationError([f"unknown key {k!r}" for k in sorted(unknown)])
-
-    # Numbers become floats and lists tuples; a value of the wrong JSON type
-    # is passed through for ``scenario_issues`` to report.
-    kwargs = {key: doc[key] for key in _FIELD_NAMES if key in doc}
-    for key in ("biomarker_sds", "benefit_directions", "n_drop_grid", "n_feas_grid"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
-    if isinstance(kwargs.get("biomarker_effects"), dict):
-        kwargs["biomarker_effects"] = {
-            str(arm): tuple(map(_float, pair)) if isinstance(pair, list) else pair
-            for arm, pair in kwargs["biomarker_effects"].items()
-        }
-    if isinstance(kwargs.get("phase3_effects"), dict):
-        kwargs["phase3_effects"] = {str(arm): _float(v) for arm, v in kwargs["phase3_effects"].items()}
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**doc)
 
 
 def load_scenarios(path) -> list[ScenarioConfig]:

@@ -27,7 +27,7 @@ H05 and H06. The closed form is the maximum IRLS converges to, so the
 p-values agree to rounding and the decisions are the same. A table with a
 group at 0 or at all events has no interior maximum; every such fit, as
 every unsaturated one, goes through ``fit_logistic_counts``, whose
-divergence flags the replicate as before.
+divergence flags the replicate.
 
 The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
@@ -44,14 +44,15 @@ themselves bit for bit.
 A replicate computes only what the closed test reads: log-likelihoods and
 convergence flags. The cell -> pattern lookups and the 2^k pattern rows
 are built at import, and per (branch, set of patterns with subjects) a
-memoised node plan holds every model's checked ``Design`` and the row
-groupings of the saturated ones, stacked. The table is checked once
-against the full model; the fits see the plan's designs on the patterns
-that have subjects, which ``fit_logistic_counts`` trusts. One vectorised
-pass (``_saturated_pass``) gives every saturated model's log-likelihood, with
-the same per-group arithmetic and summation order as fitting each alone.
-``lr_test`` takes the two log-likelihoods. Every p-value, and every output
-bit, is unchanged.
+memoised node plan holds every model's checked ``Design``. The plan owns
+the closed-form decision: it groups each model's rows, calls a model
+saturated when it has as many distinct rows as columns, and stacks the
+saturated groupings. The table is checked once against the full model;
+the fits see the plan's designs on the patterns that have subjects, which
+``fit_logistic_counts`` trusts. One vectorised pass (``_saturated_pass``)
+gives every saturated model's log-likelihood, with the same per-group
+arithmetic and summation order as fitting each alone. ``lr_test`` takes
+the two log-likelihoods.
 """
 
 from __future__ import annotations
@@ -212,34 +213,11 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     return table
 
 
-class _Stack(NamedTuple):
-    """The row groupings of saturated models, stacked so that one pass over
-    a table sums the groups of them all: stacked row j is table row
-    ``rows[j]`` in stacked group ``groups[j]``, and stacked group g belongs
-    to model ``owner[g]``."""
-
-    rows: np.ndarray
-    groups: np.ndarray
-    owner: np.ndarray
-
-
-def _stack(designs) -> _Stack:
-    """Stack the row groupings of saturated designs, in their order; a
-    saturated design has as many groups as columns."""
-    rows, groups, owner = [], [], []
-    for model, design in enumerate(designs):
-        rows.append(np.arange(len(design.groups)))
-        groups.append(design.groups + len(owner))
-        owner += [model] * design.rows.shape[1]
-    arrays = [np.concatenate(rows), np.concatenate(groups), np.array(owner, dtype=np.intp)]
-    for a in arrays:
-        a.setflags(write=False)
-    return _Stack(*arrays)
-
-
-def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """The maximised log-likelihood of every saturated model in ``stack``,
-    in one pass over a checked table.
+def _saturated_pass(groups, owner, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The maximised log-likelihood of every saturated model of a plan, in
+    one pass over a checked table: the table's rows are tiled once per
+    model, tiled row j falls in stacked group ``groups[j]``, and stacked
+    group g belongs to model ``owner[g]``.
 
     A saturated model gives each group g its own free logit, so its MLE is
     the group's event proportion p_g = E_g / N_g and its log-likelihood is
@@ -250,34 +228,47 @@ def _saturated_pass(stack: _Stack, events: np.ndarray, trials: np.ndarray) -> np
     of the model has no events, only events or no trials: that model has no
     interior maximum.
     """
-    size = len(stack.owner)
-    e = np.bincount(stack.groups, weights=events[stack.rows], minlength=size)
-    n = np.bincount(stack.groups, weights=trials[stack.rows], minlength=size)
+    size = len(owner)
+    tiles = len(groups) // len(events)  # np.tile's layout, without its per-call cost
+    e = np.bincount(groups, weights=np.concatenate((events,) * tiles), minlength=size)
+    n = np.bincount(groups, weights=np.concatenate((trials,) * tiles), minlength=size)
     with np.errstate(divide="ignore", invalid="ignore"):  # boundary groups give nan
         p = e / n
-        return np.bincount(stack.owner, weights=e * np.log(p) + (n - e) * np.log1p(-p))
+        return np.bincount(owner, weights=e * np.log(p) + (n - e) * np.log1p(-p))
 
 
 class _Plan(NamedTuple):
     designs: tuple  # each model's ``Design``: the full model, then every node's
-    slots: tuple  # each model's index in ``stack``; None where it is not saturated
-    stack: _Stack  # the row groupings of the saturated models
+    slots: tuple  # each model's index among the saturated ones; None where it is not saturated
+    groups: np.ndarray  # the saturated models' row groupings, stacked for ``_saturated_pass``
+    owner: np.ndarray  # stacked group -> index of its saturated model
 
 
 @cache  # keyed by a mask of 2^k patterns: at most 4 + 16 + 256 plans exist
 def _node_plan(branch: FinalBranch, present: tuple) -> _Plan:
     """The full model and every node's reduced model of ``branch`` on the
     patterns ``present`` marks, each sliced into a checked ``Design``
-    once, with the row groupings of the saturated ones stacked for one
-    pass. The full model is checked first, so a bad design raises the error
-    its fit would."""
+    once. A model is saturated when it has as many distinct rows as
+    columns; the row groupings of the saturated ones are stacked, read-only,
+    for one pass. The full model is checked first, so a bad design raises
+    the error its fit would."""
     rows = _PATTERN_ROWS[len(_COVARIATES[branch])][np.array(present)]
     full_cols, nodes = _GATING[branch]
     models = (full_cols,) + tuple(node.reduced for node in nodes)
     designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
-    saturated = [m for m, design in enumerate(designs) if design.saturated]
-    slots = tuple(saturated.index(m) if m in saturated else None for m in range(len(designs)))
-    return _Plan(designs, slots, _stack([designs[m] for m in saturated]))
+    slots, groups, owner = [], [], []
+    for design in designs:
+        distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
+        if len(distinct) == design.rows.shape[1]:
+            slots.append(len(groups))
+            groups.append(inverse.reshape(-1) + len(owner))
+            owner += [slots[-1]] * len(distinct)
+        else:
+            slots.append(None)
+    groups, owner = np.concatenate(groups), np.array(owner, dtype=np.intp)
+    groups.setflags(write=False)
+    owner.setflags(write=False)
+    return _Plan(designs, tuple(slots), groups, owner)
 
 
 def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tuple[float, bool]:
@@ -306,7 +297,7 @@ def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     present = trials > 0
     plan = _node_plan(branch, tuple(present.tolist()))
     events, trials = events[present], trials[present]
-    closed = _saturated_pass(plan.stack, events, trials).tolist()
+    closed = _saturated_pass(plan.groups, plan.owner, events, trials).tolist()
     try:
         full, converged = _log_likelihood(plan, 0, closed, events, trials)
         failed = not converged

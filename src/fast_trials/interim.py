@@ -99,8 +99,8 @@ def arm_dropping_analysis(
     y11,
     y12,
     alpha_drop: float,
-    directions: tuple = ("increase", "decrease"),
-    default_arm: str = "A2",
+    directions: tuple,
+    default_arm: str,
 ) -> RetentionDecision:
     """Head-to-head comparison of the two treatment arms on both biomarkers."""
     arm_a, y11, y12 = _subject_columns(arm_a, y11, y12)
@@ -116,9 +116,7 @@ def arm_dropping_analysis(
     return resolve_retention(test_y11, test_y12, alpha_drop, directions, default_arm)
 
 
-def feasibility_analysis(
-    arm_a, y11, alpha_feas: float, direction="increase"
-) -> FeasibilityDecision:
+def feasibility_analysis(arm_a, y11, alpha_feas: float, direction) -> FeasibilityDecision:
     """One-sided pooled-treatment vs control comparison on y11; failing to
     reject terminates the domain."""
     arm_a, y11 = _subject_columns(arm_a, y11)

@@ -13,12 +13,12 @@ helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
 pairwise sum of squared deviations / (n - 1)), so the moments equal
 ``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
 cost; the result carries the two means. ``check_design`` checks a logistic
-design (2-d, intercept, full rank) into a read-only, Fortran-ordered
-``Design`` with its row grouping and whether it is saturated;
-``fit_logistic_counts`` takes only a ``Design``, which it trusts, and the
-final analysis fits saturated models from it in closed form. The IRLS Newton
-loop forms the same products in the same memory order as the textbook
-step, so its iterates and iteration count are unchanged. On arrays of a
+design (2-d, intercept, full rank) into a ``Design``: its rows, read-only
+and in Fortran order. ``fit_logistic_counts`` takes only a ``Design``,
+which it trusts; the final analysis's node plans group the rows of the
+models they fit in closed form. The IRLS Newton loop forms the same
+products in the same memory order as the textbook step, so its iterates
+and iteration count equal the textbook loop's. On arrays of a
 few rows numpy's per-call cost outweighs the arithmetic, so the loop pays
 it once where it can: one error state per fit around every iteration, mu
 from in-place unary ufuncs with the same IEEE results, and the divergence
@@ -315,8 +315,6 @@ class Design(NamedTuple):
     column and full column rank."""
 
     rows: np.ndarray
-    groups: np.ndarray  # row -> index of its distinct covariate row
-    saturated: bool  # as many distinct rows as columns
 
 
 def check_design(rows) -> Design:
@@ -332,11 +330,8 @@ def check_design(rows) -> Design:
         raise InputError("design must carry an all-ones intercept in column 0")
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise InputError("design columns are collinear")
-    distinct, groups = np.unique(x, axis=0, return_inverse=True)
-    groups = groups.reshape(-1)
     x.setflags(write=False)
-    groups.setflags(write=False)
-    return Design(x, groups, distinct.shape[0] == x.shape[1])
+    return Design(x)
 
 
 def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:

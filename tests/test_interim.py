@@ -16,6 +16,8 @@ from fast_trials.interim import (
 )
 from fast_trials.stats import Tail, TestResult
 
+_DIRECTIONS = ("increase", "decrease")  # the benefit directions of (y11, y12)
+
 
 def _subjects(arm_a_codes, y11, y12=None):
     """The (arm_a, y11, y12) columns the interims read; y12 defaults to 0."""
@@ -33,12 +35,12 @@ def _two_arm_data(y11_a1, y11_a2, y12_a1=None, y12_a2=None):
 def test_identical_arms_fall_back_to_default():
     base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     data = _two_arm_data(base, base, base, base)
-    decision = arm_dropping_analysis(*data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A2")
     assert decision.used_default
     assert decision.retained == frozenset({"A2"})
     assert decision.nominated_by_y11 is None and decision.nominated_by_y12 is None
 
-    decision_a1 = arm_dropping_analysis(*data, 0.05, default_arm="A1")
+    decision_a1 = arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A1")
     assert decision_a1.retained == frozenset({"A1"})
 
 
@@ -49,7 +51,7 @@ def test_clear_separation_nominates_single_arm():
     flat = rng.normal(0.0, 1.0, 40)
     # y11 separated (A1 higher, benefit=increase), y12 null
     data = _two_arm_data(high, low, flat, rng.normal(0.0, 1.0, 40))
-    decision = arm_dropping_analysis(*data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A2")
     assert decision.nominated_by_y11 == "A1"
     assert decision.nominated_by_y12 is None
     assert decision.retained == frozenset({"A1"})
@@ -65,11 +67,11 @@ def test_conflicting_nominations_retain_both():
         rng.normal(0.0, 1.0, 40),
         rng.normal(20.0, 1.0, 40),
     )
-    decision = arm_dropping_analysis(*data, 0.05)
+    decision = arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A2")
     assert decision.nominated_by_y11 == "A1"
     assert decision.nominated_by_y12 == "A1"
     # both nominations agree here; flip y12 direction to force a conflict
-    conflicted = arm_dropping_analysis(*data, 0.05, directions=("increase", "increase"))
+    conflicted = arm_dropping_analysis(*data, 0.05, ("increase", "increase"), "A2")
     assert conflicted.nominated_by_y11 == "A1"
     assert conflicted.nominated_by_y12 == "A2"
     assert conflicted.retained == frozenset({"A1", "A2"})
@@ -78,8 +80,8 @@ def test_conflicting_nominations_retain_both():
 def test_directions_flip_nominations():
     rng = np.random.default_rng(44)
     data = _two_arm_data(rng.normal(10.0, 1.0, 30), rng.normal(0.0, 1.0, 30))
-    up = arm_dropping_analysis(*data, 0.05, directions=("increase", "decrease"))
-    down = arm_dropping_analysis(*data, 0.05, directions=("decrease", "decrease"))
+    up = arm_dropping_analysis(*data, 0.05, ("increase", "decrease"), "A2")
+    down = arm_dropping_analysis(*data, 0.05, ("decrease", "decrease"), "A2")
     assert up.nominated_by_y11 == "A1"
     assert down.nominated_by_y11 == "A2"
 
@@ -112,7 +114,7 @@ def test_retention_rule_exhaustive_enumeration():
 def test_retention_requires_two_per_arm():
     data = _subjects([1, 1, 2], [1.0, 2.0, 3.0])
     with pytest.raises(SchedulingError):
-        arm_dropping_analysis(*data, 0.05)
+        arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A2")
 
 
 def test_interims_reject_columns_of_unequal_length():
@@ -121,11 +123,11 @@ def test_interims_reject_columns_of_unequal_length():
     codes, y11, y12 = _subjects([0, 0, 1, 1, 2, 2], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     for args in ((codes, y11, y12[:-1]), (codes[:-1], y11, y12), (codes, y11, y12.reshape(2, 3))):
         with pytest.raises(ValueError, match="equal length"):
-            arm_dropping_analysis(*args, 0.05)
+            arm_dropping_analysis(*args, 0.05, _DIRECTIONS, "A2")
     with pytest.raises(ValueError, match="equal length"):
-        feasibility_analysis(codes, y11[1:], 0.05)
+        feasibility_analysis(codes, y11[1:], 0.05, "increase")
     with pytest.raises(ValueError, match="equal length"):
-        feasibility_analysis(codes.reshape(2, 3), y11.reshape(2, 3), 0.05)
+        feasibility_analysis(codes.reshape(2, 3), y11.reshape(2, 3), 0.05, "increase")
 
 
 def test_feasibility_null_rejection_rate_near_alpha():
@@ -189,8 +191,8 @@ def test_scale_invariance_of_decisions():
     y12 = rng.normal(0.0, 4.0, 90)
     data = _subjects(codes, y11, y12)
     scaled = _subjects(codes, 3.7 * y11, y12)
-    d1 = arm_dropping_analysis(*data, 0.2)
-    d2 = arm_dropping_analysis(*scaled, 0.2)
+    d1 = arm_dropping_analysis(*data, 0.2, _DIRECTIONS, "A2")
+    d2 = arm_dropping_analysis(*scaled, 0.2, _DIRECTIONS, "A2")
     assert d1.nominated_by_y11 == d2.nominated_by_y11
     assert d1.test_y11.p_value == pytest.approx(d2.test_y11.p_value, abs=1e-9)
     f1 = feasibility_analysis(*data[:2], 0.2, "increase")
@@ -228,8 +230,8 @@ def test_decisions_carry_the_welch_sample_means_bit_for_bit():
         y11 = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(0.1, 50.0), codes.size)
         y12 = rng.normal(0.0, 10.0, codes.size)
         data = _subjects(codes, y11, y12)
-        retention = arm_dropping_analysis(*data, 0.05)
+        retention = arm_dropping_analysis(*data, 0.05, _DIRECTIONS, "A2")
         for test, y in ((retention.test_y11, y11), (retention.test_y12, y12)):
             assert test.means == (float(y[codes == 1].mean()), float(y[codes == 2].mean()))
-        feasibility = feasibility_analysis(*data[:2], 0.05)
+        feasibility = feasibility_analysis(*data[:2], 0.05, "increase")
         assert feasibility.test.means == (float(y11[codes > 0].mean()), float(y11[codes == 0].mean()))

@@ -287,6 +287,11 @@ def test_cli_unknown_key_rejected(tmp_path):
         ({"phase3_effects": {"A1": "x", "A2": 0, "B1": 0}}, "phase3_effects[A1]"),
         ({"n_drop_grid": 90}, "n_drop_grid"),
         ({"biomarker_sds": "ab"}, "biomarker_sds"),
+        # integers beyond the float range reach validation as written
+        ({"phase3_effects": {"A1": 10**400, "A2": 0, "B1": 0}}, "phase3_effects[A1]"),
+        ({"biomarker_effects": {"A1": [10**400, 0], "A2": [0, 0]}}, "biomarker_effects[A1]"),
+        ({"biomarker_sds": [10**400, 10]}, "biomarker_sds"),
+        ({"control_event_rate": 10**400}, "control_event_rate"),
     ],
 )
 def test_cli_wrong_json_type_exits_2(tmp_path, doc, field):
@@ -295,6 +300,7 @@ def test_cli_wrong_json_type_exits_2(tmp_path, doc, field):
     out = tmp_path / "out"
     r = _run_cli("simulate", "--config", str(cfg), "--out", str(out))
     assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: invalid scenario:"), r.stderr
     assert "Traceback" not in r.stderr
     assert [line for line in r.stderr.splitlines() if line.startswith("error:")] == ["error: invalid scenario:"]
     assert f"  - {field}: " in r.stderr

@@ -16,7 +16,6 @@ from fast_trials.design import load_scenarios
 from fast_trials.final_analysis import (
     FinalBranch,
     _saturated_pass,
-    _stack,
     analyze_terminated,
     build_final_model,
     gatekeep_both_retained,
@@ -203,7 +202,7 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
         table = _table(rng, branch, "interior")
         plan = _plan(branch, table)
         rows, events, trials = _grouped(table)
-        closed = _saturated_pass(plan.stack, events, trials)
+        closed = _saturated_pass(plan.groups, plan.owner, events, trials)
         models = [full_cols, *reduced_map.values()]
         for cols, design, slot in zip(models, plan.designs, plan.slots):
             np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
@@ -217,8 +216,10 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
 
 def _closed_form(x, events, trials):
     design = check_design(x)
-    assert design.saturated
-    return _saturated_pass(_stack([design]), np.asarray(events), np.asarray(trials))[0]
+    distinct, groups = np.unique(design.rows, axis=0, return_inverse=True)
+    assert len(distinct) == design.rows.shape[1]
+    owner = np.zeros(len(distinct), dtype=np.intp)
+    return _saturated_pass(groups.reshape(-1), owner, np.asarray(events), np.asarray(trials))[0]
 
 
 def test_boundary_group_is_left_to_irls():
@@ -282,9 +283,12 @@ def test_design_check_matches_matrix_rank():
         else:
             design = check_design(x)
             np.testing.assert_array_equal(design.rows, before, strict=True)
-            assert not design.rows.flags.writeable and not design.groups.flags.writeable
+            assert not design.rows.flags.writeable
         assert x.flags.writeable
         np.testing.assert_array_equal(x, before, strict=True)
+    for branch in FinalBranch:
+        plan = final_analysis._node_plan(branch, (True,) * 2 ** (len(_LAYOUTS[branch][2]) - 1))
+        assert not plan.groups.flags.writeable and not plan.owner.flags.writeable
 
 
 def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
@@ -319,11 +323,13 @@ def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
 def _reference_saturated_fit(design, events, trials):
     """The per-model closed-form log-likelihood before the one-pass rewrite;
     None where the model is not saturated or has no interior maximum."""
-    if not design.saturated:
-        return None
+    distinct, groups = np.unique(design.rows, axis=0, return_inverse=True)
+    groups = groups.reshape(-1)
     k = design.rows.shape[1]
-    e = np.bincount(design.groups, weights=events, minlength=k)
-    n = np.bincount(design.groups, weights=trials, minlength=k)
+    if len(distinct) != k:
+        return None
+    e = np.bincount(groups, weights=events, minlength=k)
+    n = np.bincount(groups, weights=trials, minlength=k)
     non_events = n - e
     if not (e.min() > 0 and non_events.min() > 0):
         return None
@@ -347,7 +353,7 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
                 seen.add("collinear")
                 continue
             _, events, trials = _grouped(table)
-            closed = _saturated_pass(plan.stack, events, trials)
+            closed = _saturated_pass(plan.groups, plan.owner, events, trials)
             for design, slot in zip(plan.designs, plan.slots):
                 expected = _reference_saturated_fit(design, events, trials)
                 if slot is None:

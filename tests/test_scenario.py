@@ -7,6 +7,7 @@ import json
 import operator
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from fast_trials.design import (
     validate_scenario,
 )
 from fast_trials.generation import generate_block
+
+_NULL_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "null.json"
 
 
 def reference_config():
@@ -169,6 +172,32 @@ def test_wrong_types_are_issues_not_crashes():
             validate_scenario(cfg)
 
 
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("phase3_effects", "A1"), "phase3_effects[A1]"),
+        (("biomarker_effects", "A1", 0), "biomarker_effects[A1]"),
+        (("biomarker_sds", 0), "biomarker_sds"),
+        (("control_event_rate",), "control_event_rate"),
+    ],
+)
+def test_integer_beyond_float_range_is_an_issue(tmp_path, path, field):
+    # The value reaches validation as written, so it is reported, not
+    # turned into an OverflowError on the way in.
+    doc = json.loads(_NULL_SCENARIO.read_text())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = 10**400
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioValidationError) as raised:
+        load_scenarios(cfg)
+    issues = raised.value.issues
+    assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
+
+
 @pytest.mark.parametrize("field", ["replicates", "scenario_id", "base_seed", "n_total"])
 @pytest.mark.parametrize("value", [True, False])
 def test_booleans_are_not_integers(field, value):
@@ -176,6 +205,31 @@ def test_booleans_are_not_integers(field, value):
     cfg = dataclasses.replace(reference_config(), **{field: value})
     issues = scenario_issues(cfg)
     assert len(issues) == 1 and issues[0].startswith(field + ":"), issues
+
+
+def test_a_config_has_one_normal_form():
+    # However it is built, from lists, tuples or a JSON document, a config
+    # holds tuples and compares equal.
+    lists = ScenarioConfig(
+        biomarker_effects={"A1": [-10.0, 10.0], "A2": [0.0, -5.0]},
+        biomarker_sds=[5.0, 6.0],
+        benefit_directions=["decrease", "increase"],
+        n_drop_grid=[90, 120],
+        n_feas_grid=[150, 180, 210],
+    )
+    tuples = ScenarioConfig(
+        biomarker_effects={"A1": (-10.0, 10.0), "A2": (0.0, -5.0)},
+        biomarker_sds=(5.0, 6.0),
+        benefit_directions=("decrease", "increase"),
+        n_drop_grid=(90, 120),
+        n_feas_grid=(150, 180, 210),
+    )
+    assert lists == tuples
+    assert lists == scenario_from_dict(json.loads(json.dumps(scenario_to_dict(lists))))
+    fields = (lists.biomarker_sds, lists.benefit_directions, lists.n_drop_grid, lists.n_feas_grid)
+    assert all(type(v) is tuple for v in fields + tuple(lists.biomarker_effects.values()))
+    assert dataclasses.replace(lists, n_drop_grid=[90]).n_drop_grid == (90,)
+    assert type(dataclasses.replace(lists, n_drop_grid=[90]).n_drop_grid) is tuple
 
 
 # -- effects are read-only once the config is built -------------------------------
