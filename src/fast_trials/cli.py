@@ -71,15 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
+    """``--threads``, else ``$FAST_TRIALS_THREADS``, else 1; at least 1."""
+    source, env = "--threads", os.environ.get(THREADS_ENV, "").strip()
+    if value is None and env:
         try:
-            return max(1, int(env))
+            source, value = THREADS_ENV, int(env)
         except ValueError:
-            raise ScenarioValidationError([f"{THREADS_ENV}: not an integer: {env!r}"])
-    return 1
+            raise ValueError(f"{THREADS_ENV}: not an integer: {env!r}") from None
+    if value is not None and value < 1:
+        raise ValueError(f"{source}: must be at least 1, got {value}")
+    return 1 if value is None else value
 
 
 def _cmd_simulate(args) -> int:
@@ -106,7 +107,7 @@ def _cmd_simulate(args) -> int:
                 validate_scenario(dataclasses.replace(s, **overrides)) for s in scenarios
             ]
         threads = _resolve_threads(args.threads)
-    except ScenarioValidationError as exc:
+    except ValueError as exc:  # an invalid scenario override or worker count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

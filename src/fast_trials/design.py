@@ -9,11 +9,13 @@ binary. A ``ScenarioConfig`` pins every knob a simulation needs, and
 ``validate_scenario`` checks the whole document at once. A subject's
 domain-A arm is an intp code (``ARM_A_CODE``, or ``ABSENT`` once domain A
 is terminated), its domain-B arm 0 (B0) or 1 (B1).
-A config owns what derives from it alone: its normal form (``__post_init__``
-makes every list a tuple and the effect maps read-only, and keeps every
-other value as written, for validation), the unclamped event-probability
-table that validation range-checks, and the generation tables, kept on the
-instance once built; ``dataclasses.replace`` gives new effects new tables.
+A config owns what derives from it alone: its normal form, the unclamped
+event-probability table that validation range-checks, and the generation
+tables, kept on the instance once built; ``dataclasses.replace`` gives new
+effects new tables. The normal form alone decides what a list is: every
+iterable but a string or a mapping, a dict's values too, becomes a tuple, a
+dict becomes read-only and any other value stays as written, so validation
+asks only for tuples, and a config hashes and compares however it was built.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import dataclasses
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,18 +87,25 @@ _DEFAULT_GRID = tuple(range(90, 301, 30))
 
 
 def _tuple(value):
-    """A list as a tuple; any other value as it is."""
-    return tuple(value) if isinstance(value, list) else value
+    """An iterable other than a string or a mapping as a tuple; any other
+    value as it is."""
+    try:
+        return value if isinstance(value, (str, bytes, Mapping)) else tuple(value)
+    except TypeError:
+        return value
 
 
 class _ReadOnlyDict(dict):
-    """A dict that cannot change once built; it pickles and copies as a new
-    one from its items."""
+    """A dict that cannot change once built; it hashes its items, and
+    pickles and copies as a new one from them."""
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("scenario effects are read-only; build a new config with dataclasses.replace")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return type(self), (dict(self),)
@@ -196,14 +206,6 @@ def _is_finite(v) -> bool:
         return False
 
 
-def _items(v) -> Optional[tuple]:
-    """The elements of a list-like field, or None when ``v`` is not one."""
-    try:
-        return None if isinstance(v, (str, bytes, dict)) else tuple(v)
-    except TypeError:
-        return None
-
-
 def _check_open_unit(issues, name, value):
     if not _is_number(value):
         issues.append(f"{name}: must be a number, got {value!r}")
@@ -211,10 +213,9 @@ def _check_open_unit(issues, name, value):
         issues.append(f"{name}: must lie strictly in (0, 1), got {value}")
 
 
-def _check_grid(issues, name, grid, n_total):
-    triggers = _items(grid)
-    if triggers is None:
-        issues.append(f"{name}: must be a list of integer triggers, got {grid!r}")
+def _check_grid(issues, name, triggers, n_total):
+    if not isinstance(triggers, tuple):
+        issues.append(f"{name}: must be a list of integer triggers, got {triggers!r}")
         return
     if len(triggers) == 0:
         issues.append(f"{name}: grid must be nonempty")
@@ -241,16 +242,15 @@ def scenario_issues(config: ScenarioConfig) -> list[str]:
         issues.append(f"biomarker_effects: must map exactly A1 and A2 to value pairs, got {effects!r}")
     else:
         for arm, pair in effects.items():
-            values = _items(pair)
-            if values is None or len(values) != 2 or not all(_is_finite(v) for v in values):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(_is_finite(v) for v in pair)):
                 issues.append(f"biomarker_effects[{arm}]: needs two finite values, got {pair!r}")
 
-    sds = _items(config.biomarker_sds)
-    if sds is None or len(sds) != 2 or not all(_is_finite(s) and s >= 0 for s in sds):
+    sds = config.biomarker_sds
+    if not (isinstance(sds, tuple) and len(sds) == 2 and all(_is_finite(s) and s >= 0 for s in sds)):
         issues.append(f"biomarker_sds: needs two nonnegative finite values, got {config.biomarker_sds!r}")
 
-    dirs = _items(config.benefit_directions)
-    if dirs is None or len(dirs) != 2 or not all(d in ("increase", "decrease") for d in dirs):
+    dirs = config.benefit_directions
+    if not (isinstance(dirs, tuple) and len(dirs) == 2 and all(d in ("increase", "decrease") for d in dirs)):
         issues.append(
             "benefit_directions: needs two values from {'increase','decrease'}, "
             f"got {config.benefit_directions!r}"

@@ -15,7 +15,8 @@ or worker count: each task returns its integer tallies and, when asked for,
 its trace rows, and the tasks are folded back in their fixed order. A tally
 counts each outcome under one key: a name, a ``FinalBranch``, or a
 ``p_success`` key of ``_SUCCESS_SETS``; a cell adds its later tasks' counts
-into its first task's tally.
+into its first task's tally. A trace row is read off ``_TRACE``, the one
+ordered table of the trace fields and their values.
 
 A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
 worker, tasks go to a process pool in batches: each message carries as many
@@ -272,26 +273,6 @@ _SUCCESS_SETS = {
 }
 _DOMAINS = (frozenset({"A1", "A2"}), frozenset({"B1"}))  # the treatment arms of domains A and B
 
-TRACE_FIELDS = (
-    "scenario_id",
-    "n_drop",
-    "n_feas",
-    "replicate",
-    "order_first",
-    "retained",
-    "used_default",
-    "p_drop_y11",
-    "p_drop_y12",
-    "p_feasibility",
-    "proceed",
-    "branch",
-    "hypothesis_p_values",
-    "rejected",
-    "successful_arms",
-    "n_clamped",
-    "fit_failed",
-)
-
 
 def _accumulate(tally: defaultdict, result: TrialResult, correct: frozenset, effective: frozenset) -> None:
     tally["n_reps"] += 1
@@ -326,29 +307,34 @@ def _accumulate(tally: defaultdict, result: TrialResult, correct: frozenset, eff
     tally["n_fwer"] += not credited <= effective
 
 
+# Each trace field, in order, with its value for (config, replicate index,
+# TrialResult); an interim's fields are empty when it never ran.
+_TRACE = {
+    "scenario_id": lambda c, i, r: c.scenario_id,
+    "n_drop": lambda c, i, r: r.n_drop,
+    "n_feas": lambda c, i, r: r.n_feas,
+    "replicate": lambda c, i, r: i,
+    "order_first": lambda c, i, r: r.schedule[0][0].value,
+    "retained": lambda c, i, r: "|".join(sorted(r.retention.retained)) if r.retention else "",
+    "used_default": lambda c, i, r: int(r.retention.used_default) if r.retention else "",
+    "p_drop_y11": lambda c, i, r: f"{r.retention.test_y11.p_value:.6g}" if r.retention else "",
+    "p_drop_y12": lambda c, i, r: f"{r.retention.test_y12.p_value:.6g}" if r.retention else "",
+    "p_feasibility": lambda c, i, r: f"{r.feasibility.test.p_value:.6g}" if r.feasibility else "",
+    "proceed": lambda c, i, r: int(r.feasibility.proceed) if r.feasibility else "",
+    "branch": lambda c, i, r: r.branch.value,
+    "hypothesis_p_values": lambda c, i, r: ";".join(
+        f"{k}={v:.6g}" for k, v in sorted(r.gatekeeping.node_p_values.items())
+    ),
+    "rejected": lambda c, i, r: "|".join(sorted(r.gatekeeping.rejected)),
+    "successful_arms": lambda c, i, r: "|".join(sorted(r.successful_arms)),
+    "n_clamped": lambda c, i, r: r.n_clamped,
+    "fit_failed": lambda c, i, r: int(r.failed),
+}
+TRACE_FIELDS = tuple(_TRACE)
+
+
 def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> dict:
-    ret = result.retention
-    feas = result.feasibility
-    p_map = ";".join(f"{k}={v:.6g}" for k, v in sorted(result.gatekeeping.node_p_values.items()))
-    return {
-        "scenario_id": config.scenario_id,
-        "n_drop": result.n_drop,
-        "n_feas": result.n_feas,
-        "replicate": replicate,
-        "order_first": result.schedule[0][0].value,
-        "retained": "|".join(sorted(ret.retained)) if ret else "",
-        "used_default": int(ret.used_default) if ret else "",
-        "p_drop_y11": f"{ret.test_y11.p_value:.6g}" if ret else "",
-        "p_drop_y12": f"{ret.test_y12.p_value:.6g}" if ret else "",
-        "p_feasibility": f"{feas.test.p_value:.6g}" if feas else "",
-        "proceed": int(feas.proceed) if feas else "",
-        "branch": result.branch.value,
-        "hypothesis_p_values": p_map,
-        "rejected": "|".join(sorted(result.gatekeeping.rejected)),
-        "successful_arms": "|".join(sorted(result.successful_arms)),
-        "n_clamped": result.n_clamped,
-        "fit_failed": int(result.failed),
-    }
+    return {field: value(config, replicate, result) for field, value in _TRACE.items()}
 
 
 def _run_chunk(args) -> tuple[defaultdict, list]:

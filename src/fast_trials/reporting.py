@@ -1,8 +1,10 @@
 """Results serialization: the fixed results.csv schema, the run manifest,
 and self-contained SVG heatmap rendering (no plotting dependency).
 
-The CSV schema is versioned and pinned by a golden-file test: columns in
-the order below, probabilities printed with exactly six fractional digits.
+The CSV schema is versioned and pinned by a golden-file test: ``_COLUMNS``
+is its one owner, an ordered table from each column to the
+``OperatingCharacteristics`` value it prints, and probabilities print with
+exactly six fractional digits.
 """
 
 from __future__ import annotations
@@ -25,25 +27,27 @@ __all__ = [
 
 RESULTS_SCHEMA_VERSION = 1
 
-RESULTS_COLUMNS = (
-    "scenario_id",
-    "n_drop",
-    "n_feas",
-    "order_first",
-    "p_retain_correct",
-    "p_retain_both",
-    "p_proceed",
-    "p_success_A1",
-    "p_success_A2",
-    "p_success_Apooled",
-    "p_success_B1",
-    "p_success_A1_B1",
-    "p_success_A2_B1",
-    "power",
-    "fwer",
-    "n_effective",
-    "n_failed",
-)
+# Each column, in order, with the value it prints for one cell's characteristics.
+_COLUMNS = {
+    "scenario_id": lambda oc: oc.scenario_id,
+    "n_drop": lambda oc: oc.n_drop,
+    "n_feas": lambda oc: oc.n_feas,
+    "order_first": lambda oc: oc.order_first,
+    "p_retain_correct": lambda oc: oc.p_retain_correct,
+    "p_retain_both": lambda oc: oc.p_retain_both,
+    "p_proceed": lambda oc: oc.p_proceed,
+    "p_success_A1": lambda oc: oc.p_success["A1"],
+    "p_success_A2": lambda oc: oc.p_success["A2"],
+    "p_success_Apooled": lambda oc: oc.p_success["A_pooled"],
+    "p_success_B1": lambda oc: oc.p_success["B1"],
+    "p_success_A1_B1": lambda oc: oc.p_success["A1:B1"],
+    "p_success_A2_B1": lambda oc: oc.p_success["A2:B1"],
+    "power": lambda oc: oc.power,
+    "fwer": lambda oc: oc.fwer,
+    "n_effective": lambda oc: oc.n_replicates_effective,
+    "n_failed": lambda oc: oc.n_failed,
+}
+RESULTS_COLUMNS = tuple(_COLUMNS)
 
 _FLOAT_COLUMNS = frozenset(
     c for c in RESULTS_COLUMNS if c.startswith("p_") or c in ("power", "fwer")
@@ -61,32 +65,10 @@ def _format(column: str, value) -> str:
 
 
 def results_rows(characteristics) -> list[dict]:
-    """Flatten OperatingCharacteristics values into schema-ordered dicts."""
-    rows = []
-    for oc in characteristics:
-        rows.append(
-            {
-                "scenario_id": oc.scenario_id,
-                "n_drop": oc.n_drop,
-                "n_feas": oc.n_feas,
-                "order_first": oc.order_first,
-                "p_retain_correct": oc.p_retain_correct,
-                "p_retain_both": oc.p_retain_both,
-                "p_proceed": oc.p_proceed,
-                "p_success_A1": oc.p_success["A1"],
-                "p_success_A2": oc.p_success["A2"],
-                "p_success_Apooled": oc.p_success["A_pooled"],
-                "p_success_B1": oc.p_success["B1"],
-                "p_success_A1_B1": oc.p_success["A1:B1"],
-                "p_success_A2_B1": oc.p_success["A2:B1"],
-                "power": oc.power,
-                "fwer": oc.fwer,
-                "n_effective": oc.n_replicates_effective,
-                "n_failed": oc.n_failed,
-            }
-        )
-    rows.sort(key=lambda r: (r["scenario_id"], r["n_drop"], r["n_feas"]))
-    return rows
+    """Flatten OperatingCharacteristics values into schema-ordered dicts,
+    sorted by cell."""
+    rows = [{c: value(oc) for c, value in _COLUMNS.items()} for oc in characteristics]
+    return sorted(rows, key=lambda r: (r["scenario_id"], r["n_drop"], r["n_feas"]))
 
 
 def write_results_csv(characteristics, path) -> None:

@@ -1,8 +1,10 @@
 """results.csv schema and format pinning, manifest hashing, SVG rendering,
 and CLI exit-code behavior."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import fast_trials
-from fast_trials.design import ScenarioConfig, validate_scenario
+from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
+from fast_trials.final_analysis import FinalBranch
 from fast_trials.harness import _CHUNK_SIZE, TRACE_FIELDS, _batch_size, run_grid, run_grid_detail
 from fast_trials.reporting import (
     RESULTS_COLUMNS,
@@ -18,10 +21,12 @@ from fast_trials.reporting import (
     config_hash,
     read_results_csv,
     render_heatmaps_svg,
+    results_rows,
     write_results_csv,
     write_trace_csv,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(__file__).parent / "data"
 SRC = Path(fast_trials.__file__).resolve().parent.parent
 
@@ -166,6 +171,43 @@ def test_read_results_round_trip(tmp_path):
     assert len(rows) == 4
     assert rows[0]["scenario_id"] == 7
     assert rows[0]["p_proceed"] == pytest.approx(results[0].p_proceed, abs=1e-6)
+
+
+def test_results_csv_round_trips_every_column(tmp_path):
+    # The timing study and the both-arms benchmark scenario, at 3 replicates
+    # a cell, reach every final branch.
+    configs = load_scenarios(ROOT / "scenarios" / "timing_study.json")
+    configs += load_scenarios(ROOT / "perfbench" / "scenarios" / "both_arms.json")
+    results, traces = [], []
+    for config in configs:
+        cells, rows = run_grid_detail(dataclasses.replace(config, replicates=3), collect_traces=True)
+        results += cells
+        traces += rows
+    one_per_branch = {row["branch"]: row for row in traces}
+    assert set(one_per_branch) == {branch.value for branch in FinalBranch}
+    for row in one_per_branch.values():
+        assert tuple(row) == TRACE_FIELDS
+
+    out = tmp_path / "r.csv"
+    write_results_csv(results, out)
+    expected = results_rows(results)
+    read = read_results_csv(out)
+    assert len(read) == len(expected) == 4 * 64
+    for got, want in zip(read, expected):
+        assert tuple(got) == tuple(want) == RESULTS_COLUMNS
+        for column, value in want.items():
+            if column.startswith("p_") or column in ("power", "fwer"):
+                assert got[column] == float(f"{value:.6f}"), column
+            else:
+                assert got[column] == value and type(got[column]) is type(value), column
+
+
+def test_readme_lists_the_results_columns():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    outputs = readme.split("Outputs in `--out`:")[1].split("\n## ")[0]
+    bullet = outputs.split("* `results.csv`")[1].split("\n* ")[0]
+    listed = re.search(r"column set\s+`([^`]*)`", bullet).group(1)
+    assert tuple(column.strip() for column in listed.split(",")) == RESULTS_COLUMNS
 
 
 def test_read_results_missing_column_named(tmp_path):
@@ -411,6 +453,25 @@ def test_cli_threads_env_fallback(tmp_path):
     assert r.returncode == 0, r.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--threads", "0"], {}, "--threads: must be at least 1, got 0"),
+        (["--threads", "-4"], {}, "--threads: must be at least 1, got -4"),
+        ([], {"FAST_TRIALS_THREADS": "0"}, "FAST_TRIALS_THREADS: must be at least 1, got 0"),
+    ],
+    ids=["flag-zero", "flag-negative", "env-zero"],
+)
+def test_cli_worker_count_below_one_exits_2(tmp_path, flags, env, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_cli_config_doc()))
+    out = tmp_path / "out"
+    r = _run_cli("simulate", "--config", str(cfg), "--out", str(out), *flags, env=env)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def _three_scenarios(n_grid, replicates):

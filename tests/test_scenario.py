@@ -23,6 +23,7 @@ from fast_trials.design import (
     validate_scenario,
 )
 from fast_trials.generation import generate_block
+from fast_trials.harness import run_grid
 
 _NULL_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "null.json"
 
@@ -230,6 +231,31 @@ def test_a_config_has_one_normal_form():
     assert all(type(v) is tuple for v in fields + tuple(lists.biomarker_effects.values()))
     assert dataclasses.replace(lists, n_drop_grid=[90]).n_drop_grid == (90,)
     assert type(dataclasses.replace(lists, n_drop_grid=[90]).n_drop_grid) is tuple
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [lambda: (v for v in (90, 120)), lambda: range(90, 121, 30), lambda: np.array([90, 120])],
+    ids=["generator", "range", "ndarray"],
+)
+def test_a_list_like_grid_becomes_a_tuple(grid):
+    # The normal form alone decides what a list is, so the config that
+    # validation passed is the config that runs.
+    small = dict(n_feas_grid=(300,), replicates=2)
+    built = dataclasses.replace(reference_config(), n_drop_grid=grid(), **small)
+    twin = dataclasses.replace(reference_config(), n_drop_grid=(90, 120), **small)
+    assert validate_scenario(built) is built
+    assert built == twin and hash(built) == hash(twin)
+    rows = run_grid(built)
+    assert [(oc.n_drop, oc.n_feas) for oc in rows] == [(90, 300), (120, 300)]
+    assert rows == run_grid(twin)
+
+
+def test_a_config_hashes_by_value():
+    assert hash(ScenarioConfig()) == hash(ScenarioConfig())
+    lists = ScenarioConfig(biomarker_effects={"A1": [1.0, 2.0], "A2": [0.0, 0.0]}, n_drop_grid=[90, 120])
+    tuples = ScenarioConfig(biomarker_effects={"A1": (1.0, 2.0), "A2": (0.0, 0.0)}, n_drop_grid=(90, 120))
+    assert len({lists, tuples}) == 1
 
 
 # -- effects are read-only once the config is built -------------------------------
