@@ -89,11 +89,16 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _stage(h: int, part: int, mult: int) -> int:
+    """One mixing stage: xor the odd-multiplied part into the state, then mix."""
+    return _splitmix64(h ^ ((int(part) * mult) & _MASK64))
+
+
 def _mix_parts(base_seed: int, parts: tuple) -> int:
     """The seed state after mixing in each index part, one stage each."""
     h = _splitmix64(int(base_seed) & _MASK64)
     for part, mult in zip(parts, _PART_MULT):
-        h = _splitmix64(h ^ ((int(part) * mult) & _MASK64))
+        h = _stage(h, part, mult)
     return h
 
 
@@ -173,7 +178,8 @@ def run_replicate(
                 arms = None
 
     if config.n_total > enrolled:
-        *_, clamped, block_cells = generate_block(config, arms, config.n_total - enrolled, rng)
+        # No interim reads the last block, so it builds no biomarker columns.
+        *_, clamped, block_cells = generate_block(config, arms, config.n_total - enrolled, rng, biomarkers=False)
         cells = cells + block_cells
         n_clamped += clamped
 
@@ -343,8 +349,10 @@ def _run_chunk(args) -> tuple[defaultdict, list]:
     effective = truly_effective_arms(config)
     tally = defaultdict(int)
     traces = []
+    # derive_seed's stages before the replicate's are the same for the whole task.
+    prefix = _mix_parts(config.base_seed, (config.scenario_id, n_drop, n_feas))
     for rep in range(start, stop):
-        seed = derive_seed(config.base_seed, config.scenario_id, (n_drop, n_feas), rep)
+        seed = _stage(prefix, rep, _PART_MULT[3])
         result = run_replicate(config, n_drop, n_feas, seed)
         _accumulate(tally, result, correct, effective)
         if collect_traces:
@@ -440,6 +448,8 @@ def run_grid_detail(
     ``open_pool``, shared by several calls; the caller shuts it down. Without
     one, a call on more than one thread opens and joins a pool of its own.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     validate_scenario(config)
     replicates = config.replicates
     cells = [(d, f) for d in sorted(config.n_drop_grid) for f in sorted(config.n_feas_grid)]

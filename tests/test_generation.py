@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fast_trials import generation
 from fast_trials.design import ABSENT, ARM_A_CODE, DOMAIN_A_ARMS, PROB_CLAMP_HI, PROB_CLAMP_LO, ScenarioConfig
 from fast_trials.generation import generate_block
 from test_final_analysis import cell_table
@@ -259,3 +260,78 @@ def test_clamping_reference_case_clamps():
     config = _IDENTITY_CONFIGS["clamping"]
     _, n_clamped, _ = _reference_generate_block(config, frozenset(DOMAIN_A_ARMS), 1000, np.random.default_rng(3))
     assert 0 < n_clamped < 1000
+
+
+# -- the integer columns are exactly Generator.integers ---------------------------
+
+def _assert_assignments_are_integers(codes, n, stream, reference):
+    """The decoded columns equal the ``integers`` draws of a twin stream,
+    and the twins end in the same 128-bit state. ``uinteger``, a stale copy
+    of the last buffered 32-bit half, is read only while ``has_uint32`` is
+    1, so it is not compared."""
+    arm_a, arm_b = generation._assignments(stream, codes, n)
+    if codes is None:
+        expected_a = np.full(n, ABSENT, dtype=np.intp)
+    else:
+        expected_a = codes[reference.integers(len(codes), size=n)]
+    expected_b = reference.integers(2, size=n)
+    np.testing.assert_array_equal(arm_a, expected_a, strict=True)
+    np.testing.assert_array_equal(arm_b, expected_b, strict=True)
+    got, want = stream.bit_generator.state, reference.bit_generator.state
+    assert got["state"] == want["state"]
+    if codes is None and n % 2:
+        # integers buffers the unread high half of the last word; the
+        # decode does not. Only 32-bit draws read that buffer, and none
+        # follows a terminated block, a replicate's last.
+        assert (got["has_uint32"], want["has_uint32"]) == (0, 1)
+    else:
+        assert got["has_uint32"] == want["has_uint32"]
+
+
+def _codes(arms_name):
+    arms = _ARM_SETS[arms_name]
+    return None if arms is None else generation._ACTIVE_CODES[arms]
+
+
+@pytest.mark.parametrize("arms_name", list(_ARM_SETS))
+def test_assignments_are_generator_integers(arms_name):
+    codes = _codes(arms_name)
+    for seed in range(40):
+        for n in (1, 2, 3, 98, 99, 1000, 1001):
+            stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            _assert_assignments_are_integers(codes, n, stream, reference)
+
+
+def _zero_word_stream(words_before):
+    """A generator whose raw word after ``words_before`` others is 0. PCG64
+    outputs the rotated xor of the two 64-bit halves of its stepped state,
+    so a stepped state with equal halves outputs 0."""
+    stream = np.random.default_rng(0)
+    state = stream.bit_generator.state
+    state["state"]["state"] = 0x0123456789ABCDEF * (2**64 + 1)
+    stream.bit_generator.state = state
+    stream.bit_generator.advance(-(words_before + 1))
+    return stream
+
+
+# (n, word): with three arms, word < n / 2 puts its two zero halves among
+# the arm halves, which Lemire rejects; later words give domain-B halves.
+@pytest.mark.parametrize("n, word", [(1, 0), (2, 0), (7, 3), (8, 3), (8, 4), (9, 8)])
+@pytest.mark.parametrize("arms_name", list(_ARM_SETS))
+def test_assignments_are_generator_integers_around_a_zero_word(arms_name, n, word):
+    assert _zero_word_stream(word).bit_generator.random_raw(word + 1)[word] == 0
+    _assert_assignments_are_integers(_codes(arms_name), n, _zero_word_stream(word), _zero_word_stream(word))
+
+
+@pytest.mark.parametrize("arms_name", list(_ARM_SETS))
+def test_block_without_biomarkers_draws_the_same_block(arms_name):
+    config, arms = _IDENTITY_CONFIGS["clamping"], _ARM_SETS[arms_name]
+    for seed, n in ((0, 1), (1, 150), (2, 801)):
+        stream, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        arm_a, y11, y12, n_clamped, cells = generate_block(config, arms, n, stream, biomarkers=False)
+        want_arm_a, _, _, want_clamped, want_cells = generate_block(config, arms, n, reference)
+        assert y11 is None and y12 is None
+        np.testing.assert_array_equal(arm_a, want_arm_a, strict=True)
+        assert n_clamped == want_clamped
+        np.testing.assert_array_equal(cells, want_cells, strict=True)
+        assert stream.bit_generator.state == reference.bit_generator.state

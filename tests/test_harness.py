@@ -75,6 +75,31 @@ def test_base_seed_avalanche():
     assert not np.any(a == b)
 
 
+@pytest.mark.parametrize(
+    "base_seed, scenario_id, cell, start",
+    [
+        (20230901, 3, (150, 300), 0),
+        (2**64 - 1, 2**64 - 1, (2**64 - 1, 2**64 - 1), 2**64 - 6),
+        (0, 2**63, (0, 2**63 - 1), 2**63 - 3),
+    ],
+)
+def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, start):
+    # A task mixes its shared seed prefix once; each replicate's seed is
+    # still derive_seed's.
+    config = _null_config()
+    canned = run_replicate(config, 150, 300, 1)
+    seeds = []
+
+    def recording_run_replicate(_config, _n_drop, _n_feas, seed):
+        seeds.append(seed)
+        return canned
+
+    monkeypatch.setattr(harness, "run_replicate", recording_run_replicate)
+    task_config = dataclasses.replace(config, base_seed=base_seed, scenario_id=scenario_id)
+    harness._run_chunk((task_config, *cell, start, start + 6, False))
+    assert seeds == [derive_seed(base_seed, scenario_id, cell, rep) for rep in range(start, start + 6)]
+
+
 # -- single replicates -----------------------------------------------------------
 
 def test_replicate_deterministic():
@@ -96,8 +121,8 @@ def test_termination_stops_domain_a_assignment(monkeypatch):
     cfg = _null_config(alpha_feas=1e-12, base_seed=6, n_total=400)
     blocks, tables = [], []
 
-    def recording_generate_block(config, arms, n, stream):
-        block = generate_block(config, arms, n, stream)
+    def recording_generate_block(config, arms, n, stream, biomarkers=True):
+        block = generate_block(config, arms, n, stream, biomarkers=biomarkers)
         blocks.append((arms, block[0]))
         return block
 
@@ -249,6 +274,18 @@ def test_cell_conservation_identities():
 def test_run_cell_zero_replicates_rejected():
     with pytest.raises(ValueError):
         run_cell_detail(_null_config(), 90, 90, replicates=0)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+@pytest.mark.parametrize("entry", ["run_grid", "run_grid_detail", "run_cell"])
+def test_worker_count_below_one_rejected_before_any_replicate(monkeypatch, entry, threads):
+    ran = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: ran.append(args))
+    cfg = _null_config(replicates=3, n_drop_grid=(150,), n_feas_grid=(300,))
+    args = (cfg, 150, 300) if entry == "run_cell" else (cfg,)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        getattr(harness, entry)(*args, threads=threads)
+    assert ran == []
 
 
 def test_grid_shape_and_order():
