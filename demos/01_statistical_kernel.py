@@ -9,8 +9,10 @@ import numpy as np
 
 from fast_trials.stats import (
     Tail,
+    check_design,
     chi_square_sf,
     fit_logistic,
+    fit_logistic_counts,
     lr_test,
     normal_cdf,
     t_sf,
@@ -31,7 +33,7 @@ print(f"t = {r.statistic:.3f}, df = {r.df:.1f} (fractional: unequal variances), 
 one_sided = welch_t_test(treated, control, Tail.UPPER)
 print(f"one-sided (treated > control): p = {one_sided.p_value:.5f}")
 
-print("\n== logistic regression by IRLS ==")
+print("\n== logistic regression by IRLS (fit_logistic) ==")
 # two groups: 20/100 vs 30/100 events; coefficients have a closed form
 x = np.ones((200, 2))
 x[:, 1] = np.r_[np.zeros(100), np.ones(100)]
@@ -39,6 +41,20 @@ y = np.r_[np.ones(20), np.zeros(80), np.ones(30), np.zeros(70)]
 fit = fit_logistic(x, y)
 print(f"beta = {fit.coefficients.round(6)}  (closed form: [ln(20/80), ln(12/7)] = [-1.386294, 0.538997])")
 print(f"converged in {fit.n_iterations} iterations, log-likelihood {fit.log_likelihood:.3f}")
+
+print("\n== the final analysis's main-effects fit: a common odds ratio over strata ==")
+# logit p = alpha_s + theta * b1, one intercept per domain-A stratum: the
+# one-arm full model, on grouped counts. The final analysis passes each row's
+# stratum, and an interior table is fitted by profile Newton on theta from
+# the Mantel-Haenszel estimate; without strata (or at a boundary) it is IRLS.
+design = check_design([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])  # intercept, fluid_pooled, b1
+events = np.array([40.0, 52.0, 35.0, 50.0])
+trials = np.array([100.0, 100.0, 90.0, 95.0])
+profile = fit_logistic_counts(design, events, trials, strata=(0, 0, 1, 1))
+irls = fit_logistic_counts(design, events, trials)
+print(f"profile Newton: theta = {profile.coefficients[-1]:.6f} in {profile.n_iterations} steps")
+print(f"IRLS:           theta = {irls.coefficients[-1]:.6f} in {irls.n_iterations} iterations")
+print(f"log-likelihoods differ by {abs(profile.log_likelihood - irls.log_likelihood):.1e}")
 
 print("\n== nested-model likelihood-ratio test ==")
 reduced = fit_logistic(x[:, :1], y)

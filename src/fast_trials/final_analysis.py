@@ -21,13 +21,17 @@ distinct covariate rows as parameters, so their MLE is the per-group event
 proportion and they are fitted in closed form. Those are
 every reduced model of the one-arm branch (global, beta1, beta2), H01-H04
 and H07 of the both-arms branch (A1 + A2 dummies are saturated on the three
-A-arm groups), and both models of the terminated branch. Only the
-main-effects models iterate by IRLS: the one-arm and both-arms full models,
-H05 and H06. The closed form is the maximum IRLS converges to, so the
-p-values agree to rounding and the decisions are the same. A table with a
-group at 0 or at all events has no interior maximum; every such fit, as
-every unsaturated one, goes through ``fit_logistic_counts``, whose
-divergence flags the replicate.
+A-arm groups), and both models of the terminated branch. The closed form
+is the maximum IRLS converges to, so the p-values agree to rounding and
+the decisions are the same. A table with a group at 0 or at all events has
+no interior maximum; every such fit, as every unsaturated one, goes
+through ``fit_logistic_counts``, whose divergence flags the replicate.
+The unsaturated ones are the main-effects models: the one-arm and
+both-arms full models, H05 and H06. Each is one intercept per stratum of
+domain-A arms and a common B1 log odds ratio, so the plan passes the fit
+each row's stratum, and on a table with every pattern interior the fit
+solves the common odds ratio by profile Newton instead of IRLS; at a
+boundary it is IRLS, as before.
 
 The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
@@ -47,7 +51,8 @@ are built at import, and per (branch, set of patterns with subjects) a
 memoised node plan holds every model's checked ``Design``. The plan owns
 the closed-form decision: it groups each model's rows, calls a model
 saturated when it has as many distinct rows as columns, and stacks the
-saturated groupings. The table is checked once against the full model;
+saturated groupings; for every other model it maps each row to its
+stratum. The table is checked once against the full model;
 the fits see the plan's designs on the patterns that have subjects, which
 ``fit_logistic_counts`` trusts. One vectorised pass (``_saturated_pass``)
 gives every saturated model's log-likelihood, with the same per-group
@@ -240,6 +245,7 @@ def _saturated_pass(groups, owner, events: np.ndarray, trials: np.ndarray) -> np
 class _Plan(NamedTuple):
     designs: tuple  # each model's ``Design``: the full model, then every node's
     slots: tuple  # each model's index among the saturated ones; None where it is not saturated
+    strata: tuple  # each unsaturated model's stratum per row, for ``fit_logistic_counts``; else None
     groups: np.ndarray  # the saturated models' row groupings, stacked for ``_saturated_pass``
     owner: np.ndarray  # stacked group -> index of its saturated model
 
@@ -256,30 +262,43 @@ def _node_plan(branch: FinalBranch, present: tuple) -> _Plan:
     full_cols, nodes = _GATING[branch]
     models = (full_cols,) + tuple(node.reduced for node in nodes)
     designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
-    slots, groups, owner = [], [], []
+    slots, strata, groups, owner = [], [], [], []
     for design in designs:
         distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
         if len(distinct) == design.rows.shape[1]:
             slots.append(len(groups))
+            strata.append(None)
             groups.append(inverse.reshape(-1) + len(owner))
             owner += [slots[-1]] * len(distinct)
         else:
             slots.append(None)
+            strata.append(_strata(design.rows))
     groups, owner = np.concatenate(groups), np.array(owner, dtype=np.intp)
     groups.setflags(write=False)
     owner.setflags(write=False)
-    return _Plan(designs, tuple(slots), groups, owner)
+    return _Plan(designs, tuple(slots), tuple(strata), groups, owner)
+
+
+def _strata(rows: np.ndarray) -> Optional[tuple]:
+    """Each row's stratum, its distinct values of every column but the last
+    (b1), where that makes the model one intercept per stratum and a common
+    B1 log odds ratio: as many strata as those columns, which the model's
+    full rank then makes independent. None otherwise, as on a both-arms
+    table with a pattern in A1 and A2 at once."""
+    distinct, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
+    return tuple(inverse.reshape(-1).tolist()) if len(distinct) == rows.shape[1] - 1 else None
 
 
 def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tuple[float, bool]:
     """The maximised log-likelihood of the plan's model and whether its fit
     converged: the closed form where the model is saturated and has an
-    interior maximum, else an IRLS fit, whose divergence flags the
-    replicate."""
+    interior maximum, else ``fit_logistic_counts`` with the model's stratum
+    map: profile Newton on an interior table, IRLS on a boundary one, whose
+    divergence flags the replicate."""
     slot = plan.slots[model]
     if slot is not None and not math.isnan(closed[slot]):
         return closed[slot], True
-    fit = fit_logistic_counts(plan.designs[model], events, trials)
+    fit = fit_logistic_counts(plan.designs[model], events, trials, plan.strata[model])
     return fit.log_likelihood, fit.converged
 
 

@@ -448,6 +448,8 @@ def run_grid_detail(
     ``open_pool``, shared by several calls; the caller shuts it down. Without
     one, a call on more than one thread opens and joins a pool of its own.
     """
+    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     validate_scenario(config)

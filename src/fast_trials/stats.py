@@ -16,9 +16,16 @@ cost; the result carries the two means. ``check_design`` checks a logistic
 design (2-d, intercept, full rank) into a ``Design``: its rows, read-only
 and in Fortran order. ``fit_logistic_counts`` takes only a ``Design``,
 which it trusts; the final analysis's node plans group the rows of the
-models they fit in closed form. The IRLS Newton loop forms the same
-products in the same memory order as the textbook step, so its iterates
-and iteration count equal the textbook loop's. On arrays of a
+models they fit in closed form, and map the strata of the others. Given
+such a map, a model of one intercept per stratum and a common log odds
+ratio on its last column, and a table with every row strictly between 0
+and all events, the fit is the unconditional MLE of a common odds ratio
+(Mantel & Haenszel 1959; Breslow & Day 1980, ch. 4), by Newton on the
+profile score of the log odds ratio: each stratum's intercept is the root
+of a quadratic, so a fit costs a few scalar steps. Every other fit, and
+one whose Newton does not converge, is IRLS. The IRLS Newton loop forms
+the same products in the same memory order as the textbook step, so its
+iterates and iteration count equal the textbook loop's. On arrays of a
 few rows numpy's per-call cost outweighs the arithmetic, so the loop pays
 it once where it can: one error state per fit around every iteration, mu
 from in-place unary ufuncs with the same IEEE results, and the divergence
@@ -357,14 +364,129 @@ def _raise_singular(err, flag):
 _FIT_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
-    """IRLS logistic fit on grouped data (one design row per covariate
-    pattern, with event/trial counts).
+def _stratum_odds(psi: float, events_s: float, non_events: float, lin0: float, lin1: float) -> float:
+    """A stratum's odds phi = e^alpha at the common odds ratio psi: the
+    positive root of psi (N - E) phi^2 + b phi - E = 0, b = (n0 - E) +
+    psi (n1 - E), which sets the stratum's intercept score to zero. The
+    root is taken in the form that subtracts no like-signed terms."""
+    lin = lin0 + psi * lin1
+    root = math.sqrt(lin * lin + 4.0 * psi * non_events * events_s)
+    return (root - lin) / (2.0 * psi * non_events) if lin <= 0.0 else 2.0 * events_s / (lin + root)
+
+
+def _profile_fit(x: np.ndarray, events: np.ndarray, trials: np.ndarray, strata) -> Optional[LogisticFit]:
+    """The MLE of logit p = alpha_s + theta * b, one intercept per stratum s
+    of ``strata`` and a common log odds ratio theta on the 0/1 last column
+    b of ``x``; None unless every row has 0 < events < trials, Newton on
+    theta converges within ``IRLS_MAX_ITER`` steps and every coefficient
+    stays within the divergence bound.
+
+    Stratum s has E events in N trials, e0 of n0 at b = 0 and e1 of n1 at
+    b = 1. For a fixed theta each alpha_s has a closed form
+    (``_stratum_odds``). The profile score sum_s (e1 - n1 p1) falls
+    monotonely in theta, with derivative -sum_s v0 v1 / (v0 + v1),
+    v = n p (1 - p), so Newton on it starts from the Mantel-Haenszel log
+    odds ratio and stops, like the IRLS loop, on a step below ``IRLS_TOL``.
+    The log-likelihood is the IRLS loop's sum of e eta - n log(1 + e^eta),
+    taken over each stratum's two cells. The intercepts map back to the
+    design's columns through the first row of each stratum.
+    """
+    cells = {}  # stratum -> [e0, f0, e1, f1]: events and non-events at b = 0, then at b = 1
+    first = []  # each stratum's first row
+    for row, (s, b, e, n) in enumerate(zip(strata, x[:, -1].tolist(), events.tolist(), trials.tolist())):
+        if not 0.0 < e < n:
+            return None
+        if s not in cells:
+            cells[s] = [0.0, 0.0, 0.0, 0.0]
+            first.append(row)
+        cell = cells[s]
+        j = 2 if b else 0
+        cell[j] += e
+        cell[j + 1] += n - e
+    num = den = 0.0
+    terms = []  # per stratum: the arguments of _stratum_odds after psi, then e0, f0, e1, f1
+    for e0, f0, e1, f1 in cells.values():
+        n0, n1 = e0 + f0, e1 + f1
+        events_s = e0 + e1
+        num += e1 * f0 / (n0 + n1)
+        den += e0 * f1 / (n0 + n1)
+        terms.append((events_s, f0 + f1, n0 - events_s, n1 - events_s, e0, f0, e1, f1))
+
+    # The score is positive below the root and negative above it, so every
+    # score narrows a bracket on theta; a Newton step that leaves the
+    # bracket bisects it instead.
+    low, high = -_DIVERGE_BOUND, _DIVERGE_BOUND
+    theta = min(max(math.log(num / den), low), high)
+    for n_iter in range(1, IRLS_MAX_ITER + 1):
+        psi = math.exp(theta)
+        score = info = 0.0
+        for events_s, non_events, lin0, lin1, e0, f0, e1, f1 in terms:
+            odds0 = _stratum_odds(psi, events_s, non_events, lin0, lin1)
+            odds1 = odds0 * psi
+            q0, q1 = 1.0 / (1.0 + odds0), 1.0 / (1.0 + odds1)
+            p0, p1 = odds0 * q0, odds1 * q1
+            v0, v1 = (e0 + f0) * p0 * q0, (e1 + f1) * p1 * q1
+            w = 1.0 / (v0 + v1)
+            # The b = 1 residual less the b = 0 one, weighted: equal to
+            # e1 - n1 p1 at the stratum's root, without the error of the
+            # computed root to first order, and each residual in the form
+            # e q - f p, whose rounding scales with v, not with e.
+            score += (v0 * (e1 * q1 - f1 * p1) - v1 * (e0 * q0 - f0 * p0)) * w
+            info += v0 * v1 * w
+        if score > 0.0:
+            low = theta
+        elif score < 0.0:
+            high = theta
+        step = score / info
+        if not low <= theta + step <= high:  # also a NaN
+            theta = 0.5 * (low + high)
+        elif -IRLS_TOL < step < IRLS_TOL:
+            theta += step
+            break
+        else:
+            theta += step
+    else:
+        return None
+    psi = math.exp(theta)
+    alpha = []
+    log_likelihood = 0.0
+    for events_s, non_events, lin0, lin1, e0, f0, e1, f1 in terms:
+        odds0 = _stratum_odds(psi, events_s, non_events, lin0, lin1)
+        alpha.append(math.log(odds0))
+        log_likelihood += (
+            events_s * alpha[-1] + e1 * theta - (e0 + f0) * math.log1p(odds0) - (e1 + f1) * math.log1p(odds0 * psi)
+        )
+    beta = np.empty(x.shape[1])
+    beta[:-1] = _umath_linalg.solve1(x[:, :-1].take(first, axis=0), np.array(alpha), signature="dd->d")
+    beta[-1] = theta
+    coefficients = beta.tolist()
+    if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
+        return None
+    return LogisticFit(beta, log_likelihood, True, n_iter, False)
+
+
+def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray, strata=None) -> LogisticFit:
+    """Logistic fit on grouped data (one design row per covariate pattern,
+    with event/trial counts): by profile Newton where ``strata`` is given
+    and every row is interior, else by IRLS.
 
     ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
+    ``strata``, which the fit also trusts, gives each row's stratum, for a
+    design whose last column is a 0/1 indicator and whose other columns are
+    one intercept per stratum: each stratum's rows agree on every other
+    column, and the strata's rows of those columns are linearly
+    independent. On such a design a table whose every row has
+    0 < events < trials has a finite MLE, and ``_profile_fit`` finds it;
+    where that Newton does not converge or a coefficient lies beyond the
+    divergence bound, or on any other table or call, the fit is IRLS,
+    exactly as without ``strata``. The two verdicts differ only where
+    IRLS's own steps from zero overshoot the bound on a table whose MLE
+    lies within it, which takes counts far beyond a trial's (rates near
+    1e-9 with 1e9 trials): IRLS reports divergence, the profile the MLE.
+
     The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
-    fits, and closed-form log-likelihoods. The Newton step reuses
+    fits, and closed-form log-likelihoods. The IRLS Newton step reuses
     trials * mu for the weights and the score and builds the information as
     (X' * w) @ X, the same products in the same memory order as
     (X * w[:, None])' @ X, so every iterate is bit-identical to the
@@ -383,6 +505,9 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray) -> Logis
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
     _check_table(events, trials, k)
+    fit = None if strata is None else _profile_fit(x, events, trials, strata)
+    if fit is not None:
+        return fit
     xt = x.T
 
     beta = np.zeros(k)

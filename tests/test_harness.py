@@ -4,6 +4,7 @@ conservation identities, and execution-order invariance."""
 import dataclasses
 import itertools
 import json
+import re
 import warnings
 from collections import defaultdict
 from pathlib import Path
@@ -286,6 +287,25 @@ def test_worker_count_below_one_rejected_before_any_replicate(monkeypatch, entry
     with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
         getattr(harness, entry)(*args, threads=threads)
     assert ran == []
+
+
+@pytest.mark.parametrize("threads", [2.5, "2", True, 1.0, None])
+@pytest.mark.parametrize("entry", ["run_grid", "run_grid_detail", "run_cell"])
+def test_worker_count_that_is_not_an_integer_rejected(monkeypatch, entry, threads):
+    # The CLI's rule: an int of at least 1, and a bool is not one. Before,
+    # 2.5 ran on a pool, True ran on one worker and "2" raised a TypeError.
+    ran = []
+    monkeypatch.setattr(harness, "run_replicate", lambda *args: ran.append(args))
+    cfg = _null_config(replicates=3, n_drop_grid=(150,), n_feas_grid=(150, 300))
+    args = (cfg, 150, 300) if entry == "run_cell" else (cfg,)
+    with pytest.raises(ValueError, match=re.escape(f"threads must be an integer, got {threads!r}")):
+        getattr(harness, entry)(*args, threads=threads)
+    assert ran == []
+
+
+def test_numpy_integer_worker_count_accepted():
+    cfg = _null_config(replicates=2, n_drop_grid=(150,), n_feas_grid=(300,))
+    assert run_grid(cfg, threads=np.int64(1)) == run_grid(cfg)
 
 
 def test_grid_shape_and_order():

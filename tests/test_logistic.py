@@ -2,11 +2,15 @@
 degenerate/separated data handling, likelihood-ratio test behavior, and bit
 identity of the IRLS loop with the textbook Newton step it replaced."""
 
+import collections
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from fast_trials import final_analysis
+from fast_trials import final_analysis, stats
 from fast_trials.final_analysis import gatekeep_both_retained
 from fast_trials.stats import (
     _DIVERGE_BOUND,
@@ -405,3 +409,120 @@ def test_loglik_softplus_bit_identical_to_sign_branches():
         with np.errstate(over="ignore"):  # the branch np.where discards overflows
             softplus = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))), np.log1p(np.exp(eta)))
         assert _bernoulli_loglik(eta, events, trials) == float(np.sum(events * eta - trials * softplus))
+
+
+# -- the profile path: one intercept per stratum and a common log odds ratio --
+
+# Each row's stratum in the _DESIGNS layouts (its value of every column but
+# the last, b1), and the both-arms layout's H05 and H06 models, whose strata
+# pool two arms.
+_STRATA = ((0, 0, 1, 1, 2, 2), (0, 0, 1, 1), (0, 0))
+_POOLED = (((0, 2, 3), (0, 0, 0, 0, 1, 1)), ((0, 1, 3), (0, 0, 1, 1, 0, 0)))
+_LAYOUTS = tuple(zip(_DESIGNS, _STRATA)) + tuple((_DESIGNS[0][:, list(cols)], s) for cols, s in _POOLED)
+
+
+def _root_branches(strata, x, events, trials, theta):
+    """The sign of each stratum's linear coefficient (n0 - E) + psi (n1 - E)
+    at the fitted odds ratio psi: which form of the stable root it takes."""
+    signs = set()
+    for s in set(strata):
+        rows = [i for i, r in enumerate(strata) if r == s]
+        n0, n1 = (sum(trials[i] for i in rows if x[i, -1] == b) for b in (0.0, 1.0))
+        total_events = sum(events[i] for i in rows)
+        signs.add((n0 - total_events) + math.exp(theta) * (n1 - total_events) > 0.0)
+    return signs
+
+
+def _assert_same_fit(fit, other):
+    np.testing.assert_array_equal(fit.coefficients, other.coefficients, strict=True)
+    assert fit[1:] == other[1:]
+
+
+def _check_profile_against_irls(x, strata, events, trials) -> set:
+    """Assert that the fit given the strata is the IRLS fit, bit for bit, on
+    a table with a row at 0 or at all events, and agrees with it on an
+    interior one; return the root forms an interior fit took."""
+    design = check_design(x)
+    irls = fit_logistic_counts(design, events, trials)
+    fit = fit_logistic_counts(design, events, trials, strata)
+    assert (fit.converged, fit.diverged) == (irls.converged, irls.diverged)
+    if not ((events > 0.0) & (events < trials)).all():
+        _assert_same_fit(fit, irls)
+        return set()
+    _assert_same_fit(fit, stats._profile_fit(design.rows, events, trials, strata))  # not the fallback
+    assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
+    np.testing.assert_allclose(fit.coefficients, irls.coefficients, rtol=0, atol=1e-8)
+    return _root_branches(strata, design.rows, events, trials, fit.coefficients[-1])
+
+
+@pytest.mark.parametrize("layout", range(len(_DESIGNS)))
+def test_profile_fit_matches_irls_on_every_small_table(layout):
+    """Every table of the layout with 1 to 3 trials per row (1 or 2 for the
+    six-row both-arms layout): boundary tables take IRLS, interior ones
+    give its verdict, log-likelihood and coefficients."""
+    x, strata = _LAYOUTS[layout]
+    sizes = (1, 2) if len(x) == 6 else (1, 2, 3)
+    cells = [(n, e) for n in sizes for e in range(n + 1)]
+    seen = {True: 0, False: 0}
+    for table in itertools.product(cells, repeat=len(x)):
+        trials, events = (np.array(column, dtype=float) for column in zip(*table))
+        _check_profile_against_irls(x, strata, events, trials)
+        seen[bool(((events > 0.0) & (events < trials)).all())] += 1
+    assert seen[True] == {6: 1, 4: 3**4, 2: 3**2}[len(x)]
+    assert seen[False] == len(cells) ** len(x) - seen[True]
+
+
+def test_profile_fit_matches_irls_on_large_interior_tables():
+    """Random interior tables with up to 1e9 trials per row, on every
+    layout the final analysis fits with strata: both forms of the stable
+    root are reached."""
+    rng = np.random.default_rng(2026)
+    branches = set()
+    for x, strata in _LAYOUTS:
+        for _ in range(150):
+            trials = np.floor(10.0 ** rng.uniform(0.5, 9.0, size=len(x))).clip(2.0)
+            events = np.floor(trials * rng.uniform(0.05, 0.95, size=len(x))).clip(1.0, trials - 1.0)
+            branches |= _check_profile_against_irls(x, strata, events, trials)
+    assert branches == {True, False}
+
+
+def test_profile_fit_is_the_mle_where_irls_runs_away():
+    """Event rates down to 1e-9 with up to 1e9 trials. Every interior table
+    here has a profile fit or IRLS's divergence. Where the two verdicts
+    differ, IRLS's Newton steps overshot past the divergence bound from
+    zero on a table whose maximum is finite: the profile fit's score
+    vanishes there and its coefficients lie within the bound."""
+    rng = np.random.default_rng(77)
+    verdicts = collections.Counter()
+    for x, strata in _LAYOUTS:
+        design = check_design(x)
+        for _ in range(300):
+            trials = np.floor(10.0 ** rng.uniform(0.5, 9.0, size=len(x))).clip(2.0)
+            events = np.floor(trials * 10.0 ** rng.uniform(-9.0, 0.0, size=len(x))).clip(1.0, trials - 1.0)
+            irls = fit_logistic_counts(design, events, trials)
+            fit = fit_logistic_counts(design, events, trials, strata)
+            verdicts[irls.converged, fit.converged] += 1
+            if not fit.converged:  # no finite maximum within the bound: IRLS's fit
+                assert irls.diverged
+                _assert_same_fit(fit, irls)
+                continue
+            mu = 1.0 / (1.0 + np.exp(-(design.rows @ fit.coefficients)))
+            assert np.abs(design.rows.T @ (events - trials * mu)).max() <= 1e-9 * trials.sum()
+            assert np.abs(fit.coefficients).max() <= _DIVERGE_BOUND
+            if irls.converged:
+                assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
+    assert verdicts[True, True] > 0 and verdicts[False, False] > 0
+    assert verdicts[True, False] == 0
+
+
+def test_profile_newton_that_does_not_converge_falls_back_to_irls(monkeypatch):
+    design = check_design(_DESIGNS[0])
+    events = np.array([12.0, 30.0, 25.0, 41.0, 9.0, 33.0])
+    trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
+    assert stats._profile_fit(design.rows, events, trials, _STRATA[0]).n_iterations > 1
+    monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
+    assert stats._profile_fit(design.rows, events, trials, _STRATA[0]) is None
+    fit = fit_logistic_counts(design, events, trials, _STRATA[0])
+    irls = fit_logistic_counts(design, events, trials)
+    assert (fit.n_iterations, fit.converged) == (1, False)
+    _assert_same_fit(fit, irls)

@@ -3,6 +3,8 @@ hold: the final analysis must give the same p-values, failure flags and
 errors as fitting every node by IRLS on the patterns that have subjects,
 which this file keeps as the reference."""
 
+import collections
+import dataclasses
 import itertools
 import math
 import warnings
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fast_trials import final_analysis, stats
+from fast_trials import final_analysis, harness, stats
 from fast_trials.design import load_scenarios
 from fast_trials.final_analysis import (
     FinalBranch,
@@ -21,7 +23,7 @@ from fast_trials.final_analysis import (
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
-from fast_trials.harness import run_replicate
+from fast_trials.harness import run_grid, run_replicate
 from fast_trials.stats import (
     FittingError,
     InputError,
@@ -190,6 +192,30 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
     assert {"input_error", "ok"} <= seen
 
 
+@pytest.mark.parametrize(
+    "path, replicates", [("perfbench/scenarios/both_arms.json", 32), ("scenarios/timing_study.json", 11)]
+)
+def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates):
+    """The pattern tables of real replicates, every cell of each scenario's
+    grid, at least 2000 per file: the main-effects models fit by profile
+    Newton on interior tables, and the reference fits every model by IRLS."""
+    tables = []
+
+    def recording_build_final_model(cells, branch):
+        table = build_final_model(cells, branch)
+        tables.append((FinalBranch(branch), table.copy()))
+        return table
+
+    monkeypatch.setattr(harness, "build_final_model", recording_build_final_model)
+    for config in load_scenarios(_ROOT / path):
+        run_grid(dataclasses.replace(config, replicates=replicates))
+    assert len(tables) >= 2000
+    seen = collections.Counter()
+    for i, (branch, table) in enumerate(tables):
+        seen[branch, _check_against_reference(branch, table, (path, i))] += 1
+    assert seen[FinalBranch.BOTH_ARMS_RETAINED, "ok"] + seen[FinalBranch.ONE_ARM_RETAINED, "ok"] >= 100
+
+
 def _plan(branch, table):
     return final_analysis._node_plan(branch, tuple((table[1] > 0).tolist()))
 
@@ -212,6 +238,34 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
             irls = fit_logistic_counts(design, events, trials)
             assert irls.converged
             assert closed[slot] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
+
+
+def test_plan_maps_the_strata_of_every_unsaturated_model():
+    """On every presence mask, each model the plan does not fit in closed
+    form carries its stratum map: rows in one stratum agree on every column
+    but the last, and the strata are as many as those columns. The one
+    exception is a both-arms mask with a pattern in A1 and A2 at once, which
+    no subject has: there the full model has more strata than columns and
+    is left to IRLS."""
+    for branch in FinalBranch:
+        n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
+        for mask in itertools.product((False, True), repeat=n):
+            try:
+                plan = final_analysis._node_plan(branch, mask)
+            except InputError:
+                continue
+            for design, slot, strata in zip(plan.designs, plan.slots, plan.strata):
+                head = design.rows[:, :-1]
+                if slot is not None:
+                    assert strata is None
+                    continue
+                if strata is None:
+                    assert branch is FinalBranch.BOTH_ARMS_RETAINED and (mask[6] or mask[7])
+                    assert len(np.unique(head, axis=0)) > head.shape[1]
+                    continue
+                assert len(set(strata)) == head.shape[1] == len(np.unique(head, axis=0))
+                for s in set(strata):
+                    assert len(np.unique(head[np.array(strata) == s], axis=0)) == 1
 
 
 def _closed_form(x, events, trials):
