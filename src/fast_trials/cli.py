@@ -5,9 +5,9 @@ a JSON config and writes results.csv plus a run manifest (and per-scenario
 replicate traces with ``--trace``). ``fast-trials report`` renders the
 Figure-style heatmap panels from a results.csv into an SVG.
 
-Exit codes: 0 success, 2 invalid config/flags/input schema, 3 I/O failure,
-4 simulation failed (a replicate of a validated scenario raised; nothing is
-written).
+Exit codes: 0 success, 2 invalid config/flags/input schema or a missing or
+unreadable input file, 3 I/O failure, 4 simulation failed (a replicate of a
+validated scenario raised; nothing is written).
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def _cmd_simulate(args) -> int:
         scenarios = load_scenarios(args.config)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return EXIT_INVALID
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
@@ -172,6 +175,9 @@ def _cmd_report(args) -> int:
         rows = read_results_csv(args.results)
     except FileNotFoundError:
         print(f"error: results file not found: {args.results}", file=sys.stderr)
+        return EXIT_INVALID
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read results file {args.results}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ReportError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,35 +8,22 @@ t tail from the regularized incomplete beta (Lentz continued fraction).
 Everything here is a pure function of its inputs; random draws go through an
 explicit ``numpy.random.Generator`` owned by the caller.
 
-The Welch test computes each sample's mean and ddof=1 variance in one
-helper with numpy's own two-pass arithmetic (pairwise sum / n, then the
-pairwise sum of squared deviations / (n - 1)), so the moments equal
-``mean()`` and ``var(ddof=1)`` bit for bit at a fraction of their per-call
-cost; the result carries the two means. ``check_design`` checks a logistic
-design (2-d, intercept, full rank) into a ``Design``: its rows, read-only
-and in Fortran order. ``fit_logistic_counts`` takes only a ``Design``,
-which it trusts; the final analysis's node plans group the rows of the
-models they fit in closed form, and map the strata of the others. Given
-such a map, a model of one intercept per stratum and a common log odds
-ratio on its last column, and a table with every row strictly between 0
-and all events, the fit is the unconditional MLE of a common odds ratio
-(Mantel & Haenszel 1959; Breslow & Day 1980, ch. 4), by Newton on the
-profile score of the log odds ratio: each stratum's intercept is the root
-of a quadratic, so a fit costs a few scalar steps. Every other fit, and
-one whose Newton does not converge, is IRLS. The IRLS Newton loop forms
-the same products in the same memory order as the textbook step, so its
-iterates and iteration count equal the textbook loop's. On arrays of a
-few rows numpy's per-call cost outweighs the arithmetic, so the loop pays
-it once where it can: one error state per fit around every iteration, mu
-from in-place unary ufuncs with the same IEEE results, and the divergence
-and convergence tests on Python floats. A fit carries its coefficients,
-log-likelihood and convergence flags; the final analysis reads only the
-last two. A count table must be finite, with events in [0, trials].
+The Welch test's moments are numpy's own two-pass arithmetic
+(``_moments``). A logistic fit (``fit_logistic_counts``) trusts the
+``Design`` that ``check_design`` made of its rows. Where the caller maps
+the strata of a model of one intercept per stratum and a common log odds
+ratio, and every row of the table is interior, the fit is the
+unconditional MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow
+& Day 1980, ch. 4) by profile Newton; every other fit is IRLS, the
+textbook Newton loop. A fit carries its coefficients, log-likelihood and
+convergence flags; the final analysis reads only the last two. A count
+table must be finite, with events in [0, trials].
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -191,8 +178,8 @@ def t_sf(x: float, df: float) -> float:
     freedom (non-integer df allowed)."""
     x = float(x)
     df = float(df)
-    if not df > 0.0:
-        raise InputError(f"t_sf requires df > 0, got {df}")
+    if not 0.0 < df < math.inf:
+        raise InputError(f"t_sf requires a finite df > 0, got {df}")
     if not math.isfinite(x):
         if math.isnan(x):
             raise InputError("t_sf requires a finite statistic")
@@ -215,6 +202,9 @@ def chi_square_sf(x: float, df: int) -> float:
     exp(-y) * sum_{j<df/2} y^j / j! for even df, and
     erfc(sqrt(y)) + exp(-y) * sum_{j<(df-1)/2} y^(j+1/2) / Gamma(j+3/2)
     for odd df. Every term is positive, so the sum loses no precision.
+    Where exp(-y) falls below the smallest normal double (y > 708.39) it
+    would take the terms' digits with it, so there each term is formed
+    from its logarithm instead.
     """
     x = float(x)
     if not x >= 0.0:  # a NaN would return 0.0, a rejection
@@ -224,9 +214,18 @@ def chi_square_sf(x: float, df: int) -> float:
     if not math.isfinite(x):
         return 0.0
     y = 0.5 * x
+    scale = math.exp(-y)
+    if scale < sys.float_info.min:
+        log_y = math.log(y)
+        tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+        half = 1.5 if df % 2 else 1.0
+        for _ in range(df // 2):
+            tail += math.exp((half - 1.0) * log_y - y - math.lgamma(half))  # y^(half-1) e^-y / Gamma(half)
+            half += 1.0
+        return min(tail, 1.0)  # the rounded terms of a tail near 1 can sum past it
     if df % 2:
         root = math.sqrt(y)
-        term = math.exp(-y) * root / _HALF_SQRT_PI  # y^(1/2) e^-y / Gamma(3/2)
+        term = scale * root / _HALF_SQRT_PI  # y^(1/2) e^-y / Gamma(3/2)
         # erfc(sqrt(y)) ~ exp(-y) turns the rounding of sqrt(y) into a
         # relative error of y ulps; one Newton term on the exact residual
         # y - root^2 (Dekker's split product) takes it back out.
@@ -238,7 +237,7 @@ def chi_square_sf(x: float, df: int) -> float:
         half = 1.5
     else:
         tail = 0.0
-        term = math.exp(-y)  # y^0 e^-y / Gamma(1)
+        term = scale  # y^0 e^-y / Gamma(1)
         half = 1.0
     for _ in range(df // 2):
         tail += term
@@ -352,16 +351,6 @@ def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
         raise InputError(f"trial counts must be finite, got a total of {n_subjects:g}")
     if n_subjects < k:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
-
-
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# The error state np.linalg.solve sets. A fit's Newton loop runs under it,
-# so the invalid flag the LAPACK gufunc raises on a singular system becomes
-# the same LinAlgError.
-_FIT_ERRSTATE = dict(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def _stratum_odds(psi: float, events_s: float, non_events: float, lin0: float, lin1: float) -> float:
@@ -486,15 +475,7 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray, strata=N
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
-    fits, and closed-form log-likelihoods. The IRLS Newton step reuses
-    trials * mu for the weights and the score and builds the information as
-    (X' * w) @ X, the same products in the same memory order as
-    (X * w[:, None])' @ X, so every iterate is bit-identical to the
-    textbook form. It solves through the LAPACK gufunc behind
-    ``np.linalg.solve``, under that function's error state (``_FIT_ERRSTATE``,
-    entered once per fit), so the step has the same bits and a singular
-    information matrix the same ``LinAlgError``, without the wrapper's
-    per-call argument handling.
+    fits, and closed-form log-likelihoods.
     """
     if not isinstance(design, Design):
         raise InputError("fit_logistic_counts needs a Design: pass the rows through check_design")
@@ -508,38 +489,26 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray, strata=N
     fit = None if strata is None else _profile_fit(x, events, trials, strata)
     if fit is not None:
         return fit
-    xt = x.T
 
     beta = np.zeros(k)
     converged = False
     diverged = False
     n_iter = 0
-    with np.errstate(**_FIT_ERRSTATE):
-        for n_iter in range(1, IRLS_MAX_ITER + 1):
-            mu = np.negative(x @ beta)
-            np.exp(mu, out=mu)
-            mu += 1.0
-            np.reciprocal(mu, out=mu)
-            expected = trials * mu
-            try:
-                step = _umath_linalg.solve1(
-                    (xt * (expected * (1.0 - mu))) @ x, xt @ (events - expected), signature="dd->d"
-                )
-            except np.linalg.LinAlgError:
-                diverged = True
-                break
-            beta += step
-            # The same comparisons as np.abs(v).max() on the same doubles:
-            # the table is finite and the bound stops the loop, so no NaN
-            # reaches them.
-            coefficients = beta.tolist()
-            if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
-                diverged = True
-                break
-            steps = step.tolist()
-            if max(steps) < IRLS_TOL and min(steps) > -IRLS_TOL:
-                converged = True
-                break
+    for n_iter in range(1, IRLS_MAX_ITER + 1):
+        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
+        expected = trials * mu
+        try:
+            step = np.linalg.solve((x * (expected * (1.0 - mu))[:, None]).T @ x, x.T @ (events - expected))
+        except np.linalg.LinAlgError:
+            diverged = True
+            break
+        beta += step
+        if np.abs(beta).max() > _DIVERGE_BOUND:
+            diverged = True
+            break
+        if np.abs(step).max() < IRLS_TOL:
+            converged = True
+            break
 
     return LogisticFit(
         coefficients=beta,

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as scipy_chi2
 
 from fast_trials.stats import _EPS, _FPMIN, _MAX_CF_ITER, InputError, _beta_cf, chi_square_sf, normal_cdf, t_sf
 
@@ -118,9 +119,9 @@ def test_beta_cf_bit_identical_to_reference_body():
     assert seen > 600
 
 
-@pytest.mark.parametrize("df", [0.0, -1.0])
+@pytest.mark.parametrize("df", [0.0, -1.0, math.inf, math.nan])
 def test_t_sf_rejects_bad_df(df):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"got {df}"):
         t_sf(1.0, df)
 
 
@@ -143,6 +144,21 @@ def test_chi_square_monotone_nonincreasing():
     for df in (1, 4, 11):
         values = [chi_square_sf(x, df) for x in np.linspace(0.0, 60.0, 61)]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("x, df", [(1e5, 10**6), (1500.0, 2000), (1490.0, 1500), (1500.0, 1501)])
+def test_chi_square_sf_where_exp_of_minus_half_x_underflows(x, df):
+    # x / 2 > 708.39: e^(-x/2) is below the smallest normal double, and the
+    # plain sum of its multiples read 0.0, 0.0, 0.994 and 0.0 here.
+    assert chi_square_sf(x, df) == pytest.approx(scipy_chi2.sf(x, df), rel=1e-9, abs=0.0)
+
+
+def test_chi_square_sf_is_continuous_where_exp_of_minus_half_x_underflows():
+    for df in (1, 2, 3, 1400, 1401, 1500, 2000, 2001):
+        for x in np.linspace(1416.0, 1418.0, 41):  # across x / 2 = 708.39
+            expected = scipy_chi2.sf(x, df)
+            if expected > 1e-290:  # scipy's own digits thin out in the subnormals
+                assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_chi_square_rejects_bad_arguments():

@@ -1,6 +1,6 @@
 """Logistic-regression fitting: closed-form checks on contingency tables,
 degenerate/separated data handling, likelihood-ratio test behavior, and bit
-identity of the IRLS loop with the textbook Newton step it replaced."""
+identity of the IRLS loop with a separately written textbook Newton loop."""
 
 import collections
 import itertools
@@ -8,13 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from fast_trials import final_analysis, stats
 from fast_trials.final_analysis import gatekeep_both_retained
 from fast_trials.stats import (
     _DIVERGE_BOUND,
-    _FIT_ERRSTATE,
     IRLS_MAX_ITER,
     IRLS_TOL,
     FittingError,
@@ -231,8 +229,8 @@ def test_lr_invariant_to_row_order():
 # -- bit identity of the Newton loop ------------------------------------------
 
 def _reference_irls(x, events, trials):
-    """The IRLS loop before its lean rewrite: (coefficients, log-likelihood,
-    n_iterations, converged, diverged)."""
+    """The textbook IRLS loop, written apart from the engine's:
+    (coefficients, log-likelihood, n_iterations, converged, diverged)."""
     k = x.shape[1]
     beta = np.zeros(k)
     converged = False
@@ -312,26 +310,6 @@ def test_irls_bit_identical_to_reference_loop(kind):
         "boundary": {(True, False), (False, True)},
     }
     assert seen == expected[kind]
-
-
-def test_solve_matches_numpy_and_raises_on_singular():
-    """The Newton step's solve, as the fit calls it: the LAPACK gufunc under
-    the fit's error state."""
-
-    def solve(a, b):
-        with np.errstate(**_FIT_ERRSTATE):
-            return _umath_linalg.solve1(a, b, signature="dd->d")
-
-    rng = np.random.default_rng(17)
-    for k in (1, 2, 3, 4):
-        for _ in range(50):
-            m = rng.standard_normal((k, k))
-            a, b = m @ m.T + 1e-3 * np.eye(k), rng.standard_normal(k)
-            np.testing.assert_array_equal(solve(a, b), np.linalg.solve(a, b), strict=True)
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        solve(singular, np.ones(2))
-    assert np.geterrcall() is None  # the error state is restored
 
 
 def test_fits_leave_the_error_state_as_they_found_it():

@@ -369,9 +369,24 @@ def test_cli_empty_config_exits_2(tmp_path):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
-def test_cli_missing_config_file(tmp_path):
-    r = _run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o"))
+def _unreadable_inputs(tmp_path):
+    """A path that does not exist, a directory, and a file that is not
+    UTF-8: each exits 2 with one error line that names it."""
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.txt").write_bytes("{\"scenario_id\": \"caf\u00e9\"}".encode("latin-1"))
+    return [str(tmp_path / name) for name in ("nope", "a_directory", "latin1.txt")]
+
+
+def _assert_input_error(r, path):
     assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and path in lines[0], r.stderr
+
+
+def test_cli_missing_config_file(tmp_path):
+    for path in _unreadable_inputs(tmp_path):
+        r = _run_cli("simulate", "--config", path, "--out", str(tmp_path / "o"))
+        _assert_input_error(r, path)
 
 
 def test_cli_malformed_json(tmp_path):
@@ -439,8 +454,9 @@ def test_cli_simulation_failure_exits_4(tmp_path):
 
 
 def test_cli_report_missing_input(tmp_path):
-    r = _run_cli("report", "--in", str(tmp_path / "none.csv"), "--svg", str(tmp_path / "x.svg"))
-    assert r.returncode == 2
+    for path in _unreadable_inputs(tmp_path):
+        r = _run_cli("report", "--in", path, "--svg", str(tmp_path / "x.svg"))
+        _assert_input_error(r, path)
 
 
 def test_cli_threads_env_fallback(tmp_path):

@@ -198,18 +198,36 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
 def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates):
     """The pattern tables of real replicates, every cell of each scenario's
     grid, at least 2000 per file: the main-effects models fit by profile
-    Newton on interior tables, and the reference fits every model by IRLS."""
+    Newton on interior tables, and the reference fits every model by IRLS.
+    Every fit of the real runs passes its stratum map and takes the profile
+    path, so none of them runs IRLS."""
     tables = []
+    fits = collections.Counter()
 
     def recording_build_final_model(cells, branch):
         table = build_final_model(cells, branch)
         tables.append((FinalBranch(branch), table.copy()))
         return table
 
-    monkeypatch.setattr(harness, "build_final_model", recording_build_final_model)
-    for config in load_scenarios(_ROOT / path):
-        run_grid(dataclasses.replace(config, replicates=replicates))
+    def recording_fit(design, events, trials, strata=None):
+        fits["without_strata"] += strata is None
+        return fit_logistic_counts(design, events, trials, strata)
+
+    def recording_profile_fit(*args):
+        fit = profile_fit(*args)
+        fits["profile" if fit is not None else "irls"] += 1
+        return fit
+
+    profile_fit = stats._profile_fit
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "build_final_model", recording_build_final_model)
+        patch.setattr(final_analysis, "fit_logistic_counts", recording_fit)
+        patch.setattr(stats, "_profile_fit", recording_profile_fit)
+        for config in load_scenarios(_ROOT / path):
+            run_grid(dataclasses.replace(config, replicates=replicates))
     assert len(tables) >= 2000
+    assert fits["profile"] > 0
+    assert fits["irls"] == fits["without_strata"] == 0
     seen = collections.Counter()
     for i, (branch, table) in enumerate(tables):
         seen[branch, _check_against_reference(branch, table, (path, i))] += 1
