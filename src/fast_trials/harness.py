@@ -12,7 +12,11 @@ cell table with its columns and the tables are summed. Every replicate
 owns a seed derived injectively from (base_seed, scenario, cell, replicate
 index), so grid runs are bitwise reproducible regardless of execution order
 or worker count: each task returns its integer tallies and, when asked for,
-its trace rows, and the tasks are folded back in their fixed order. A tally
+its trace rows, and the tasks are folded back in their fixed order. A grid
+run turns every replicate's seed into the PCG64 state
+``np.random.default_rng(seed)`` starts in, in one array pass with
+``SeedSequence``'s algorithm, and each replicate resets one reused generator
+to its state; a test pins these states to ``default_rng``'s. A tally
 counts each outcome under one key: a name, a ``FinalBranch``, or a
 ``p_success`` key of ``_SUCCESS_SETS``; a cell adds its later tasks' counts
 into its first task's tally. A trace row is read off ``_TRACE``, the one
@@ -30,6 +34,7 @@ triggers and replicate count are validated with the rest of the config.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -89,17 +94,21 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _stage(h: int, part: int, mult: int) -> int:
-    """One mixing stage: xor the odd-multiplied part into the state, then mix."""
-    return _splitmix64(h ^ ((int(part) * mult) & _MASK64))
-
-
 def _mix_parts(base_seed: int, parts: tuple) -> int:
-    """The seed state after mixing in each index part, one stage each."""
+    """The seed state after mixing in each index part, one stage each: xor
+    the odd-multiplied part into the state, then mix."""
     h = _splitmix64(int(base_seed) & _MASK64)
     for part, mult in zip(parts, _PART_MULT):
-        h = _stage(h, part, mult)
+        h = _splitmix64(h ^ ((int(part) * mult) & _MASK64))
     return h
+
+
+def _derive_seeds(base_seed: int, scenario_id: int, cells, replicates) -> np.ndarray:
+    """``derive_seed`` of every (cell, replicate) pair, cell-major, as one
+    uint64 array: the last stage runs on arrays, which wrap mod 2^64."""
+    prefixes = np.array([_mix_parts(base_seed, (scenario_id, *cell)) for cell in cells], dtype=np.uint64)
+    x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
+    return _splitmix64(prefixes[:, None] ^ x).ravel()
 
 
 def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -> int:
@@ -109,7 +118,54 @@ def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -
     applies a 64-bit bijective mix, so for any fixed prefix the map from
     any single index to the seed is exactly injective.
     """
-    return _mix_parts(base_seed, (scenario_id, *cell, replicate))
+    return int(_derive_seeds(base_seed, scenario_id, [cell], [int(replicate) & _MASK64])[0])
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed of a
+    uint64 array, as an (n, 4) array: NEP 19's pool mixing and output hash
+    on uint32 arrays, whose products wrap mod 2^32 as in numpy's C code.
+    A seed's entropy words are its low and high halves; ``SeedSequence``
+    pads the pool with zero words, so a seed below 2^32 needs no case."""
+
+    def hasher(const: int, mult: int):
+        """SeedSequence's hash, whose constant steps by ``mult`` at each call."""
+        def hash_(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult % 2**32
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hash_
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)  # astype keeps the low half
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    output = hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([output(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # as numpy pairs the words
+
+
+def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """The state ``PCG64`` seeded with these four words holds: its srandom
+    step, which is two LCG steps mod 2^128 from state 0."""
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) % 2**128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+# .stream: the generator each replicate of this thread resets to its own
+# state, built on first use; per thread, so that threads never share one.
+_THREAD = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +195,18 @@ class TrialResult:
 
 
 def run_replicate(
-    config: ScenarioConfig, n_drop: int, n_feas: int, replicate_seed: int
+    config: ScenarioConfig, n_drop: int, n_feas: int, replicate_seed: int, stream=None
 ) -> TrialResult:
-    """Simulate one trial end to end, fully determined by the arguments."""
+    """Simulate one trial end to end, fully determined by the arguments.
+
+    ``stream``, when given, is a generator already in the state that
+    ``np.random.default_rng(replicate_seed)`` starts in, and the seed is not read.
+    """
     if max(n_drop, n_feas) > config.n_total:
         raise ValueError(
             f"interim trigger exceeds n_total={config.n_total} (n_drop={n_drop}, n_feas={n_feas})"
         )
-    rng = np.random.default_rng(int(replicate_seed) & _MASK64)
+    rng = np.random.default_rng(int(replicate_seed) & _MASK64) if stream is None else stream
     schedule = build_schedule(n_drop, n_feas)
     arms = frozenset(DOMAIN_A_ARMS)  # open domain-A arms; None once terminated
     columns = None  # (arm_a, y11, y12) of the subjects so far: what the interims read
@@ -344,16 +404,17 @@ def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> d
 
 
 def _run_chunk(args) -> tuple[defaultdict, list]:
-    config, n_drop, n_feas, start, stop, collect_traces = args
+    config, n_drop, n_feas, start, words, collect_traces = args
     correct = designed_correct_arms(config)
     effective = truly_effective_arms(config)
     tally = defaultdict(int)
     traces = []
-    # derive_seed's stages before the replicate's are the same for the whole task.
-    prefix = _mix_parts(config.base_seed, (config.scenario_id, n_drop, n_feas))
-    for rep in range(start, stop):
-        seed = _stage(prefix, rep, _PART_MULT[3])
-        result = run_replicate(config, n_drop, n_feas, seed)
+    stream = getattr(_THREAD, "stream", None)
+    if stream is None:
+        stream = _THREAD.stream = np.random.Generator(np.random.PCG64(0))
+    for rep, replicate_words in enumerate(words.tolist(), start):
+        stream.bit_generator.state = _pcg64_state(*replicate_words)
+        result = run_replicate(config, n_drop, n_feas, None, stream)
         _accumulate(tally, result, correct, effective)
         if collect_traces:
             traces.append(_trace_row(config, rep, result))
@@ -455,9 +516,12 @@ def run_grid_detail(
     validate_scenario(config)
     replicates = config.replicates
     cells = [(d, f) for d in sorted(config.n_drop_grid) for f in sorted(config.n_feas_grid)]
+    # Each replicate's four PCG64 seed words, 32 bytes, from one array pass.
+    seeds = _derive_seeds(config.base_seed, config.scenario_id, cells, np.arange(replicates, dtype=np.uint64))
+    words = _pcg64_words(seeds).reshape(len(cells), replicates, 4)
     tasks = [
-        (config, n_drop, n_feas, start, min(start + _CHUNK_SIZE, replicates), collect_traces)
-        for n_drop, n_feas in cells
+        (config, n_drop, n_feas, start, words[j, start : start + _CHUNK_SIZE], collect_traces)
+        for j, (n_drop, n_feas) in enumerate(cells)
         for start in range(0, replicates, _CHUNK_SIZE)
     ]
     workers = min(threads, len(tasks))

@@ -220,7 +220,10 @@ def chi_square_sf(x: float, df: int) -> float:
         tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
         half = 1.5 if df % 2 else 1.0
         for _ in range(df // 2):
-            tail += math.exp((half - 1.0) * log_y - y - math.lgamma(half))  # y^(half-1) e^-y / Gamma(half)
+            term = math.exp((half - 1.0) * log_y - y - math.lgamma(half))  # y^(half-1) e^-y / Gamma(half)
+            if term == 0.0 and half - 1.0 > y:
+                break  # past the peak the terms only shrink; before it an underflowed term can recover
+            tail += term
             half += 1.0
         return min(tail, 1.0)  # the rounded terms of a tail near 1 can sum past it
     if df % 2:
@@ -240,10 +243,12 @@ def chi_square_sf(x: float, df: int) -> float:
         term = scale  # y^0 e^-y / Gamma(1)
         half = 1.0
     for _ in range(df // 2):
+        if term == 0.0:
+            break  # a product of 0.0 stays 0.0: every later term adds nothing
         tail += term
         term *= y / half
         half += 1.0
-    return tail
+    return min(tail, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ identity of the incomplete-beta continued fraction with its body before
 its half-steps were written once."""
 
 import math
+import sys
+import time
+import types
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as scipy_chi2
 
+from fast_trials import stats
 from fast_trials.stats import _EPS, _FPMIN, _MAX_CF_ITER, InputError, _beta_cf, chi_square_sf, normal_cdf, t_sf
 
 
@@ -159,6 +163,69 @@ def test_chi_square_sf_is_continuous_where_exp_of_minus_half_x_underflows():
             expected = scipy_chi2.sf(x, df)
             if expected > 1e-290:  # scipy's own digits thin out in the subnormals
                 assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def _chi_square_sf_every_term(x, df):
+    """``chi_square_sf``'s body as it was before its sums stopped early:
+    both sums run all df // 2 terms."""
+    y = 0.5 * x
+    scale = math.exp(-y)
+    if scale < sys.float_info.min:
+        log_y = math.log(y)
+        tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+        half = 1.5 if df % 2 else 1.0
+        for _ in range(df // 2):
+            tail += math.exp((half - 1.0) * log_y - y - math.lgamma(half))
+            half += 1.0
+        return min(tail, 1.0)
+    if df % 2:
+        root = math.sqrt(y)
+        term = scale * root / (0.5 * math.sqrt(math.pi))
+        hi = root * 134217729.0
+        hi -= hi - root
+        lo = root - hi
+        residual = ((y - hi * hi) - 2.0 * hi * lo) - lo * lo
+        tail = math.erfc(root) - (term * residual / (2.0 * y) if residual else 0.0)
+        half = 1.5
+    else:
+        tail, term, half = 0.0, scale, 1.0
+    for _ in range(df // 2):
+        tail += term
+        term *= y / half
+        half += 1.0
+    return min(tail, 1.0)
+
+
+def test_chi_square_sf_early_stop_keeps_every_bit():
+    # Both sides of x / 2 = 708.39, and dfs whose sums end long after
+    # their terms reach 0.0 (or, on the log side, pass through it).
+    xs = np.concatenate([np.geomspace(1e-3, 3e4, 120), np.linspace(1400.0, 1440.0, 41)]).tolist()
+    for df in [*range(1, 40), 99, 100, 1499, 1500, 2001, 4000, 4001]:
+        for x in xs:
+            assert chi_square_sf(x, df) == _chi_square_sf_every_term(x, df), (x, df)
+
+
+def test_chi_square_sf_stops_once_its_terms_are_exhausted(monkeypatch):
+    # The exp(-x/2) side: the terms reach 0.0 after a few hundred of the
+    # 500000 (the full loop took about 45 ms on a 2.1 GHz Xeon vCPU).
+    start = time.perf_counter()
+    assert chi_square_sf(10.0, 10**6) == 1.0
+    assert time.perf_counter() - start < 0.005
+    # The log side forms each term with one lgamma; past the peak near
+    # half = x / 2 = 50000 the terms underflow within a few thousand more.
+    lgamma_calls = []
+    counting_math = types.SimpleNamespace(**{n: getattr(math, n) for n in dir(math) if not n.startswith("_")})
+    counting_math.lgamma = lambda a: lgamma_calls.append(a) or math.lgamma(a)
+    monkeypatch.setattr(stats, "math", counting_math)
+    assert chi_square_sf(1e5, 10**6) == pytest.approx(scipy_chi2.sf(1e5, 10**6), rel=1e-9, abs=0.0)
+    assert 50_000 < len(lgamma_calls) < 60_000
+
+
+def test_chi_square_sf_never_exceeds_one():
+    # The rounded terms of a tail near 1 summed to 1.0000000000000002 here.
+    assert chi_square_sf(7.5, 59) == 1.0
+    for df in range(1, 400):
+        assert all(chi_square_sf(x, df) <= 1.0 for x in np.linspace(0.0, 100.0, 201).tolist()), df
 
 
 def test_chi_square_rejects_bad_arguments():

@@ -5,8 +5,10 @@ import dataclasses
 import itertools
 import json
 import re
+import sys
 import warnings
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +37,6 @@ def _null_config(**overrides):
 
 # -- seed derivation -----------------------------------------------------------
 
-def derive_seeds_vector(base_seed, scenario_id, cell, replicates):
-    """``derive_seed`` over an array of replicate indices, for collision
-    scans: the last stage's mix runs on uint64 arrays, which wrap mod 2^64."""
-    h = harness._mix_parts(base_seed, (scenario_id, *cell))
-    x = np.asarray(replicates, dtype=np.uint64) * np.uint64(harness._PART_MULT[3])
-    return harness._splitmix64(x ^ np.uint64(h))
-
-
 def test_derive_seed_frozen_values():
     # Cross-platform determinism contract: these values must never change.
     assert derive_seed(0, 0, (90, 90), 0) == 4616388256580162707
@@ -58,21 +52,23 @@ def test_derive_seed_sensitivity():
 
 
 def test_derive_seed_injective_over_replicates():
-    seeds = derive_seeds_vector(20230901, 1, (150, 300), np.arange(1_000_000))
+    seeds = harness._derive_seeds(20230901, 1, [(150, 300)], np.arange(1_000_000))
     assert np.unique(seeds).size == 1_000_000
 
 
 def test_vectorized_matches_scalar():
-    reps = np.array([0, 1, 17, 999_999])
-    vec = derive_seeds_vector(42, 5, (210, 240), reps)
-    for r, v in zip(reps, vec):
-        assert derive_seed(42, 5, (210, 240), int(r)) == int(v)
+    # The array pass, cell-major, against every stage mixed in Python ints.
+    cells, reps = [(210, 240), (90, 300)], [0, 1, 17, 999_999, 2**64 - 1]
+    vec = harness._derive_seeds(42, 5, cells, reps)
+    scalar = [harness._mix_parts(42, (5, *cell, r)) for cell in cells for r in reps]
+    assert vec.tolist() == scalar
+    assert [derive_seed(42, 5, cell, r) for cell in cells for r in reps] == scalar
 
 
 def test_base_seed_avalanche():
     reps = np.arange(1000)
-    a = derive_seeds_vector(1001, 0, (90, 90), reps)
-    b = derive_seeds_vector(1002, 0, (90, 90), reps)
+    a = harness._derive_seeds(1001, 0, [(90, 90)], reps)
+    b = harness._derive_seeds(1002, 0, [(90, 90)], reps)
     assert not np.any(a == b)
 
 
@@ -85,20 +81,79 @@ def test_base_seed_avalanche():
     ],
 )
 def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, start):
-    # A task mixes its shared seed prefix once; each replicate's seed is
-    # still derive_seed's.
+    # A task resets one reused generator from each replicate's seed words;
+    # at every replicate it is in default_rng(derive_seed(...))'s state.
     config = _null_config()
     canned = run_replicate(config, 150, 300, 1)
-    seeds = []
+    streams, states = [], []
 
-    def recording_run_replicate(_config, _n_drop, _n_feas, seed):
-        seeds.append(seed)
+    def recording_run_replicate(_config, _n_drop, _n_feas, _seed, stream):
+        streams.append(stream)
+        states.append(stream.bit_generator.state)
         return canned
 
     monkeypatch.setattr(harness, "run_replicate", recording_run_replicate)
     task_config = dataclasses.replace(config, base_seed=base_seed, scenario_id=scenario_id)
-    harness._run_chunk((task_config, *cell, start, start + 6, False))
-    assert seeds == [derive_seed(base_seed, scenario_id, cell, rep) for rep in range(start, start + 6)]
+    reps = range(start, start + 6)
+    seeds = harness._derive_seeds(base_seed, scenario_id, [cell], np.array(reps, dtype=np.uint64))
+    harness._run_chunk((task_config, *cell, start, harness._pcg64_words(seeds), False))
+    assert all(stream is streams[0] for stream in streams)
+    assert states == [np.random.default_rng(derive_seed(base_seed, scenario_id, cell, rep)).bit_generator.state
+                      for rep in reps]
+
+
+def test_seed_words_pin_default_rng():
+    # SeedSequence's mixing is written out in uint32 arrays; a numpy release
+    # that changed it, or PCG64's seeding, must fail here, not move results.
+    extremes = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds = np.array(extremes + np.random.default_rng(8).integers(0, 2**64, 200, np.uint64).tolist(), np.uint64)
+    for seed, words in zip(seeds.tolist(), harness._pcg64_words(seeds).tolist()):
+        assert words == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist(), seed
+        assert harness._pcg64_state(*words) == np.random.default_rng(seed).bit_generator.state, seed
+
+
+def test_grid_replicates_equal_four_argument_run_replicate(monkeypatch):
+    # Three-replicate tasks, so the grid's seed words are sliced across
+    # task and cell bounds; one scenario per final branch.
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 3)
+    run_four_argument = harness.run_replicate
+    seen = []
+
+    def recording_run_replicate(config, n_drop, n_feas, seed, stream=None):
+        result = run_four_argument(config, n_drop, n_feas, seed, stream)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "run_replicate", recording_run_replicate)
+    branches = set()
+    for path in ("scenarios/null.json", "scenarios/first_arm_effective.json", "perfbench/scenarios/both_arms.json"):
+        (config,) = load_scenarios(_ROOT / path)
+        config = dataclasses.replace(config, n_drop_grid=(150, 210), n_feas_grid=(90, 300), replicates=7)
+        seen.clear()
+        _, traces = run_grid_detail(config, collect_traces=True)
+        assert len(seen) == len(traces) == 28
+        for result, row in zip(seen, traces):
+            cell = (row["n_drop"], row["n_feas"])
+            seed = derive_seed(config.base_seed, config.scenario_id, cell, row["replicate"])
+            assert run_four_argument(config, *cell, seed) == result
+            branches.add(result.branch)
+    assert branches == set(FinalBranch)
+
+
+def test_grid_runs_in_threads_keep_their_streams():
+    # Each thread resets a generator of its own: four runs interleaved at a
+    # short switch interval give the serial run's results and traces.
+    config = _null_config(n_drop_grid=(150,), n_feas_grid=(90, 300), replicates=12, base_seed=3)
+    expected = run_grid_detail(config, collect_traces=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as executor:
+            futures = [executor.submit(run_grid_detail, config, collect_traces=True) for _ in range(4)]
+            outputs = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(output == expected for output in outputs)
 
 
 # -- single replicates -----------------------------------------------------------
