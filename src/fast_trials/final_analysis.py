@@ -50,22 +50,29 @@ convergence flags. The cell -> pattern lookups and the 2^k pattern rows
 are built at import, and per (branch, set of patterns with subjects) a
 memoised node plan holds every model's checked ``Design``. The plan owns
 the closed-form decision: it groups each model's rows, calls a model
-saturated when it has as many distinct rows as columns, and stacks the
-saturated groupings; for every other model it maps each row to its
-stratum. The table is checked once against the full model;
-the fits see the plan's designs on the patterns that have subjects, which
-``fit_logistic_counts`` trusts. One vectorised pass (``_saturated_pass``)
-gives every saturated model's log-likelihood, with the same per-group
-arithmetic and summation order as fitting each alone. ``lr_test`` takes
-the two log-likelihoods.
+saturated when it has as many distinct rows as columns, and keeps the
+saturated models' groups of rows; for every other model it keeps the
+stratum map (``stats._Strata``) that the fit reads, the map's inverse
+included, so no fit solves for it again. A set of patterns on which the
+full design is collinear, as when no subject is in B1, has no plan: the
+replicate is flagged as for a failed fit. After the draws a replicate
+decides on Python floats: the pattern table is read once (``tolist``) and
+checked once against the full model; the fits see the plan's designs on
+the patterns that have subjects, which ``fit_logistic_counts`` trusts.
+``_saturated_pass`` sums each saturated model's group counts in Python,
+row by row in order as ``np.bincount`` did, and takes numpy's logarithms
+in one call each over all groups, so every closed form keeps its bits.
+``lr_test`` takes the two log-likelihoods.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -75,6 +82,7 @@ from .stats import (
     FittingError,
     InputError,
     _check_table,
+    _stratify,
     check_design,
     fit_logistic_counts,
     lr_test,
@@ -218,78 +226,94 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     return table
 
 
-def _saturated_pass(groups, owner, events: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """The maximised log-likelihood of every saturated model of a plan, in
-    one pass over a checked table: the table's rows are tiled once per
-    model, tiled row j falls in stacked group ``groups[j]``, and stacked
-    group g belongs to model ``owner[g]``.
+def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
+    """The maximised log-likelihood of every saturated model of a plan on a
+    checked table's present rows: ``groups`` holds, per saturated model,
+    each of its groups as the tuple of its rows.
 
     A saturated model gives each group g its own free logit, so its MLE is
     the group's event proportion p_g = E_g / N_g and its log-likelihood is
     sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)]: the maximum IRLS
-    converges to. The terms are added group by group in order, which is how
-    ``ndarray.sum`` adds fewer than eight terms, so each value equals the
-    model's closed form computed alone bit for bit. It is nan where a group
-    of the model has no events, only events or no trials: that model has no
-    interior maximum.
+    converges to. Each group's counts are added row by row and each model's
+    terms group by group, in order from 0.0, which is how ``np.bincount``
+    adds weights, so each value equals the model's closed form computed
+    alone bit for bit; the two logarithms are numpy's, one call each over
+    every group. It is nan where a group of the model has no events or only
+    events: that model has no interior maximum.
     """
-    size = len(owner)
-    tiles = len(groups) // len(events)  # np.tile's layout, without its per-call cost
-    e = np.bincount(groups, weights=np.concatenate((events,) * tiles), minlength=size)
-    n = np.bincount(groups, weights=np.concatenate((trials,) * tiles), minlength=size)
-    with np.errstate(divide="ignore", invalid="ignore"):  # boundary groups give nan
-        p = e / n
-        return np.bincount(owner, weights=e * np.log(p) + (n - e) * np.log1p(-p))
+    sums = []  # (E_g, N_g) of every group of every model, in order
+    boundary = False
+    for model in groups:
+        for rows in model:
+            e = n = 0.0
+            for row in rows:
+                e += events[row]
+                n += trials[row]
+            sums.append((e, n))
+            boundary = boundary or e == 0.0 or e == n
+    p = np.array([e / n for e, n in sums])
+    with np.errstate(divide="ignore") if boundary else nullcontext():  # log(0) is -inf, so the term nan
+        log_p, log_q = np.log(p).tolist(), np.log1p(-p).tolist()
+    terms = iter([e * lp + (n - e) * lq for (e, n), lp, lq in zip(sums, log_p, log_q)])
+    closed = []
+    for model in groups:
+        total = 0.0
+        for _ in model:
+            total += next(terms)
+        closed.append(total)
+    return closed
 
 
 class _Plan(NamedTuple):
     designs: tuple  # each model's ``Design``: the full model, then every node's
     slots: tuple  # each model's index among the saturated ones; None where it is not saturated
-    strata: tuple  # each unsaturated model's stratum per row, for ``fit_logistic_counts``; else None
-    groups: np.ndarray  # the saturated models' row groupings, stacked for ``_saturated_pass``
-    owner: np.ndarray  # stacked group -> index of its saturated model
+    strata: tuple  # each unsaturated model's ``_Strata``, for ``fit_logistic_counts``; else None
+    groups: tuple  # per saturated model, each group's rows, for ``_saturated_pass``
 
 
 @cache  # keyed by a mask of 2^k patterns: at most 4 + 16 + 256 plans exist
-def _node_plan(branch: FinalBranch, present: tuple) -> _Plan:
+def _node_plan(branch: FinalBranch, present: tuple) -> Optional[_Plan]:
     """The full model and every node's reduced model of ``branch`` on the
     patterns ``present`` marks, each sliced into a checked ``Design``
-    once. A model is saturated when it has as many distinct rows as
-    columns; the row groupings of the saturated ones are stacked, read-only,
-    for one pass. The full model is checked first, so a bad design raises
-    the error its fit would."""
+    once; None where the full model's columns are collinear on them, as
+    when no present pattern has B1. A model is saturated when it has as
+    many distinct rows as columns, and its groups of rows are kept for the
+    closed form; every other model gets its stratum map."""
     rows = _PATTERN_ROWS[len(_COVARIATES[branch])][np.array(present)]
     full_cols, nodes = _GATING[branch]
     models = (full_cols,) + tuple(node.reduced for node in nodes)
-    designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
-    slots, strata, groups, owner = [], [], [], []
+    try:  # the full model first: a reduced one keeps a subset of its columns
+        designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
+    except InputError:  # collinear, the one check that pattern rows can fail
+        return None
+    slots, strata, groups = [], [], []
     for design in designs:
         distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
         if len(distinct) == design.rows.shape[1]:
             slots.append(len(groups))
             strata.append(None)
-            groups.append(inverse.reshape(-1) + len(owner))
-            owner += [slots[-1]] * len(distinct)
+            of_row = inverse.reshape(-1).tolist()
+            groups.append(tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct))))
         else:
             slots.append(None)
             strata.append(_strata(design.rows))
-    groups, owner = np.concatenate(groups), np.array(owner, dtype=np.intp)
-    groups.setflags(write=False)
-    owner.setflags(write=False)
-    return _Plan(designs, tuple(slots), tuple(strata), groups, owner)
+    return _Plan(designs, tuple(slots), tuple(strata), tuple(groups))
 
 
-def _strata(rows: np.ndarray) -> Optional[tuple]:
-    """Each row's stratum, its distinct values of every column but the last
-    (b1), where that makes the model one intercept per stratum and a common
-    B1 log odds ratio: as many strata as those columns, which the model's
-    full rank then makes independent. None otherwise, as on a both-arms
-    table with a pattern in A1 and A2 at once."""
+def _strata(rows: np.ndarray):
+    """The ``_Strata`` of a model's rows, each row's stratum being its
+    distinct values of every column but the last (b1), where that makes the
+    model one intercept per stratum and a common B1 log odds ratio: as many
+    strata as those columns, which the model's full rank then makes
+    independent. None otherwise, as on a both-arms table with a pattern in
+    A1 and A2 at once."""
     distinct, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
-    return tuple(inverse.reshape(-1).tolist()) if len(distinct) == rows.shape[1] - 1 else None
+    if len(distinct) != rows.shape[1] - 1:
+        return None
+    return _stratify(rows, inverse.reshape(-1).tolist())
 
 
-def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tuple[float, bool]:
+def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> tuple[float, bool]:
     """The maximised log-likelihood of the plan's model and whether its fit
     converged: the closed form where the model is saturated and has an
     interior maximum, else ``fit_logistic_counts`` with the model's stratum
@@ -303,20 +327,24 @@ def _log_likelihood(plan: _Plan, model: int, closed: list, events, trials) -> tu
 
 
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
-    """LR p-value per node label; flags failure on any non-convergent fit.
-    The pattern table is checked once, against the full model's column
-    count; the fits see the patterns that have subjects, and one pass gives
-    every saturated model's closed-form log-likelihood."""
+    """LR p-value per node label; flags failure on any non-convergent fit,
+    and on a table whose present patterns make the full model collinear.
+    The pattern table is read once and checked once, against the full
+    model's column count; the fits see the patterns that have subjects,
+    and one pass gives every saturated model's closed-form
+    log-likelihood."""
     full_cols, nodes = _GATING[branch]
     shape = (2, 2 ** (len(full_cols) - 1))
     if table.shape != shape:
         raise InputError(f"{branch.value} needs a {shape} pattern table, got shape {table.shape}")
-    events, trials = table
+    events, trials = table.tolist()
     _check_table(events, trials, len(full_cols))
-    present = trials > 0
-    plan = _node_plan(branch, tuple(present.tolist()))
-    events, trials = events[present], trials[present]
-    closed = _saturated_pass(plan.groups, plan.owner, events, trials).tolist()
+    present = tuple([n > 0.0 for n in trials])
+    plan = _node_plan(branch, present)
+    if plan is None:
+        return {node.label: 1.0 for node in nodes}, True
+    events, trials = list(compress(events, present)), list(compress(trials, present))
+    closed = _saturated_pass(plan.groups, events, trials)
     try:
         full, converged = _log_likelihood(plan, 0, closed, events, trials)
         failed = not converged

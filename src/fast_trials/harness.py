@@ -129,30 +129,36 @@ def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
     uint64 array, as an (n, 4) array: NEP 19's pool mixing and output hash
     on uint32 arrays, whose products wrap mod 2^32 as in numpy's C code.
     A seed's entropy words are its low and high halves; ``SeedSequence``
-    pads the pool with zero words, so a seed below 2^32 needs no case."""
+    pads the pool with zero words, so a seed below 2^32 needs no case. The
+    hash's constant steps at every call; a source word stays fixed while it
+    is mixed into the three other words, so its three hashes are one
+    (3, n) operation and the three mixes another."""
 
-    def hasher(const: int, mult: int):
-        """SeedSequence's hash, whose constant steps by ``mult`` at each call."""
-        def hash_(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult % 2**32
-            value = value * np.uint32(const)
-            return value ^ value >> np.uint32(16)
-        return hash_
+    def constants(const: int, mult: int, count: int) -> np.ndarray:
+        """The (xor, multiplier) constants of ``count`` consecutive hash
+        calls, as a (2, count, 1) uint32 array."""
+        steps = []
+        for _ in range(count):
+            steps.append((const, const * mult % 2**32))
+            const = steps[-1][1]
+        return np.array(steps, dtype=np.uint32).T[:, :, None]
 
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)  # astype keeps the low half
-    zero = np.zeros_like(low)
-    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    shift, mult_dst, mult_src = np.uint32(16), np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+    def hash_(words, xor_mul):
+        words = (words ^ xor_mul[0]) * xor_mul[1]
+        return words ^ words >> shift
+
+    entropy = constants(0x43B0D7E5, 0x931E8875, 16)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)  # a row per word
+    pool[0], pool[1] = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)  # astype keeps the low half
+    pool = hash_(pool, entropy[:, :4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
-                pool[dst] = mixed ^ mixed >> np.uint32(16)
-    output = hasher(0x8B51F9DD, 0x58F38DED)
-    state = np.stack([output(pool[i % 4]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)  # as numpy pairs the words
+        dst = [i for i in range(4) if i != src]
+        mixed = mult_dst * pool[dst] - mult_src * hash_(pool[src], entropy[:, 4 + 3 * src : 7 + 3 * src])
+        pool[dst] = mixed ^ mixed >> shift
+    state = hash_(pool[[0, 1, 2, 3, 0, 1, 2, 3]], constants(0x8B51F9DD, 0x58F38DED, 8))
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)  # as numpy pairs the words
 
 
 def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:

@@ -61,10 +61,16 @@ class FeasibilityDecision:
     test: TestResult  # its means are the (pooled, control) y11 means
 
 
+# A direction's member by its value; a member hashes and compares as its
+# value, so either finds it, and the enum is called only to reject a bad one.
+_DIRECTION = {d.value: d for d in BenefitDirection}
+
+
 def _nominate(p_value, mean_a1, mean_a2, alpha, direction) -> Optional[str]:
     if not p_value < alpha:
         return None
-    return "A1" if BenefitDirection(direction).favours(mean_a1, mean_a2) else "A2"
+    direction = _DIRECTION.get(direction) or BenefitDirection(direction)
+    return "A1" if direction.favours(mean_a1, mean_a2) else "A2"
 
 
 def resolve_retention(
@@ -127,7 +133,8 @@ def feasibility_analysis(arm_a, y11, alpha_feas: float, direction) -> Feasibilit
             "feasibility trigger too early: fewer than 2 subjects in control or pooled group "
             f"(control={np.count_nonzero(in_control)}, pooled={np.count_nonzero(in_pool)})"
         )
-    tail = Tail.UPPER if BenefitDirection(direction) is BenefitDirection.INCREASE else Tail.LOWER
+    direction = _DIRECTION.get(direction) or BenefitDirection(direction)
+    tail = Tail.UPPER if direction is BenefitDirection.INCREASE else Tail.LOWER
     test = welch_t_test(y11[in_pool], y11[in_control], tail)
     return FeasibilityDecision(proceed=test.p_value < alpha_feas, test=test)
 

@@ -14,10 +14,14 @@ The Welch test's moments are numpy's own two-pass arithmetic
 the strata of a model of one intercept per stratum and a common log odds
 ratio, and every row of the table is interior, the fit is the
 unconditional MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow
-& Day 1980, ch. 4) by profile Newton; every other fit is IRLS, the
-textbook Newton loop. A fit carries its coefficients, log-likelihood and
-convergence flags; the final analysis reads only the last two. A count
-table must be finite, with events in [0, trials].
+& Day 1980, ch. 4) by profile Newton on Python floats; every other fit is
+IRLS, the textbook Newton loop. A stratum map (``_Strata``) carries the
+inverse that maps the strata's intercepts back to the design's columns,
+made once per map, so a profile fit solves no linear system. A fit
+carries its coefficients, log-likelihood and convergence flags; the final
+analysis reads only the last two. A count table must be finite, with
+events in [0, trials]; a profile fit's one pass over the rows checks
+that, and any other fit checks the table (``_check_table``) on lists.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Tail",
@@ -104,37 +107,38 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz). Term m
     takes two half-steps, even then odd, written out in turn; a partial
     value within _FPMIN of zero is moved to _FPMIN (never for a NaN)."""
+    fpmin, eps = _FPMIN, _EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if -_FPMIN < d < _FPMIN:
-        d = _FPMIN
+    if -fpmin < d < fpmin:
+        d = fpmin
     d = 1.0 / d
     h = d
     for m in range(1, _MAX_CF_ITER):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if -_FPMIN < d < _FPMIN:
-            d = _FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if -_FPMIN < c < _FPMIN:
-            c = _FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if -_FPMIN < d < _FPMIN:
-            d = _FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if -_FPMIN < c < _FPMIN:
-            c = _FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise FittingError(f"incomplete beta CF did not converge (a={a}, b={b}, x={x})")
 
@@ -204,7 +208,9 @@ def chi_square_sf(x: float, df: int) -> float:
     for odd df. Every term is positive, so the sum loses no precision.
     Where exp(-y) falls below the smallest normal double (y > 708.39) it
     would take the terms' digits with it, so there each term is formed
-    from its logarithm instead.
+    from its logarithm instead. The terms grow while half <= y, so where
+    every half but the last is at most y the last term is the largest, and
+    if it underflows the sum is the erfc part alone.
     """
     x = float(x)
     if not x >= 0.0:  # a NaN would return 0.0, a rejection
@@ -219,6 +225,9 @@ def chi_square_sf(x: float, df: int) -> float:
         log_y = math.log(y)
         tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
         half = 1.5 if df % 2 else 1.0
+        last = half + (df // 2 - 1)
+        if last - 1.0 <= y and math.exp((last - 1.0) * log_y - y - math.lgamma(last)) == 0.0:
+            return min(tail, 1.0)
         for _ in range(df // 2):
             term = math.exp((half - 1.0) * log_y - y - math.lgamma(half))  # y^(half-1) e^-y / Gamma(half)
             if term == 0.0 and half - 1.0 > y:
@@ -259,11 +268,13 @@ def _moments(a: np.ndarray) -> tuple[float, float]:
     """Mean and ddof=1 variance of a float sample, with numpy's own two-pass
     arithmetic (pairwise sum / n, then the pairwise sum of squared
     deviations / (n - 1)), so both equal ``a.mean()`` and ``a.var(ddof=1)``
-    bit for bit without their per-call dispatch."""
+    bit for bit without their per-call dispatch: ``np.add.reduce`` is the
+    pairwise sum ``ndarray.sum`` calls, and a float quotient rounds alike
+    in Python and numpy."""
     n = a.size
-    mean = a.sum() / n
+    mean = float(np.add.reduce(a, axis=None)) / n
     dev = a - mean
-    return float(mean), float((dev * dev).sum() / (n - 1))
+    return mean, float(np.add.reduce(dev * dev, axis=None)) / (n - 1)
 
 
 def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
@@ -278,7 +289,8 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
-    tail = Tail(tail)
+    if tail.__class__ is not Tail:
+        tail = Tail(tail)
     if a.size < 2 or b.size < 2:
         raise InputError(
             f"welch_t_test needs >= 2 observations per sample, got {a.size} and {b.size}"
@@ -345,66 +357,83 @@ def check_design(rows) -> Design:
     return Design(x)
 
 
-def _check_table(events: np.ndarray, trials: np.ndarray, k: int) -> None:
-    """Preconditions of a fit on the counts of a k-column model: finite
-    events in [0, trials] per row (a NaN lies in no range) and a finite
-    total of at least k trials."""
-    if not ((events >= 0) & (events <= trials)).all():
-        raise InputError("event counts must lie in [0, trials] per row")
-    n_subjects = float(trials.sum())
+def _check_table(events: list, trials: list, k: int) -> None:
+    """Preconditions of a fit on the counts of a k-column model, given as
+    lists (``ndarray.tolist()``): finite events in [0, trials] per row (a
+    NaN lies in no range) and a finite total of at least k trials."""
+    n_subjects = 0.0
+    for e, n in zip(events, trials):
+        if not 0.0 <= e <= n:
+            raise InputError("event counts must lie in [0, trials] per row")
+        n_subjects += n
     if not math.isfinite(n_subjects):
         raise InputError(f"trial counts must be finite, got a total of {n_subjects:g}")
     if n_subjects < k:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
 
 
-def _stratum_odds(psi: float, events_s: float, non_events: float, lin0: float, lin1: float) -> float:
-    """A stratum's odds phi = e^alpha at the common odds ratio psi: the
-    positive root of psi (N - E) phi^2 + b phi - E = 0, b = (n0 - E) +
-    psi (n1 - E), which sets the stratum's intercept score to zero. The
-    root is taken in the form that subtracts no like-signed terms."""
-    lin = lin0 + psi * lin1
-    root = math.sqrt(lin * lin + 4.0 * psi * non_events * events_s)
-    return (root - lin) / (2.0 * psi * non_events) if lin <= 0.0 else 2.0 * events_s / (lin + root)
+class _Strata(NamedTuple):
+    """The stratum map of a main-effects design (``_stratify``), made once
+    per design and trusted by every profile fit given it."""
+
+    of_row: tuple  # each row's stratum, numbered in the order the strata first appear
+    treated: tuple  # each row's 0/1 last column
+    inverse: tuple  # rows of the inverse of the strata's first rows, last column left out
 
 
-def _profile_fit(x: np.ndarray, events: np.ndarray, trials: np.ndarray, strata) -> Optional[LogisticFit]:
+def _stratify(x: np.ndarray, strata) -> _Strata:
+    """The ``_Strata`` of design rows ``x`` from each row's stratum label.
+    The intercepts alpha_s of the strata give the coefficients of every
+    column but the last as ``inverse`` times alpha."""
+    number = {}
+    of_row = tuple([number.setdefault(s, len(number)) for s in strata])
+    first = [of_row.index(s) for s in range(len(number))]
+    inverse = np.linalg.inv(x[first, :-1])
+    return _Strata(of_row, tuple(x[:, -1].tolist()), tuple(map(tuple, inverse.tolist())))
+
+
+def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optional[LogisticFit]:
     """The MLE of logit p = alpha_s + theta * b, one intercept per stratum s
-    of ``strata`` and a common log odds ratio theta on the 0/1 last column
-    b of ``x``; None unless every row has 0 < events < trials, Newton on
-    theta converges within ``IRLS_MAX_ITER`` steps and every coefficient
-    stays within the divergence bound.
+    and a common log odds ratio theta on the 0/1 last column b; None unless
+    every row has 0 < events < trials, the total is finite and at least k
+    (this pass is the table's check), Newton on theta converges within
+    ``IRLS_MAX_ITER`` steps and every coefficient stays within the
+    divergence bound.
 
     Stratum s has E events in N trials, e0 of n0 at b = 0 and e1 of n1 at
-    b = 1. For a fixed theta each alpha_s has a closed form
-    (``_stratum_odds``). The profile score sum_s (e1 - n1 p1) falls
-    monotonely in theta, with derivative -sum_s v0 v1 / (v0 + v1),
-    v = n p (1 - p), so Newton on it starts from the Mantel-Haenszel log
-    odds ratio and stops, like the IRLS loop, on a step below ``IRLS_TOL``.
-    The log-likelihood is the IRLS loop's sum of e eta - n log(1 + e^eta),
-    taken over each stratum's two cells. The intercepts map back to the
-    design's columns through the first row of each stratum.
+    b = 1. For a fixed theta, psi = e^theta, each stratum's odds
+    phi = e^alpha is the positive root of psi (N - E) phi^2 + b phi - E = 0,
+    b = (n0 - E) + psi (n1 - E), which sets its intercept score to zero; the
+    root is taken in the form that subtracts no like-signed terms. The
+    profile score sum_s (e1 - n1 p1) falls monotonely in theta, with
+    derivative -sum_s v0 v1 / (v0 + v1), v = n p (1 - p), so Newton on it
+    starts from the Mantel-Haenszel log odds ratio and stops, like the IRLS
+    loop, on a step below ``IRLS_TOL``. The log-likelihood is the IRLS
+    loop's sum of e eta - n log(1 + e^eta), taken over each stratum's two
+    cells. The intercepts map back to the design's columns through
+    ``strata.inverse``.
     """
-    cells = {}  # stratum -> [e0, f0, e1, f1]: events and non-events at b = 0, then at b = 1
-    first = []  # each stratum's first row
-    for row, (s, b, e, n) in enumerate(zip(strata, x[:, -1].tolist(), events.tolist(), trials.tolist())):
+    sqrt = math.sqrt
+    cells = [[0.0, 0.0, 0.0, 0.0] for _ in strata.inverse]  # e0, f0, e1, f1: events and non-events at b = 0, then b = 1
+    n_subjects = 0.0
+    for s, b, e, n in zip(strata.of_row, strata.treated, events, trials):
         if not 0.0 < e < n:
             return None
-        if s not in cells:
-            cells[s] = [0.0, 0.0, 0.0, 0.0]
-            first.append(row)
         cell = cells[s]
         j = 2 if b else 0
         cell[j] += e
         cell[j + 1] += n - e
+        n_subjects += n
+    if not k <= n_subjects < math.inf:
+        return None  # the caller's check of the table says why
     num = den = 0.0
-    terms = []  # per stratum: the arguments of _stratum_odds after psi, then e0, f0, e1, f1
-    for e0, f0, e1, f1 in cells.values():
+    terms = []  # per stratum: E, N - E, the two parts of b, then e0, f0, e1, f1, n0, n1
+    for e0, f0, e1, f1 in cells:
         n0, n1 = e0 + f0, e1 + f1
         events_s = e0 + e1
         num += e1 * f0 / (n0 + n1)
         den += e0 * f1 / (n0 + n1)
-        terms.append((events_s, f0 + f1, n0 - events_s, n1 - events_s, e0, f0, e1, f1))
+        terms.append((events_s, f0 + f1, n0 - events_s, n1 - events_s, e0, f0, e1, f1, n0, n1))
 
     # The score is positive below the root and negative above it, so every
     # score narrows a bracket on theta; a Newton step that leaves the
@@ -413,13 +442,16 @@ def _profile_fit(x: np.ndarray, events: np.ndarray, trials: np.ndarray, strata) 
     theta = min(max(math.log(num / den), low), high)
     for n_iter in range(1, IRLS_MAX_ITER + 1):
         psi = math.exp(theta)
+        psi2, psi4 = 2.0 * psi, 4.0 * psi
         score = info = 0.0
-        for events_s, non_events, lin0, lin1, e0, f0, e1, f1 in terms:
-            odds0 = _stratum_odds(psi, events_s, non_events, lin0, lin1)
+        for events_s, non_events, lin0, lin1, e0, f0, e1, f1, n0, n1 in terms:
+            lin = lin0 + psi * lin1
+            root = sqrt(lin * lin + psi4 * non_events * events_s)
+            odds0 = (root - lin) / (psi2 * non_events) if lin <= 0.0 else 2.0 * events_s / (lin + root)
             odds1 = odds0 * psi
             q0, q1 = 1.0 / (1.0 + odds0), 1.0 / (1.0 + odds1)
             p0, p1 = odds0 * q0, odds1 * q1
-            v0, v1 = (e0 + f0) * p0 * q0, (e1 + f1) * p1 * q1
+            v0, v1 = n0 * p0 * q0, n1 * p1 * q1
             w = 1.0 / (v0 + v1)
             # The b = 1 residual less the b = 0 one, weighted: equal to
             # e1 - n1 p1 at the stratum's root, without the error of the
@@ -442,41 +474,41 @@ def _profile_fit(x: np.ndarray, events: np.ndarray, trials: np.ndarray, strata) 
     else:
         return None
     psi = math.exp(theta)
+    psi2, psi4 = 2.0 * psi, 4.0 * psi
     alpha = []
     log_likelihood = 0.0
-    for events_s, non_events, lin0, lin1, e0, f0, e1, f1 in terms:
-        odds0 = _stratum_odds(psi, events_s, non_events, lin0, lin1)
+    for events_s, non_events, lin0, lin1, e0, f0, e1, f1, n0, n1 in terms:
+        lin = lin0 + psi * lin1
+        root = sqrt(lin * lin + psi4 * non_events * events_s)
+        odds0 = (root - lin) / (psi2 * non_events) if lin <= 0.0 else 2.0 * events_s / (lin + root)
         alpha.append(math.log(odds0))
-        log_likelihood += (
-            events_s * alpha[-1] + e1 * theta - (e0 + f0) * math.log1p(odds0) - (e1 + f1) * math.log1p(odds0 * psi)
-        )
-    beta = np.empty(x.shape[1])
-    beta[:-1] = _umath_linalg.solve1(x[:, :-1].take(first, axis=0), np.array(alpha), signature="dd->d")
-    beta[-1] = theta
-    coefficients = beta.tolist()
+        log_likelihood += events_s * alpha[-1] + e1 * theta - n0 * math.log1p(odds0) - n1 * math.log1p(odds0 * psi)
+    coefficients = [sum([c * a for c, a in zip(row, alpha)]) for row in strata.inverse]
+    coefficients.append(theta)
     if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
         return None
-    return LogisticFit(beta, log_likelihood, True, n_iter, False)
+    return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
 
 
-def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray, strata=None) -> LogisticFit:
+def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
     """Logistic fit on grouped data (one design row per covariate pattern,
     with event/trial counts): by profile Newton where ``strata`` is given
     and every row is interior, else by IRLS.
 
     ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
-    ``strata``, which the fit also trusts, gives each row's stratum, for a
-    design whose last column is a 0/1 indicator and whose other columns are
-    one intercept per stratum: each stratum's rows agree on every other
-    column, and the strata's rows of those columns are linearly
-    independent. On such a design a table whose every row has
-    0 < events < trials has a finite MLE, and ``_profile_fit`` finds it;
-    where that Newton does not converge or a coefficient lies beyond the
-    divergence bound, or on any other table or call, the fit is IRLS,
-    exactly as without ``strata``. The two verdicts differ only where
-    IRLS's own steps from zero overshoot the bound on a table whose MLE
-    lies within it, which takes counts far beyond a trial's (rates near
-    1e-9 with 1e9 trials): IRLS reports divergence, the profile the MLE.
+    ``strata``, which the fit also trusts, gives each row's stratum (or is
+    the ``_Strata`` made of them once), for a design whose last column is a
+    0/1 indicator and whose other columns are one intercept per stratum:
+    each stratum's rows agree on every other column, and the strata's rows
+    of those columns are linearly independent. On such a design a table
+    whose every row has 0 < events < trials has a finite MLE, and
+    ``_profile_fit`` finds it; where that Newton does not converge or a
+    coefficient lies beyond the divergence bound, or on any other table or
+    call, the fit is IRLS, exactly as without ``strata``. The two verdicts
+    differ only where IRLS's own steps from zero overshoot the bound on a
+    table whose MLE lies within it, which takes counts far beyond a trial's
+    (rates near 1e-9 with 1e9 trials): IRLS reports divergence, the profile
+    the MLE.
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
@@ -490,10 +522,14 @@ def fit_logistic_counts(design, events: np.ndarray, trials: np.ndarray, strata=N
     n_rows, k = x.shape
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
-    _check_table(events, trials, k)
-    fit = None if strata is None else _profile_fit(x, events, trials, strata)
-    if fit is not None:
-        return fit
+    event_list, trial_list = events.tolist(), trials.tolist()
+    if strata is not None:
+        if not isinstance(strata, _Strata):
+            strata = _stratify(x, strata)
+        fit = _profile_fit(strata, event_list, trial_list, k)
+        if fit is not None:
+            return fit
+    _check_table(event_list, trial_list, k)
 
     beta = np.zeros(k)
     converged = False
@@ -557,5 +593,7 @@ def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:
     stat = 2.0 * (full - reduced)
     if not stat >= -1e-6:
         raise FittingError(f"full-model log-likelihood below reduced model ({full} < {reduced}); fit failed")
-    stat = max(stat, 0.0)
-    return TestResult(stat, float(df_diff), chi_square_sf(stat, int(df_diff)), Tail.UPPER)
+    if stat < 0.0:  # a full fit that rounds below its reduced one
+        stat = 0.0
+    df_diff = int(df_diff)
+    return TestResult(stat, float(df_diff), chi_square_sf(stat, df_diff), Tail.UPPER)

@@ -1,6 +1,7 @@
 """Logistic-regression fitting: closed-form checks on contingency tables,
-degenerate/separated data handling, likelihood-ratio test behavior, and bit
-identity of the IRLS loop with a separately written textbook Newton loop."""
+degenerate/separated data handling, likelihood-ratio test behavior, bit
+identity of the IRLS loop with a separately written textbook Newton loop,
+and of the profile fit with its numpy form in ``reference_kernels``."""
 
 import collections
 import itertools
@@ -8,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_kernels
 
 from fast_trials import final_analysis, stats
 from fast_trials.final_analysis import gatekeep_both_retained
@@ -416,18 +418,27 @@ def _assert_same_fit(fit, other):
     assert fit[1:] == other[1:]
 
 
+def _profile_fit(design, events, trials, strata):
+    """``stats._profile_fit`` on a design's rows, counts and row labels."""
+    return stats._profile_fit(
+        stats._stratify(design.rows, strata), events.tolist(), trials.tolist(), design.rows.shape[1]
+    )
+
+
 def _check_profile_against_irls(x, strata, events, trials) -> set:
     """Assert that the fit given the strata is the IRLS fit, bit for bit, on
     a table with a row at 0 or at all events, and agrees with it on an
-    interior one; return the root forms an interior fit took."""
+    interior one; return the root forms an interior fit took. On every
+    table the fit is its numpy form's, bit for bit."""
     design = check_design(x)
     irls = fit_logistic_counts(design, events, trials)
     fit = fit_logistic_counts(design, events, trials, strata)
+    _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
     assert (fit.converged, fit.diverged) == (irls.converged, irls.diverged)
     if not ((events > 0.0) & (events < trials)).all():
         _assert_same_fit(fit, irls)
         return set()
-    _assert_same_fit(fit, stats._profile_fit(design.rows, events, trials, strata))  # not the fallback
+    _assert_same_fit(fit, _profile_fit(design, events, trials, strata))  # not the fallback
     assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
     np.testing.assert_allclose(fit.coefficients, irls.coefficients, rtol=0, atol=1e-8)
     return _root_branches(strata, design.rows, events, trials, fit.coefficients[-1])
@@ -479,6 +490,7 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
             events = np.floor(trials * 10.0 ** rng.uniform(-9.0, 0.0, size=len(x))).clip(1.0, trials - 1.0)
             irls = fit_logistic_counts(design, events, trials)
             fit = fit_logistic_counts(design, events, trials, strata)
+            _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
             verdicts[irls.converged, fit.converged] += 1
             if not fit.converged:  # no finite maximum within the bound: IRLS's fit
                 assert irls.diverged
@@ -497,9 +509,9 @@ def test_profile_newton_that_does_not_converge_falls_back_to_irls(monkeypatch):
     design = check_design(_DESIGNS[0])
     events = np.array([12.0, 30.0, 25.0, 41.0, 9.0, 33.0])
     trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
-    assert stats._profile_fit(design.rows, events, trials, _STRATA[0]).n_iterations > 1
+    assert _profile_fit(design, events, trials, _STRATA[0]).n_iterations > 1
     monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
-    assert stats._profile_fit(design.rows, events, trials, _STRATA[0]) is None
+    assert _profile_fit(design, events, trials, _STRATA[0]) is None
     fit = fit_logistic_counts(design, events, trials, _STRATA[0])
     irls = fit_logistic_counts(design, events, trials)
     assert (fit.n_iterations, fit.converged) == (1, False)

@@ -1,7 +1,8 @@
 """Closed-form saturated fits, the node plans and the checked designs they
 hold: the final analysis must give the same p-values, failure flags and
 errors as fitting every node by IRLS on the patterns that have subjects,
-which this file keeps as the reference."""
+which this file keeps as the reference, and the same bits as the numpy form
+of its fits in ``reference_kernels``."""
 
 import collections
 import dataclasses
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_kernels
 
 from fast_trials import final_analysis, harness, stats
-from fast_trials.design import load_scenarios
+from fast_trials.design import load_scenarios, validate_scenario
 from fast_trials.final_analysis import (
     FinalBranch,
     _saturated_pass,
@@ -89,7 +91,7 @@ def _grouped(table):
 
 def _fit_rows(rows, events, trials):
     """IRLS fit of raw design rows, checking the counts before the design."""
-    _check_table(events, trials, rows.shape[1])
+    _check_table(events.tolist(), trials.tolist(), rows.shape[1])
     return fit_logistic_counts(check_design(rows), events, trials)
 
 
@@ -146,12 +148,18 @@ def _outcome_or_error(analysis, table):
 
 def _check_against_reference(branch, table, context) -> str:
     """Assert that the branch's analysis of ``table`` gives the reference's
-    p-values, failure flag or InputError; return which of them it was."""
+    p-values, failure flag or InputError; return which of them it was. A
+    table whose patterns with subjects make the full design collinear, which
+    the reference's design check rejects, flags the replicate with every
+    p-value 1.0."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
+    kind = None
     try:
         expected = _reference_node_tests(table, full_cols, reduced_map)
     except InputError as exc:
         expected = str(exc)
+        if "collinear" in expected:
+            expected, kind = ({node: 1.0 for node in reduced_map}, True), "collinear"
     got = _outcome_or_error(analysis, table)
     if isinstance(expected, str):
         assert got == expected, context
@@ -161,7 +169,46 @@ def _check_against_reference(branch, table, context) -> str:
     assert got.node_p_values.keys() == ref_p.keys()
     for node, p in ref_p.items():
         assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (context, node)
+    if kind == "collinear":
+        assert got.rejected == got.successful_arms == frozenset()
+        return kind
+    _assert_matches_numpy_oracles(branch, table)
     return "failed" if ref_failed else "ok"
+
+
+def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
+    """Assert that on a checked table every saturated model's closed form
+    and every other model's fit equal their numpy forms bit for bit:
+    log-likelihood, convergence flags, iteration count and coefficients.
+    Count the models by how they were fitted."""
+    plan = _plan(branch, table)
+    present = table[1] > 0
+    impossible = branch is FinalBranch.BOTH_ARMS_RETAINED and present[6:].any()
+    events, trials = table[0][present], table[1][present]
+    closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
+    saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
+    groups, owner = reference_kernels.saturated_groups(saturated)
+    expected = reference_kernels.saturated_pass(groups, owner, events, trials)
+    np.testing.assert_array_equal(np.array(closed), expected, strict=True)  # nan where nan
+    kinds = collections.Counter()
+    for design, slot, strata in zip(plan.designs, plan.slots, plan.strata):
+        if slot is not None:
+            kinds["boundary" if math.isnan(closed[slot]) else "closed"] += 1
+            continue
+        fit = fit_logistic_counts(design, events.tolist(), trials.tolist(), strata)
+        labels = reference_kernels.row_strata(design.rows)  # None: a pattern in A1 and A2 at once
+        profile = reference_kernels.profile_fit(design.rows, events, trials, labels) if labels else None
+        reference = profile or fit_logistic_counts(design, events, trials)
+        assert fit[1:] == reference[1:]
+        if not impossible:
+            np.testing.assert_array_equal(fit.coefficients, reference.coefficients, strict=True)
+        else:
+            # A pattern in A1 and A2 at once, which no subject has, can make
+            # a coefficient a sum of three intercepts, which the solve and
+            # the inverse round differently; no reader takes coefficients.
+            np.testing.assert_allclose(fit.coefficients, reference.coefficients, rtol=0, atol=1e-12)
+        kinds["irls" if profile is None else "profile"] += 1
+    return kinds
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -172,7 +219,7 @@ def test_node_p_values_match_all_irls_reference(branch):
         mode = _MODES[int(rng.integers(len(_MODES)))]
         seen.add(_check_against_reference(branch, _table(rng, branch, mode), mode))
     # The draws must reach every kind of outcome they are meant to compare.
-    assert seen == {"input_error", "failed", "ok"}
+    assert seen == {"input_error", "collinear", "failed", "ok"}
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -189,7 +236,7 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
         events = [int(rng.integers(1, t)) if t else 0 for t in trials]
         seen.add(_check_against_reference(branch, np.array([events, trials], dtype=float), mask))
         assert final_analysis._node_plan.cache_info().currsize <= 4 + 16 + 256
-    assert {"input_error", "ok"} <= seen
+    assert {"input_error", "collinear", "ok"} <= seen
 
 
 @pytest.mark.parametrize(
@@ -234,6 +281,71 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
     assert seen[FinalBranch.BOTH_ARMS_RETAINED, "ok"] + seen[FinalBranch.ONE_ARM_RETAINED, "ok"] >= 100
 
 
+# branch -> (scenario file, replicates per cell) giving >= 2000 of its tables
+_REAL_TABLES = {
+    FinalBranch.DOMAIN_A_TERMINATED: ("scenarios/null.json", 36),
+    FinalBranch.ONE_ARM_RETAINED: ("scenarios/high_effect.json", 32),
+    FinalBranch.BOTH_ARMS_RETAINED: ("perfbench/scenarios/both_arms.json", 32),
+}
+
+
+@pytest.mark.parametrize("branch", list(_REAL_TABLES))
+def test_real_tables_match_the_numpy_oracles(monkeypatch, branch):
+    """At least 2000 pattern tables of the branch from real replicates of a
+    shipped scenario: every closed form and every fit equals its numpy form
+    bit for bit."""
+    path, replicates = _REAL_TABLES[branch]
+    tables = []
+
+    def recording_build_final_model(cells, table_branch):
+        table = build_final_model(cells, table_branch)
+        if table_branch is branch:
+            tables.append(table.copy())
+        return table
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "build_final_model", recording_build_final_model)
+        config = load_scenarios(_ROOT / path)[0]
+        run_grid(dataclasses.replace(config, replicates=replicates))
+    assert len(tables) >= 2000
+    kinds = collections.Counter()
+    for table in tables:
+        kinds += _assert_matches_numpy_oracles(branch, table)
+    assert kinds["closed"] > 0
+    if _IRLS_FITS[branch]:
+        assert kinds["profile"] > 0
+
+
+def test_collinear_design_flags_the_replicate():
+    """A table whose patterns with subjects leave the full design collinear
+    has no fit to test: the replicate is flagged, every p-value is 1.0 and
+    nothing is rejected, as for a failed fit."""
+    no_b1 = {  # subjects in every domain-A arm, none in B1
+        analyze_terminated: [[5.0, 0.0], [20.0, 0.0]],
+        gatekeep_one_retained: [[5.0, 0.0, 7.0, 0.0], [20.0, 0.0, 30.0, 0.0]],
+        gatekeep_both_retained: [[5.0, 0.0, 6.0, 0.0, 7.0, 0.0, 0.0, 0.0], [20.0, 0.0, 25.0, 0.0, 30.0, 0.0, 0.0, 0.0]],
+    }
+    cases = [(analysis, np.array(table)) for analysis, table in no_b1.items()]
+    cases.append((analyze_terminated, np.array([[0.0, 6.0], [0.0, 20.0]])))  # only B1 subjects
+    cases.append((gatekeep_one_retained, np.array([[5.0, 0.0, 0.0, 7.0], [20.0, 0.0, 0.0, 30.0]])))  # B1 = fluid
+    for analysis, table in cases:
+        outcome = analysis(table, 0.05)
+        assert outcome.fit_failed, table
+        assert set(outcome.node_p_values.values()) == {1.0}
+        assert outcome.rejected == outcome.successful_arms == frozenset()
+    # A validated scenario whose replicates reach it: null.json cut to 10
+    # subjects with both interims at 9. These seeds draw every subject into
+    # one domain-B arm on the terminated branch.
+    config = dataclasses.replace(
+        load_scenarios(_ROOT / "scenarios" / "null.json")[0], n_total=10, n_drop_grid=(9,), n_feas_grid=(9,)
+    )
+    validate_scenario(config)
+    for seed in (367, 1465, 2857):
+        result = run_replicate(config, 9, 9, seed)
+        assert result.branch is FinalBranch.DOMAIN_A_TERMINATED and result.failed
+        assert result.gatekeeping.node_p_values == {"beta1": 1.0}
+
+
 def _plan(branch, table):
     return final_analysis._node_plan(branch, tuple((table[1] > 0).tolist()))
 
@@ -246,7 +358,7 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
         table = _table(rng, branch, "interior")
         plan = _plan(branch, table)
         rows, events, trials = _grouped(table)
-        closed = _saturated_pass(plan.groups, plan.owner, events, trials)
+        closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
         models = [full_cols, *reduced_map.values()]
         for cols, design, slot in zip(models, plan.designs, plan.slots):
             np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
@@ -268,9 +380,10 @@ def test_plan_maps_the_strata_of_every_unsaturated_model():
     for branch in FinalBranch:
         n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
         for mask in itertools.product((False, True), repeat=n):
-            try:
-                plan = final_analysis._node_plan(branch, mask)
-            except InputError:
+            plan = final_analysis._node_plan(branch, mask)
+            if plan is None:  # the full design is collinear on the mask's patterns
+                rows = final_analysis._PATTERN_ROWS[len(_LAYOUTS[branch][2]) - 1][np.array(mask)]
+                assert np.linalg.matrix_rank(rows) < rows.shape[1]
                 continue
             for design, slot, strata in zip(plan.designs, plan.slots, plan.strata):
                 head = design.rows[:, :-1]
@@ -281,17 +394,22 @@ def test_plan_maps_the_strata_of_every_unsaturated_model():
                     assert branch is FinalBranch.BOTH_ARMS_RETAINED and (mask[6] or mask[7])
                     assert len(np.unique(head, axis=0)) > head.shape[1]
                     continue
-                assert len(set(strata)) == head.shape[1] == len(np.unique(head, axis=0))
-                for s in set(strata):
-                    assert len(np.unique(head[np.array(strata) == s], axis=0)) == 1
+                of_row = np.array(strata.of_row)
+                assert len(set(strata.of_row)) == head.shape[1] == len(np.unique(head, axis=0))
+                for s in set(strata.of_row):
+                    assert len(np.unique(head[of_row == s], axis=0)) == 1
+                # the inverse maps the strata's intercepts to the design's columns
+                first = [strata.of_row.index(s) for s in range(head.shape[1])]
+                np.testing.assert_array_equal(np.array(strata.inverse) @ head[first], np.eye(head.shape[1]))
+                assert strata.treated == tuple(design.rows[:, -1].tolist())
 
 
 def _closed_form(x, events, trials):
     design = check_design(x)
     distinct, groups = np.unique(design.rows, axis=0, return_inverse=True)
     assert len(distinct) == design.rows.shape[1]
-    owner = np.zeros(len(distinct), dtype=np.intp)
-    return _saturated_pass(groups.reshape(-1), owner, np.asarray(events), np.asarray(trials))[0]
+    rows = tuple(tuple(np.flatnonzero(groups.reshape(-1) == g).tolist()) for g in range(len(distinct)))
+    return _saturated_pass((rows,), events, trials)[0]
 
 
 def test_boundary_group_is_left_to_irls():
@@ -311,8 +429,6 @@ def test_closed_form_keeps_input_errors():
         analyze_terminated(np.array([[5.0, 21.0], [20.0, 20.0]]), 0.05)
     with pytest.raises(InputError, match="trials"):  # events where no subject is
         analyze_terminated(np.array([[5.0, 1.0], [20.0, 0.0]]), 0.05)
-    with pytest.raises(InputError, match="collinear"):  # only B1 subjects
-        analyze_terminated(np.array([[0.0, 6.0], [0.0, 20.0]]), 0.05)
     with pytest.raises(InputError, match="pattern table"):
         analyze_terminated(np.array([[5.0, 6.0, 0.0], [20.0, 20.0, 0.0]]), 0.05)
 
@@ -358,9 +474,10 @@ def test_design_check_matches_matrix_rank():
             assert not design.rows.flags.writeable
         assert x.flags.writeable
         np.testing.assert_array_equal(x, before, strict=True)
-    for branch in FinalBranch:
+    for branch in FinalBranch:  # a plan's groupings are shared: tuples all the way down
         plan = final_analysis._node_plan(branch, (True,) * 2 ** (len(_LAYOUTS[branch][2]) - 1))
-        assert not plan.groups.flags.writeable and not plan.owner.flags.writeable
+        assert isinstance(plan.groups, tuple)
+        assert all(isinstance(g, tuple) and all(type(r) is int for r in g) for model in plan.groups for g in model)
 
 
 def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
@@ -419,13 +536,15 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
         for i in range(360):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
             table = _table(rng, branch, mode)
-            try:
-                plan = _plan(branch, table)
-            except InputError:
+            plan = _plan(branch, table)
+            if plan is None:
                 seen.add("collinear")
                 continue
             _, events, trials = _grouped(table)
-            closed = _saturated_pass(plan.groups, plan.owner, events, trials)
+            closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
+            saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
+            bincount_form = reference_kernels.saturated_pass(*reference_kernels.saturated_groups(saturated), events, trials)
+            np.testing.assert_array_equal(np.array(closed), bincount_form, strict=True)  # nan where nan
             for design, slot in zip(plan.designs, plan.slots):
                 expected = _reference_saturated_fit(design, events, trials)
                 if slot is None:
