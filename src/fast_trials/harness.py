@@ -11,30 +11,31 @@ per (domain-A arm, domain-B arm) cell, so generation returns each block's
 cell table with its columns and the tables are summed. Every replicate
 owns a seed derived injectively from (base_seed, scenario, cell, replicate
 index), so grid runs are bitwise reproducible regardless of execution order
-or worker count: each task returns its integer tallies and, when asked for,
-its trace rows, and the tasks are folded back in their fixed order. A grid
-run turns every replicate's seed into the PCG64 state
+or worker count: each task returns its integer tallies per cell and, when
+asked for, its trace rows, and the tasks are folded back in their fixed
+order. A grid run turns every replicate's seed into the PCG64 state
 ``np.random.default_rng(seed)`` starts in, in one array pass with
-``SeedSequence``'s algorithm, and each replicate resets one reused generator
-to its state; a test pins these states to ``default_rng``'s. A tally
-counts each outcome under one key: a name, a ``FinalBranch``, or a
-``p_success`` key of ``_SUCCESS_SETS``; a cell adds its later tasks' counts
-into its first task's tally. A trace row is read off ``_TRACE``, the one
-ordered table of the trace fields and their values.
+``SeedSequence``'s algorithm, and each replicate of a task resets the
+task's one generator to its state; a test pins these states to
+``default_rng``'s. A tally counts each outcome under one key: a name, a
+``FinalBranch``, or a ``p_success`` key of ``_SUCCESS_SETS``; a cell's
+tally is the sum of its tasks' tallies. A trace row is read off
+``_TRACE``, the one ordered table of the trace fields and their values.
 
-A task runs up to ``_CHUNK_SIZE`` replicates of one cell. On more than one
-worker, tasks go to a process pool in batches: each message carries as many
-tasks as fit in ``_CHUNK_SIZE`` replicates, but every worker gets at least
-four messages. A grid run opens its own pool (``open_pool``), or maps on
-one it is handed; ``fast-trials simulate`` opens one pool per call for all
-of its scenarios. A cell run is the grid run of the one-cell grid, so its
-triggers and replicate count are validated with the rest of the config.
+A grid's replicates form one cell-major list, and a task is a slice of it,
+which may span cells: ``_task_size`` replicates, at most ``_CHUNK_SIZE``,
+and few enough that every worker gets at least ``_MESSAGES_PER_WORKER``
+tasks when there are replicates enough. On more than one worker the tasks
+map on a process pool, one task a message. A grid run opens its own pool
+(``open_pool``), or maps on one it is handed; ``fast-trials simulate``
+opens one pool per call for all of its scenarios. A cell run is the grid
+run of the one-cell grid, so its triggers and replicate count are
+validated with the rest of the config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -105,7 +106,8 @@ def _mix_parts(base_seed: int, parts: tuple) -> int:
 
 def _derive_seeds(base_seed: int, scenario_id: int, cells, replicates) -> np.ndarray:
     """``derive_seed`` of every (cell, replicate) pair, cell-major, as one
-    uint64 array: the last stage runs on arrays, which wrap mod 2^64."""
+    uint64 array for a grid run: the last stage runs on arrays, which wrap
+    mod 2^64."""
     prefixes = np.array([_mix_parts(base_seed, (scenario_id, *cell)) for cell in cells], dtype=np.uint64)
     x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
     return _splitmix64(prefixes[:, None] ^ x).ravel()
@@ -118,7 +120,7 @@ def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -
     applies a 64-bit bijective mix, so for any fixed prefix the map from
     any single index to the seed is exactly injective.
     """
-    return int(_derive_seeds(base_seed, scenario_id, [cell], [int(replicate) & _MASK64])[0])
+    return _mix_parts(base_seed, (scenario_id, *cell, replicate))
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -167,11 +169,6 @@ def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict
     inc = (inc_hi << 65 | inc_lo << 1 | 1) % 2**128
     state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) % 2**128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
-# .stream: the generator each replicate of this thread resets to its own
-# state, built on first use; per thread, so that threads never share one.
-_THREAD = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +406,23 @@ def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> d
     return {field: value(config, replicate, result) for field, value in _TRACE.items()}
 
 
-def _run_chunk(args) -> tuple[defaultdict, list]:
-    config, n_drop, n_feas, start, words, collect_traces = args
+def _run_chunk(args) -> tuple[dict, list]:
+    """Run the grid's replicates ``start`` onward, one per row of ``words``;
+    returns {cell index: tally} and the trace rows, in replicate order."""
+    config, cells, start, words, collect_traces = args
     correct = designed_correct_arms(config)
     effective = truly_effective_arms(config)
-    tally = defaultdict(int)
+    tallies = {}
     traces = []
-    stream = getattr(_THREAD, "stream", None)
-    if stream is None:
-        stream = _THREAD.stream = np.random.Generator(np.random.PCG64(0))
-    for rep, replicate_words in enumerate(words.tolist(), start):
+    stream = np.random.Generator(np.random.PCG64(0))  # reset to each replicate's state
+    for index, replicate_words in enumerate(words.tolist(), start):
+        j, rep = divmod(index, config.replicates)
         stream.bit_generator.state = _pcg64_state(*replicate_words)
-        result = run_replicate(config, n_drop, n_feas, None, stream)
-        _accumulate(tally, result, correct, effective)
+        result = run_replicate(config, *cells[j], None, stream)
+        _accumulate(tallies.setdefault(j, defaultdict(int)), result, correct, effective)
         if collect_traces:
             traces.append(_trace_row(config, rep, result))
-    return tally, traces
+    return tallies, traces
 
 
 def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: defaultdict) -> OperatingCharacteristics:
@@ -452,19 +450,15 @@ def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: de
     )
 
 
-_CHUNK_SIZE = 250  # replicates per worker task
-_MESSAGES_PER_WORKER = 4  # fewest pool messages a worker gets, when there are tasks enough
+_CHUNK_SIZE = 250  # most replicates in a task
+_MESSAGES_PER_WORKER = 4  # fewest tasks a worker gets, when there are replicates enough
 
 
-def _chunks_per_cell(replicates: int) -> int:
-    return -(-replicates // _CHUNK_SIZE)
-
-
-def _batch_size(n_tasks: int, task_replicates: int, workers: int) -> int:
-    """Tasks per pool message: as many as carry up to ``_CHUNK_SIZE``
-    replicates, but few enough that every worker gets
-    ``_MESSAGES_PER_WORKER`` messages."""
-    return max(1, min(_CHUNK_SIZE // task_replicates, n_tasks // (_MESSAGES_PER_WORKER * workers)))
+def _task_size(n: int, workers: int) -> int:
+    """Replicates per task of an ``n``-replicate grid on ``workers``
+    workers: at most ``_CHUNK_SIZE``, but few enough that every worker gets
+    ``_MESSAGES_PER_WORKER`` tasks."""
+    return max(1, min(_CHUNK_SIZE, n // (_MESSAGES_PER_WORKER * workers)))
 
 
 def open_pool(configs, threads: int):
@@ -472,11 +466,11 @@ def open_pool(configs, threads: int):
     ``run_grid_detail`` call as ``pool``; use it as a context manager.
 
     The pool has ``threads`` workers, but no more than the largest grid has
-    tasks: the fork start method launches every worker at once, so a larger
-    pool forks processes that get no work. At one worker it opens nothing
-    and yields None.
+    replicates: the fork start method launches every worker at once, so a
+    larger pool forks processes that get no work. At one worker it opens
+    nothing and yields None.
     """
-    largest = max(len(c.n_drop_grid) * len(c.n_feas_grid) * _chunks_per_cell(c.replicates) for c in configs)
+    largest = max(len(c.n_drop_grid) * len(c.n_feas_grid) * c.replicates for c in configs)
     workers = min(threads, largest)
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
@@ -520,37 +514,27 @@ def run_grid_detail(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     validate_scenario(config)
-    replicates = config.replicates
     cells = [(d, f) for d in sorted(config.n_drop_grid) for f in sorted(config.n_feas_grid)]
     # Each replicate's four PCG64 seed words, 32 bytes, from one array pass.
-    seeds = _derive_seeds(config.base_seed, config.scenario_id, cells, np.arange(replicates, dtype=np.uint64))
-    words = _pcg64_words(seeds).reshape(len(cells), replicates, 4)
-    tasks = [
-        (config, n_drop, n_feas, start, words[j, start : start + _CHUNK_SIZE], collect_traces)
-        for j, (n_drop, n_feas) in enumerate(cells)
-        for start in range(0, replicates, _CHUNK_SIZE)
-    ]
-    workers = min(threads, len(tasks))
+    seeds = _derive_seeds(config.base_seed, config.scenario_id, cells, np.arange(config.replicates, dtype=np.uint64))
+    words = _pcg64_words(seeds)
+    workers = min(threads, len(words))
+    size = _task_size(len(words), workers)
+    tasks = [(config, cells, i, words[i : i + size], collect_traces) for i in range(0, len(words), size)]
     if workers > 1:
-        chunksize = _batch_size(len(tasks), min(replicates, _CHUNK_SIZE), workers)
         with (nullcontext(pool) if pool is not None else open_pool([config], threads)) as executor:
-            outputs = list(executor.map(_run_chunk, tasks, chunksize=chunksize))
+            outputs = list(executor.map(_run_chunk, tasks))
     else:
         outputs = [_run_chunk(t) for t in tasks]
 
-    n_chunks = _chunks_per_cell(replicates)
-    results = []
+    tallies = [defaultdict(int) for _ in cells]
     traces: list[dict] = []
-    for j, (n_drop, n_feas) in enumerate(cells):
-        chunk_outputs = outputs[j * n_chunks : (j + 1) * n_chunks]
-        tally = chunk_outputs[0][0]
-        for later, _ in chunk_outputs[1:]:
-            for key, count in later.items():
-                tally[key] += count
-        results.append(_characteristics(config, n_drop, n_feas, tally))
-        for _, rows in chunk_outputs:
-            traces.extend(rows)
-    return results, traces
+    for task_tallies, rows in outputs:
+        for j, tally in task_tallies.items():
+            for key, count in tally.items():
+                tallies[j][key] += count
+        traces.extend(rows)
+    return [_characteristics(config, *cell, tally) for cell, tally in zip(cells, tallies)], traces
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> list:

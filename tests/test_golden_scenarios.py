@@ -1,8 +1,8 @@
 """Every shipped scenario file's outputs are pinned by hash: ``results.csv``
 and each ``trace_scenario_<id>.csv``, written by the reporting writers from
-``run_grid_detail`` at 4 replicates per cell, on 1 and 2 workers. A change
-that keeps the random stream keeps every hash in
-``data/golden_scenarios.json``."""
+``run_grid_detail`` at 4 replicates per cell, on 1, 2 and 3 workers; on 3,
+tasks of 21 replicates straddle cells. A change that keeps the random
+stream keeps every hash in ``data/golden_scenarios.json``."""
 
 import dataclasses
 import hashlib
@@ -41,7 +41,7 @@ def scenario_file_hashes(config_path: Path, threads: int, out_dir: Path) -> dict
     return {name: _sha256(out_dir / name) for name in ["results.csv", *written]}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_shipped_scenario_outputs_match_golden_hashes(tmp_path, config, threads):
     assert scenario_file_hashes(ROOT / config, threads, tmp_path) == GOLDEN[config]

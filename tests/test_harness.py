@@ -72,34 +72,53 @@ def test_base_seed_avalanche():
     assert not np.any(a == b)
 
 
-@pytest.mark.parametrize(
-    "base_seed, scenario_id, cell, start",
-    [
-        (20230901, 3, (150, 300), 0),
-        (2**64 - 1, 2**64 - 1, (2**64 - 1, 2**64 - 1), 2**64 - 6),
-        (0, 2**63, (0, 2**63 - 1), 2**63 - 3),
-    ],
-)
+_EXTREMES = [
+    (20230901, 3, (150, 300), 0),
+    (2**64 - 1, 2**64 - 1, (2**64 - 1, 2**64 - 1), 2**64 - 6),
+    (0, 2**63, (0, 2**63 - 1), 2**63 - 3),
+]
+
+
+@pytest.mark.parametrize("base_seed, scenario_id, cell, start", _EXTREMES)
+def test_scalar_seed_is_the_grid_seed(base_seed, scenario_id, cell, start):
+    # derive_seed mixes in Python ints, a grid run on uint64 arrays; a
+    # grid's seed words put default_rng(derive_seed(...))'s state in PCG64.
+    reps = range(start, start + 6)
+    seeds = harness._derive_seeds(base_seed, scenario_id, [cell], np.array(reps, dtype=np.uint64))
+    assert seeds.tolist() == [derive_seed(base_seed, scenario_id, cell, rep) for rep in reps]
+    for rep, words in zip(reps, harness._pcg64_words(seeds).tolist()):
+        expected = np.random.default_rng(derive_seed(base_seed, scenario_id, cell, rep)).bit_generator.state
+        assert harness._pcg64_state(*words) == expected, rep
+    # A replicate index is read mod 2^64.
+    assert derive_seed(base_seed, scenario_id, cell, start - 2**64) == seeds[0]
+
+
+@pytest.mark.parametrize("base_seed, scenario_id, cell, start", _EXTREMES)
 def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, start):
-    # A task resets one reused generator from each replicate's seed words;
-    # at every replicate it is in default_rng(derive_seed(...))'s state.
+    # A task resets its one generator from each replicate's seed words; at
+    # every replicate it is in default_rng(derive_seed(...))'s state. The
+    # task spans two cells: the first cell's last three replicates,
+    # start..start+2, then the second cell's first three.
     config = _null_config()
     canned = run_replicate(config, 150, 300, 1)
-    streams, states = [], []
+    calls = []
 
-    def recording_run_replicate(_config, _n_drop, _n_feas, _seed, stream):
-        streams.append(stream)
-        states.append(stream.bit_generator.state)
+    def recording_run_replicate(_config, n_drop, n_feas, _seed, stream):
+        calls.append(((n_drop, n_feas), stream, stream.bit_generator.state))
         return canned
 
     monkeypatch.setattr(harness, "run_replicate", recording_run_replicate)
-    task_config = dataclasses.replace(config, base_seed=base_seed, scenario_id=scenario_id)
-    reps = range(start, start + 6)
-    seeds = harness._derive_seeds(base_seed, scenario_id, [cell], np.array(reps, dtype=np.uint64))
-    harness._run_chunk((task_config, *cell, start, harness._pcg64_words(seeds), False))
-    assert all(stream is streams[0] for stream in streams)
-    assert states == [np.random.default_rng(derive_seed(base_seed, scenario_id, cell, rep)).bit_generator.state
-                      for rep in reps]
+    cells = [cell, (cell[0], cell[1] ^ 1)]
+    task_config = dataclasses.replace(config, base_seed=base_seed, scenario_id=scenario_id, replicates=start + 3)
+    pairs = [(cells[0], start + i) for i in range(3)] + [(cells[1], i) for i in range(3)]
+    seeds = np.array([derive_seed(base_seed, scenario_id, *pair) for pair in pairs], dtype=np.uint64)
+    tallies, traces = harness._run_chunk((task_config, cells, start, harness._pcg64_words(seeds), True))
+    assert {j: tally["n_reps"] for j, tally in tallies.items()} == {0: 3, 1: 3}
+    assert [(called_cell, row["replicate"]) for (called_cell, *_), row in zip(calls, traces)] == pairs
+    assert all(stream is calls[0][1] for _, stream, _ in calls)
+    assert [state for *_, state in calls] == [
+        np.random.default_rng(derive_seed(base_seed, scenario_id, *pair)).bit_generator.state for pair in pairs
+    ]
 
 
 def test_seed_words_pin_default_rng():
@@ -399,11 +418,11 @@ def test_threaded_execution_matches_serial():
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size asked for,
-    each map's batch size and every pool opened, which it marks closed on
+    each map's task sizes and every pool opened, which it marks closed on
     exit, and runs the tasks in this process, so no worker is ever started."""
 
     sizes = []
-    chunksizes = []
+    mapped = []
     opened = []
 
     def __init__(self, max_workers):
@@ -418,41 +437,44 @@ class _RecordingPool:
         self.closed = True
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, iterable)
+    def map(self, fn, iterable):
+        tasks = list(iterable)
+        self.mapped.append([len(task[3]) for task in tasks])  # a task's replicates: its seed words
+        return map(fn, tasks)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    for record in ("sizes", "chunksizes", "opened"):
+    for record in ("sizes", "mapped", "opened"):
         monkeypatch.setattr(_RecordingPool, record, [])
     return _RecordingPool
 
 
 @pytest.mark.parametrize(
-    "threads, n_feas_grid, replicates, expected, chunksize",
+    "threads, n_feas_grid, replicates, sizes",
     [
-        (16, (90,), 600, 3, 1),  # one cell in three chunks of 250
-        (16, (90, 120), 8, 2, 1),  # two cells of one chunk
-        (2, (90, 120, 150), 8, 2, 1),  # more tasks than workers
-        (2, tuple(range(90, 106)), 250, 2, 1),  # a 250-replicate task fills a message
-        (2, tuple(range(90, 154)), 4, 2, 8),  # 64 cells: 8 messages per worker
-        (2, tuple(range(90, 106)), 8, 2, 2),  # 16 cells: 4 messages per worker
-        (3, tuple(range(90, 114)), 8, 3, 2),  # 24 cells on 3 workers: 4 messages each
+        (16, (90,), 600, [9] * 66 + [6]),  # one cell in tasks of 9
+        (16, (90, 120), 8, [1] * 16),  # a task a replicate
+        (2, (90, 120, 150), 8, [3] * 8),  # tasks cross cells
+        (2, tuple(range(90, 106)), 250, [250] * 16),  # 250 replicates fill a task
+        (2, tuple(range(90, 154)), 4, [32] * 8),  # 64 cells: 4 tasks per worker
+        (2, tuple(range(90, 106)), 8, [16] * 8),  # 16 cells: 4 tasks per worker
+        (3, tuple(range(90, 114)), 8, [16] * 12),  # 24 cells on 3 workers: 4 tasks each
+        (16, (90,), 3, [1, 1, 1]),  # fewer replicates than threads
     ],
 )
-def test_pool_never_exceeds_task_count(recording_pool, threads, n_feas_grid, replicates, expected, chunksize):
+def test_pool_never_exceeds_task_count(recording_pool, threads, n_feas_grid, replicates, sizes):
     cfg = _null_config(n_drop_grid=(90,), n_feas_grid=n_feas_grid, replicates=replicates, n_total=200)
     pooled = run_grid(cfg, threads=threads)
-    assert _RecordingPool.sizes == [expected]
-    assert _RecordingPool.chunksizes == [chunksize]
-    n_tasks = len(n_feas_grid) * -(-replicates // harness._CHUNK_SIZE)
-    # A worker gets at least 4 messages when there are tasks enough, and a
-    # message carries at most _CHUNK_SIZE replicates.
-    assert chunksize == 1 or -(-n_tasks // chunksize) >= 4 * expected
-    assert chunksize * min(replicates, harness._CHUNK_SIZE) <= harness._CHUNK_SIZE
+    n = len(n_feas_grid) * replicates
+    workers = min(threads, n)
+    assert _RecordingPool.sizes == [workers]
+    assert _RecordingPool.mapped == [sizes]
+    # A task holds at most _CHUNK_SIZE replicates, and a worker gets at
+    # least 4 tasks when there are replicates enough.
+    assert sum(sizes) == n and max(sizes) <= harness._CHUNK_SIZE
+    assert n < 4 * workers or len(sizes) >= 4 * workers
     assert pooled == run_grid(cfg, threads=1)
 
 
@@ -467,7 +489,7 @@ def test_cell_run_is_the_one_cell_grid_run(threads):
         replicates=3,
         base_seed=505,
     )
-    cell, replicates = (150, 210), 260  # outside cfg's grid; two tasks
+    cell, replicates = (150, 210), 260  # outside cfg's grid; several tasks
     one_cell = dataclasses.replace(cfg, n_drop_grid=(150,), n_feas_grid=(210,), replicates=replicates)
     (expected,), expected_traces = run_grid_detail(one_cell, collect_traces=True)
     oc, traces = run_cell_detail(cfg, *cell, threads=threads, collect_traces=True, replicates=replicates)
@@ -520,12 +542,12 @@ def test_simulate_shares_one_pool_across_scenarios(recording_pool, monkeypatch, 
     code, handed = _simulate(monkeypatch, tmp_path, docs, threads)
     assert code == cli.EXIT_OK
     (pool,) = _RecordingPool.opened
-    # min(threads, largest per-scenario task count): scenario 1 has 4 tasks.
-    assert _RecordingPool.sizes == [min(threads, 4)]
+    # min(threads, largest scenario's replicate count): scenario 1 has 16.
+    assert _RecordingPool.sizes == [min(threads, 16)]
     assert len(handed) == 3 and all(h is pool for h in handed)
     assert pool.closed
-    # Scenario 2's single task runs in the parent; the others map on the pool.
-    assert len(_RecordingPool.chunksizes) == 2
+    # Every scenario maps on the pool, the one-cell scenario 2 too.
+    assert len(_RecordingPool.mapped) == 3
 
 
 def test_simulate_on_one_thread_opens_no_pool(recording_pool, monkeypatch, tmp_path):
@@ -704,7 +726,7 @@ def test_keyed_tally_equals_reference_tally():
 
 def test_chunked_cell_merges_to_reference_counts():
     (config,) = load_scenarios(_ROOT / "scenarios" / "first_arm_effective.json")
-    cell, replicates = (150, 150), 600  # three tasks of up to 250 replicates
+    cell, replicates = (150, 150), 600  # four tasks of 150 replicates
     correct, effective = designed_correct_arms(config), truly_effective_arms(config)
     ref = dict.fromkeys(_REFERENCE_TALLY_KEYS, 0)
     for result in _replicates(config, (cell,), replicates):

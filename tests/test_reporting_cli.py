@@ -14,7 +14,7 @@ import pytest
 import fast_trials
 from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
 from fast_trials.final_analysis import FinalBranch
-from fast_trials.harness import _CHUNK_SIZE, TRACE_FIELDS, _batch_size, run_grid, run_grid_detail
+from fast_trials.harness import TRACE_FIELDS, _task_size, run_grid, run_grid_detail
 from fast_trials.reporting import (
     RESULTS_COLUMNS,
     ReportError,
@@ -509,13 +509,13 @@ def _three_scenarios(n_grid, replicates):
 @pytest.mark.parametrize(
     "n_grid, replicates",
     [
-        (5, 4),  # 25 tasks a scenario: batched on 2 and on 3 workers
-        (1, 300),  # tasks of 250 and 50 replicates, each in a message of its own
+        (5, 4),  # 25 cells a scenario: a task holds several cells on 2 and on 3 workers
+        (1, 300),  # one cell in several tasks
     ],
 )
 def test_cli_outputs_identical_across_shared_pool_sizes(tmp_path, n_grid, replicates):
-    if replicates < _CHUNK_SIZE:
-        assert all(_batch_size(n_grid * n_grid, replicates, w) > 1 for w in (2, 3))
+    n = n_grid * n_grid * replicates
+    assert all((_task_size(n, w) > replicates) == (n_grid > 1) for w in (2, 3))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_three_scenarios(n_grid, replicates)))
     names = ["results.csv"] + [f"trace_scenario_{sid}.csv" for sid in range(3)]
