@@ -45,8 +45,11 @@ print(f"converged in {fit.n_iterations} iterations, log-likelihood {fit.log_like
 print("\n== the final analysis's main-effects fit: a common odds ratio over strata ==")
 # logit p = alpha_s + theta * b1, one intercept per domain-A stratum: the
 # one-arm full model, on grouped counts. The final analysis passes each row's
-# stratum, and an interior table is fitted by profile Newton on theta from
-# the Mantel-Haenszel estimate; without strata (or at a boundary) it is IRLS.
+# stratum: a rule decides whether the MLE exists (every stratum strictly
+# between 0 and all events, and a positive Mantel-Haenszel numerator and
+# denominator), and profile Newton on theta from the Mantel-Haenszel
+# estimate finds it, on rows at 0 or at all events too. Without strata the
+# fit is IRLS.
 design = check_design([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])  # intercept, fluid_pooled, b1
 events = np.array([40.0, 52.0, 35.0, 50.0])
 trials = np.array([100.0, 100.0, 90.0, 95.0])
@@ -55,6 +58,10 @@ irls = fit_logistic_counts(design, events, trials)
 print(f"profile Newton: theta = {profile.coefficients[-1]:.6f} in {profile.n_iterations} steps")
 print(f"IRLS:           theta = {irls.coefficients[-1]:.6f} in {irls.n_iterations} iterations")
 print(f"log-likelihoods differ by {abs(profile.log_likelihood - irls.log_likelihood):.1e}")
+zero_row = fit_logistic_counts(design, np.array([0.0, 52.0, 35.0, 50.0]), trials, strata=(0, 0, 1, 1))
+print(f"a row at 0 events: converged={zero_row.converged}, theta = {zero_row.coefficients[-1]:.6f}")
+no_mle = fit_logistic_counts(design, np.array([0.0, 0.0, 35.0, 50.0]), trials, strata=(0, 0, 1, 1))
+print(f"a stratum at 0 events: converged={no_mle.converged}, log-likelihood {no_mle.log_likelihood}")
 
 print("\n== nested-model likelihood-ratio test ==")
 reduced = fit_logistic(x[:, :1], y)

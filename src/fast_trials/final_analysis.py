@@ -23,15 +23,17 @@ every reduced model of the one-arm branch (global, beta1, beta2), H01-H04
 and H07 of the both-arms branch (A1 + A2 dummies are saturated on the three
 A-arm groups), and both models of the terminated branch. The closed form
 is the maximum IRLS converges to, so the p-values agree to rounding and
-the decisions are the same. A table with a group at 0 or at all events has
-no interior maximum; every such fit, as every unsaturated one, goes
-through ``fit_logistic_counts``, whose divergence flags the replicate.
-The unsaturated ones are the main-effects models: the one-arm and
-both-arms full models, H05 and H06. Each is one intercept per stratum of
-domain-A arms and a common B1 log odds ratio, so the plan passes the fit
-each row's stratum, and on a table with every pattern interior the fit
-solves the common odds ratio by profile Newton instead of IRLS; at a
-boundary it is IRLS, as before.
+the decisions are the same. A saturated model has an MLE exactly when
+every group is strictly between 0 and all events; elsewhere its closed
+form is nan. The unsaturated ones are the main-effects models: the one-arm
+and both-arms full models, H05 and H06. Each is one intercept per stratum
+of domain-A arms and a common B1 log odds ratio, so the plan passes the
+fit each row's stratum, and the fit (``stats._profile_fit``) decides by
+rule whether the MLE exists and finds it by profile Newton, on rows at 0
+or at all events too; no table built from a cell table reaches IRLS. A
+model without an MLE has a nan log-likelihood, which ``lr_test`` rejects:
+the replicate is flagged with every node p-value 1.0, as on a collinear
+table or any other failed LR test.
 
 The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
@@ -45,9 +47,9 @@ pattern in the order of its binary code, 0 where no subject has it. The
 counts are integer sums, so the table equals grouping the subjects
 themselves bit for bit.
 
-A replicate computes only what the closed test reads: log-likelihoods and
-convergence flags. The cell -> pattern lookups and the 2^k pattern rows
-are built at import, and per (branch, set of patterns with subjects) a
+A replicate computes only what the closed test reads: log-likelihoods.
+The cell -> pattern lookups and the 2^k pattern rows are built at
+import, and per (branch, set of patterns with subjects) a
 memoised node plan holds every model's checked ``Design``. The plan owns
 the closed-form decision: it groups each model's rows, calls a model
 saturated when it has as many distinct rows as columns, and keeps the
@@ -239,7 +241,7 @@ def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
     adds weights, so each value equals the model's closed form computed
     alone bit for bit; the two logarithms are numpy's, one call each over
     every group. It is nan where a group of the model has no events or only
-    events: that model has no interior maximum.
+    events: that model has no MLE.
     """
     sums = []  # (E_g, N_g) of every group of every model, in order
     boundary = False
@@ -313,26 +315,25 @@ def _strata(rows: np.ndarray):
     return _stratify(rows, inverse.reshape(-1).tolist())
 
 
-def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> tuple[float, bool]:
-    """The maximised log-likelihood of the plan's model and whether its fit
-    converged: the closed form where the model is saturated and has an
-    interior maximum, else ``fit_logistic_counts`` with the model's stratum
-    map: profile Newton on an interior table, IRLS on a boundary one, whose
-    divergence flags the replicate."""
+def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> float:
+    """The maximised log-likelihood of the plan's model, nan where it has no
+    MLE: the closed form where the model is saturated, else
+    ``fit_logistic_counts`` with the model's stratum map."""
     slot = plan.slots[model]
-    if slot is not None and not math.isnan(closed[slot]):
-        return closed[slot], True
+    if slot is not None:
+        return closed[slot]
     fit = fit_logistic_counts(plan.designs[model], events, trials, plan.strata[model])
-    return fit.log_likelihood, fit.converged
+    return fit.log_likelihood if fit.converged else math.nan
 
 
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
-    """LR p-value per node label; flags failure on any non-convergent fit,
-    and on a table whose present patterns make the full model collinear.
-    The pattern table is read once and checked once, against the full
-    model's column count; the fits see the patterns that have subjects,
-    and one pass gives every saturated model's closed-form
-    log-likelihood."""
+    """LR p-value per node label, and whether the replicate is flagged: on a
+    table whose present patterns make the full model collinear, where a
+    model has no MLE (a nan log-likelihood, which ``lr_test`` rejects) and
+    on any other failed LR test, every p-value is 1.0. The pattern table is
+    read once and checked once, against the full model's column count; the
+    fits see the patterns that have subjects, and one pass gives every
+    saturated model's closed-form log-likelihood."""
     full_cols, nodes = _GATING[branch]
     shape = (2, 2 ** (len(full_cols) - 1))
     if table.shape != shape:
@@ -341,21 +342,18 @@ def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     _check_table(events, trials, len(full_cols))
     present = tuple([n > 0.0 for n in trials])
     plan = _node_plan(branch, present)
-    if plan is None:
-        return {node.label: 1.0 for node in nodes}, True
-    events, trials = list(compress(events, present)), list(compress(trials, present))
-    closed = _saturated_pass(plan.groups, events, trials)
-    try:
-        full, converged = _log_likelihood(plan, 0, closed, events, trials)
-        failed = not converged
-        p_values = {}
-        for model, node in enumerate(nodes, 1):
-            reduced, converged = _log_likelihood(plan, model, closed, events, trials)
-            failed |= not converged
-            p_values[node.label] = lr_test(full, reduced, node.df).p_value
-    except FittingError:
-        return {node.label: 1.0 for node in nodes}, True
-    return p_values, failed
+    if plan is not None:  # None: the full design is collinear
+        events, trials = list(compress(events, present)), list(compress(trials, present))
+        closed = _saturated_pass(plan.groups, events, trials)
+        full = _log_likelihood(plan, 0, closed, events, trials)
+        try:
+            return {
+                node.label: lr_test(full, _log_likelihood(plan, model, closed, events, trials), node.df).p_value
+                for model, node in enumerate(nodes, 1)
+            }, False
+        except FittingError:
+            pass
+    return {node.label: 1.0 for node in nodes}, True
 
 
 def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:

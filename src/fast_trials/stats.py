@@ -12,16 +12,22 @@ The Welch test's moments are numpy's own two-pass arithmetic
 (``_moments``). A logistic fit (``fit_logistic_counts``) trusts the
 ``Design`` that ``check_design`` made of its rows. Where the caller maps
 the strata of a model of one intercept per stratum and a common log odds
-ratio, and every row of the table is interior, the fit is the
-unconditional MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow
-& Day 1980, ch. 4) by profile Newton on Python floats; every other fit is
-IRLS, the textbook Newton loop. A stratum map (``_Strata``) carries the
-inverse that maps the strata's intercepts back to the design's columns,
-made once per map, so a profile fit solves no linear system. A fit
-carries its coefficients, log-likelihood and convergence flags; the final
-analysis reads only the last two. A count table must be finite, with
-events in [0, trials]; a profile fit's one pass over the rows checks
-that, and any other fit checks the table (``_check_table``) on lists.
+ratio, a rule decides whether the MLE exists (the separation conditions of
+Albert & Anderson 1984 and Santner & Duffy 1986: every stratum strictly
+between 0 and all events, and the Mantel-Haenszel numerator and
+denominator both positive); where it does, the fit is the unconditional
+MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow & Day 1980,
+ch. 4) by profile Newton on Python floats, rows at 0 or at all events
+included, and where it does not, the fit is a failed one with NaN
+coefficients and log-likelihood. IRLS, the textbook Newton loop, fits only
+what has no stratum map: ``fit_logistic`` and a direct call without one. A
+stratum map (``_Strata``) carries the inverse that maps the strata's
+intercepts back to the design's columns, made once per map, so a profile
+fit solves no linear system. A fit carries its coefficients,
+log-likelihood and convergence flags; the final analysis reads only the last
+two. A count table must be finite, with events in [0, trials]; a profile
+fit's one pass over the rows checks that, and any other fit checks the
+table (``_check_table``) on lists.
 """
 
 from __future__ import annotations
@@ -264,17 +270,24 @@ def chi_square_sf(x: float, df: int) -> float:
 # two-sample t-test (unequal variances)
 # ---------------------------------------------------------------------------
 
-def _moments(a: np.ndarray) -> tuple[float, float]:
+def _moments(a: np.ndarray, name: str) -> tuple[float, float]:
     """Mean and ddof=1 variance of a float sample, with numpy's own two-pass
     arithmetic (pairwise sum / n, then the pairwise sum of squared
     deviations / (n - 1)), so both equal ``a.mean()`` and ``a.var(ddof=1)``
     bit for bit without their per-call dispatch: ``np.add.reduce`` is the
     pairwise sum ``ndarray.sum`` calls, and a float quotient rounds alike
-    in Python and numpy."""
+    in Python and numpy. A mean or variance that is not finite raises an
+    ``InputError`` that names the sample (``name``): one scalar check each,
+    the mean's before the deviations are formed."""
     n = a.size
     mean = float(np.add.reduce(a, axis=None)) / n
+    if not math.isfinite(mean):  # a NaN or infinite entry, or a sum past the float range
+        raise InputError(f"welch_t_test needs finite samples, but {name} has mean {mean}")
     dev = a - mean
-    return mean, float(np.add.reduce(dev * dev, axis=None)) / (n - 1)
+    var = float(np.add.reduce(dev * dev, axis=None)) / (n - 1)
+    if not math.isfinite(var):
+        raise InputError(f"welch_t_test needs finite samples, but {name} has variance {var}")
+    return mean, var
 
 
 def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
@@ -285,7 +298,8 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
     zero variance the result is degenerate, flagged so simulation loops can
     proceed without aborting: p = 1.0 for equal means (no evidence either
     way); otherwise the statistic is +-inf on n_a + n_b - 2 df, so p is 0.0
-    unless a one-sided tail points against the difference.
+    unless a one-sided tail points against the difference. A sample with a
+    mean or variance that is not finite is an ``InputError``.
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -296,8 +310,8 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
             f"welch_t_test needs >= 2 observations per sample, got {a.size} and {b.size}"
         )
     n_a, n_b = a.size, b.size
-    mean_a, var_a = _moments(a)
-    mean_b, var_b = _moments(b)
+    mean_a, var_a = _moments(a, "sample_a")
+    mean_b, var_b = _moments(b, "sample_b")
     means = (mean_a, mean_b)
     degenerate = var_a == 0.0 and var_b == 0.0
     if degenerate:
@@ -341,14 +355,16 @@ class Design(NamedTuple):
 
 
 def check_design(rows) -> Design:
-    """The ``Design`` of a 2-d float design with an intercept and full
-    column rank. The rows are copied before they are frozen, so the
-    caller's array stays writeable, and in Fortran order: the BLAS products
-    of a fit round by memory layout, so every copy of a design fits to the
-    same bits."""
+    """The ``Design`` of a 2-d finite float design with at least one
+    column, an intercept and full column rank. The rows are copied before
+    they are frozen, so the caller's array stays writeable, and in Fortran
+    order: the BLAS products of a fit round by memory layout, so every copy
+    of a design fits to the same bits."""
     x = np.array(rows, dtype=float, order="F")
-    if x.ndim != 2:
-        raise InputError("design must be a 2-d matrix")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise InputError("design must be a 2-d matrix with at least one column")
+    if not np.isfinite(x).all():
+        raise InputError("design entries must be finite")
     if not (x[:, 0] == 1.0).all():
         raise InputError("design must carry an all-ones intercept in column 0")
     if np.linalg.matrix_rank(x) < x.shape[1]:
@@ -382,26 +398,60 @@ class _Strata(NamedTuple):
 
 
 def _stratify(x: np.ndarray, strata) -> _Strata:
-    """The ``_Strata`` of design rows ``x`` from each row's stratum label.
-    The intercepts alpha_s of the strata give the coefficients of every
-    column but the last as ``inverse`` times alpha."""
+    """The ``_Strata`` of design rows ``x`` from each row's stratum label,
+    checked: one label per row, one stratum per column but the last, the
+    rows of a stratum equal on every column but the last, a 0/1 last
+    column and nonsingular strata rows. The intercepts alpha_s of the
+    strata give the coefficients of every column but the last as
+    ``inverse`` times alpha."""
+    labels = list(strata)
+    n_rows, k = x.shape
+    if len(labels) != n_rows:
+        raise InputError(f"strata must label each of the {n_rows} design rows, got {len(labels)} labels")
     number = {}
-    of_row = tuple([number.setdefault(s, len(number)) for s in strata])
+    of_row = tuple([number.setdefault(s, len(number)) for s in labels])
+    if len(number) != k - 1:
+        raise InputError(f"a design of {k} columns needs {k - 1} strata, got {len(number)}")
     first = [of_row.index(s) for s in range(len(number))]
-    inverse = np.linalg.inv(x[first, :-1])
-    return _Strata(of_row, tuple(x[:, -1].tolist()), tuple(map(tuple, inverse.tolist())))
+    if not (x[:, :-1] == x[[first[s] for s in of_row], :-1]).all():
+        raise InputError("the rows of a stratum must agree on every design column but the last")
+    treated = x[:, -1].tolist()
+    if not all(b == 0.0 or b == 1.0 for b in treated):
+        raise InputError("the last design column must be a 0/1 indicator")
+    try:
+        inverse = np.linalg.inv(x[first, :-1])
+    except np.linalg.LinAlgError:
+        raise InputError("the rows of the strata are singular") from None
+    return _Strata(of_row, tuple(treated), tuple(map(tuple, inverse.tolist())))
+
+
+def _no_mle(k: int, n_iter: int) -> LogisticFit:
+    """The failed fit of a table whose model has no finite MLE."""
+    return LogisticFit(np.full(k, math.nan), math.nan, False, n_iter, True)
 
 
 def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optional[LogisticFit]:
     """The MLE of logit p = alpha_s + theta * b, one intercept per stratum s
-    and a common log odds ratio theta on the 0/1 last column b; None unless
-    every row has 0 < events < trials, the total is finite and at least k
-    (this pass is the table's check), Newton on theta converges within
-    ``IRLS_MAX_ITER`` steps and every coefficient stays within the
-    divergence bound.
+    and a common log odds ratio theta on the 0/1 last column b, or the
+    failed fit (``_no_mle``) where there is none; None where the table
+    fails the check that its one pass over the rows makes, events in
+    [0, trials] per row and a finite total of at least k, so that the
+    caller's ``_check_table`` says why.
 
     Stratum s has E events in N trials, e0 of n0 at b = 0 and e1 of n1 at
-    b = 1. For a fixed theta, psi = e^theta, each stratum's odds
+    b = 1, f0 = n0 - e0 and f1 = n1 - e1 non-events. The MLE exists, by
+    the separation conditions of Albert & Anderson (1984) and Santner &
+    Duffy (1986) for this model, exactly when every stratum has
+    0 < E < N, which bounds its intercept for any theta, and some stratum
+    has e1 f0 > 0 and some e0 f1 > 0, which bound theta above and below:
+    the Mantel-Haenszel numerator sum_s e1 f0 / N and denominator
+    sum_s e0 f1 / N are then both positive. A row at 0 or at all events
+    breaks none of this on its own, and Newton runs on such a table as on
+    an interior one. Where Newton does not converge within
+    ``IRLS_MAX_ITER`` steps, or a coefficient lies beyond the divergence
+    bound, the fit is also the failed one.
+
+    For a fixed theta, psi = e^theta, each stratum's odds
     phi = e^alpha is the positive root of psi (N - E) phi^2 + b phi - E = 0,
     b = (n0 - E) + psi (n1 - E), which sets its intercept score to zero; the
     root is taken in the form that subtracts no like-signed terms. The
@@ -417,7 +467,7 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
     cells = [[0.0, 0.0, 0.0, 0.0] for _ in strata.inverse]  # e0, f0, e1, f1: events and non-events at b = 0, then b = 1
     n_subjects = 0.0
     for s, b, e, n in zip(strata.of_row, strata.treated, events, trials):
-        if not 0.0 < e < n:
+        if not 0.0 <= e <= n:
             return None
         cell = cells[s]
         j = 2 if b else 0
@@ -430,10 +480,14 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
     terms = []  # per stratum: E, N - E, the two parts of b, then e0, f0, e1, f1, n0, n1
     for e0, f0, e1, f1 in cells:
         n0, n1 = e0 + f0, e1 + f1
-        events_s = e0 + e1
+        events_s, non_events = e0 + e1, f0 + f1
+        if not (events_s > 0.0 and non_events > 0.0):
+            return _no_mle(k, 0)
         num += e1 * f0 / (n0 + n1)
         den += e0 * f1 / (n0 + n1)
-        terms.append((events_s, f0 + f1, n0 - events_s, n1 - events_s, e0, f0, e1, f1, n0, n1))
+        terms.append((events_s, non_events, n0 - events_s, n1 - events_s, e0, f0, e1, f1, n0, n1))
+    if not (num > 0.0 and den > 0.0):
+        return _no_mle(k, 0)
 
     # The score is positive below the root and negative above it, so every
     # score narrows a bracket on theta; a Newton step that leaves the
@@ -472,7 +526,7 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
         else:
             theta += step
     else:
-        return None
+        return _no_mle(k, n_iter)
     psi = math.exp(theta)
     psi2, psi4 = 2.0 * psi, 4.0 * psi
     alpha = []
@@ -486,29 +540,28 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
     coefficients = [sum([c * a for c, a in zip(row, alpha)]) for row in strata.inverse]
     coefficients.append(theta)
     if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
-        return None
+        return _no_mle(k, n_iter)
     return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
 
 
 def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
     """Logistic fit on grouped data (one design row per covariate pattern,
-    with event/trial counts): by profile Newton where ``strata`` is given
-    and every row is interior, else by IRLS.
+    with event/trial counts): by profile Newton where ``strata`` is given,
+    else by IRLS.
 
     ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
-    ``strata``, which the fit also trusts, gives each row's stratum (or is
-    the ``_Strata`` made of them once), for a design whose last column is a
-    0/1 indicator and whose other columns are one intercept per stratum:
+    ``strata`` gives each row's stratum, for a design whose last column is
+    a 0/1 indicator and whose other columns are one intercept per stratum:
     each stratum's rows agree on every other column, and the strata's rows
-    of those columns are linearly independent. On such a design a table
-    whose every row has 0 < events < trials has a finite MLE, and
-    ``_profile_fit`` finds it; where that Newton does not converge or a
-    coefficient lies beyond the divergence bound, or on any other table or
-    call, the fit is IRLS, exactly as without ``strata``. The two verdicts
-    differ only where IRLS's own steps from zero overshoot the bound on a
-    table whose MLE lies within it, which takes counts far beyond a trial's
-    (rates near 1e-9 with 1e9 trials): IRLS reports divergence, the profile
-    the MLE.
+    of those columns are linearly independent. ``_stratify`` checks the
+    labels against the rows; a ``_Strata`` made of them once is trusted.
+    With ``strata`` the fit is ``_profile_fit``'s: the MLE where the
+    existence rule holds, rows at 0 or at all events included, and the
+    failed fit, NaN coefficients and log-likelihood with ``diverged`` set,
+    where it does not or the Newton fails; IRLS never runs. On the tables
+    where IRLS converges the two agree; on some with rates near 1e-9 and
+    1e9 trials IRLS's own steps from zero overshoot the divergence bound
+    on a table whose MLE lies within it, and only the profile finds it.
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix grouped and ungrouped
@@ -529,7 +582,7 @@ def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
         fit = _profile_fit(strata, event_list, trial_list, k)
         if fit is not None:
             return fit
-    _check_table(event_list, trial_list, k)
+    _check_table(event_list, trial_list, k)  # with strata, the check the profile pass failed: this raises
 
     beta = np.zeros(k)
     converged = False

@@ -2,9 +2,10 @@
 that the engine's Python-float form must match bit for bit:
 
 * ``profile_fit``: the profile Newton fit of one intercept per stratum and
-  a common log odds ratio, on arrays, with each stratum's odds from a
-  function of its own and the intercepts mapped back to the design's
-  columns by a LAPACK solve on every fit;
+  a common log odds ratio, on arrays, with the rule that decides whether
+  its MLE exists written apart, each stratum's odds from a function of its
+  own and the intercepts mapped back to the design's columns by a LAPACK
+  solve on every fit;
 * ``saturated_pass``: every saturated model's closed-form log-likelihood by
   ``np.bincount`` over the table's rows tiled once per model, with the
   groupings stacked per plan (``saturated_groups``).
@@ -26,14 +27,15 @@ def stratum_odds(psi, events_s, non_events, lin0, lin1):
 
 
 def profile_fit(x, events, trials, strata):
-    """The profile fit on design rows ``x`` with each row's stratum label;
-    None where the engine gives way to IRLS."""
+    """The profile fit on design rows ``x`` with each row's stratum label:
+    the MLE where the existence rule holds, else the failed fit; None where
+    the table fails its check."""
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
     cells = {}  # stratum -> [e0, f0, e1, f1]
     first = []  # each stratum's first row
     for row, (s, b, e, n) in enumerate(zip(strata, x[:, -1].tolist(), events.tolist(), trials.tolist())):
-        if not 0.0 < e < n:
+        if not 0.0 <= e <= n:
             return None
         if s not in cells:
             cells[s] = [0.0, 0.0, 0.0, 0.0]
@@ -42,14 +44,21 @@ def profile_fit(x, events, trials, strata):
         j = 2 if b else 0
         cell[j] += e
         cell[j + 1] += n - e
+    if not x.shape[1] <= trials.sum() < math.inf:
+        return None
+    failed = LogisticFit(np.full(x.shape[1], np.nan), math.nan, False, 0, True)
     num = den = 0.0
     terms = []
     for e0, f0, e1, f1 in cells.values():
         n0, n1 = e0 + f0, e1 + f1
         events_s = e0 + e1
+        if events_s == 0.0 or events_s == n0 + n1:  # a stratum at 0 or at all events
+            return failed
         num += e1 * f0 / (n0 + n1)
         den += e0 * f1 / (n0 + n1)
         terms.append((events_s, f0 + f1, n0 - events_s, n1 - events_s, e0, f0, e1, f1))
+    if num == 0.0 or den == 0.0:  # theta runs off to +-inf
+        return failed
     low, high = -_DIVERGE_BOUND, _DIVERGE_BOUND
     theta = min(max(math.log(num / den), low), high)
     for n_iter in range(1, IRLS_MAX_ITER + 1):
@@ -77,7 +86,7 @@ def profile_fit(x, events, trials, strata):
         else:
             theta += step
     else:
-        return None
+        return failed._replace(n_iterations=n_iter)
     psi = math.exp(theta)
     alpha = []
     log_likelihood = 0.0
@@ -92,13 +101,13 @@ def profile_fit(x, events, trials, strata):
     beta[-1] = theta
     coefficients = beta.tolist()
     if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
-        return None
+        return failed._replace(n_iterations=n_iter)
     return LogisticFit(beta, log_likelihood, True, n_iter, False)
 
 
 def fit(design, events, trials, strata):
-    """``fit_logistic_counts`` given row labels, with the profile fit above
-    and IRLS, which is unchanged, where it gives way."""
+    """``fit_logistic_counts`` given row labels: the profile fit above, or
+    the unchanged function's error on a table that fails its check."""
     return profile_fit(design.rows, events, trials, strata) or fit_logistic_counts(design, events, trials)
 
 

@@ -87,6 +87,39 @@ def test_input_validation():
         fit_logistic(x, np.zeros(10))  # missing intercept column
     with pytest.raises(InputError):
         fit_logistic(np.ones((1, 2)), np.zeros(1))  # n < k
+    # Row labels of strata: the one-arm layout takes (0, 0, 1, 1). Three
+    # labels used to drop the last row and fit the rest; four strata or one
+    # raised numpy's LinAlgError.
+    one_arm = check_design(_DESIGNS[1])
+    events, trials = np.array([3.0, 5.0, 4.0, 6.0]), np.array([20.0, 20.0, 20.0, 20.0])
+    for labels, reason in (
+        ((0, 0, 1), "label each of the 4"),
+        ((0, 0, 1, 1, 1), "label each of the 4"),
+        ((0, 1, 2, 3), "needs 2 strata, got 4"),
+        ((0, 0, 0, 0), "needs 2 strata, got 1"),
+        ((0, 1, 0, 1), "rows of a stratum must agree"),
+    ):
+        with pytest.raises(InputError, match=reason):
+            fit_logistic_counts(one_arm, events, trials, labels)
+    two_valued = check_design(_DESIGNS[1] * [1.0, 1.0, 2.0])  # B1 coded 0/2
+    with pytest.raises(InputError, match="0/1 indicator"):
+        fit_logistic_counts(two_valued, events, trials, (0, 0, 1, 1))
+    # Rows that no Design has: two strata with the same intercept columns.
+    with pytest.raises(InputError, match="singular"):
+        stats._stratify(np.array([[1.0, 1.0, b] for b in (0.0, 1.0, 0.0, 1.0)]), (0, 0, 1, 1))
+
+
+def test_check_design_names_the_fault():
+    # NaN used to raise LinAlgError from the SVD, +-inf to report
+    # collinear columns, and no column an IndexError.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            check_design([[1.0, 0.0], [1.0, bad]])
+    for empty in (np.ones((3, 0)), [[]]):
+        with pytest.raises(InputError, match="at least one column"):
+            check_design(empty)
+    with pytest.raises(InputError, match="2-d"):
+        check_design([1.0, 1.0])
 
 
 def test_gradient_vanishes_at_solution():
@@ -360,8 +393,9 @@ def test_fit_bits_do_not_depend_on_the_callers_memory_order():
     ],
 )
 def test_non_finite_counts_are_rejected(events, trials):
-    with pytest.raises(InputError):
-        fit_logistic_counts(check_design([[1.0, 0.0], [1.0, 1.0]]), np.array(events), np.array(trials))
+    for strata in (None, (0, 0)):  # IRLS's check, and the profile pass's
+        with pytest.raises(InputError):
+            fit_logistic_counts(check_design([[1.0, 0.0], [1.0, 1.0]]), np.array(events), np.array(trials), strata)
     # the both-arms pattern table: its first two patterns carry the counts
     table = np.full((2, 8), 10.0)
     table[0] = 5.0
@@ -414,8 +448,17 @@ def _root_branches(strata, x, events, trials, theta):
 
 
 def _assert_same_fit(fit, other):
-    np.testing.assert_array_equal(fit.coefficients, other.coefficients, strict=True)
-    assert fit[1:] == other[1:]
+    np.testing.assert_array_equal(fit.coefficients, other.coefficients, strict=True)  # nan where nan
+    both_nan = math.isnan(fit.log_likelihood) and math.isnan(other.log_likelihood)
+    assert fit.log_likelihood == other.log_likelihood or both_nan
+    assert fit[2:] == other[2:]
+
+
+def _assert_no_mle(fit, k):
+    """The failed fit of a table without a finite MLE."""
+    assert fit.coefficients.shape == (k,) and np.isnan(fit.coefficients).all()
+    assert math.isnan(fit.log_likelihood)
+    assert (fit.converged, fit.diverged) == (False, True)
 
 
 def _profile_fit(design, events, trials, strata):
@@ -425,40 +468,48 @@ def _profile_fit(design, events, trials, strata):
     )
 
 
-def _check_profile_against_irls(x, strata, events, trials) -> set:
-    """Assert that the fit given the strata is the IRLS fit, bit for bit, on
-    a table with a row at 0 or at all events, and agrees with it on an
-    interior one; return the root forms an interior fit took. On every
-    table the fit is its numpy form's, bit for bit."""
+def _check_profile_against_irls(x, strata, events, trials) -> tuple[bool, set]:
+    """Assert that the fit given the strata has an MLE exactly where IRLS
+    converges, and agrees with IRLS there; elsewhere it is the failed fit.
+    On every table the fit is ``_profile_fit``'s and its numpy form's, bit
+    for bit. Return whether the table has an MLE and the root forms its
+    fit took."""
     design = check_design(x)
     irls = fit_logistic_counts(design, events, trials)
     fit = fit_logistic_counts(design, events, trials, strata)
     _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
+    _assert_same_fit(fit, _profile_fit(design, events, trials, strata))
     assert (fit.converged, fit.diverged) == (irls.converged, irls.diverged)
-    if not ((events > 0.0) & (events < trials)).all():
-        _assert_same_fit(fit, irls)
-        return set()
-    _assert_same_fit(fit, _profile_fit(design, events, trials, strata))  # not the fallback
+    if not fit.converged:
+        _assert_no_mle(fit, design.rows.shape[1])
+        return False, set()
     assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
     np.testing.assert_allclose(fit.coefficients, irls.coefficients, rtol=0, atol=1e-8)
-    return _root_branches(strata, design.rows, events, trials, fit.coefficients[-1])
+    return True, _root_branches(strata, design.rows, events, trials, fit.coefficients[-1])
 
 
-@pytest.mark.parametrize("layout", range(len(_DESIGNS)))
+@pytest.mark.parametrize("layout", range(len(_LAYOUTS)))
 def test_profile_fit_matches_irls_on_every_small_table(layout):
     """Every table of the layout with 1 to 3 trials per row (1 or 2 for the
-    six-row both-arms layout): boundary tables take IRLS, interior ones
-    give its verdict, log-likelihood and coefficients."""
+    six-row layouts): the rule finds an MLE exactly where IRLS converges,
+    and the fit has its log-likelihood and coefficients. Every interior
+    table has an MLE; boundary tables, with a row at 0 or at all events,
+    are reached both with and without one wherever the layout has two
+    strata or more. With one stratum, a 2 x 2 table with a cell at 0 has
+    none."""
     x, strata = _LAYOUTS[layout]
     sizes = (1, 2) if len(x) == 6 else (1, 2, 3)
     cells = [(n, e) for n in sizes for e in range(n + 1)]
-    seen = {True: 0, False: 0}
+    seen = collections.Counter()
     for table in itertools.product(cells, repeat=len(x)):
         trials, events = (np.array(column, dtype=float) for column in zip(*table))
-        _check_profile_against_irls(x, strata, events, trials)
-        seen[bool(((events > 0.0) & (events < trials)).all())] += 1
-    assert seen[True] == {6: 1, 4: 3**4, 2: 3**2}[len(x)]
-    assert seen[False] == len(cells) ** len(x) - seen[True]
+        has_mle, _ = _check_profile_against_irls(x, strata, events, trials)
+        seen[bool(((events > 0.0) & (events < trials)).all()), has_mle] += 1
+    assert seen[True, False] == 0
+    assert seen[True, True] == {6: 1, 4: 3**4, 2: 3**2}[len(x)]
+    assert seen[False, False] > 0
+    assert (seen[False, True] > 0) == (len(set(strata)) > 1)
+    assert sum(seen.values()) == len(cells) ** len(x)
 
 
 def test_profile_fit_matches_irls_on_large_interior_tables():
@@ -471,7 +522,7 @@ def test_profile_fit_matches_irls_on_large_interior_tables():
         for _ in range(150):
             trials = np.floor(10.0 ** rng.uniform(0.5, 9.0, size=len(x))).clip(2.0)
             events = np.floor(trials * rng.uniform(0.05, 0.95, size=len(x))).clip(1.0, trials - 1.0)
-            branches |= _check_profile_against_irls(x, strata, events, trials)
+            branches |= _check_profile_against_irls(x, strata, events, trials)[1]
     assert branches == {True, False}
 
 
@@ -492,9 +543,9 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
             fit = fit_logistic_counts(design, events, trials, strata)
             _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
             verdicts[irls.converged, fit.converged] += 1
-            if not fit.converged:  # no finite maximum within the bound: IRLS's fit
+            if not fit.converged:  # no finite maximum within the bound
                 assert irls.diverged
-                _assert_same_fit(fit, irls)
+                _assert_no_mle(fit, x.shape[1])
                 continue
             mu = 1.0 / (1.0 + np.exp(-(design.rows @ fit.coefficients)))
             assert np.abs(design.rows.T @ (events - trials * mu)).max() <= 1e-9 * trials.sum()
@@ -505,14 +556,13 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
     assert verdicts[True, False] == 0
 
 
-def test_profile_newton_that_does_not_converge_falls_back_to_irls(monkeypatch):
+def test_profile_newton_that_does_not_converge_is_a_failed_fit(monkeypatch):
     design = check_design(_DESIGNS[0])
     events = np.array([12.0, 30.0, 25.0, 41.0, 9.0, 33.0])
     trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
     assert _profile_fit(design, events, trials, _STRATA[0]).n_iterations > 1
     monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
-    assert _profile_fit(design, events, trials, _STRATA[0]) is None
     fit = fit_logistic_counts(design, events, trials, _STRATA[0])
-    irls = fit_logistic_counts(design, events, trials)
-    assert (fit.n_iterations, fit.converged) == (1, False)
-    _assert_same_fit(fit, irls)
+    _assert_no_mle(fit, 4)
+    assert fit.n_iterations == 1
+    _assert_same_fit(fit, _profile_fit(design, events, trials, _STRATA[0]))

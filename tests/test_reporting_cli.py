@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import fast_trials
+from fast_trials import final_analysis
 from fast_trials.design import ScenarioConfig, load_scenarios, validate_scenario
-from fast_trials.final_analysis import FinalBranch
+from fast_trials.final_analysis import HIERARCHY, FinalBranch
 from fast_trials.harness import TRACE_FIELDS, _task_size, run_grid, run_grid_detail
 from fast_trials.reporting import (
     RESULTS_COLUMNS,
@@ -129,6 +130,43 @@ def test_golden_both_arms_trace_csv_is_stable(tmp_path):
     assert sum(row["branch"] == "both_arms_retained" for row in traces) >= 40
     write_trace_csv(traces, TRACE_FIELDS, out)
     assert out.read_bytes() == (DATA_DIR / "golden_trace_both_arms.csv").read_bytes()
+
+
+def test_flagged_replicates_report_every_node_as_one(tmp_path, monkeypatch):
+    """The rare-event scenario, 2% control events in 200 subjects, flags
+    replicates whose final models have no MLE, on the terminated and the
+    one-arm branch. Its results and trace are the same bytes at 1, 2 and 3
+    workers; a flagged trace row has every field, reads 1 at every node of
+    its branch and rejects nothing. No fit of a table built from a cell
+    table goes without a stratum map, so none of them runs IRLS."""
+    (config,) = load_scenarios(DATA_DIR / "rare_events.json")
+    fit = final_analysis.fit_logistic_counts
+    strata_given = []
+
+    def recording_fit(design, events, trials, strata=None):
+        strata_given.append(strata is not None)
+        return fit(design, events, trials, strata)
+
+    outputs = set()
+    for threads in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            if threads == 1:  # in this process
+                patch.setattr(final_analysis, "fit_logistic_counts", recording_fit)
+            results, traces = run_grid_detail(config, threads=threads, collect_traces=True)
+        write_results_csv(results, tmp_path / "results.csv")
+        write_trace_csv(traces, TRACE_FIELDS, tmp_path / "trace.csv")
+        outputs.add((tmp_path / "results.csv").read_bytes() + (tmp_path / "trace.csv").read_bytes())
+    assert len(outputs) == 1
+    assert strata_given and all(strata_given)
+    assert sum(cell.n_failed for cell in results) > 0
+    flagged = [row for row in traces if row["fit_failed"]]
+    assert {row["branch"] for row in flagged} == {"domain_a_terminated", "one_arm_retained"}
+    for row in flagged:
+        assert tuple(row) == TRACE_FIELDS
+        nodes = sorted(HIERARCHY[FinalBranch(row["branch"])])
+        assert row["hypothesis_p_values"] == ";".join(f"{node}=1" for node in nodes)
+        assert row["rejected"] == row["successful_arms"] == ""
+        assert row["order_first"] and row["n_clamped"] >= 0
 
 
 def test_results_columns_pinned():

@@ -1,8 +1,9 @@
 """Closed-form saturated fits, the node plans and the checked designs they
-hold: the final analysis must give the same p-values, failure flags and
-errors as fitting every node by IRLS on the patterns that have subjects,
-which this file keeps as the reference, and the same bits as the numpy form
-of its fits in ``reference_kernels``."""
+hold: the final analysis must give the same failure flags and errors as
+fitting every node by IRLS on the patterns that have subjects, which this
+file keeps as the reference, the same p-values where no fit failed and
+every p-value 1.0 where one did, and the same bits as the numpy form of
+its fits in ``reference_kernels``."""
 
 import collections
 import dataclasses
@@ -70,7 +71,7 @@ _LAYOUTS = {
         ((0,), (0, 3), (0, 2), (0, 1), (0, 1, 2)),
     ),
 }
-_IRLS_FITS = {
+_MAIN_EFFECTS_FITS = {
     FinalBranch.DOMAIN_A_TERMINATED: 0,
     FinalBranch.ONE_ARM_RETAINED: 1,
     FinalBranch.BOTH_ARMS_RETAINED: 3,
@@ -148,10 +149,10 @@ def _outcome_or_error(analysis, table):
 
 def _check_against_reference(branch, table, context) -> str:
     """Assert that the branch's analysis of ``table`` gives the reference's
-    p-values, failure flag or InputError; return which of them it was. A
+    failure flag or InputError, and its p-values unless the replicate is
+    flagged, when every p-value is 1.0; return which of them it was. A
     table whose patterns with subjects make the full design collinear, which
-    the reference's design check rejects, flags the replicate with every
-    p-value 1.0."""
+    the reference's design check rejects, is flagged too."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
     kind = None
     try:
@@ -167,8 +168,12 @@ def _check_against_reference(branch, table, context) -> str:
     ref_p, ref_failed = expected
     assert got.fit_failed == ref_failed, context
     assert got.node_p_values.keys() == ref_p.keys()
-    for node, p in ref_p.items():
-        assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (context, node)
+    if ref_failed:
+        assert set(got.node_p_values.values()) == {1.0}, context
+        assert got.rejected == got.successful_arms == frozenset()
+    else:
+        for node, p in ref_p.items():
+            assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (context, node)
     if kind == "collinear":
         assert got.rejected == got.successful_arms == frozenset()
         return kind
@@ -180,7 +185,8 @@ def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
     """Assert that on a checked table every saturated model's closed form
     and every other model's fit equal their numpy forms bit for bit:
     log-likelihood, convergence flags, iteration count and coefficients.
-    Count the models by how they were fitted."""
+    Count the models by how they were fitted, and the models without an
+    MLE."""
     plan = _plan(branch, table)
     present = table[1] > 0
     impossible = branch is FinalBranch.BOTH_ARMS_RETAINED and present[6:].any()
@@ -199,7 +205,12 @@ def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
         labels = reference_kernels.row_strata(design.rows)  # None: a pattern in A1 and A2 at once
         profile = reference_kernels.profile_fit(design.rows, events, trials, labels) if labels else None
         reference = profile or fit_logistic_counts(design, events, trials)
-        assert fit[1:] == reference[1:]
+        assert fit[2:] == reference[2:]
+        if profile is not None and not profile.converged:
+            assert math.isnan(fit.log_likelihood) and math.isnan(reference.log_likelihood)
+            kinds["no_mle"] += 1
+        else:
+            assert fit.log_likelihood == reference.log_likelihood
         if not impossible:
             np.testing.assert_array_equal(fit.coefficients, reference.coefficients, strict=True)
         else:
@@ -240,14 +251,20 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
 
 
 @pytest.mark.parametrize(
-    "path, replicates", [("perfbench/scenarios/both_arms.json", 32), ("scenarios/timing_study.json", 11)]
+    "path, replicates",
+    [
+        ("perfbench/scenarios/both_arms.json", 32),
+        ("scenarios/timing_study.json", 11),
+        ("tests/data/rare_events.json", 500),
+    ],
 )
 def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates):
     """The pattern tables of real replicates, every cell of each scenario's
     grid, at least 2000 per file: the main-effects models fit by profile
-    Newton on interior tables, and the reference fits every model by IRLS.
-    Every fit of the real runs passes its stratum map and takes the profile
-    path, so none of them runs IRLS."""
+    Newton, and the reference fits every model by IRLS. Every fit of the
+    real runs passes its stratum map, so none of them runs IRLS. The
+    rare-event scenario reaches tables without an MLE, which flag their
+    replicates; the shipped ones do not."""
     tables = []
     fits = collections.Counter()
 
@@ -262,14 +279,19 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
 
     def recording_profile_fit(*args):
         fit = profile_fit(*args)
-        fits["profile" if fit is not None else "irls"] += 1
+        fits["profile" if fit.converged else "no_mle"] += 1
         return fit
 
-    profile_fit = stats._profile_fit
+    def recording_loglik(*args):  # the last step of every IRLS fit
+        fits["irls"] += 1
+        return bernoulli_loglik(*args)
+
+    profile_fit, bernoulli_loglik = stats._profile_fit, stats._bernoulli_loglik
     with monkeypatch.context() as patch:
         patch.setattr(harness, "build_final_model", recording_build_final_model)
         patch.setattr(final_analysis, "fit_logistic_counts", recording_fit)
         patch.setattr(stats, "_profile_fit", recording_profile_fit)
+        patch.setattr(stats, "_bernoulli_loglik", recording_loglik)
         for config in load_scenarios(_ROOT / path):
             run_grid(dataclasses.replace(config, replicates=replicates))
     assert len(tables) >= 2000
@@ -279,6 +301,9 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
     for i, (branch, table) in enumerate(tables):
         seen[branch, _check_against_reference(branch, table, (path, i))] += 1
     assert seen[FinalBranch.BOTH_ARMS_RETAINED, "ok"] + seen[FinalBranch.ONE_ARM_RETAINED, "ok"] >= 100
+    rare = path.startswith("tests/")
+    assert (fits["no_mle"] > 0) == rare
+    assert (sum(n for (_, kind), n in seen.items() if kind == "failed") > 0) == rare
 
 
 # branch -> (scenario file, replicates per cell) giving >= 2000 of its tables
@@ -312,7 +337,7 @@ def test_real_tables_match_the_numpy_oracles(monkeypatch, branch):
     for table in tables:
         kinds += _assert_matches_numpy_oracles(branch, table)
     assert kinds["closed"] > 0
-    if _IRLS_FITS[branch]:
+    if _MAIN_EFFECTS_FITS[branch]:
         assert kinds["profile"] > 0
 
 
@@ -412,7 +437,7 @@ def _closed_form(x, events, trials):
     return _saturated_pass((rows,), events, trials)[0]
 
 
-def test_boundary_group_is_left_to_irls():
+def test_boundary_group_has_no_closed_form():
     # B1 arm with no events: the two-group model has no interior maximum.
     x = np.array([[1.0, 0.0], [1.0, 1.0]])
     with warnings.catch_warnings():
@@ -445,7 +470,7 @@ def test_only_main_effects_models_iterate(branch, monkeypatch):
     monkeypatch.setattr(final_analysis, "fit_logistic_counts", counting)
     table = _table(np.random.default_rng(3), branch, "interior")
     assert not analysis(table, 0.05).fit_failed
-    assert len(calls) == _IRLS_FITS[branch]
+    assert len(calls) == _MAIN_EFFECTS_FITS[branch]
 
 
 # -- the checked design ------------------------------------------------------
@@ -504,7 +529,7 @@ def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
     monkeypatch.setattr(np, "unique", disabled)
     monkeypatch.setattr(final_analysis, "fit_logistic_counts", counting)
     assert run_replicate(config, *cell, seed) == expected
-    assert len(calls) == _IRLS_FITS[both_arms]
+    assert len(calls) == _MAIN_EFFECTS_FITS[both_arms]
 
 
 # -- one pass for every saturated node ----------------------------------------
@@ -556,5 +581,5 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
                 else:
                     assert closed[slot] == expected, mode
                     seen.add("interior")
-    # Only the terminated branch has no model that needs IRLS on a full table.
-    assert {"interior", "boundary"} | ({"unsaturated"} if _IRLS_FITS[branch] else set()) <= seen
+    # Only the terminated branch has no main-effects model.
+    assert {"interior", "boundary"} | ({"unsaturated"} if _MAIN_EFFECTS_FITS[branch] else set()) <= seen

@@ -92,6 +92,22 @@ def test_too_small_sample_rejected():
         welch_t_test([1.0, 2.0], [])
 
 
+def test_non_finite_sample_rejected_without_warning():
+    # [1, inf, 2] used to leak a RuntimeWarning from a - mean, then fail in
+    # t_sf on a nan df; the suite turns any such warning into an error.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError, match="sample_a has mean"):
+            welch_t_test([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="sample_b has mean"):
+            welch_t_test([1.0, 2.0, 3.0], [bad, 2.0])
+    # finite entries whose sum or squared deviations leave the float range
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match="sample_a has mean inf"):
+            welch_t_test([1e308, 1e308], [1.0, 2.0])
+        with pytest.raises(InputError, match="sample_b has variance inf"):
+            welch_t_test([1.0, 2.0], [1e200, -1e200])
+
+
 # -- sample moments -------------------------------------------------------------
 
 def _moment_samples():
@@ -108,7 +124,7 @@ def _moment_samples():
 
 def test_moments_bit_identical_to_numpy():
     for a in _moment_samples():
-        mean, var = _moments(a)
+        mean, var = _moments(a, "a")
         assert mean == float(np.mean(a)) and var == float(np.var(a, ddof=1)), a.size
 
 
@@ -140,8 +156,8 @@ def _reference_welch_test(sample_a, sample_b, tail):
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     n_a, n_b = a.size, b.size
-    mean_a, var_a = _moments(a)
-    mean_b, var_b = _moments(b)
+    mean_a, var_a = _moments(a, "sample_a")
+    mean_b, var_b = _moments(b, "sample_b")
     means = (mean_a, mean_b)
     if var_a == 0.0 and var_b == 0.0:
         diff = mean_a - mean_b
