@@ -30,10 +30,10 @@ and both-arms full models, H05 and H06. Each is one intercept per stratum
 of domain-A arms and a common B1 log odds ratio, so the plan passes the
 fit each row's stratum, and the fit (``stats._profile_fit``) decides by
 rule whether the MLE exists and finds it by profile Newton, on rows at 0
-or at all events too; no table built from a cell table reaches IRLS. A
-model without an MLE has a nan log-likelihood, which ``lr_test`` rejects:
-the replicate is flagged with every node p-value 1.0, as on a collinear
-table or any other failed LR test.
+or at all events too; the final analysis never runs IRLS. A model
+without an MLE has a nan log-likelihood, which ``lr_test`` rejects: the
+replicate is flagged with every node p-value 1.0, as on any other failed
+LR test.
 
 The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
@@ -48,19 +48,20 @@ counts are integer sums, so the table equals grouping the subjects
 themselves bit for bit.
 
 A replicate computes only what the closed test reads: log-likelihoods.
-The cell -> pattern lookups and the 2^k pattern rows are built at
-import, and per (branch, set of patterns with subjects) a
-memoised node plan holds every model's checked ``Design``. The plan owns
-the closed-form decision: it groups each model's rows, calls a model
-saturated when it has as many distinct rows as columns, and keeps the
-saturated models' groups of rows; for every other model it keeps the
-stratum map (``stats._Strata``) that the fit reads, the map's inverse
-included, so no fit solves for it again. A set of patterns on which the
-full design is collinear, as when no subject is in B1, has no plan: the
-replicate is flagged as for a failed fit. After the draws a replicate
-decides on Python floats: the pattern table is read once (``tolist``) and
-checked once against the full model; the fits see the plan's designs on
-the patterns that have subjects, which ``fit_logistic_counts`` trusts.
+The cell -> pattern lookups are built at import, and so is one node plan
+per branch, on the patterns a subject can have: the first 2, 4 or 6
+binary codes, as the both-arms codes 6 and 7 are A1 and A2 at once. The
+plan holds every model's checked ``Design`` and owns the closed-form
+decision: it groups each model's rows, calls a model saturated when it
+has as many distinct rows as columns, and keeps the saturated models'
+groups of rows; for every other model it keeps the stratum map
+(``stats._Strata``) that the fit reads, the map's inverse included, so no
+fit solves for it again. A pattern without subjects needs no plan of its
+own: a saturated group or a stratum left empty has no MLE, so the
+replicate is flagged, as when no subject is in B1. After the draws a
+replicate decides on Python floats: the pattern table is read once
+(``tolist``) and checked once against the full model; the fits see the
+plan's designs, which ``fit_logistic_counts`` trusts.
 ``_saturated_pass`` sums each saturated model's group counts in Python,
 row by row in order as ``np.bincount`` did, and takes numpy's logarithms
 in one call each over all groups, so every closed form keeps its bits.
@@ -73,8 +74,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -196,13 +195,6 @@ def _table_slots(branch: FinalBranch) -> np.ndarray:
 
 _TABLE_SLOTS = {branch: _table_slots(branch) for branch in FinalBranch}
 
-# k -> the 2^k covariate patterns as design rows (intercept first), in the
-# order of their binary codes.
-_PATTERN_ROWS = {
-    k: np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
-    for k in {len(c) for c in _COVARIATES.values()}
-}
-
 
 @dataclass(frozen=True)
 class GatekeepingOutcome:
@@ -214,12 +206,12 @@ class GatekeepingOutcome:
 
 def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     """The branch's pattern table from a cell table (``generate_block``
-    returns one per block): row 0
-    holds the events and row 1 the trials of each of the 2^k covariate
-    patterns of its full model, in the order of their binary codes
-    (``_PATTERN_ROWS[k]``), 0 for a pattern no subject has. In the one-arm
-    model the pooled indicator is I(arm_a != A0) over every
-    domain-A-assigned subject, whichever arm was dropped."""
+    returns one per block): row 0 holds the events and row 1 the trials of
+    each of the 2^k covariate patterns of its full model, in the order of
+    their binary codes (covariate j is bit k - 1 - j), 0 for a pattern no
+    subject has. In the one-arm model the pooled indicator is
+    I(arm_a != A0) over every domain-A-assigned subject, whichever arm was
+    dropped."""
     branch = FinalBranch(branch)
     n = 2 ** len(_COVARIATES[branch])
     counts = np.bincount(_TABLE_SLOTS[branch], weights=cells.ravel(), minlength=2 * n + 1)
@@ -230,8 +222,8 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
 
 def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
     """The maximised log-likelihood of every saturated model of a plan on a
-    checked table's present rows: ``groups`` holds, per saturated model,
-    each of its groups as the tuple of its rows.
+    checked table's rows: ``groups`` holds, per saturated model, each of
+    its groups as the tuple of its rows.
 
     A saturated model gives each group g its own free logit, so its MLE is
     the group's event proportion p_g = E_g / N_g and its log-likelihood is
@@ -240,8 +232,8 @@ def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
     terms group by group, in order from 0.0, which is how ``np.bincount``
     adds weights, so each value equals the model's closed form computed
     alone bit for bit; the two logarithms are numpy's, one call each over
-    every group. It is nan where a group of the model has no events or only
-    events: that model has no MLE.
+    every group. It is nan where a group of the model has no events, only
+    events or no subjects: that model has no MLE.
     """
     sums = []  # (E_g, N_g) of every group of every model, in order
     boundary = False
@@ -253,7 +245,7 @@ def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
                 n += trials[row]
             sums.append((e, n))
             boundary = boundary or e == 0.0 or e == n
-    p = np.array([e / n for e, n in sums])
+    p = np.array([e / n if n else math.nan for e, n in sums])
     with np.errstate(divide="ignore") if boundary else nullcontext():  # log(0) is -inf, so the term nan
         log_p, log_q = np.log(p).tolist(), np.log1p(-p).tolist()
     terms = iter([e * lp + (n - e) * lq for (e, n), lp, lq in zip(sums, log_p, log_q)])
@@ -267,27 +259,28 @@ def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
 
 
 class _Plan(NamedTuple):
+    patterns: int  # the patterns a subject can have: the first 2, 4 or 6 binary codes
     designs: tuple  # each model's ``Design``: the full model, then every node's
     slots: tuple  # each model's index among the saturated ones; None where it is not saturated
     strata: tuple  # each unsaturated model's ``_Strata``, for ``fit_logistic_counts``; else None
     groups: tuple  # per saturated model, each group's rows, for ``_saturated_pass``
 
 
-@cache  # keyed by a mask of 2^k patterns: at most 4 + 16 + 256 plans exist
-def _node_plan(branch: FinalBranch, present: tuple) -> Optional[_Plan]:
+def _node_plan(branch: FinalBranch) -> _Plan:
     """The full model and every node's reduced model of ``branch`` on the
-    patterns ``present`` marks, each sliced into a checked ``Design``
-    once; None where the full model's columns are collinear on them, as
-    when no present pattern has B1. A model is saturated when it has as
-    many distinct rows as columns, and its groups of rows are kept for the
-    closed form; every other model gets its stratum map."""
-    rows = _PATTERN_ROWS[len(_COVARIATES[branch])][np.array(present)]
+    patterns a subject can have, each sliced into a checked ``Design``
+    once. A model is saturated when it has as many distinct rows as
+    columns, and its groups of rows are kept for the closed form; every
+    other model gets its stratum map."""
+    k = len(_COVARIATES[branch])
+    # The codes the cells map to run from 0: only both-arms codes 6 and 7,
+    # A1 and A2 at once, are left out.
+    patterns = int(_TABLE_SLOTS[branch][_TABLE_SLOTS[branch] < 2**k].max()) + 1
+    # each pattern as a design row, intercept first, in the order of the codes
+    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(patterns)])
     full_cols, nodes = _GATING[branch]
     models = (full_cols,) + tuple(node.reduced for node in nodes)
-    try:  # the full model first: a reduced one keeps a subset of its columns
-        designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
-    except InputError:  # collinear, the one check that pattern rows can fail
-        return None
+    designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
     slots, strata, groups = [], [], []
     for design in designs:
         distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
@@ -296,23 +289,14 @@ def _node_plan(branch: FinalBranch, present: tuple) -> Optional[_Plan]:
             strata.append(None)
             of_row = inverse.reshape(-1).tolist()
             groups.append(tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct))))
-        else:
+        else:  # one intercept per stratum, a row's values of every column but b1, and a common B1 log odds ratio
             slots.append(None)
-            strata.append(_strata(design.rows))
-    return _Plan(designs, tuple(slots), tuple(strata), tuple(groups))
+            _, stratum = np.unique(design.rows[:, :-1], axis=0, return_inverse=True)
+            strata.append(_stratify(design.rows, stratum.reshape(-1).tolist()))
+    return _Plan(patterns, designs, tuple(slots), tuple(strata), tuple(groups))
 
 
-def _strata(rows: np.ndarray):
-    """The ``_Strata`` of a model's rows, each row's stratum being its
-    distinct values of every column but the last (b1), where that makes the
-    model one intercept per stratum and a common B1 log odds ratio: as many
-    strata as those columns, which the model's full rank then makes
-    independent. None otherwise, as on a both-arms table with a pattern in
-    A1 and A2 at once."""
-    distinct, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
-    if len(distinct) != rows.shape[1] - 1:
-        return None
-    return _stratify(rows, inverse.reshape(-1).tolist())
+_PLANS = {branch: _node_plan(branch) for branch in FinalBranch}
 
 
 def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> float:
@@ -327,33 +311,33 @@ def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials:
 
 
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
-    """LR p-value per node label, and whether the replicate is flagged: on a
-    table whose present patterns make the full model collinear, where a
-    model has no MLE (a nan log-likelihood, which ``lr_test`` rejects) and
-    on any other failed LR test, every p-value is 1.0. The pattern table is
-    read once and checked once, against the full model's column count; the
-    fits see the patterns that have subjects, and one pass gives every
-    saturated model's closed-form log-likelihood."""
+    """LR p-value per node label, and whether the replicate is flagged:
+    where a model has no MLE (a nan log-likelihood, which ``lr_test``
+    rejects), as when a pattern that a saturated model's group or a
+    stratum needs has no subjects, and on any other failed LR test, every
+    p-value is 1.0. The pattern table is read once and checked once,
+    against the full model's column count; the fits see the patterns a
+    subject can have, and one pass gives every saturated model's
+    closed-form log-likelihood."""
     full_cols, nodes = _GATING[branch]
     shape = (2, 2 ** (len(full_cols) - 1))
     if table.shape != shape:
         raise InputError(f"{branch.value} needs a {shape} pattern table, got shape {table.shape}")
     events, trials = table.tolist()
     _check_table(events, trials, len(full_cols))
-    present = tuple([n > 0.0 for n in trials])
-    plan = _node_plan(branch, present)
-    if plan is not None:  # None: the full design is collinear
-        events, trials = list(compress(events, present)), list(compress(trials, present))
-        closed = _saturated_pass(plan.groups, events, trials)
-        full = _log_likelihood(plan, 0, closed, events, trials)
-        try:
-            return {
-                node.label: lr_test(full, _log_likelihood(plan, model, closed, events, trials), node.df).p_value
-                for model, node in enumerate(nodes, 1)
-            }, False
-        except FittingError:
-            pass
-    return {node.label: 1.0 for node in nodes}, True
+    plan = _PLANS[branch]
+    if any(trials[plan.patterns :]):
+        raise InputError(f"{branch.value} patterns {plan.patterns} and up are A1 and A2 at once, which no subject is")
+    events, trials = events[: plan.patterns], trials[: plan.patterns]
+    closed = _saturated_pass(plan.groups, events, trials)
+    full = _log_likelihood(plan, 0, closed, events, trials)
+    try:
+        return {
+            node.label: lr_test(full, _log_likelihood(plan, model, closed, events, trials), node.df).p_value
+            for model, node in enumerate(nodes, 1)
+        }, False
+    except FittingError:
+        return {node.label: 1.0 for node in nodes}, True
 
 
 def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:

@@ -31,7 +31,8 @@ the order the per-subject arithmetic evaluated it, so every draw compared
 against it is bit-identical. The same code, times 2 plus the outcome,
 counts the block into the 4 x 2 x 2 cell table the final analysis reads,
 in one bincount. A block is returned as the columns the interims read,
-its domain-A arm codes and two biomarkers, with that table.
+its domain-A arm codes and two biomarkers, with that table; a replicate
+reads its clamped outcomes off its summed table.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def generate_block(
     n: int,
     stream: np.random.Generator,
     biomarkers: bool = True,
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], int, np.ndarray]:
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
     """Draw ``n`` subjects under the open domain-A ``arms``: all three, or
     A0 with A1 or A2; ``None`` once domain A is terminated.
 
@@ -91,11 +92,10 @@ def generate_block(
     domains; biomarkers are normal around the arm's mean shifts (zero for
     control and absent assignments); the event probability is the control
     rate plus the additive risk differences, clamped into
-    [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns ``(arm_a, y11, y12, n_clamped,
-    cells)``: the subjects' intp domain-A arm codes and biomarkers, the
-    number of clamped event probabilities, and the block's outcome counts
-    per cell: ``cells[arm_a + 1, arm_b]`` holds the cell's (non-events,
-    events). With ``biomarkers`` false, for a block no interim reads, the
+    [PROB_CLAMP_LO, PROB_CLAMP_HI]. Returns ``(arm_a, y11, y12, cells)``:
+    the subjects' intp domain-A arm codes and biomarkers, and the block's
+    outcome counts per cell: ``cells[arm_a + 1, arm_b]`` holds the cell's
+    (non-events, events). With ``biomarkers`` false, for a block no interim reads, the
     normals are drawn but no biomarker column is built, and y11 and y12
     are None.
     """
@@ -116,7 +116,6 @@ def generate_block(
         y11 = tables.shift11[row] + s11 * z[:n]
         y12 = tables.shift12[row] + s12 * z[n:]
 
-    n_clamped = int(np.count_nonzero(tables.clamped.ravel()[cell])) if tables.any_clamped else 0
     event = stream.random(n) < tables.p_event.ravel()[cell]
     cells = np.bincount(cell * 2 + event, minlength=16).reshape(4, 2, 2)
-    return arm_a, y11, y12, n_clamped, cells
+    return arm_a, y11, y12, cells

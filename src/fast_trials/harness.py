@@ -216,7 +216,6 @@ def run_replicate(
     # The final analysis reads only the sum of the blocks' cell tables.
     cells = np.zeros((4, 2, 2), dtype=np.intp)
     enrolled = 0
-    n_clamped = 0
     retention: Optional[RetentionDecision] = None
     feasibility: Optional[FeasibilityDecision] = None
 
@@ -224,11 +223,10 @@ def run_replicate(
         if arms is None:
             break  # domain terminated; the later trigger can never be reached
         if trigger > enrolled:
-            *block, clamped, block_cells = generate_block(config, arms, trigger - enrolled, rng)
+            *block, block_cells = generate_block(config, arms, trigger - enrolled, rng)
             columns = block if columns is None else [np.concatenate(c) for c in zip(columns, block)]
             cells = cells + block_cells
             enrolled = trigger
-            n_clamped += clamped
         arm_a, y11, y12 = columns
         if kind is AnalysisKind.ARM_DROPPING:
             retention = arm_dropping_analysis(
@@ -242,9 +240,8 @@ def run_replicate(
 
     if config.n_total > enrolled:
         # No interim reads the last block, so it builds no biomarker columns.
-        *_, clamped, block_cells = generate_block(config, arms, config.n_total - enrolled, rng, biomarkers=False)
+        *_, block_cells = generate_block(config, arms, config.n_total - enrolled, rng, biomarkers=False)
         cells = cells + block_cells
-        n_clamped += clamped
 
     # Arm dropping ran unless domain A was terminated, so the open arms name the branch.
     if arms is None:
@@ -254,6 +251,8 @@ def run_replicate(
     else:
         branch, gatekeeper = FinalBranch.BOTH_ARMS_RETAINED, gatekeep_both_retained
     outcome = gatekeeper(build_final_model(cells, branch), config.alpha_final)
+    tables = config.generation_tables  # a subject's outcome is clamped where its cell's probability is
+    n_clamped = int(cells.sum(axis=2)[tables.clamped].sum()) if tables.any_clamped else 0
 
     return TrialResult(
         n_drop=int(n_drop),

@@ -355,14 +355,16 @@ class Design(NamedTuple):
 
 
 def check_design(rows) -> Design:
-    """The ``Design`` of a 2-d finite float design with at least one
-    column, an intercept and full column rank. The rows are copied before
+    """The ``Design`` of a 2-d finite float design with at least one row
+    and one column, an intercept and full column rank. The rows are copied before
     they are frozen, so the caller's array stays writeable, and in Fortran
     order: the BLAS products of a fit round by memory layout, so every copy
     of a design fits to the same bits."""
     x = np.array(rows, dtype=float, order="F")
     if x.ndim != 2 or x.shape[1] == 0:
         raise InputError("design must be a 2-d matrix with at least one column")
+    if x.shape[0] == 0:
+        raise InputError("design has no rows")
     if not np.isfinite(x).all():
         raise InputError("design entries must be finite")
     if not (x[:, 0] == 1.0).all():

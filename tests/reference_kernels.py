@@ -112,10 +112,9 @@ def fit(design, events, trials, strata):
 
 
 def row_strata(rows):
-    """Each row's stratum label, its values of every column but the last;
-    None where the labels are more than those columns."""
-    distinct, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
-    return tuple(inverse.reshape(-1).tolist()) if len(distinct) == rows.shape[1] - 1 else None
+    """Each row's stratum label, its values of every column but the last."""
+    _, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
+    return tuple(inverse.reshape(-1).tolist())
 
 
 def saturated_groups(designs):

@@ -221,6 +221,26 @@ def test_termination_stops_domain_a_assignment(monkeypatch):
     assert cells[ABSENT + 1].sum() == 400 - 90
 
 
+def test_replicate_counts_its_clamped_outcomes(monkeypatch):
+    """With A1's risk difference past 1, every A1 subject's event
+    probability is clamped and no other is: a replicate counts the A1
+    subjects of all its blocks."""
+    cfg = ScenarioConfig(phase3_effects={"A1": 0.9, "A2": 0.0, "B1": 0.0}, base_seed=7)  # not valid: it clamps
+    arm_codes = []
+
+    def recording_generate_block(config, arms, n, stream, biomarkers=True):
+        block = generate_block(config, arms, n, stream, biomarkers=biomarkers)
+        arm_codes.append(block[0])
+        return block
+
+    monkeypatch.setattr(harness, "generate_block", recording_generate_block)
+    for rep in range(6):
+        arm_codes.clear()
+        result = run_replicate(cfg, 150, 240, derive_seed(7, 0, (150, 240), rep))
+        assert len(arm_codes) >= 2
+        assert result.n_clamped == sum(int(np.count_nonzero(arm_a == 1)) for arm_a in arm_codes) > 0
+
+
 def test_tie_runs_dropping_then_feasibility_on_same_snapshot():
     cfg = _null_config(base_seed=8)
     result = run_replicate(cfg, 120, 120, derive_seed(8, 0, (120, 120), 2))

@@ -120,6 +120,10 @@ def test_check_design_names_the_fault():
             check_design(empty)
     with pytest.raises(InputError, match="2-d"):
         check_design([1.0, 1.0])
+    # No row used to report collinear columns.
+    for empty in (np.ones((0, 2)), np.ones((0, 1))):
+        with pytest.raises(InputError, match="no rows"):
+            check_design(empty)
 
 
 def test_gradient_vanishes_at_solution():
@@ -213,7 +217,7 @@ def test_lr_nan_log_likelihood_is_a_failed_fit(monkeypatch):
     # The final analysis flags such a replicate instead of rejecting on it.
     nan_fit = LogisticFit(np.zeros(4), np.nan, True, 1, False)
     monkeypatch.setattr(final_analysis, "fit_logistic_counts", lambda *args: nan_fit)
-    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 8.0, 14.0], [40.0] * 8])
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 0.0, 0.0], [40.0] * 6 + [0.0] * 2])
     outcome = gatekeep_both_retained(table, 0.05)
     assert outcome.fit_failed
     assert outcome.rejected == frozenset()
@@ -241,7 +245,7 @@ def test_positive_log_likelihood_flags_the_replicate(monkeypatch):
     # statistic; the final analysis now flags the replicate instead.
     positive_fit = LogisticFit(np.zeros(4), 3.0, True, 1, False)
     monkeypatch.setattr(final_analysis, "fit_logistic_counts", lambda *args: positive_fit)
-    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 8.0, 14.0], [40.0] * 8])
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 0.0, 0.0], [40.0] * 6 + [0.0] * 2])
     outcome = gatekeep_both_retained(table, 0.05)
     assert outcome.fit_failed
     assert outcome.rejected == frozenset()

@@ -1,14 +1,16 @@
 """Closed-form saturated fits, the node plans and the checked designs they
-hold: the final analysis must give the same failure flags and errors as
-fitting every node by IRLS on the patterns that have subjects, which this
-file keeps as the reference, the same p-values where no fit failed and
-every p-value 1.0 where one did, and the same bits as the numpy form of
-its fits in ``reference_kernels``."""
+hold: the final analysis, on its one plan per branch, must give the same
+failure flags and errors as fitting every node by IRLS on the patterns
+that have subjects, which this file keeps as the reference, the same
+p-values where no fit failed and every p-value 1.0 where one did, and the
+same bits as the numpy form of its fits in ``reference_kernels``. A
+both-arms table with subjects in A1 and A2 at once is an input error."""
 
 import collections
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -19,10 +21,12 @@ import reference_kernels
 from fast_trials import final_analysis, harness, stats
 from fast_trials.design import load_scenarios, validate_scenario
 from fast_trials.final_analysis import (
+    _PLANS,
     FinalBranch,
     _saturated_pass,
     analyze_terminated,
     build_final_model,
+    closed_test,
     gatekeep_both_retained,
     gatekeep_one_retained,
 )
@@ -152,19 +156,24 @@ def _check_against_reference(branch, table, context) -> str:
     failure flag or InputError, and its p-values unless the replicate is
     flagged, when every p-value is 1.0; return which of them it was. A
     table whose patterns with subjects make the full design collinear, which
-    the reference's design check rejects, is flagged too."""
+    the reference's design check rejects, is flagged too, and one with
+    subjects in A1 and A2 at once, which the reference fits, is an input
+    error once its counts pass the table check."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
     kind = None
     try:
         expected = _reference_node_tests(table, full_cols, reduced_map)
     except InputError as exc:
         expected = str(exc)
-        if "collinear" in expected:
-            expected, kind = ({node: 1.0 for node in reduced_map}, True), "collinear"
     got = _outcome_or_error(analysis, table)
-    if isinstance(expected, str):
+    if isinstance(expected, str) and "collinear" not in expected:
         assert got == expected, context
         return "input_error"
+    if table[1][_PLANS[branch].patterns :].any():  # both-arms codes 6 and 7
+        assert isinstance(got, str) and "A1 and A2 at once" in got, context
+        return "impossible"
+    if isinstance(expected, str):
+        expected, kind = ({node: 1.0 for node in reduced_map}, True), "collinear"
     ref_p, ref_failed = expected
     assert got.fit_failed == ref_failed, context
     assert got.node_p_values.keys() == ref_p.keys()
@@ -174,23 +183,18 @@ def _check_against_reference(branch, table, context) -> str:
     else:
         for node, p in ref_p.items():
             assert got.node_p_values[node] == pytest.approx(p, abs=1e-9, rel=0), (context, node)
-    if kind == "collinear":
-        assert got.rejected == got.successful_arms == frozenset()
-        return kind
     _assert_matches_numpy_oracles(branch, table)
-    return "failed" if ref_failed else "ok"
+    return kind or ("failed" if ref_failed else "ok")
 
 
 def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
     """Assert that on a checked table every saturated model's closed form
-    and every other model's fit equal their numpy forms bit for bit:
-    log-likelihood, convergence flags, iteration count and coefficients.
-    Count the models by how they were fitted, and the models without an
-    MLE."""
-    plan = _plan(branch, table)
-    present = table[1] > 0
-    impossible = branch is FinalBranch.BOTH_ARMS_RETAINED and present[6:].any()
-    events, trials = table[0][present], table[1][present]
+    and every other model's fit equal their numpy forms bit for bit, on
+    the branch's plan: log-likelihood, convergence flags, iteration count
+    and coefficients. Count the models by how they were fitted, and the
+    models without an MLE."""
+    plan = _PLANS[branch]
+    events, trials = table[:, : plan.patterns]
     closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
     saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
     groups, owner = reference_kernels.saturated_groups(saturated)
@@ -202,23 +206,16 @@ def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
             kinds["boundary" if math.isnan(closed[slot]) else "closed"] += 1
             continue
         fit = fit_logistic_counts(design, events.tolist(), trials.tolist(), strata)
-        labels = reference_kernels.row_strata(design.rows)  # None: a pattern in A1 and A2 at once
-        profile = reference_kernels.profile_fit(design.rows, events, trials, labels) if labels else None
-        reference = profile or fit_logistic_counts(design, events, trials)
+        labels = reference_kernels.row_strata(design.rows)
+        reference = reference_kernels.profile_fit(design.rows, events, trials, labels)
         assert fit[2:] == reference[2:]
-        if profile is not None and not profile.converged:
+        if not reference.converged:
             assert math.isnan(fit.log_likelihood) and math.isnan(reference.log_likelihood)
             kinds["no_mle"] += 1
         else:
             assert fit.log_likelihood == reference.log_likelihood
-        if not impossible:
-            np.testing.assert_array_equal(fit.coefficients, reference.coefficients, strict=True)
-        else:
-            # A pattern in A1 and A2 at once, which no subject has, can make
-            # a coefficient a sum of three intercepts, which the solve and
-            # the inverse round differently; no reader takes coefficients.
-            np.testing.assert_allclose(fit.coefficients, reference.coefficients, rtol=0, atol=1e-12)
-        kinds["irls" if profile is None else "profile"] += 1
+        np.testing.assert_array_equal(fit.coefficients, reference.coefficients, strict=True)  # nan where nan
+        kinds["profile"] += 1
     return kinds
 
 
@@ -235,10 +232,10 @@ def test_node_p_values_match_all_irls_reference(branch):
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_every_presence_mask_matches_all_irls_reference(branch):
-    """Each set of patterns with subjects keys its own node plan; every one
-    of the 2^(2^k) sets, with interior counts on its patterns, gives the
-    reference's p-values or error, and the plans stay within the
-    4 + 16 + 256 that exist."""
+    """Every one of the 2^(2^k) sets of patterns with subjects, with
+    interior counts on its patterns, gives the reference's p-values or
+    error on the branch's one plan; a set with a pattern in A1 and A2 at
+    once is an input error."""
     n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
     rng = np.random.default_rng(1009)
     seen = set()
@@ -246,8 +243,40 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
         trials = [int(rng.integers(8, 150)) if m else 0 for m in mask]
         events = [int(rng.integers(1, t)) if t else 0 for t in trials]
         seen.add(_check_against_reference(branch, np.array([events, trials], dtype=float), mask))
-        assert final_analysis._node_plan.cache_info().currsize <= 4 + 16 + 256
     assert {"input_error", "collinear", "ok"} <= seen
+    assert ("impossible" in seen) == (branch is FinalBranch.BOTH_ARMS_RETAINED)
+
+
+@pytest.mark.parametrize("branch", list(_LAYOUTS))
+def test_small_counts_on_every_mask_decide_as_all_irls_reference(branch):
+    """Every set of the patterns a subject can have, with 1 to 40 trials on
+    each and any number of events: small tables reach empty strata and
+    groups at 0 or at all events, and the analysis flags the replicate and
+    rejects the nodes at alpha 0.05 as the all-IRLS reference decides."""
+    analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
+    patterns = _PLANS[branch].patterns
+    n = 2 ** (len(full_cols) - 1)
+    rng = np.random.default_rng(2029)
+    seen = collections.Counter()
+    for mask in itertools.product((False, True), repeat=patterns):
+        for _ in range(40):
+            trials = [int(rng.integers(1, 41)) if m else 0 for m in mask] + [0] * (n - patterns)
+            events = [int(rng.integers(0, t + 1)) for t in trials]
+            table = np.array([events, trials], dtype=float)
+            try:
+                p_values, failed = _reference_node_tests(table, full_cols, reduced_map)
+            except InputError as exc:
+                if "collinear" not in str(exc):
+                    with pytest.raises(InputError, match=re.escape(str(exc))):
+                        analysis(table, 0.05)
+                    seen["input_error"] += 1
+                    continue
+                p_values, failed = {}, True
+            got = analysis(table, 0.05)
+            assert got.fit_failed == failed, (mask, table)
+            assert got.rejected == (frozenset() if failed else closed_test(branch, p_values, 0.05)), (mask, table)
+            seen["failed" if failed else "rejected" if got.rejected else "ok"] += 1
+    assert seen["failed"] and seen["rejected"] and seen["ok"]
 
 
 @pytest.mark.parametrize(
@@ -371,17 +400,13 @@ def test_collinear_design_flags_the_replicate():
         assert result.gatekeeping.node_p_values == {"beta1": 1.0}
 
 
-def _plan(branch, table):
-    return final_analysis._node_plan(branch, tuple((table[1] > 0).tolist()))
-
-
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_closed_form_matches_irls_on_interior_tables(branch):
     _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
     rng = np.random.default_rng(7)
     for _ in range(40):
         table = _table(rng, branch, "interior")
-        plan = _plan(branch, table)
+        plan = _PLANS[branch]
         rows, events, trials = _grouped(table)
         closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
         models = [full_cols, *reduced_map.values()]
@@ -396,37 +421,47 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
 
 
 def test_plan_maps_the_strata_of_every_unsaturated_model():
-    """On every presence mask, each model the plan does not fit in closed
-    form carries its stratum map: rows in one stratum agree on every column
-    but the last, and the strata are as many as those columns. The one
-    exception is a both-arms mask with a pattern in A1 and A2 at once, which
-    no subject has: there the full model has more strata than columns and
-    is left to IRLS."""
-    for branch in FinalBranch:
-        n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
-        for mask in itertools.product((False, True), repeat=n):
-            plan = final_analysis._node_plan(branch, mask)
-            if plan is None:  # the full design is collinear on the mask's patterns
-                rows = final_analysis._PATTERN_ROWS[len(_LAYOUTS[branch][2]) - 1][np.array(mask)]
-                assert np.linalg.matrix_rank(rows) < rows.shape[1]
+    """Each branch's one plan holds its models on the patterns a subject can
+    have, the first 2, 4 and 6 binary codes, and each model it does not fit
+    in closed form carries its stratum map: rows in one stratum agree on
+    every column but the last, and the strata are as many as those
+    columns."""
+    for branch, patterns in zip(_LAYOUTS, (2, 4, 6)):
+        _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
+        plan = _PLANS[branch]
+        assert plan.patterns == patterns
+        rows, _, _ = _grouped(np.ones((2, 2 ** (len(full_cols) - 1))))
+        models = [full_cols, *reduced_map.values()]
+        for cols, design, slot, strata in zip(models, plan.designs, plan.slots, plan.strata):
+            np.testing.assert_array_equal(design.rows, rows[:patterns, list(cols)], strict=True)
+            assert (slot is not None) == (cols in saturated) == (strata is None)
+            if strata is None:
                 continue
-            for design, slot, strata in zip(plan.designs, plan.slots, plan.strata):
-                head = design.rows[:, :-1]
-                if slot is not None:
-                    assert strata is None
-                    continue
-                if strata is None:
-                    assert branch is FinalBranch.BOTH_ARMS_RETAINED and (mask[6] or mask[7])
-                    assert len(np.unique(head, axis=0)) > head.shape[1]
-                    continue
-                of_row = np.array(strata.of_row)
-                assert len(set(strata.of_row)) == head.shape[1] == len(np.unique(head, axis=0))
-                for s in set(strata.of_row):
-                    assert len(np.unique(head[of_row == s], axis=0)) == 1
-                # the inverse maps the strata's intercepts to the design's columns
-                first = [strata.of_row.index(s) for s in range(head.shape[1])]
-                np.testing.assert_array_equal(np.array(strata.inverse) @ head[first], np.eye(head.shape[1]))
-                assert strata.treated == tuple(design.rows[:, -1].tolist())
+            head = design.rows[:, :-1]
+            of_row = np.array(strata.of_row)
+            assert len(set(strata.of_row)) == head.shape[1] == len(np.unique(head, axis=0))
+            for s in set(strata.of_row):
+                assert len(np.unique(head[of_row == s], axis=0)) == 1
+            # the inverse maps the strata's intercepts to the design's columns
+            first = [strata.of_row.index(s) for s in range(head.shape[1])]
+            np.testing.assert_array_equal(np.array(strata.inverse) @ head[first], np.eye(head.shape[1]))
+            assert strata.treated == tuple(design.rows[:, -1].tolist())
+
+
+def test_a1_and_a2_at_once_is_an_input_error():
+    """No subject is in A1 and A2 at once, so a both-arms table with trials
+    in codes 6 or 7 is rejected, once its counts pass the table check, and
+    an event there without a trial fails that check."""
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 0.0, 0.0], [40.0] * 6 + [0.0] * 2])
+    assert not gatekeep_both_retained(table, 0.05).fit_failed
+    for code in (6, 7):
+        impossible = table.copy()
+        impossible[1, code] = 1.0
+        with pytest.raises(InputError, match="A1 and A2 at once"):
+            gatekeep_both_retained(impossible, 0.05)
+        impossible[0, code] = 2.0
+        with pytest.raises(InputError, match="trials"):
+            gatekeep_both_retained(impossible, 0.05)
 
 
 def _closed_form(x, events, trials):
@@ -500,7 +535,7 @@ def test_design_check_matches_matrix_rank():
         assert x.flags.writeable
         np.testing.assert_array_equal(x, before, strict=True)
     for branch in FinalBranch:  # a plan's groupings are shared: tuples all the way down
-        plan = final_analysis._node_plan(branch, (True,) * 2 ** (len(_LAYOUTS[branch][2]) - 1))
+        plan = _PLANS[branch]
         assert isinstance(plan.groups, tuple)
         assert all(isinstance(g, tuple) and all(type(r) is int for r in g) for model in plan.groups for g in model)
 
@@ -557,15 +592,12 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
     rng = np.random.default_rng(4711)
     seen = set()
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a boundary group must not warn
+        warnings.simplefilter("error")  # a boundary or empty group must not warn
         for i in range(360):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
             table = _table(rng, branch, mode)
-            plan = _plan(branch, table)
-            if plan is None:
-                seen.add("collinear")
-                continue
-            _, events, trials = _grouped(table)
+            plan = _PLANS[branch]
+            events, trials = table[:, : plan.patterns]
             closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
             saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
             bincount_form = reference_kernels.saturated_pass(*reference_kernels.saturated_groups(saturated), events, trials)
