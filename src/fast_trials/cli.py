@@ -140,6 +140,8 @@ def _cmd_simulate(args) -> int:
                     "n_cells": len(results),
                     "n_effective": sum(r.n_replicates_effective for r in results),
                     "n_failed": sum(r.n_failed for r in results),
+                    "n_used_default": sum(r.n_used_default for r in results),
+                    "branch_counts": {b: sum(r.branch_counts[b] for r in results) for b in results[0].branch_counts},
                     "n_clamped_outcomes": sum(r.n_clamped for r in results),
                     "n_gating_violations": sum(r.n_gating_violations for r in results),
                 }

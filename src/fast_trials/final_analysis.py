@@ -39,29 +39,29 @@ The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
 each enrollment block, as it draws it, into a 4 x 2 x 2 cell table:
 ``cells[arm_a + 1, arm_b]`` holds the cell's (non-events, events), and a
-replicate adds its blocks' tables. A branch
-whose full model has k covariates has 2^k covariate patterns, and
-``build_final_model`` maps the cells to them with one bincount, giving a
-fixed-shape (2, 2^k) pattern table: the events and the trials of every
-pattern in the order of its binary code, 0 where no subject has it. The
-counts are integer sums, so the table equals grouping the subjects
-themselves bit for bit.
+replicate adds its blocks' tables. A pattern table holds only the
+covariate patterns a subject can have: the first 2, 4 or 6 binary codes
+of the full model's indicators, as the both-arms codes 6 and 7 would be
+A1 and A2 at once. ``build_final_model`` maps the cells to them with one
+bincount, giving a fixed-shape (2, 2), (2, 4) or (2, 6) pattern table:
+the events and the trials of every pattern in the order of its binary
+code, 0 where no subject has it. The counts are integer sums, so the
+table equals grouping the subjects themselves bit for bit.
 
 A replicate computes only what the closed test reads: log-likelihoods.
 The cell -> pattern lookups are built at import, and so is one node plan
-per branch, on the patterns a subject can have: the first 2, 4 or 6
-binary codes, as the both-arms codes 6 and 7 are A1 and A2 at once. The
-plan holds every model's checked ``Design`` and owns the closed-form
-decision: it groups each model's rows, calls a model saturated when it
-has as many distinct rows as columns, and keeps the saturated models'
-groups of rows; for every other model it keeps the stratum map
-(``stats._Strata``) that the fit reads, the map's inverse included, so no
-fit solves for it again. A pattern without subjects needs no plan of its
-own: a saturated group or a stratum left empty has no MLE, so the
-replicate is flagged, as when no subject is in B1. After the draws a
-replicate decides on Python floats: the pattern table is read once
-(``tolist``) and checked once against the full model; the fits see the
-plan's designs, which ``fit_logistic_counts`` trusts.
+per branch, on the same patterns. The plan holds every model's checked
+``Design`` and owns the closed-form decision: it groups each model's
+rows, calls a model saturated when it has as many distinct rows as
+columns, and keeps the saturated models' groups of rows; for every other
+model it keeps the stratum map (``stats._Strata``) that the fit reads,
+the map's inverse included, so no fit solves for it again. A pattern
+without subjects needs no plan of its own: a saturated group or a stratum
+left empty has no MLE, so the replicate is flagged, as when no subject is
+in B1. After the draws a replicate decides on Python floats: the pattern
+table is read once (``tolist``) and checked once, its shape against the
+plan and its counts against the full model; the fits see the plan's
+designs, which ``fit_logistic_counts`` trusts.
 ``_saturated_pass`` sums each saturated model's group counts in Python,
 row by row in order as ``np.bincount`` did, and takes numpy's logarithms
 in one call each over all groups, so every closed form keeps its bits.
@@ -175,25 +175,26 @@ _GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIER
 # branch -> node label -> the labels that must be rejected before it may be.
 ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
 
-def _table_slots(branch: FinalBranch) -> np.ndarray:
-    """Cell-table entry (arm_a + 1, arm_b, y21), flattened -> its slot in
-    the flattened (2, 2^k) pattern table: the binary code of its subjects'
-    covariate pattern, first indicator most significant, in row 0 for
-    events and in row 1 for non-events; 2^(k + 1) for the subjects the
-    model leaves out: those not assigned in domain A, unless domain A is
-    terminated."""
+def _table_slots(branch: FinalBranch) -> tuple[int, np.ndarray]:
+    """(patterns, slots): the number of covariate patterns a subject can
+    have under the branch's full model, the codes from 0 (both-arms codes 6
+    and 7 would be A1 and A2 at once), and each cell-table entry (arm_a + 1,
+    arm_b, y21), flattened -> its slot in the flattened (2, patterns)
+    pattern table: its subjects' binary code, first indicator most
+    significant, in row 0 for events and in row 1 for non-events;
+    2 * patterns for the subjects the model leaves out: those not assigned
+    in domain A, unless domain A is terminated."""
     arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), np.arange(2), indexing="ij")
     codes = np.zeros(arm_a.shape, dtype=np.intp)
     for name in _COVARIATES[branch]:
         codes = codes * 2 + _INDICATOR[name](arm_a, arm_b)
-    k = len(_COVARIATES[branch])
-    slots = codes + (1 - y21) * 2**k
-    if branch is not FinalBranch.DOMAIN_A_TERMINATED:
-        slots[arm_a == ABSENT] = 2 ** (k + 1)
-    return slots.ravel()
+    kept = (arm_a != ABSENT) | (branch is FinalBranch.DOMAIN_A_TERMINATED)
+    patterns = int(codes[kept].max()) + 1
+    slots = np.where(kept, codes + (1 - y21) * patterns, 2 * patterns)
+    return patterns, slots.ravel()
 
 
-_TABLE_SLOTS = {branch: _table_slots(branch) for branch in FinalBranch}
+_TABLE_SLOTS = {branch: _table_slots(branch) for branch in FinalBranch}  # branch -> (patterns, slots)
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,14 @@ class GatekeepingOutcome:
 def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     """The branch's pattern table from a cell table (``generate_block``
     returns one per block): row 0 holds the events and row 1 the trials of
-    each of the 2^k covariate patterns of its full model, in the order of
-    their binary codes (covariate j is bit k - 1 - j), 0 for a pattern no
-    subject has. In the one-arm model the pooled indicator is
-    I(arm_a != A0) over every domain-A-assigned subject, whichever arm was
-    dropped."""
-    branch = FinalBranch(branch)
-    n = 2 ** len(_COVARIATES[branch])
-    counts = np.bincount(_TABLE_SLOTS[branch], weights=cells.ravel(), minlength=2 * n + 1)
-    table = counts[: 2 * n].reshape(2, n)
+    each covariate pattern a subject can have under its full model, 2, 4
+    or 6 of them, in the order of their binary codes (of k covariates,
+    covariate j is bit k - 1 - j), 0 for a pattern no subject has. In the
+    one-arm model the pooled indicator is I(arm_a != A0) over every
+    domain-A-assigned subject, whichever arm was dropped."""
+    patterns, slots = _TABLE_SLOTS[FinalBranch(branch)]
+    counts = np.bincount(slots, weights=cells.ravel(), minlength=2 * patterns + 1)
+    table = counts[: 2 * patterns].reshape(2, patterns)
     table[1] += table[0]  # trials = non-events + events
     return table
 
@@ -273,9 +273,7 @@ def _node_plan(branch: FinalBranch) -> _Plan:
     columns, and its groups of rows are kept for the closed form; every
     other model gets its stratum map."""
     k = len(_COVARIATES[branch])
-    # The codes the cells map to run from 0: only both-arms codes 6 and 7,
-    # A1 and A2 at once, are left out.
-    patterns = int(_TABLE_SLOTS[branch][_TABLE_SLOTS[branch] < 2**k].max()) + 1
+    patterns = _TABLE_SLOTS[branch][0]
     # each pattern as a design row, intercept first, in the order of the codes
     rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(patterns)])
     full_cols, nodes = _GATING[branch]
@@ -301,13 +299,12 @@ _PLANS = {branch: _node_plan(branch) for branch in FinalBranch}
 
 def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> float:
     """The maximised log-likelihood of the plan's model, nan where it has no
-    MLE: the closed form where the model is saturated, else
-    ``fit_logistic_counts`` with the model's stratum map."""
+    MLE: the closed form where the model is saturated, else the profile
+    fit's (``fit_logistic_counts``) with the model's stratum map."""
     slot = plan.slots[model]
     if slot is not None:
         return closed[slot]
-    fit = fit_logistic_counts(plan.designs[model], events, trials, plan.strata[model])
-    return fit.log_likelihood if fit.converged else math.nan
+    return fit_logistic_counts(plan.designs[model], events, trials, plan.strata[model]).log_likelihood
 
 
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
@@ -315,20 +312,16 @@ def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     where a model has no MLE (a nan log-likelihood, which ``lr_test``
     rejects), as when a pattern that a saturated model's group or a
     stratum needs has no subjects, and on any other failed LR test, every
-    p-value is 1.0. The pattern table is read once and checked once,
-    against the full model's column count; the fits see the patterns a
-    subject can have, and one pass gives every saturated model's
-    closed-form log-likelihood."""
+    p-value is 1.0. The pattern table is read once and checked once: its
+    shape against the plan's patterns, its counts against the full model's
+    column count; one pass gives every saturated model's closed-form
+    log-likelihood."""
     full_cols, nodes = _GATING[branch]
-    shape = (2, 2 ** (len(full_cols) - 1))
-    if table.shape != shape:
-        raise InputError(f"{branch.value} needs a {shape} pattern table, got shape {table.shape}")
+    plan = _PLANS[branch]
+    if table.shape != (2, plan.patterns):
+        raise InputError(f"{branch.value} needs a (2, {plan.patterns}) pattern table, got shape {table.shape}")
     events, trials = table.tolist()
     _check_table(events, trials, len(full_cols))
-    plan = _PLANS[branch]
-    if any(trials[plan.patterns :]):
-        raise InputError(f"{branch.value} patterns {plan.patterns} and up are A1 and A2 at once, which no subject is")
-    events, trials = events[: plan.patterns], trials[: plan.patterns]
     closed = _saturated_pass(plan.groups, events, trials)
     full = _log_likelihood(plan, 0, closed, events, trials)
     try:

@@ -8,26 +8,24 @@ t tail from the regularized incomplete beta (Lentz continued fraction).
 Everything here is a pure function of its inputs; random draws go through an
 explicit ``numpy.random.Generator`` owned by the caller.
 
-The Welch test's moments are numpy's own two-pass arithmetic
-(``_moments``). A logistic fit (``fit_logistic_counts``) trusts the
-``Design`` that ``check_design`` made of its rows. Where the caller maps
-the strata of a model of one intercept per stratum and a common log odds
-ratio, a rule decides whether the MLE exists (the separation conditions of
-Albert & Anderson 1984 and Santner & Duffy 1986: every stratum strictly
+Each entry point runs one algorithm. ``welch_t_test`` takes numpy's own
+two-pass moments (``_moments``) and the t tail. ``fit_logistic_counts``
+fits one intercept per stratum and a common log odds ratio, given each
+row's stratum, on a ``Design`` that ``check_design`` made and the fit
+trusts: a rule decides whether the MLE exists (the separation conditions
+of Albert & Anderson 1984 and Santner & Duffy 1986: every stratum strictly
 between 0 and all events, and the Mantel-Haenszel numerator and
 denominator both positive); where it does, the fit is the unconditional
 MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow & Day 1980,
 ch. 4) by profile Newton on Python floats, rows at 0 or at all events
-included, and where it does not, the fit is a failed one with NaN
-coefficients and log-likelihood. IRLS, the textbook Newton loop, fits only
-what has no stratum map: ``fit_logistic`` and a direct call without one. A
-stratum map (``_Strata``) carries the inverse that maps the strata's
-intercepts back to the design's columns, made once per map, so a profile
-fit solves no linear system. A fit carries its coefficients,
-log-likelihood and convergence flags; the final analysis reads only the last
-two. A count table must be finite, with events in [0, trials]; a profile
-fit's one pass over the rows checks that, and any other fit checks the
-table (``_check_table``) on lists.
+included, and elsewhere a failed fit with NaN coefficients and
+log-likelihood. A stratum map (``_Strata``) carries the inverse from the
+strata's intercepts to the design's columns, so the fit solves no linear
+system. ``fit_logistic`` groups the subjects by covariate pattern and runs
+IRLS, the textbook Newton loop (``_irls``); nothing else runs it.
+``lr_test`` takes two maximised log-likelihoods. A count table must be
+finite, with events in [0, trials]: a profile fit's one pass over the rows
+checks that, and ``fit_logistic`` calls ``_check_table`` on lists.
 """
 
 from __future__ import annotations
@@ -546,10 +544,10 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
     return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
 
 
-def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
+def fit_logistic_counts(design, events, trials, strata) -> LogisticFit:
     """Logistic fit on grouped data (one design row per covariate pattern,
-    with event/trial counts): by profile Newton where ``strata`` is given,
-    else by IRLS.
+    with event/trial counts) of one intercept per stratum and a common log
+    odds ratio: ``_profile_fit``'s.
 
     ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
     ``strata`` gives each row's stratum, for a design whose last column is
@@ -557,17 +555,14 @@ def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
     each stratum's rows agree on every other column, and the strata's rows
     of those columns are linearly independent. ``_stratify`` checks the
     labels against the rows; a ``_Strata`` made of them once is trusted.
-    With ``strata`` the fit is ``_profile_fit``'s: the MLE where the
-    existence rule holds, rows at 0 or at all events included, and the
-    failed fit, NaN coefficients and log-likelihood with ``diverged`` set,
-    where it does not or the Newton fails; IRLS never runs. On the tables
-    where IRLS converges the two agree; on some with rates near 1e-9 and
-    1e9 trials IRLS's own steps from zero overshoot the divergence bound
-    on a table whose MLE lies within it, and only the profile finds it.
+    The fit is the MLE where the existence rule holds, rows at 0 or at all
+    events included, and else the failed fit, NaN coefficients and
+    log-likelihood with ``diverged`` set; a table that fails its check
+    raises ``InputError``.
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
-    exactly, so likelihood-ratio statistics can mix grouped and ungrouped
-    fits, and closed-form log-likelihoods.
+    exactly, so likelihood-ratio statistics can mix it with IRLS fits and
+    closed-form log-likelihoods.
     """
     if not isinstance(design, Design):
         raise InputError("fit_logistic_counts needs a Design: pass the rows through check_design")
@@ -578,15 +573,20 @@ def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
     event_list, trial_list = events.tolist(), trials.tolist()
-    if strata is not None:
-        if not isinstance(strata, _Strata):
-            strata = _stratify(x, strata)
-        fit = _profile_fit(strata, event_list, trial_list, k)
-        if fit is not None:
-            return fit
-    _check_table(event_list, trial_list, k)  # with strata, the check the profile pass failed: this raises
+    if not isinstance(strata, _Strata):
+        strata = _stratify(x, strata)
+    fit = _profile_fit(strata, event_list, trial_list, k)
+    if fit is None:
+        _check_table(event_list, trial_list, k)  # the check the profile pass failed: this raises
+    return fit
 
-    beta = np.zeros(k)
+
+def _irls(x: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
+    """The textbook IRLS Newton loop from beta = 0 on checked design rows and
+    counts: a step below ``IRLS_TOL`` converges; a singular step, or a
+    coefficient past the divergence bound, diverges. On some tables with
+    rates near 1e-9 and 1e9 trials it overshoots a bound the MLE is within."""
+    beta = np.zeros(x.shape[1])
     converged = False
     diverged = False
     n_iter = 0
@@ -616,8 +616,8 @@ def fit_logistic_counts(design, events, trials, strata=None) -> LogisticFit:
 
 
 def fit_logistic(design, outcome) -> LogisticFit:
-    """IRLS logistic fit of a binary outcome on an indicator design matrix
-    (n x k, first column all ones)."""
+    """IRLS logistic fit (``_irls``) of a binary outcome on an indicator
+    design matrix (n x k, first column all ones)."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(outcome, dtype=float)
     if x.ndim != 2:
@@ -631,7 +631,9 @@ def fit_logistic(design, outcome) -> LogisticFit:
     rows, inverse = np.unique(x, axis=0, return_inverse=True)
     trials = np.bincount(inverse, minlength=rows.shape[0]).astype(float)
     events = np.bincount(inverse, weights=y, minlength=rows.shape[0])
-    return fit_logistic_counts(check_design(rows), events, trials)
+    rows = check_design(rows).rows
+    _check_table(events.tolist(), trials.tolist(), rows.shape[1])
+    return _irls(rows, events, trials)
 
 
 def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:

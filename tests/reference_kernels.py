@@ -10,6 +10,9 @@ that the engine's Python-float form must match bit for bit:
   ``np.bincount`` over the table's rows tiled once per model, with the
   groupings stacked per plan (``saturated_groups``).
 
+``irls`` fits a grouped table by IRLS as ``fit_logistic`` does, for the
+tests that compare a fit with IRLS.
+
 Not a test module: the test files import it.
 """
 
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from fast_trials.stats import IRLS_MAX_ITER, IRLS_TOL, LogisticFit, _DIVERGE_BOUND, fit_logistic_counts
+from fast_trials.stats import IRLS_MAX_ITER, IRLS_TOL, LogisticFit, _DIVERGE_BOUND, _check_table, _irls
 
 
 def stratum_odds(psi, events_s, non_events, lin0, lin1):
@@ -105,10 +108,19 @@ def profile_fit(x, events, trials, strata):
     return LogisticFit(beta, log_likelihood, True, n_iter, False)
 
 
+def irls(design, events, trials):
+    """The IRLS fit of a ``Design`` and count table, as ``fit_logistic``
+    runs it on its grouped subjects: the table check, then ``stats._irls``."""
+    events = np.asarray(events, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    _check_table(events.tolist(), trials.tolist(), design.rows.shape[1])
+    return _irls(design.rows, events, trials)
+
+
 def fit(design, events, trials, strata):
     """``fit_logistic_counts`` given row labels: the profile fit above, or
-    the unchanged function's error on a table that fails its check."""
-    return profile_fit(design.rows, events, trials, strata) or fit_logistic_counts(design, events, trials)
+    the table check's error on a table that fails it."""
+    return profile_fit(design.rows, events, trials, strata) or irls(design, events, trials)
 
 
 def row_strata(rows):

@@ -79,7 +79,7 @@ def test_both_retained_reference_coding():
     arm_b = np.array([0, 0, 1, 1])
     table = _model(_subjects(arm_a, arm_b, np.zeros(4, dtype=int)), "both_arms_retained")
     # (a1, a2, b1) codes: A0/B0 000, A0/B1 001, A2/B1 011, A1/B0 100.
-    np.testing.assert_array_equal(table[1], [1, 1, 0, 1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(table[1], [1, 1, 0, 1, 1, 0])
 
 
 def test_gatekeepers_reject_another_branchs_table():
@@ -99,17 +99,19 @@ def test_gatekeepers_reject_another_branchs_table():
 
 
 def test_table_slots_are_pinned():
-    """Cell-table entry (arm_a + 1, arm_b, y21), flattened -> pattern-table
-    slot: events in row 0, non-events in row 1, 2^(k + 1) for the subjects
-    the model leaves out."""
+    """The patterns a subject can have, and cell-table entry (arm_a + 1,
+    arm_b, y21), flattened -> pattern-table slot: events in row 0,
+    non-events in row 1, 2 * patterns for the subjects the model leaves
+    out."""
     pinned = {
-        FinalBranch.ONE_ARM_RETAINED: [8, 8, 8, 8, 4, 0, 5, 1, 6, 2, 7, 3, 6, 2, 7, 3],
-        FinalBranch.BOTH_ARMS_RETAINED: [16, 16, 16, 16, 8, 0, 9, 1, 12, 4, 13, 5, 10, 2, 11, 3],
-        FinalBranch.DOMAIN_A_TERMINATED: [2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1],
+        FinalBranch.ONE_ARM_RETAINED: (4, [8, 8, 8, 8, 4, 0, 5, 1, 6, 2, 7, 3, 6, 2, 7, 3]),
+        FinalBranch.BOTH_ARMS_RETAINED: (6, [12, 12, 12, 12, 6, 0, 7, 1, 10, 4, 11, 5, 8, 2, 9, 3]),
+        FinalBranch.DOMAIN_A_TERMINATED: (2, [2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1]),
     }
     assert set(_TABLE_SLOTS) == set(pinned)
-    for branch, slots in pinned.items():
-        np.testing.assert_array_equal(_TABLE_SLOTS[branch], np.array(slots, dtype=np.intp), strict=True)
+    for branch, (patterns, slots) in pinned.items():
+        assert _TABLE_SLOTS[branch][0] == patterns
+        np.testing.assert_array_equal(_TABLE_SLOTS[branch][1], np.array(slots, dtype=np.intp), strict=True)
 
 
 def test_grouped_counts_conserve_subjects_and_events():
@@ -124,7 +126,8 @@ def test_grouped_counts_conserve_subjects_and_events():
 
 def _reference_build(subjects, branch):
     """Events and trials per pattern code as built from the subjects before
-    cell tables: mask, indicator columns, binary codes."""
+    cell tables: mask, indicator columns, binary codes; the both-arms codes
+    6 and 7, A1 and A2 at once, are empty and left out."""
     arm_a, arm_b, y21 = subjects
     mask = arm_a != -1
     if branch is FinalBranch.DOMAIN_A_TERMINATED:
@@ -142,7 +145,10 @@ def _reference_build(subjects, branch):
         codes = codes * 2 + indicators[:, j]
     trials = np.bincount(codes, minlength=2**k)
     events = np.bincount(codes, weights=y21.astype(float), minlength=2**k)
-    return np.array([events, trials.astype(float)])
+    table = np.array([events, trials.astype(float)])
+    possible = 6 if branch is FinalBranch.BOTH_ARMS_RETAINED else 2**k
+    assert not table[:, possible:].any()
+    return table[:, :possible]
 
 
 def _split(subjects, bounds):

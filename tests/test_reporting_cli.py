@@ -1,6 +1,7 @@
 """results.csv schema and format pinning, manifest hashing, SVG rendering,
 and CLI exit-code behavior."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -167,6 +168,24 @@ def test_flagged_replicates_report_every_node_as_one(tmp_path, monkeypatch):
         assert row["hypothesis_p_values"] == ";".join(f"{node}=1" for node in nodes)
         assert row["rejected"] == row["successful_arms"] == ""
         assert row["order_first"] and row["n_clamped"] >= 0
+
+
+def test_manifest_tallies_branches_and_default_arm_of_unflagged_replicates(tmp_path):
+    """Each scenario entry of the manifest sums its cells' ``n_used_default``
+    and ``branch_counts``, which count unflagged replicates only: on the
+    rare-event scenario, which flags some, the branch counts add up to
+    ``n_effective``, and both tallies equal the trace's unflagged rows."""
+    out = tmp_path / "out"
+    r = _run_cli("simulate", "--config", str(DATA_DIR / "rare_events.json"), "--out", str(out), "--trace")
+    assert r.returncode == 0, r.stderr
+    (entry,) = json.loads((out / "manifest.json").read_text())["scenarios"]
+    assert entry["n_failed"] > 0
+    assert sum(entry["branch_counts"].values()) == entry["n_effective"]
+    assert sorted(entry["branch_counts"]) == sorted(b.value for b in FinalBranch)
+    with open(out / "trace_scenario_3.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["fit_failed"] == "0"]
+    assert entry["branch_counts"] == {b.value: sum(row["branch"] == b.value for row in rows) for b in FinalBranch}
+    assert entry["n_used_default"] == sum(row["used_default"] == "1" for row in rows) > 0
 
 
 def test_results_columns_pinned():

@@ -4,7 +4,7 @@ failure flags and errors as fitting every node by IRLS on the patterns
 that have subjects, which this file keeps as the reference, the same
 p-values where no fit failed and every p-value 1.0 where one did, and the
 same bits as the numpy form of its fits in ``reference_kernels``. A
-both-arms table with subjects in A1 and A2 at once is an input error."""
+pattern table holds only the patterns a subject can have."""
 
 import collections
 import dataclasses
@@ -36,6 +36,7 @@ from fast_trials.stats import (
     InputError,
     _check_table,
     check_design,
+    fit_logistic,
     fit_logistic_counts,
     lr_test,
 )
@@ -85,11 +86,12 @@ _MODES = ("interior", "boundary", "no_b1", "missing_arm", "tiny", "mixed")
 
 def _grouped(table):
     """The design rows (intercept first), events and trials of the patterns
-    of a (2, 2^k) table that have subjects; pattern code c has covariate j
-    equal to bit k - 1 - j of c."""
+    of a (2, 2), (2, 4) or (2, 6) table that have subjects; of k = 1, 2 or
+    3 covariates, pattern code c has covariate j equal to bit k - 1 - j of
+    c."""
     events, trials = table
-    k = len(trials).bit_length() - 1
-    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(2**k)])
+    k = (len(trials) - 1).bit_length()
+    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(len(trials))])
     present = trials > 0
     return rows[present], events[present], trials[present]
 
@@ -97,7 +99,7 @@ def _grouped(table):
 def _fit_rows(rows, events, trials):
     """IRLS fit of raw design rows, checking the counts before the design."""
     _check_table(events.tolist(), trials.tolist(), rows.shape[1])
-    return fit_logistic_counts(check_design(rows), events, trials)
+    return reference_kernels.irls(check_design(rows), events, trials)
 
 
 def _reference_node_tests(table, full_cols, reduced_map):
@@ -156,9 +158,7 @@ def _check_against_reference(branch, table, context) -> str:
     failure flag or InputError, and its p-values unless the replicate is
     flagged, when every p-value is 1.0; return which of them it was. A
     table whose patterns with subjects make the full design collinear, which
-    the reference's design check rejects, is flagged too, and one with
-    subjects in A1 and A2 at once, which the reference fits, is an input
-    error once its counts pass the table check."""
+    the reference's design check rejects, is flagged too."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
     kind = None
     try:
@@ -169,9 +169,6 @@ def _check_against_reference(branch, table, context) -> str:
     if isinstance(expected, str) and "collinear" not in expected:
         assert got == expected, context
         return "input_error"
-    if table[1][_PLANS[branch].patterns :].any():  # both-arms codes 6 and 7
-        assert isinstance(got, str) and "A1 and A2 at once" in got, context
-        return "impossible"
     if isinstance(expected, str):
         expected, kind = ({node: 1.0 for node in reduced_map}, True), "collinear"
     ref_p, ref_failed = expected
@@ -194,7 +191,7 @@ def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
     and coefficients. Count the models by how they were fitted, and the
     models without an MLE."""
     plan = _PLANS[branch]
-    events, trials = table[:, : plan.patterns]
+    events, trials = table
     closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
     saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
     groups, owner = reference_kernels.saturated_groups(saturated)
@@ -232,11 +229,10 @@ def test_node_p_values_match_all_irls_reference(branch):
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_every_presence_mask_matches_all_irls_reference(branch):
-    """Every one of the 2^(2^k) sets of patterns with subjects, with
-    interior counts on its patterns, gives the reference's p-values or
-    error on the branch's one plan; a set with a pattern in A1 and A2 at
-    once is an input error."""
-    n = 2 ** (len(_LAYOUTS[branch][2]) - 1)
+    """Every set of the patterns a subject can have that have subjects,
+    with interior counts on its patterns, gives the reference's p-values or
+    error on the branch's one plan."""
+    n = _PLANS[branch].patterns
     rng = np.random.default_rng(1009)
     seen = set()
     for mask in itertools.product((False, True), repeat=n):
@@ -244,7 +240,6 @@ def test_every_presence_mask_matches_all_irls_reference(branch):
         events = [int(rng.integers(1, t)) if t else 0 for t in trials]
         seen.add(_check_against_reference(branch, np.array([events, trials], dtype=float), mask))
     assert {"input_error", "collinear", "ok"} <= seen
-    assert ("impossible" in seen) == (branch is FinalBranch.BOTH_ARMS_RETAINED)
 
 
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
@@ -255,12 +250,11 @@ def test_small_counts_on_every_mask_decide_as_all_irls_reference(branch):
     rejects the nodes at alpha 0.05 as the all-IRLS reference decides."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
     patterns = _PLANS[branch].patterns
-    n = 2 ** (len(full_cols) - 1)
     rng = np.random.default_rng(2029)
     seen = collections.Counter()
     for mask in itertools.product((False, True), repeat=patterns):
         for _ in range(40):
-            trials = [int(rng.integers(1, 41)) if m else 0 for m in mask] + [0] * (n - patterns)
+            trials = [int(rng.integers(1, 41)) if m else 0 for m in mask]
             events = [int(rng.integers(0, t + 1)) for t in trials]
             table = np.array([events, trials], dtype=float)
             try:
@@ -290,10 +284,9 @@ def test_small_counts_on_every_mask_decide_as_all_irls_reference(branch):
 def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates):
     """The pattern tables of real replicates, every cell of each scenario's
     grid, at least 2000 per file: the main-effects models fit by profile
-    Newton, and the reference fits every model by IRLS. Every fit of the
-    real runs passes its stratum map, so none of them runs IRLS. The
-    rare-event scenario reaches tables without an MLE, which flag their
-    replicates; the shipped ones do not."""
+    Newton, and the reference fits every model by IRLS. No fit of the real
+    runs runs IRLS. The rare-event scenario reaches tables without an MLE,
+    which flag their replicates; the shipped ones do not."""
     tables = []
     fits = collections.Counter()
 
@@ -301,10 +294,6 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
         table = build_final_model(cells, branch)
         tables.append((FinalBranch(branch), table.copy()))
         return table
-
-    def recording_fit(design, events, trials, strata=None):
-        fits["without_strata"] += strata is None
-        return fit_logistic_counts(design, events, trials, strata)
 
     def recording_profile_fit(*args):
         fit = profile_fit(*args)
@@ -318,14 +307,13 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
     profile_fit, bernoulli_loglik = stats._profile_fit, stats._bernoulli_loglik
     with monkeypatch.context() as patch:
         patch.setattr(harness, "build_final_model", recording_build_final_model)
-        patch.setattr(final_analysis, "fit_logistic_counts", recording_fit)
         patch.setattr(stats, "_profile_fit", recording_profile_fit)
         patch.setattr(stats, "_bernoulli_loglik", recording_loglik)
         for config in load_scenarios(_ROOT / path):
             run_grid(dataclasses.replace(config, replicates=replicates))
     assert len(tables) >= 2000
     assert fits["profile"] > 0
-    assert fits["irls"] == fits["without_strata"] == 0
+    assert fits["irls"] == 0
     seen = collections.Counter()
     for i, (branch, table) in enumerate(tables):
         seen[branch, _check_against_reference(branch, table, (path, i))] += 1
@@ -333,6 +321,43 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
     rare = path.startswith("tests/")
     assert (fits["no_mle"] > 0) == rare
     assert (sum(n for (_, kind), n in seen.items() if kind == "failed") > 0) == rare
+
+
+def test_irls_is_reached_only_from_fit_logistic(monkeypatch):
+    """With ``stats._irls`` made to raise, one replicate on each final
+    branch, at the first seed that reaches it, and the rare-event grid,
+    whose tables reach models without an MLE, complete; unpatched,
+    ``fit_logistic`` on a 2 x 2 table reaches it."""
+    cases = {
+        FinalBranch.DOMAIN_A_TERMINATED: "scenarios/null.json",
+        FinalBranch.ONE_ARM_RETAINED: "scenarios/first_arm_effective.json",
+        FinalBranch.BOTH_ARMS_RETAINED: "perfbench/scenarios/both_arms.json",
+    }
+    irls = stats._irls
+
+    def raising(*args):
+        raise AssertionError("IRLS ran outside fit_logistic")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stats, "_irls", raising)
+        for branch, path in cases.items():
+            config = load_scenarios(_ROOT / path)[0]
+            cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
+            seed = next(s for s in range(200) if run_replicate(config, *cell, s).branch is branch)
+            assert not run_replicate(config, *cell, seed).failed
+        (config,) = load_scenarios(_ROOT / "tests" / "data" / "rare_events.json")
+        assert sum(cell.n_failed for cell in run_grid(dataclasses.replace(config, replicates=8))) > 0
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return irls(*args)
+
+    monkeypatch.setattr(stats, "_irls", counting)
+    x = np.repeat([[1.0, 0.0], [1.0, 1.0]], [100, 100], axis=0)
+    y = np.r_[np.ones(20), np.zeros(80), np.ones(30), np.zeros(70)]
+    assert fit_logistic(x, y).converged
+    assert len(calls) == 1
 
 
 # branch -> (scenario file, replicates per cell) giving >= 2000 of its tables
@@ -377,7 +402,7 @@ def test_collinear_design_flags_the_replicate():
     no_b1 = {  # subjects in every domain-A arm, none in B1
         analyze_terminated: [[5.0, 0.0], [20.0, 0.0]],
         gatekeep_one_retained: [[5.0, 0.0, 7.0, 0.0], [20.0, 0.0, 30.0, 0.0]],
-        gatekeep_both_retained: [[5.0, 0.0, 6.0, 0.0, 7.0, 0.0, 0.0, 0.0], [20.0, 0.0, 25.0, 0.0, 30.0, 0.0, 0.0, 0.0]],
+        gatekeep_both_retained: [[5.0, 0.0, 6.0, 0.0, 7.0, 0.0], [20.0, 0.0, 25.0, 0.0, 30.0, 0.0]],
     }
     cases = [(analysis, np.array(table)) for analysis, table in no_b1.items()]
     cases.append((analyze_terminated, np.array([[0.0, 6.0], [0.0, 20.0]])))  # only B1 subjects
@@ -415,7 +440,7 @@ def test_closed_form_matches_irls_on_interior_tables(branch):
             assert (slot is not None) == (cols in saturated)
             if slot is None:
                 continue
-            irls = fit_logistic_counts(design, events, trials)
+            irls = reference_kernels.irls(design, events, trials)
             assert irls.converged
             assert closed[slot] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
 
@@ -430,10 +455,10 @@ def test_plan_maps_the_strata_of_every_unsaturated_model():
         _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
         plan = _PLANS[branch]
         assert plan.patterns == patterns
-        rows, _, _ = _grouped(np.ones((2, 2 ** (len(full_cols) - 1))))
+        rows, _, _ = _grouped(np.ones((2, patterns)))
         models = [full_cols, *reduced_map.values()]
         for cols, design, slot, strata in zip(models, plan.designs, plan.slots, plan.strata):
-            np.testing.assert_array_equal(design.rows, rows[:patterns, list(cols)], strict=True)
+            np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
             assert (slot is not None) == (cols in saturated) == (strata is None)
             if strata is None:
                 continue
@@ -448,20 +473,16 @@ def test_plan_maps_the_strata_of_every_unsaturated_model():
             assert strata.treated == tuple(design.rows[:, -1].tolist())
 
 
-def test_a1_and_a2_at_once_is_an_input_error():
-    """No subject is in A1 and A2 at once, so a both-arms table with trials
-    in codes 6 or 7 is rejected, once its counts pass the table check, and
-    an event there without a trial fails that check."""
-    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0, 0.0, 0.0], [40.0] * 6 + [0.0] * 2])
+def test_both_arms_table_of_eight_patterns_is_a_shape_error():
+    """A both-arms pattern table has the 6 patterns a subject can have: one
+    with columns for codes 6 and 7, A1 and A2 at once, is rejected by its
+    shape, with or without subjects there."""
+    table = np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0], [40.0] * 6])
     assert not gatekeep_both_retained(table, 0.05).fit_failed
-    for code in (6, 7):
-        impossible = table.copy()
-        impossible[1, code] = 1.0
-        with pytest.raises(InputError, match="A1 and A2 at once"):
-            gatekeep_both_retained(impossible, 0.05)
-        impossible[0, code] = 2.0
-        with pytest.raises(InputError, match="trials"):
-            gatekeep_both_retained(impossible, 0.05)
+    for trials in (0.0, 1.0):
+        wide = np.concatenate([table, [[0.0, 0.0], [trials, trials]]], axis=1)
+        with pytest.raises(InputError, match=re.escape("needs a (2, 6) pattern table, got shape (2, 8)")):
+            gatekeep_both_retained(wide, 0.05)
 
 
 def _closed_form(x, events, trials):
@@ -597,7 +618,7 @@ def test_one_pass_bit_identical_to_per_node_closed_form(branch):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
             table = _table(rng, branch, mode)
             plan = _PLANS[branch]
-            events, trials = table[:, : plan.patterns]
+            events, trials = table
             closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
             saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
             bincount_form = reference_kernels.saturated_pass(*reference_kernels.saturated_groups(saturated), events, trials)
