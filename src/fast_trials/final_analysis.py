@@ -27,8 +27,8 @@ the decisions are the same. A saturated model has an MLE exactly when
 every group is strictly between 0 and all events; elsewhere its closed
 form is nan. The unsaturated ones are the main-effects models: the one-arm
 and both-arms full models, H05 and H06. Each is one intercept per stratum
-of domain-A arms and a common B1 log odds ratio, so the plan passes the
-fit each row's stratum, and the fit (``stats._profile_fit``) decides by
+of domain-A arms and a common B1 log odds ratio, so its fit takes the
+model's stratum map, and the fit (``stats._profile_fit``) decides by
 rule whether the MLE exists and finds it by profile Newton, on rows at 0
 or at all events too; the final analysis never runs IRLS. A model
 without an MLE has a nan log-likelihood, which ``lr_test`` rejects: the
@@ -49,19 +49,17 @@ code, 0 where no subject has it. The counts are integer sums, so the
 table equals grouping the subjects themselves bit for bit.
 
 A replicate computes only what the closed test reads: log-likelihoods.
-The cell -> pattern lookups are built at import, and so is one node plan
-per branch, on the same patterns. The plan holds every model's checked
-``Design`` and owns the closed-form decision: it groups each model's
-rows, calls a model saturated when it has as many distinct rows as
-columns, and keeps the saturated models' groups of rows; for every other
-model it keeps the stratum map (``stats._Strata``) that the fit reads,
-the map's inverse included, so no fit solves for it again. A pattern
-without subjects needs no plan of its own: a saturated group or a stratum
-left empty has no MLE, so the replicate is flagged, as when no subject is
-in B1. After the draws a replicate decides on Python floats: the pattern
-table is read once (``tolist``) and checked once, its shape against the
-plan and its counts against the full model; the fits see the plan's
-designs, which ``fit_logistic_counts`` trusts.
+Each branch's constants are one record (``_Branch``), built at import:
+its patterns and cell -> pattern slots, its full model's column count,
+its nodes, and each model once, in one ``models`` entry. A saturated
+model (as many distinct rows as columns) is its index among the record's
+groups of rows; every other model is the stratum map (``stats.Strata``)
+that its fit takes, the map's inverse included, so no fit solves for it
+again. A pattern without subjects needs nothing of its own: a saturated
+group or a stratum left empty has no MLE, so the replicate is flagged, as
+when no subject is in B1. After the draws a replicate decides on Python
+floats: the pattern table is read once (``tolist``) and checked once, its
+shape against the record and its counts against the full model.
 ``_saturated_pass`` sums each saturated model's group counts in Python,
 row by row in order as ``np.bincount`` did, and takes numpy's logarithms
 in one call each over all groups, so every closed form keeps its bits.
@@ -78,16 +76,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .design import ABSENT
-from .stats import (
-    FittingError,
-    InputError,
-    _check_table,
-    _stratify,
-    check_design,
-    fit_logistic_counts,
-    lr_test,
-)
+from .design import ABSENT, ARM_A_CODE
+from .stats import FittingError, InputError, _check_table, check_design, fit_logistic_counts, lr_test, stratify
 
 __all__ = [
     "FinalBranch",
@@ -121,9 +111,9 @@ _COVARIATES = {
 _ARM_OF = {"fluid_pooled": "A_pooled", "a1": "A1", "a2": "A2", "b1": "B1"}
 # Each covariate's indicator, from subjects' domain-A and domain-B arm codes.
 _INDICATOR = {
-    "fluid_pooled": lambda arm_a, arm_b: arm_a > 0,
-    "a1": lambda arm_a, arm_b: arm_a == 1,
-    "a2": lambda arm_a, arm_b: arm_a == 2,
+    "fluid_pooled": lambda arm_a, arm_b: (arm_a == ARM_A_CODE["A1"]) | (arm_a == ARM_A_CODE["A2"]),
+    "a1": lambda arm_a, arm_b: arm_a == ARM_A_CODE["A1"],
+    "a2": lambda arm_a, arm_b: arm_a == ARM_A_CODE["A2"],
     "b1": lambda arm_a, arm_b: arm_b == 1,
 }
 
@@ -150,51 +140,70 @@ HIERARCHY = {
 
 class _Node(NamedTuple):
     label: str
-    reduced: tuple  # design columns the reduced model keeps
     df: int  # columns the null hypothesis drops
     ancestors: frozenset  # labels of the nodes for strict supersets
     arm: Optional[str]  # credited on rejection; None for an intersection
 
 
-def _derive(covariates: tuple, nulls: dict) -> tuple:
-    """Full-model columns and the nodes, supersets first, of one branch."""
-    full = tuple(range(len(covariates) + 1))
-    return full, tuple(
+class _Branch(NamedTuple):
+    """The constants of one branch's final analysis (``_constants``)."""
+
+    patterns: int  # the patterns a subject can have: the first 2, 4 or 6 binary codes
+    slots: np.ndarray  # cell-table entry (arm_a + 1, arm_b, y21), flattened -> its pattern-table slot
+    columns: int  # the full model's design columns
+    nodes: tuple  # every node, supersets first
+    models: tuple  # the full model's, then every node's: its index in ``groups`` if saturated, else its ``Strata``
+    groups: tuple  # per saturated model, each group's rows, for ``_saturated_pass``
+
+
+def _constants(branch: FinalBranch) -> _Branch:
+    """The record of ``branch``. Each cell-table entry's slot in the
+    flattened (2, patterns) pattern table is its subjects' binary code,
+    first indicator most significant, in row 0 for events and in row 1 for
+    non-events; 2 * patterns for the subjects the model leaves out: those
+    not assigned in domain A, unless domain A is terminated. The full
+    model and every node's reduced model are sliced from the patterns as
+    design rows and checked once. A model is saturated when it has as many
+    distinct rows as columns, and its groups of rows are kept for the
+    closed form; every other model gets its stratum map."""
+    covariates, nulls = _COVARIATES[branch], HIERARCHY[branch]
+    arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, len(ARM_A_CODE)), np.arange(2), np.arange(2), indexing="ij")
+    codes = np.zeros(arm_a.shape, dtype=np.intp)
+    for name in covariates:
+        codes = codes * 2 + _INDICATOR[name](arm_a, arm_b)
+    kept = (arm_a != ABSENT) | (branch is FinalBranch.DOMAIN_A_TERMINATED)
+    patterns = int(codes[kept].max()) + 1
+    slots = np.where(kept, codes + (1 - y21) * patterns, 2 * patterns).ravel()
+    k = len(covariates)
+    # each pattern as a design row, intercept first, in the order of the codes
+    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(patterns)])
+    ordered = sorted(nulls.items(), key=lambda item: -len(item[1]))
+    models, groups = [], []
+    for nulled in [()] + [n for _, n in ordered]:
+        x = check_design(rows[:, [0] + [j + 1 for j, name in enumerate(covariates) if name not in nulled]])
+        distinct, inverse = np.unique(x, axis=0, return_inverse=True)
+        if len(distinct) == x.shape[1]:
+            models.append(len(groups))
+            of_row = inverse.reshape(-1).tolist()
+            groups.append(tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct))))
+        else:  # one intercept per stratum, a row's values of every column but b1, and a common B1 log odds ratio
+            _, stratum = np.unique(x[:, :-1], axis=0, return_inverse=True)
+            models.append(stratify(x, stratum.reshape(-1).tolist()))
+    nodes = tuple(
         _Node(
             label,
-            tuple(c for c in full if c == 0 or covariates[c - 1] not in nulled),
             len(nulled),
             frozenset(other for other, s in nulls.items() if set(s) > set(nulled)),
             _ARM_OF[nulled[0]] if len(nulled) == 1 else None,
         )
-        for label, nulled in sorted(nulls.items(), key=lambda item: -len(item[1]))
+        for label, nulled in ordered
     )
+    return _Branch(patterns, slots, k + 1, nodes, tuple(models), tuple(groups))
 
 
-_GATING = {branch: _derive(_COVARIATES[branch], nulls) for branch, nulls in HIERARCHY.items()}
+_BRANCHES = {branch: _constants(branch) for branch in FinalBranch}
 # branch -> node label -> the labels that must be rejected before it may be.
-ANCESTORS = {branch: {n.label: n.ancestors for n in nodes} for branch, (_, nodes) in _GATING.items()}
-
-def _table_slots(branch: FinalBranch) -> tuple[int, np.ndarray]:
-    """(patterns, slots): the number of covariate patterns a subject can
-    have under the branch's full model, the codes from 0 (both-arms codes 6
-    and 7 would be A1 and A2 at once), and each cell-table entry (arm_a + 1,
-    arm_b, y21), flattened -> its slot in the flattened (2, patterns)
-    pattern table: its subjects' binary code, first indicator most
-    significant, in row 0 for events and in row 1 for non-events;
-    2 * patterns for the subjects the model leaves out: those not assigned
-    in domain A, unless domain A is terminated."""
-    arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, 3), np.arange(2), np.arange(2), indexing="ij")
-    codes = np.zeros(arm_a.shape, dtype=np.intp)
-    for name in _COVARIATES[branch]:
-        codes = codes * 2 + _INDICATOR[name](arm_a, arm_b)
-    kept = (arm_a != ABSENT) | (branch is FinalBranch.DOMAIN_A_TERMINATED)
-    patterns = int(codes[kept].max()) + 1
-    slots = np.where(kept, codes + (1 - y21) * patterns, 2 * patterns)
-    return patterns, slots.ravel()
-
-
-_TABLE_SLOTS = {branch: _table_slots(branch) for branch in FinalBranch}  # branch -> (patterns, slots)
+ANCESTORS = {branch: {n.label: n.ancestors for n in record.nodes} for branch, record in _BRANCHES.items()}
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,8 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     covariate j is bit k - 1 - j), 0 for a pattern no subject has. In the
     one-arm model the pooled indicator is I(arm_a != A0) over every
     domain-A-assigned subject, whichever arm was dropped."""
-    patterns, slots = _TABLE_SLOTS[FinalBranch(branch)]
+    record = _BRANCHES[FinalBranch(branch)]
+    patterns, slots = record.patterns, record.slots
     counts = np.bincount(slots, weights=cells.ravel(), minlength=2 * patterns + 1)
     table = counts[: 2 * patterns].reshape(2, patterns)
     table[1] += table[0]  # trials = non-events + events
@@ -221,8 +231,8 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
 
 
 def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
-    """The maximised log-likelihood of every saturated model of a plan on a
-    checked table's rows: ``groups`` holds, per saturated model, each of
+    """The maximised log-likelihood of every saturated model of a branch on
+    a checked table's rows: ``groups`` holds, per saturated model, each of
     its groups as the tuple of its rows.
 
     A saturated model gives each group g its own free logit, so its MLE is
@@ -258,53 +268,13 @@ def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
     return closed
 
 
-class _Plan(NamedTuple):
-    patterns: int  # the patterns a subject can have: the first 2, 4 or 6 binary codes
-    designs: tuple  # each model's ``Design``: the full model, then every node's
-    slots: tuple  # each model's index among the saturated ones; None where it is not saturated
-    strata: tuple  # each unsaturated model's ``_Strata``, for ``fit_logistic_counts``; else None
-    groups: tuple  # per saturated model, each group's rows, for ``_saturated_pass``
-
-
-def _node_plan(branch: FinalBranch) -> _Plan:
-    """The full model and every node's reduced model of ``branch`` on the
-    patterns a subject can have, each sliced into a checked ``Design``
-    once. A model is saturated when it has as many distinct rows as
-    columns, and its groups of rows are kept for the closed form; every
-    other model gets its stratum map."""
-    k = len(_COVARIATES[branch])
-    patterns = _TABLE_SLOTS[branch][0]
-    # each pattern as a design row, intercept first, in the order of the codes
-    rows = np.array([[1.0] + [float((c >> (k - 1 - j)) & 1) for j in range(k)] for c in range(patterns)])
-    full_cols, nodes = _GATING[branch]
-    models = (full_cols,) + tuple(node.reduced for node in nodes)
-    designs = tuple(check_design(rows[:, list(cols)]) for cols in models)
-    slots, strata, groups = [], [], []
-    for design in designs:
-        distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
-        if len(distinct) == design.rows.shape[1]:
-            slots.append(len(groups))
-            strata.append(None)
-            of_row = inverse.reshape(-1).tolist()
-            groups.append(tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct))))
-        else:  # one intercept per stratum, a row's values of every column but b1, and a common B1 log odds ratio
-            slots.append(None)
-            _, stratum = np.unique(design.rows[:, :-1], axis=0, return_inverse=True)
-            strata.append(_stratify(design.rows, stratum.reshape(-1).tolist()))
-    return _Plan(patterns, designs, tuple(slots), tuple(strata), tuple(groups))
-
-
-_PLANS = {branch: _node_plan(branch) for branch in FinalBranch}
-
-
-def _log_likelihood(plan: _Plan, model: int, closed: list, events: list, trials: list) -> float:
-    """The maximised log-likelihood of the plan's model, nan where it has no
-    MLE: the closed form where the model is saturated, else the profile
-    fit's (``fit_logistic_counts``) with the model's stratum map."""
-    slot = plan.slots[model]
-    if slot is not None:
-        return closed[slot]
-    return fit_logistic_counts(plan.designs[model], events, trials, plan.strata[model]).log_likelihood
+def _log_likelihood(model, closed: list, events: list, trials: list) -> float:
+    """The maximised log-likelihood of a ``models`` entry, nan where it has
+    no MLE: its closed form where the model is saturated, else the profile
+    fit's (``fit_logistic_counts``) on the model's stratum map."""
+    if isinstance(model, int):
+        return closed[model]
+    return fit_logistic_counts(model, events, trials).log_likelihood
 
 
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
@@ -313,24 +283,23 @@ def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     rejects), as when a pattern that a saturated model's group or a
     stratum needs has no subjects, and on any other failed LR test, every
     p-value is 1.0. The pattern table is read once and checked once: its
-    shape against the plan's patterns, its counts against the full model's
-    column count; one pass gives every saturated model's closed-form
-    log-likelihood."""
-    full_cols, nodes = _GATING[branch]
-    plan = _PLANS[branch]
-    if table.shape != (2, plan.patterns):
-        raise InputError(f"{branch.value} needs a (2, {plan.patterns}) pattern table, got shape {table.shape}")
+    shape against the branch's patterns, its counts against the full
+    model's column count; one pass gives every saturated model's
+    closed-form log-likelihood."""
+    record = _BRANCHES[branch]
+    if table.shape != (2, record.patterns):
+        raise InputError(f"{branch.value} needs a (2, {record.patterns}) pattern table, got shape {table.shape}")
     events, trials = table.tolist()
-    _check_table(events, trials, len(full_cols))
-    closed = _saturated_pass(plan.groups, events, trials)
-    full = _log_likelihood(plan, 0, closed, events, trials)
+    _check_table(events, trials, record.columns)
+    closed = _saturated_pass(record.groups, events, trials)
+    full = _log_likelihood(record.models[0], closed, events, trials)
     try:
         return {
-            node.label: lr_test(full, _log_likelihood(plan, model, closed, events, trials), node.df).p_value
-            for model, node in enumerate(nodes, 1)
+            node.label: lr_test(full, _log_likelihood(model, closed, events, trials), node.df).p_value
+            for model, node in zip(record.models[1:], record.nodes)
         }, False
     except FittingError:
-        return {node.label: 1.0 for node in nodes}, True
+        return {node.label: 1.0 for node in record.nodes}, True
 
 
 def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
@@ -338,7 +307,7 @@ def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
     below alpha and every node for a strict superset of its null set is
     rejected. Nodes are visited supersets first."""
     rejected = set()
-    for node in _GATING[branch][1]:
+    for node in _BRANCHES[branch].nodes:
         if node.ancestors <= rejected and p_values[node.label] < alpha:
             rejected.add(node.label)
     return frozenset(rejected)
@@ -351,9 +320,8 @@ def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
 
 def _gatekeep(table: np.ndarray, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
     p_values, failed = _node_tests(table, branch)
-    nodes = _GATING[branch][1]
     rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)
-    successful = frozenset(node.arm for node in nodes if node.arm and node.label in rejected)
+    successful = frozenset(node.arm for node in _BRANCHES[branch].nodes if node.arm and node.label in rejected)
     return GatekeepingOutcome(p_values, rejected, successful, failed)
 
 

@@ -197,19 +197,20 @@ class TrialResult:
         return self.gatekeeping.fit_failed
 
 
-def run_replicate(
-    config: ScenarioConfig, n_drop: int, n_feas: int, replicate_seed: int, stream=None
-) -> TrialResult:
+def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> TrialResult:
     """Simulate one trial end to end, fully determined by the arguments.
 
-    ``stream``, when given, is a generator already in the state that
-    ``np.random.default_rng(replicate_seed)`` starts in, and the seed is not read.
+    ``rng`` is the replicate's seed (``derive_seed``) or its generator: it
+    is passed to ``np.random.default_rng``, which returns a ``Generator``
+    as it is. A seed is taken whole, as ``default_rng`` takes it: one in
+    [0, 2^64) starts the stream a grid run gives the replicate of that
+    seed, and a negative one raises.
     """
     if max(n_drop, n_feas) > config.n_total:
         raise ValueError(
             f"interim trigger exceeds n_total={config.n_total} (n_drop={n_drop}, n_feas={n_feas})"
         )
-    rng = np.random.default_rng(int(replicate_seed) & _MASK64) if stream is None else stream
+    rng = np.random.default_rng(rng)
     schedule = build_schedule(n_drop, n_feas)
     arms = frozenset(DOMAIN_A_ARMS)  # open domain-A arms; None once terminated
     columns = None  # (arm_a, y11, y12) of the subjects so far: what the interims read
@@ -413,11 +414,11 @@ def _run_chunk(args) -> tuple[dict, list]:
     effective = truly_effective_arms(config)
     tallies = {}
     traces = []
-    stream = np.random.Generator(np.random.PCG64(0))  # reset to each replicate's state
+    rng = np.random.Generator(np.random.PCG64(0))  # reset to each replicate's state
     for index, replicate_words in enumerate(words.tolist(), start):
         j, rep = divmod(index, config.replicates)
-        stream.bit_generator.state = _pcg64_state(*replicate_words)
-        result = run_replicate(config, *cells[j], None, stream)
+        rng.bit_generator.state = _pcg64_state(*replicate_words)
+        result = run_replicate(config, *cells[j], rng)
         _accumulate(tallies.setdefault(j, defaultdict(int)), result, correct, effective)
         if collect_traces:
             traces.append(_trace_row(config, rep, result))

@@ -4,28 +4,31 @@ regression, and nested-model likelihood-ratio tests.
 Distribution tails are computed from scratch, so the kernel has no runtime
 dependency on a stats library: the normal CDF and the chi-square tail (at
 integer df) in closed form, as erfc plus a finite sum of exp terms, and the
-t tail from the regularized incomplete beta (Lentz continued fraction).
+t tail from the regularized incomplete beta (Lentz continued fraction), or
+at df of 1e5 and more from the normal tail and its 1/df term.
 Everything here is a pure function of its inputs; random draws go through an
 explicit ``numpy.random.Generator`` owned by the caller.
 
 Each entry point runs one algorithm. ``welch_t_test`` takes numpy's own
 two-pass moments (``_moments``) and the t tail. ``fit_logistic_counts``
-fits one intercept per stratum and a common log odds ratio, given each
-row's stratum, on a ``Design`` that ``check_design`` made and the fit
-trusts: a rule decides whether the MLE exists (the separation conditions
-of Albert & Anderson 1984 and Santner & Duffy 1986: every stratum strictly
-between 0 and all events, and the Mantel-Haenszel numerator and
-denominator both positive); where it does, the fit is the unconditional
-MLE of a common odds ratio (Mantel & Haenszel 1959; Breslow & Day 1980,
-ch. 4) by profile Newton on Python floats, rows at 0 or at all events
-included, and elsewhere a failed fit with NaN coefficients and
-log-likelihood. A stratum map (``_Strata``) carries the inverse from the
-strata's intercepts to the design's columns, so the fit solves no linear
-system. ``fit_logistic`` groups the subjects by covariate pattern and runs
-IRLS, the textbook Newton loop (``_irls``); nothing else runs it.
-``lr_test`` takes two maximised log-likelihoods. A count table must be
-finite, with events in [0, trials]: a profile fit's one pass over the rows
-checks that, and ``fit_logistic`` calls ``_check_table`` on lists.
+fits one intercept per stratum and a common log odds ratio on a stratum
+map (``Strata``) that ``stratify`` made once from design rows and row
+labels, and that the fit trusts: a rule decides whether the MLE exists
+(the separation conditions of Albert & Anderson 1984 and Santner & Duffy
+1986: every stratum strictly between 0 and all events, and the
+Mantel-Haenszel numerator and denominator both positive); where it does,
+the fit is the unconditional MLE of a common odds ratio (Mantel &
+Haenszel 1959; Breslow & Day 1980, ch. 4) by profile Newton on Python
+floats, rows at 0 or at all events included, and elsewhere a failed fit
+with NaN coefficients and log-likelihood. The stratum map carries the
+inverse from the strata's intercepts to the design's columns, so the fit
+solves no linear system. ``check_design`` returns a design's checked
+read-only rows, for ``stratify`` and ``fit_logistic``. ``fit_logistic``
+groups the subjects by covariate pattern and runs IRLS, the textbook
+Newton loop (``_irls``); nothing else runs it. ``lr_test`` takes two
+maximised log-likelihoods. A count table must be finite, with events in
+[0, trials]: a profile fit's one pass over the rows checks that, and
+``fit_logistic`` calls ``_check_table`` on lists.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ __all__ = [
     "chi_square_sf",
     "welch_t_test",
     "fit_logistic",
-    "Design",
     "check_design",
+    "Strata",
+    "stratify",
     "fit_logistic_counts",
     "lr_test",
 ]
@@ -60,6 +64,10 @@ _FPMIN = 1e-300
 _MAX_CF_ITER = 500
 _SQRT2 = math.sqrt(2.0)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)  # Gamma(3/2)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# From this df on, t_sf takes the normal tail and its 1/df term: each errs
+# by at most about 2e-11 on either side of it (x in [-10, 10]).
+_T_NORMAL_DF = 1e5
 
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 50
@@ -183,7 +191,14 @@ def normal_cdf(z: float) -> float:
 
 def t_sf(x: float, df: float) -> float:
     """Upper-tail survival function of Student's t with ``df`` degrees of
-    freedom (non-integer df allowed)."""
+    freedom (non-integer df allowed).
+
+    Below ``_T_NORMAL_DF`` it is half the regularized incomplete beta at
+    df / (df + x^2). At large df that ratio rounds toward 1 and the beta's
+    lgamma terms cancel (at df = 1e15 the beta gave 0.364 for the 0.159 of
+    x = 1), so from ``_T_NORMAL_DF`` on the tail is the normal one plus its
+    first-order term in 1/df: erfc(x / sqrt 2) / 2 + phi(x) (x^3 + x) / (4 df).
+    """
     x = float(x)
     df = float(df)
     if not 0.0 < df < math.inf:
@@ -194,6 +209,10 @@ def t_sf(x: float, df: float) -> float:
         return 0.0 if x > 0 else 1.0
     if x == 0.0:
         return 0.5
+    if df >= _T_NORMAL_DF:
+        phi = math.exp(-0.5 * x * x) / _SQRT_2PI
+        # phi times x first: where phi underflows the term is 0, not 0 * inf
+        return 0.5 * math.erfc(x / _SQRT2) + (phi * x * x * x + phi * x) / (4.0 * df)
     tail = 0.5 * _beta_inc(0.5 * df, 0.5, df / (df + x * x))
     return tail if x > 0.0 else 1.0 - tail
 
@@ -344,20 +363,12 @@ def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -
     return float((events * eta - trials * softplus).sum())
 
 
-class Design(NamedTuple):
-    """A logistic design checked once (``check_design``) and trusted by
-    every fit given it: read-only float rows with an all-ones intercept
-    column and full column rank."""
-
-    rows: np.ndarray
-
-
-def check_design(rows) -> Design:
-    """The ``Design`` of a 2-d finite float design with at least one row
-    and one column, an intercept and full column rank. The rows are copied before
-    they are frozen, so the caller's array stays writeable, and in Fortran
-    order: the BLAS products of a fit round by memory layout, so every copy
-    of a design fits to the same bits."""
+def check_design(rows) -> np.ndarray:
+    """The checked rows of a 2-d finite float design with at least one row
+    and one column, an intercept and full column rank, read-only. The rows
+    are copied before they are frozen, so the caller's array stays
+    writeable, and in Fortran order: the BLAS products of a fit round by
+    memory layout, so every copy of a design fits to the same bits."""
     x = np.array(rows, dtype=float, order="F")
     if x.ndim != 2 or x.shape[1] == 0:
         raise InputError("design must be a 2-d matrix with at least one column")
@@ -370,7 +381,7 @@ def check_design(rows) -> Design:
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise InputError("design columns are collinear")
     x.setflags(write=False)
-    return Design(x)
+    return x
 
 
 def _check_table(events: list, trials: list, k: int) -> None:
@@ -388,23 +399,25 @@ def _check_table(events: list, trials: list, k: int) -> None:
         raise InputError(f"need at least k={k} subjects, got {n_subjects:g}")
 
 
-class _Strata(NamedTuple):
-    """The stratum map of a main-effects design (``_stratify``), made once
-    per design and trusted by every profile fit given it."""
+class Strata(NamedTuple):
+    """The stratum map of a main-effects design, made once by ``stratify``
+    and trusted by every fit given it."""
 
     of_row: tuple  # each row's stratum, numbered in the order the strata first appear
     treated: tuple  # each row's 0/1 last column
     inverse: tuple  # rows of the inverse of the strata's first rows, last column left out
 
 
-def _stratify(x: np.ndarray, strata) -> _Strata:
-    """The ``_Strata`` of design rows ``x`` from each row's stratum label,
-    checked: one label per row, one stratum per column but the last, the
-    rows of a stratum equal on every column but the last, a 0/1 last
-    column and nonsingular strata rows. The intercepts alpha_s of the
-    strata give the coefficients of every column but the last as
+def stratify(rows, labels) -> Strata:
+    """The ``Strata`` of a design, from each row's stratum label: the rows
+    pass ``check_design``, and then there must be one label per row, one
+    stratum per column but the last, the rows of a stratum equal on every
+    column but the last, and a 0/1 last column. The strata's rows are then
+    nonsingular, as the design has full rank, and the intercepts alpha_s
+    of the strata give the coefficients of every column but the last as
     ``inverse`` times alpha."""
-    labels = list(strata)
+    x = check_design(rows)
+    labels = list(labels)
     n_rows, k = x.shape
     if len(labels) != n_rows:
         raise InputError(f"strata must label each of the {n_rows} design rows, got {len(labels)} labels")
@@ -418,11 +431,8 @@ def _stratify(x: np.ndarray, strata) -> _Strata:
     treated = x[:, -1].tolist()
     if not all(b == 0.0 or b == 1.0 for b in treated):
         raise InputError("the last design column must be a 0/1 indicator")
-    try:
-        inverse = np.linalg.inv(x[first, :-1])
-    except np.linalg.LinAlgError:
-        raise InputError("the rows of the strata are singular") from None
-    return _Strata(of_row, tuple(treated), tuple(map(tuple, inverse.tolist())))
+    inverse = np.linalg.inv(x[first, :-1])
+    return Strata(of_row, tuple(treated), tuple(map(tuple, inverse.tolist())))
 
 
 def _no_mle(k: int, n_iter: int) -> LogisticFit:
@@ -430,7 +440,7 @@ def _no_mle(k: int, n_iter: int) -> LogisticFit:
     return LogisticFit(np.full(k, math.nan), math.nan, False, n_iter, True)
 
 
-def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optional[LogisticFit]:
+def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional[LogisticFit]:
     """The MLE of logit p = alpha_s + theta * b, one intercept per stratum s
     and a common log odds ratio theta on the 0/1 last column b, or the
     failed fit (``_no_mle``) where there is none; None where the table
@@ -544,19 +554,13 @@ def _profile_fit(strata: _Strata, events: list, trials: list, k: int) -> Optiona
     return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
 
 
-def fit_logistic_counts(design, events, trials, strata) -> LogisticFit:
-    """Logistic fit on grouped data (one design row per covariate pattern,
-    with event/trial counts) of one intercept per stratum and a common log
-    odds ratio: ``_profile_fit``'s.
+def fit_logistic_counts(strata: Strata, events, trials) -> LogisticFit:
+    """Logistic fit on grouped data (event/trial counts per design row) of
+    one intercept per stratum and a common log odds ratio: ``_profile_fit``'s.
 
-    ``design`` is a ``Design`` from ``check_design``, which the fit trusts.
-    ``strata`` gives each row's stratum, for a design whose last column is
-    a 0/1 indicator and whose other columns are one intercept per stratum:
-    each stratum's rows agree on every other column, and the strata's rows
-    of those columns are linearly independent. ``_stratify`` checks the
-    labels against the rows; a ``_Strata`` made of them once is trusted.
-    The fit is the MLE where the existence rule holds, rows at 0 or at all
-    events included, and else the failed fit, NaN coefficients and
+    ``strata`` is the design's stratum map from ``stratify``, which the fit
+    trusts. The fit is the MLE where the existence rule holds, rows at 0 or
+    at all events included, and else the failed fit, NaN coefficients and
     log-likelihood with ``diverged`` set; a table that fails its check
     raises ``InputError``.
 
@@ -564,17 +568,12 @@ def fit_logistic_counts(design, events, trials, strata) -> LogisticFit:
     exactly, so likelihood-ratio statistics can mix it with IRLS fits and
     closed-form log-likelihoods.
     """
-    if not isinstance(design, Design):
-        raise InputError("fit_logistic_counts needs a Design: pass the rows through check_design")
-    x = design.rows
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
-    n_rows, k = x.shape
+    n_rows, k = len(strata.of_row), len(strata.inverse) + 1
     if events.shape != (n_rows,) or trials.shape != (n_rows,):
         raise InputError("events/trials must align with design rows")
     event_list, trial_list = events.tolist(), trials.tolist()
-    if not isinstance(strata, _Strata):
-        strata = _stratify(x, strata)
     fit = _profile_fit(strata, event_list, trial_list, k)
     if fit is None:
         _check_table(event_list, trial_list, k)  # the check the profile pass failed: this raises
@@ -631,7 +630,7 @@ def fit_logistic(design, outcome) -> LogisticFit:
     rows, inverse = np.unique(x, axis=0, return_inverse=True)
     trials = np.bincount(inverse, minlength=rows.shape[0]).astype(float)
     events = np.bincount(inverse, weights=y, minlength=rows.shape[0])
-    rows = check_design(rows).rows
+    rows = check_design(rows)
     _check_table(events.tolist(), trials.tolist(), rows.shape[1])
     return _irls(rows, events, trials)
 

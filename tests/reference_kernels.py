@@ -8,7 +8,7 @@ that the engine's Python-float form must match bit for bit:
   solve on every fit;
 * ``saturated_pass``: every saturated model's closed-form log-likelihood by
   ``np.bincount`` over the table's rows tiled once per model, with the
-  groupings stacked per plan (``saturated_groups``).
+  groupings stacked per branch (``saturated_groups``).
 
 ``irls`` fits a grouped table by IRLS as ``fit_logistic`` does, for the
 tests that compare a fit with IRLS.
@@ -108,19 +108,21 @@ def profile_fit(x, events, trials, strata):
     return LogisticFit(beta, log_likelihood, True, n_iter, False)
 
 
-def irls(design, events, trials):
-    """The IRLS fit of a ``Design`` and count table, as ``fit_logistic``
-    runs it on its grouped subjects: the table check, then ``stats._irls``."""
+def irls(rows, events, trials):
+    """The IRLS fit of checked design rows (``check_design``) and a count
+    table, as ``fit_logistic`` runs it on its grouped subjects: the table
+    check, then ``stats._irls``."""
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
-    _check_table(events.tolist(), trials.tolist(), design.rows.shape[1])
-    return _irls(design.rows, events, trials)
+    _check_table(events.tolist(), trials.tolist(), rows.shape[1])
+    return _irls(rows, events, trials)
 
 
-def fit(design, events, trials, strata):
-    """``fit_logistic_counts`` given row labels: the profile fit above, or
-    the table check's error on a table that fails it."""
-    return profile_fit(design.rows, events, trials, strata) or irls(design, events, trials)
+def fit(rows, events, trials, strata):
+    """``fit_logistic_counts`` on the stratum map of checked design rows and
+    their labels: the profile fit above, or the table check's error on a
+    table that fails it."""
+    return profile_fit(rows, events, trials, strata) or irls(rows, events, trials)
 
 
 def row_strata(rows):
@@ -130,12 +132,12 @@ def row_strata(rows):
 
 
 def saturated_groups(designs):
-    """The stacked groupings of the saturated designs, in order: tiled row j
-    falls in stacked group ``groups[j]``, which belongs to model
+    """The stacked groupings of the saturated designs' rows, in order: tiled
+    row j falls in stacked group ``groups[j]``, which belongs to model
     ``owner[g]``."""
     groups, owner = [], []
-    for design in designs:
-        distinct, inverse = np.unique(design.rows, axis=0, return_inverse=True)
+    for rows in designs:
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
         groups.append(inverse.reshape(-1) + len(owner))
         owner += [len(groups) - 1] * len(distinct)
     return np.concatenate(groups), np.array(owner, dtype=np.intp)

@@ -11,6 +11,7 @@ import types
 import numpy as np
 import pytest
 from scipy.stats import chi2 as scipy_chi2
+from scipy.stats import t as scipy_t
 
 from fast_trials import stats
 from fast_trials.stats import _EPS, _FPMIN, _MAX_CF_ITER, InputError, _beta_cf, chi_square_sf, normal_cdf, t_sf
@@ -68,6 +69,22 @@ def test_t_sf_monotone_nonincreasing():
 def test_t_sf_large_df_approaches_normal_tail():
     for z in (-2.5, -0.3, 0.6, 1.96, 3.2):
         assert t_sf(z, 1e6) == pytest.approx(1.0 - normal_cdf(z), abs=1e-6)
+
+
+def test_t_sf_matches_scipy_at_every_df():
+    """x in [-10, 10] in steps of 0.25 and df from 1 to 1e300 in steps of
+    10^0.25, with both sides of the df where the normal tail and its 1/df
+    term take over. At large df the incomplete beta's ratio df / (df + x^2)
+    rounds toward 1 and its lgamma terms cancel: t_sf(1, 1e15) read 0.364
+    and, from df near 1e16 up, 0.5 for every |x| <= 1."""
+    xs = np.linspace(-10.0, 10.0, 81)
+    threshold = stats._T_NORMAL_DF
+    dfs = np.concatenate([10.0 ** np.arange(0.0, 300.25, 0.25), [math.nextafter(threshold, 0.0), threshold]])
+    worst = max(np.abs(np.array([t_sf(x, df) for x in xs.tolist()]) - scipy_t.sf(xs, df)).max() for df in dfs)
+    assert worst <= 1e-10
+    assert t_sf(1.0, 1e15) == pytest.approx(0.15865525393145707, abs=1e-15)
+    assert t_sf(40.0, 1e300) == 0.0 and t_sf(-40.0, 1e300) == 1.0
+    assert t_sf(1e200, 1e6) == 0.0 and t_sf(-1e200, 1e6) == 1.0  # far out the term is 0, not nan
 
 
 def _reference_beta_cf(a, b, x):

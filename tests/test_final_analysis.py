@@ -9,7 +9,7 @@ import pytest
 
 from fast_trials.design import ScenarioConfig
 from fast_trials.final_analysis import (
-    _TABLE_SLOTS,
+    _BRANCHES,
     HIERARCHY,
     FinalBranch,
     GatekeepingOutcome,
@@ -108,10 +108,10 @@ def test_table_slots_are_pinned():
         FinalBranch.BOTH_ARMS_RETAINED: (6, [12, 12, 12, 12, 6, 0, 7, 1, 10, 4, 11, 5, 8, 2, 9, 3]),
         FinalBranch.DOMAIN_A_TERMINATED: (2, [2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 3, 1]),
     }
-    assert set(_TABLE_SLOTS) == set(pinned)
+    assert set(_BRANCHES) == set(pinned)
     for branch, (patterns, slots) in pinned.items():
-        assert _TABLE_SLOTS[branch][0] == patterns
-        np.testing.assert_array_equal(_TABLE_SLOTS[branch][1], np.array(slots, dtype=np.intp), strict=True)
+        assert _BRANCHES[branch].patterns == patterns
+        np.testing.assert_array_equal(_BRANCHES[branch].slots, np.array(slots, dtype=np.intp), strict=True)
 
 
 def test_grouped_counts_conserve_subjects_and_events():
@@ -308,6 +308,20 @@ def test_closed_test_matches_reference_rules(branch):
         alpha = float(rng.uniform(0.01, 0.2))
         p = {node: float(rng.choice([rng.random(), 2.0 * alpha * rng.random()])) for node in ancestors}
         assert closed_test(branch, p, alpha) == reference(p, alpha), p
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_p_value_at_alpha_rejects_no_node_below(branch):
+    """A node whose p-value equals alpha is not rejected, and neither is any
+    node for a subset of its null set; every other node, at p = 0, is."""
+    ancestors = _REFERENCE[branch][3]
+    for node in ancestors:
+        p = dict.fromkeys(ancestors, 0.0)
+        p[node] = 0.05
+        expected = frozenset(other for other in ancestors if other != node and node not in ancestors[other])
+        assert closed_test(branch, p, 0.05) == expected, node
+        if branch is FinalBranch.BOTH_ARMS_RETAINED:
+            assert gate_three_parameter(p, 0.05) == expected, node
 
 
 @pytest.mark.parametrize("branch", list(FinalBranch))

@@ -103,8 +103,8 @@ def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, s
     canned = run_replicate(config, 150, 300, 1)
     calls = []
 
-    def recording_run_replicate(_config, n_drop, n_feas, _seed, stream):
-        calls.append(((n_drop, n_feas), stream, stream.bit_generator.state))
+    def recording_run_replicate(_config, n_drop, n_feas, rng):
+        calls.append(((n_drop, n_feas), rng, rng.bit_generator.state))
         return canned
 
     monkeypatch.setattr(harness, "run_replicate", recording_run_replicate)
@@ -115,7 +115,7 @@ def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, s
     tallies, traces = harness._run_chunk((task_config, cells, start, harness._pcg64_words(seeds), True))
     assert {j: tally["n_reps"] for j, tally in tallies.items()} == {0: 3, 1: 3}
     assert [(called_cell, row["replicate"]) for (called_cell, *_), row in zip(calls, traces)] == pairs
-    assert all(stream is calls[0][1] for _, stream, _ in calls)
+    assert all(rng is calls[0][1] for _, rng, _ in calls)
     assert [state for *_, state in calls] == [
         np.random.default_rng(derive_seed(base_seed, scenario_id, *pair)).bit_generator.state for pair in pairs
     ]
@@ -138,8 +138,8 @@ def test_grid_replicates_equal_four_argument_run_replicate(monkeypatch):
     run_four_argument = harness.run_replicate
     seen = []
 
-    def recording_run_replicate(config, n_drop, n_feas, seed, stream=None):
-        result = run_four_argument(config, n_drop, n_feas, seed, stream)
+    def recording_run_replicate(config, n_drop, n_feas, rng):
+        result = run_four_argument(config, n_drop, n_feas, rng)
         seen.append(result)
         return result
 
@@ -157,6 +157,16 @@ def test_grid_replicates_equal_four_argument_run_replicate(monkeypatch):
             assert run_four_argument(config, *cell, seed) == result
             branches.add(result.branch)
     assert branches == set(FinalBranch)
+
+
+def test_run_replicate_takes_a_seed_or_its_generator():
+    # A seed in [0, 2^64) runs as the generator default_rng makes of it; a
+    # generator is used as it is, and left where the replicate leaves it.
+    config = _null_config()
+    for seed in (0, 1, 2**64 - 1):
+        rng = np.random.default_rng(seed)
+        assert run_replicate(config, 150, 300, seed) == run_replicate(config, 150, 300, rng)
+        assert rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
 
 
 def test_grid_runs_in_threads_keep_their_streams():

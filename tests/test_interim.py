@@ -2,6 +2,7 @@
 behavior, scheduling, and scale invariance."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_retention_rule_exhaustive_enumeration():
         expected = _expected_rule(sig11, mean11, sig12, mean12, default)
         assert decision.retained == expected, (sig11, sig12, mean11, mean12, default)
         assert decision.used_default == (not sig11 and not sig12)
+
+
+def test_p_value_at_alpha_rejects_nothing():
+    """Every interim compares p < alpha strictly. At p = alpha_drop neither
+    biomarker nominates an arm, so the default arm is retained; at
+    p = alpha_feas the domain does not proceed, and just above it does."""
+    for default in ("A1", "A2"):
+        tests = [TestResult(2.0, 10.0, 0.05, Tail.TWO_SIDED, means=(1.0, 0.0)) for _ in range(2)]
+        decision = resolve_retention(*tests, 0.05, _DIRECTIONS, default)
+        assert decision.nominated_by_y11 is None and decision.nominated_by_y12 is None
+        assert decision.used_default and decision.retained == frozenset({default})
+    rng = np.random.default_rng(34)
+    data = _subjects([0] * 60 + [1] * 30 + [2] * 30, np.r_[rng.normal(0.0, 1.0, 60), rng.normal(0.4, 1.0, 60)])
+    p = feasibility_analysis(*data[:2], 0.05, "increase").test.p_value
+    assert 0.0 < p < 1.0
+    assert not feasibility_analysis(*data[:2], p, "increase").proceed
+    assert feasibility_analysis(*data[:2], math.nextafter(p, 1.0), "increase").proceed
 
 
 def test_retention_requires_two_per_arm():

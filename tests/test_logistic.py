@@ -26,6 +26,7 @@ from fast_trials.stats import (
     fit_logistic,
     fit_logistic_counts,
     lr_test,
+    stratify,
 )
 
 
@@ -90,8 +91,6 @@ def test_input_validation():
     # Row labels of strata: the one-arm layout takes (0, 0, 1, 1). Three
     # labels used to drop the last row and fit the rest; four strata or one
     # raised numpy's LinAlgError.
-    one_arm = check_design(_DESIGNS[1])
-    events, trials = np.array([3.0, 5.0, 4.0, 6.0]), np.array([20.0, 20.0, 20.0, 20.0])
     for labels, reason in (
         ((0, 0, 1), "label each of the 4"),
         ((0, 0, 1, 1, 1), "label each of the 4"),
@@ -100,13 +99,13 @@ def test_input_validation():
         ((0, 1, 0, 1), "rows of a stratum must agree"),
     ):
         with pytest.raises(InputError, match=reason):
-            fit_logistic_counts(one_arm, events, trials, labels)
-    two_valued = check_design(_DESIGNS[1] * [1.0, 1.0, 2.0])  # B1 coded 0/2
+            stratify(_DESIGNS[1], labels)
     with pytest.raises(InputError, match="0/1 indicator"):
-        fit_logistic_counts(two_valued, events, trials, (0, 0, 1, 1))
-    # Rows that no Design has: two strata with the same intercept columns.
-    with pytest.raises(InputError, match="singular"):
-        stats._stratify(np.array([[1.0, 1.0, b] for b in (0.0, 1.0, 0.0, 1.0)]), (0, 0, 1, 1))
+        stratify(_DESIGNS[1] * [1.0, 1.0, 2.0], (0, 0, 1, 1))  # B1 coded 0/2
+    # Two strata with the same intercept columns: the design check stops
+    # them before the strata's rows are inverted.
+    with pytest.raises(InputError, match="collinear"):
+        stratify(np.array([[1.0, 1.0, b] for b in (0.0, 1.0, 0.0, 1.0)]), (0, 0, 1, 1))
 
 
 def test_check_design_names_the_fault():
@@ -164,13 +163,19 @@ def test_grouped_fit_matches_row_level_fit():
     assert row_fit.log_likelihood == pytest.approx(grouped.log_likelihood, abs=1e-9)
 
 
-def test_grouped_fit_takes_only_a_checked_design():
+def test_stratify_checks_the_design_the_fit_trusts():
     rows = np.array([[1.0, 0.0], [1.0, 1.0]])
     events, trials = np.array([30.0, 50.0]), np.array([120.0, 80.0])
-    for raw in (rows, rows.tolist(), check_design(rows).rows):
-        with pytest.raises(InputError, match="check_design"):
-            fit_logistic_counts(raw, events, trials, (0, 0))
-    assert fit_logistic_counts(check_design(rows), events, trials, (0, 0)).converged
+    faults = {"intercept": 2.0 * rows, "collinear": [[1.0, 0.0], [1.0, 0.0]], "finite": [[1.0, np.nan]]}
+    for reason, bad in faults.items():
+        with pytest.raises(InputError, match=reason):
+            stratify(bad, (0, 0))
+    strata = stratify(rows, (0, 0))
+    rows[1, 1] = 2.0  # the map holds its own copy of what it reads
+    assert strata == stratify(check_design([[1.0, 0.0], [1.0, 1.0]]), [0, 0])
+    assert fit_logistic_counts(strata, events, trials).converged
+    with pytest.raises(InputError, match="align"):
+        fit_logistic_counts(strata, events[:1], trials[:1])
 
 
 # -- likelihood-ratio tests -------------------------------------------------
@@ -330,10 +335,10 @@ def _irls_tables(kind, rng):
 def test_irls_bit_identical_to_reference_loop(kind):
     seen = set()
     for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
-        design = check_design(x)
-        fit = reference_kernels.irls(design, events, trials)
+        rows = check_design(x)
+        fit = reference_kernels.irls(rows, events, trials)
         # on the same Fortran-ordered rows: the products round by layout
-        beta, loglik, n_iter, converged, diverged = _reference_irls(design.rows, events, trials)
+        beta, loglik, n_iter, converged, diverged = _reference_irls(rows, events, trials)
         np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
         assert fit.log_likelihood == loglik
         assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
@@ -369,7 +374,7 @@ def test_fits_leave_the_error_state_as_they_found_it():
 
 
 def test_fit_bits_do_not_depend_on_the_callers_memory_order():
-    # The node plan slices F-ordered designs; the BLAS products round by
+    # check_design returns F-ordered rows; the BLAS products round by
     # layout, so a C-ordered copy of one design fitted to other last bits.
     rng = np.random.default_rng(1313)
     for k in (1, 2, 3):
@@ -397,11 +402,11 @@ def test_fit_bits_do_not_depend_on_the_callers_memory_order():
     ],
 )
 def test_non_finite_counts_are_rejected(events, trials):
-    design = check_design([[1.0, 0.0], [1.0, 1.0]])
-    profile = lambda *table: fit_logistic_counts(*table, (0, 0))
-    for fit in (reference_kernels.irls, profile):  # the check fit_logistic makes, and the profile pass's
-        with pytest.raises(InputError):
-            fit(design, np.array(events), np.array(trials))
+    rows = check_design([[1.0, 0.0], [1.0, 1.0]])
+    strata = stratify(rows, (0, 0))
+    for fit in (reference_kernels.irls, lambda _, *table: fit_logistic_counts(strata, *table)):
+        with pytest.raises(InputError):  # the check fit_logistic makes, and the profile pass's
+            fit(rows, np.array(events), np.array(trials))
     # the both-arms pattern table: its first two patterns carry the counts
     table = np.full((2, 6), 10.0)
     table[0] = 5.0
@@ -467,11 +472,9 @@ def _assert_no_mle(fit, k):
     assert (fit.converged, fit.diverged) == (False, True)
 
 
-def _profile_fit(design, events, trials, strata):
-    """``stats._profile_fit`` on a design's rows, counts and row labels."""
-    return stats._profile_fit(
-        stats._stratify(design.rows, strata), events.tolist(), trials.tolist(), design.rows.shape[1]
-    )
+def _profile_fit(rows, events, trials, strata):
+    """``stats._profile_fit`` on design rows, counts and row labels."""
+    return stats._profile_fit(stratify(rows, strata), events.tolist(), trials.tolist(), rows.shape[1])
 
 
 def _check_profile_against_irls(x, strata, events, trials) -> tuple[bool, set]:
@@ -480,18 +483,19 @@ def _check_profile_against_irls(x, strata, events, trials) -> tuple[bool, set]:
     On every table the fit is ``_profile_fit``'s and its numpy form's, bit
     for bit. Return whether the table has an MLE and the root forms its
     fit took."""
-    design = check_design(x)
-    irls = reference_kernels.irls(design, events, trials)
-    fit = fit_logistic_counts(design, events, trials, strata)
-    _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
-    _assert_same_fit(fit, _profile_fit(design, events, trials, strata))
+    rows = check_design(x)
+    stratum_map = stratify(rows, strata)
+    irls = reference_kernels.irls(rows, events, trials)
+    fit = fit_logistic_counts(stratum_map, events, trials)
+    _assert_same_fit(fit, reference_kernels.fit(rows, events, trials, strata))
+    _assert_same_fit(fit, stats._profile_fit(stratum_map, events.tolist(), trials.tolist(), rows.shape[1]))
     assert (fit.converged, fit.diverged) == (irls.converged, irls.diverged)
     if not fit.converged:
-        _assert_no_mle(fit, design.rows.shape[1])
+        _assert_no_mle(fit, rows.shape[1])
         return False, set()
     assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
     np.testing.assert_allclose(fit.coefficients, irls.coefficients, rtol=0, atol=1e-8)
-    return True, _root_branches(strata, design.rows, events, trials, fit.coefficients[-1])
+    return True, _root_branches(strata, rows, events, trials, fit.coefficients[-1])
 
 
 @pytest.mark.parametrize("layout", range(len(_LAYOUTS)))
@@ -541,20 +545,21 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
     rng = np.random.default_rng(77)
     verdicts = collections.Counter()
     for x, strata in _LAYOUTS:
-        design = check_design(x)
+        rows = check_design(x)
+        stratum_map = stratify(rows, strata)
         for _ in range(300):
             trials = np.floor(10.0 ** rng.uniform(0.5, 9.0, size=len(x))).clip(2.0)
             events = np.floor(trials * 10.0 ** rng.uniform(-9.0, 0.0, size=len(x))).clip(1.0, trials - 1.0)
-            irls = reference_kernels.irls(design, events, trials)
-            fit = fit_logistic_counts(design, events, trials, strata)
-            _assert_same_fit(fit, reference_kernels.fit(design, events, trials, strata))
+            irls = reference_kernels.irls(rows, events, trials)
+            fit = fit_logistic_counts(stratum_map, events, trials)
+            _assert_same_fit(fit, reference_kernels.fit(rows, events, trials, strata))
             verdicts[irls.converged, fit.converged] += 1
             if not fit.converged:  # no finite maximum within the bound
                 assert irls.diverged
                 _assert_no_mle(fit, x.shape[1])
                 continue
-            mu = 1.0 / (1.0 + np.exp(-(design.rows @ fit.coefficients)))
-            assert np.abs(design.rows.T @ (events - trials * mu)).max() <= 1e-9 * trials.sum()
+            mu = 1.0 / (1.0 + np.exp(-(rows @ fit.coefficients)))
+            assert np.abs(rows.T @ (events - trials * mu)).max() <= 1e-9 * trials.sum()
             assert np.abs(fit.coefficients).max() <= _DIVERGE_BOUND
             if irls.converged:
                 assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=1e-12, abs=0)
@@ -563,12 +568,12 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
 
 
 def test_profile_newton_that_does_not_converge_is_a_failed_fit(monkeypatch):
-    design = check_design(_DESIGNS[0])
+    rows = check_design(_DESIGNS[0])
     events = np.array([12.0, 30.0, 25.0, 41.0, 9.0, 33.0])
     trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
-    assert _profile_fit(design, events, trials, _STRATA[0]).n_iterations > 1
+    assert _profile_fit(rows, events, trials, _STRATA[0]).n_iterations > 1
     monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
-    fit = fit_logistic_counts(design, events, trials, _STRATA[0])
+    fit = fit_logistic_counts(stratify(rows, _STRATA[0]), events, trials)
     _assert_no_mle(fit, 4)
     assert fit.n_iterations == 1
-    _assert_same_fit(fit, _profile_fit(design, events, trials, _STRATA[0]))
+    _assert_same_fit(fit, _profile_fit(rows, events, trials, _STRATA[0]))

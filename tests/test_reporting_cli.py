@@ -27,6 +27,7 @@ from fast_trials.reporting import (
     write_results_csv,
     write_trace_csv,
 )
+from fast_trials.stats import Strata
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(__file__).parent / "data"
@@ -144,9 +145,9 @@ def test_flagged_replicates_report_every_node_as_one(tmp_path, monkeypatch):
     fit = final_analysis.fit_logistic_counts
     strata_given = []
 
-    def recording_fit(design, events, trials, strata=None):
-        strata_given.append(strata is not None)
-        return fit(design, events, trials, strata)
+    def recording_fit(strata, events, trials):
+        strata_given.append(isinstance(strata, Strata))
+        return fit(strata, events, trials)
 
     outputs = set()
     for threads in (1, 2, 3):

@@ -1,5 +1,5 @@
-"""Closed-form saturated fits, the node plans and the checked designs they
-hold: the final analysis, on its one plan per branch, must give the same
+"""Closed-form saturated fits and the branch records' models: the final
+analysis, on its one record per branch, must give the same
 failure flags and errors as fitting every node by IRLS on the patterns
 that have subjects, which this file keeps as the reference, the same
 p-values where no fit failed and every p-value 1.0 where one did, and the
@@ -8,6 +8,7 @@ pattern table holds only the patterns a subject can have."""
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -21,7 +22,7 @@ import reference_kernels
 from fast_trials import final_analysis, harness, stats
 from fast_trials.design import load_scenarios, validate_scenario
 from fast_trials.final_analysis import (
-    _PLANS,
+    _BRANCHES,
     FinalBranch,
     _saturated_pass,
     analyze_terminated,
@@ -82,6 +83,16 @@ _MAIN_EFFECTS_FITS = {
     FinalBranch.BOTH_ARMS_RETAINED: 3,
 }
 _MODES = ("interior", "boundary", "no_b1", "missing_arm", "tiny", "mixed")
+
+
+@functools.cache
+def _model_rows(branch):
+    """The checked design rows of the branch's full model, then of every
+    node's reduced model, on the patterns a subject can have: the models
+    of the branch record, in its order."""
+    _, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
+    rows, _, _ = _grouped(np.ones((2, _BRANCHES[branch].patterns)))
+    return tuple(check_design(rows[:, list(cols)]) for cols in (full_cols, *reduced_map.values()))
 
 
 def _grouped(table):
@@ -187,24 +198,25 @@ def _check_against_reference(branch, table, context) -> str:
 def _assert_matches_numpy_oracles(branch, table) -> collections.Counter:
     """Assert that on a checked table every saturated model's closed form
     and every other model's fit equal their numpy forms bit for bit, on
-    the branch's plan: log-likelihood, convergence flags, iteration count
+    the branch's record: log-likelihood, convergence flags, iteration count
     and coefficients. Count the models by how they were fitted, and the
     models without an MLE."""
-    plan = _PLANS[branch]
+    record = _BRANCHES[branch]
+    designs = _model_rows(branch)
     events, trials = table
-    closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
-    saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
+    closed = _saturated_pass(record.groups, events.tolist(), trials.tolist())
+    saturated = [rows for rows, model in zip(designs, record.models) if isinstance(model, int)]
     groups, owner = reference_kernels.saturated_groups(saturated)
     expected = reference_kernels.saturated_pass(groups, owner, events, trials)
     np.testing.assert_array_equal(np.array(closed), expected, strict=True)  # nan where nan
     kinds = collections.Counter()
-    for design, slot, strata in zip(plan.designs, plan.slots, plan.strata):
-        if slot is not None:
-            kinds["boundary" if math.isnan(closed[slot]) else "closed"] += 1
+    for rows, model in zip(designs, record.models):
+        if isinstance(model, int):
+            kinds["boundary" if math.isnan(closed[model]) else "closed"] += 1
             continue
-        fit = fit_logistic_counts(design, events.tolist(), trials.tolist(), strata)
-        labels = reference_kernels.row_strata(design.rows)
-        reference = reference_kernels.profile_fit(design.rows, events, trials, labels)
+        fit = fit_logistic_counts(model, events.tolist(), trials.tolist())
+        labels = reference_kernels.row_strata(rows)
+        reference = reference_kernels.profile_fit(rows, events, trials, labels)
         assert fit[2:] == reference[2:]
         if not reference.converged:
             assert math.isnan(fit.log_likelihood) and math.isnan(reference.log_likelihood)
@@ -231,8 +243,8 @@ def test_node_p_values_match_all_irls_reference(branch):
 def test_every_presence_mask_matches_all_irls_reference(branch):
     """Every set of the patterns a subject can have that have subjects,
     with interior counts on its patterns, gives the reference's p-values or
-    error on the branch's one plan."""
-    n = _PLANS[branch].patterns
+    error on the branch's one record."""
+    n = _BRANCHES[branch].patterns
     rng = np.random.default_rng(1009)
     seen = set()
     for mask in itertools.product((False, True), repeat=n):
@@ -249,7 +261,7 @@ def test_small_counts_on_every_mask_decide_as_all_irls_reference(branch):
     groups at 0 or at all events, and the analysis flags the replicate and
     rejects the nodes at alpha 0.05 as the all-IRLS reference decides."""
     analysis, _, full_cols, reduced_map, _ = _LAYOUTS[branch]
-    patterns = _PLANS[branch].patterns
+    patterns = _BRANCHES[branch].patterns
     rng = np.random.default_rng(2029)
     seen = collections.Counter()
     for mask in itertools.product((False, True), repeat=patterns):
@@ -429,40 +441,52 @@ def test_collinear_design_flags_the_replicate():
 def test_closed_form_matches_irls_on_interior_tables(branch):
     _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
     rng = np.random.default_rng(7)
+    record = _BRANCHES[branch]
     for _ in range(40):
         table = _table(rng, branch, "interior")
-        plan = _PLANS[branch]
         rows, events, trials = _grouped(table)
-        closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
+        closed = _saturated_pass(record.groups, events.tolist(), trials.tolist())
         models = [full_cols, *reduced_map.values()]
-        for cols, design, slot in zip(models, plan.designs, plan.slots):
-            np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
-            assert (slot is not None) == (cols in saturated)
-            if slot is None:
+        for cols, model in zip(models, record.models):
+            assert isinstance(model, int) == (cols in saturated)
+            if not isinstance(model, int):
                 continue
-            irls = reference_kernels.irls(design, events, trials)
+            irls = reference_kernels.irls(check_design(rows[:, list(cols)]), events, trials)
             assert irls.converged
-            assert closed[slot] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
+            assert closed[model] == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
 
 
-def test_plan_maps_the_strata_of_every_unsaturated_model():
-    """Each branch's one plan holds its models on the patterns a subject can
-    have, the first 2, 4 and 6 binary codes, and each model it does not fit
-    in closed form carries its stratum map: rows in one stratum agree on
-    every column but the last, and the strata are as many as those
-    columns."""
+def test_record_maps_the_groups_and_strata_of_every_model():
+    """Each branch's one record holds its models on the patterns a subject
+    can have, the first 2, 4 and 6 binary codes, in the order full model,
+    then the nodes of ``HIERARCHY`` supersets first. A saturated model is
+    its index among the record's groups, and each group holds the rows that
+    are equal on the model's columns; every other model is its stratum
+    map: rows in one stratum agree on every column but the last, and the
+    strata are as many as those columns."""
     for branch, patterns in zip(_LAYOUTS, (2, 4, 6)):
         _, _, full_cols, reduced_map, saturated = _LAYOUTS[branch]
-        plan = _PLANS[branch]
-        assert plan.patterns == patterns
+        record = _BRANCHES[branch]
+        assert record.patterns == patterns
+        assert record.columns == len(full_cols)
+        assert [node.label for node in record.nodes] == list(reduced_map)
+        assert [node.df for node in record.nodes] == [len(full_cols) - len(c) for c in reduced_map.values()]
         rows, _, _ = _grouped(np.ones((2, patterns)))
         models = [full_cols, *reduced_map.values()]
-        for cols, design, slot, strata in zip(models, plan.designs, plan.slots, plan.strata):
-            np.testing.assert_array_equal(design.rows, rows[:, list(cols)], strict=True)
-            assert (slot is not None) == (cols in saturated) == (strata is None)
-            if strata is None:
+        indices = [model for model in record.models if isinstance(model, int)]
+        assert indices == list(range(len(record.groups))) == list(range(len(saturated)))
+        for cols, model in zip(models, record.models):
+            design = rows[:, list(cols)]
+            assert isinstance(model, int) == (cols in saturated)
+            if isinstance(model, int):
+                groups = record.groups[model]
+                assert len(groups) == design.shape[1]
+                assert sorted(r for group in groups for r in group) == list(range(patterns))
+                keys = [{tuple(design[r]) for r in group} for group in groups]
+                assert all(len(key) == 1 for key in keys) and len(set.union(*keys)) == len(groups)
                 continue
-            head = design.rows[:, :-1]
+            strata = model
+            head = design[:, :-1]
             of_row = np.array(strata.of_row)
             assert len(set(strata.of_row)) == head.shape[1] == len(np.unique(head, axis=0))
             for s in set(strata.of_row):
@@ -470,7 +494,7 @@ def test_plan_maps_the_strata_of_every_unsaturated_model():
             # the inverse maps the strata's intercepts to the design's columns
             first = [strata.of_row.index(s) for s in range(head.shape[1])]
             np.testing.assert_array_equal(np.array(strata.inverse) @ head[first], np.eye(head.shape[1]))
-            assert strata.treated == tuple(design.rows[:, -1].tolist())
+            assert strata.treated == tuple(design[:, -1].tolist())
 
 
 def test_both_arms_table_of_eight_patterns_is_a_shape_error():
@@ -486,9 +510,9 @@ def test_both_arms_table_of_eight_patterns_is_a_shape_error():
 
 
 def _closed_form(x, events, trials):
-    design = check_design(x)
-    distinct, groups = np.unique(design.rows, axis=0, return_inverse=True)
-    assert len(distinct) == design.rows.shape[1]
+    rows = check_design(x)
+    distinct, groups = np.unique(rows, axis=0, return_inverse=True)
+    assert len(distinct) == rows.shape[1]
     rows = tuple(tuple(np.flatnonzero(groups.reshape(-1) == g).tolist()) for g in range(len(distinct)))
     return _saturated_pass((rows,), events, trials)[0]
 
@@ -550,20 +574,20 @@ def test_design_check_matches_matrix_rank():
             with pytest.raises(InputError, match="collinear"):
                 check_design(x)
         else:
-            design = check_design(x)
-            np.testing.assert_array_equal(design.rows, before, strict=True)
-            assert not design.rows.flags.writeable
+            rows = check_design(x)
+            np.testing.assert_array_equal(rows, before, strict=True)
+            assert not rows.flags.writeable
         assert x.flags.writeable
         np.testing.assert_array_equal(x, before, strict=True)
-    for branch in FinalBranch:  # a plan's groupings are shared: tuples all the way down
-        plan = _PLANS[branch]
-        assert isinstance(plan.groups, tuple)
-        assert all(isinstance(g, tuple) and all(type(r) is int for r in g) for model in plan.groups for g in model)
+    for branch in FinalBranch:  # a record's groupings are shared: tuples all the way down
+        record = _BRANCHES[branch]
+        assert isinstance(record.groups, tuple)
+        assert all(isinstance(g, tuple) and all(type(r) is int for r in g) for model in record.groups for g in model)
 
 
 def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
-    """Once the node plans of a both-arms replicate exist, its fits use the
-    plans' checked designs: a replicate run again with the rank and
+    """Once the branch records exist, a both-arms replicate's fits use the
+    records' stratum maps: a replicate run again with the rank and
     grouping routines disabled gives the same result."""
     config = load_scenarios(_ROOT / "perfbench" / "scenarios" / "both_arms.json")[0]
     cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
@@ -590,12 +614,12 @@ def test_warm_replicate_fits_without_rechecking_designs(monkeypatch):
 
 # -- one pass for every saturated node ----------------------------------------
 
-def _reference_saturated_fit(design, events, trials):
+def _reference_saturated_fit(rows, events, trials):
     """The per-model closed-form log-likelihood before the one-pass rewrite;
     None where the model is not saturated or has no interior maximum."""
-    distinct, groups = np.unique(design.rows, axis=0, return_inverse=True)
+    distinct, groups = np.unique(rows, axis=0, return_inverse=True)
     groups = groups.reshape(-1)
-    k = design.rows.shape[1]
+    k = rows.shape[1]
     if len(distinct) != k:
         return None
     e = np.bincount(groups, weights=events, minlength=k)
@@ -611,28 +635,28 @@ def _reference_saturated_fit(design, events, trials):
 @pytest.mark.parametrize("branch", list(_LAYOUTS))
 def test_one_pass_bit_identical_to_per_node_closed_form(branch):
     rng = np.random.default_rng(4711)
+    record, designs = _BRANCHES[branch], _model_rows(branch)
     seen = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a boundary or empty group must not warn
         for i in range(360):
             mode = ("interior", "boundary", "tiny", "missing_arm", "no_b1", "mixed")[i % 6]
             table = _table(rng, branch, mode)
-            plan = _PLANS[branch]
             events, trials = table
-            closed = _saturated_pass(plan.groups, events.tolist(), trials.tolist())
-            saturated = [d for d, slot in zip(plan.designs, plan.slots) if slot is not None]
+            closed = _saturated_pass(record.groups, events.tolist(), trials.tolist())
+            saturated = [rows for rows, model in zip(designs, record.models) if isinstance(model, int)]
             bincount_form = reference_kernels.saturated_pass(*reference_kernels.saturated_groups(saturated), events, trials)
             np.testing.assert_array_equal(np.array(closed), bincount_form, strict=True)  # nan where nan
-            for design, slot in zip(plan.designs, plan.slots):
-                expected = _reference_saturated_fit(design, events, trials)
-                if slot is None:
+            for rows, model in zip(designs, record.models):
+                expected = _reference_saturated_fit(rows, events, trials)
+                if not isinstance(model, int):
                     assert expected is None
                     seen.add("unsaturated")
                 elif expected is None:
-                    assert np.isnan(closed[slot]), mode
+                    assert np.isnan(closed[model]), mode
                     seen.add("boundary")
                 else:
-                    assert closed[slot] == expected, mode
+                    assert closed[model] == expected, mode
                     seen.add("interior")
     # Only the terminated branch has no main-effects model.
     assert {"interior", "boundary"} | ({"unsaturated"} if _MAIN_EFFECTS_FITS[branch] else set()) <= seen
