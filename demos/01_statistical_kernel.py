@@ -49,22 +49,22 @@ print("\n== the final analysis's main-effects fit: a common odds ratio over stra
 # whether the MLE exists (every stratum strictly between 0 and all events,
 # and a positive Mantel-Haenszel numerator and denominator), and profile
 # Newton on theta from the Mantel-Haenszel estimate finds it, on rows at 0
-# or at all events too. fit_logistic fits the same 385 subjects, one row
-# each, by IRLS.
+# or at all events too. The counts are float lists, one entry per design
+# row. fit_logistic fits the same 385 subjects, one row each, by IRLS.
 rows = [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]  # intercept, fluid_pooled, b1
 strata = stratify(rows, (0, 0, 1, 1))
-events = np.array([40.0, 52.0, 35.0, 50.0])
-trials = np.array([100.0, 100.0, 90.0, 95.0])
+events = [40.0, 52.0, 35.0, 50.0]
+trials = [100.0, 100.0, 90.0, 95.0]
 profile = fit_logistic_counts(strata, events, trials)
-subjects = np.repeat(rows, trials.astype(int), axis=0)
+subjects = np.repeat(rows, [int(n) for n in trials], axis=0)
 outcomes = np.concatenate([np.r_[np.ones(int(e)), np.zeros(int(n - e))] for e, n in zip(events, trials)])
 irls = fit_logistic(subjects, outcomes)
 print(f"profile Newton: theta = {profile.coefficients[-1]:.6f} in {profile.n_iterations} steps")
 print(f"IRLS on {len(outcomes)} subjects: theta = {irls.coefficients[-1]:.6f} in {irls.n_iterations} iterations")
 print(f"log-likelihoods differ by {abs(profile.log_likelihood - irls.log_likelihood):.1e}")
-zero_row = fit_logistic_counts(strata, np.array([0.0, 52.0, 35.0, 50.0]), trials)
+zero_row = fit_logistic_counts(strata, [0.0, 52.0, 35.0, 50.0], trials)
 print(f"a row at 0 events: converged={zero_row.converged}, theta = {zero_row.coefficients[-1]:.6f}")
-no_mle = fit_logistic_counts(strata, np.array([0.0, 0.0, 35.0, 50.0]), trials)
+no_mle = fit_logistic_counts(strata, [0.0, 0.0, 35.0, 50.0], trials)
 print(f"a stratum at 0 events: converged={no_mle.converged}, log-likelihood {no_mle.log_likelihood}")
 
 print("\n== nested-model likelihood-ratio test ==")

@@ -59,18 +59,19 @@ again. A pattern without subjects needs nothing of its own: a saturated
 group or a stratum left empty has no MLE, so the replicate is flagged, as
 when no subject is in B1. After the draws a replicate decides on Python
 floats: the pattern table is read once (``tolist``) and checked once, its
-shape against the record and its counts against the full model.
+shape against the record and its counts against the full model, and its
+two float lists go to every main-effects fit as they are.
 ``_saturated_pass`` sums each saturated model's group counts in Python,
 row by row in order as ``np.bincount`` did, and takes numpy's logarithms
 in one call each over all groups, so every closed form keeps its bits.
-``lr_test`` takes the two log-likelihoods.
+``lr_test`` takes the two log-likelihoods, and a branch's outcome is one
+NamedTuple, a ``GatekeepingOutcome``.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -206,8 +207,7 @@ _BRANCHES = {branch: _constants(branch) for branch in FinalBranch}
 ANCESTORS = {branch: {n.label: n.ancestors for n in record.nodes} for branch, record in _BRANCHES.items()}
 
 
-@dataclass(frozen=True)
-class GatekeepingOutcome:
+class GatekeepingOutcome(NamedTuple):
     node_p_values: dict
     rejected: frozenset
     successful_arms: frozenset

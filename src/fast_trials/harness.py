@@ -8,10 +8,12 @@ arm codes and biomarkers of the subjects enrolled so far, so a replicate
 keeps only those columns of each block, concatenated when a second block
 precedes an interim; the final analysis reads only the events and trials
 per (domain-A arm, domain-B arm) cell, so generation returns each block's
-cell table with its columns and the tables are summed. Every replicate
-owns a seed derived injectively from (base_seed, scenario, cell, replicate
-index), so grid runs are bitwise reproducible regardless of execution order
-or worker count: each task returns its integer tallies per cell and, when
+cell table with its columns and the tables are summed, starting from the
+first block's. A replicate's path is one NamedTuple, a ``TrialResult``,
+and so is each decision it holds. Every replicate owns a seed derived
+injectively from (base_seed, scenario, cell, replicate index), so grid
+runs are bitwise reproducible regardless of execution order or worker
+count: each task returns its integer tallies per cell and, when
 asked for, its trace rows, and the tasks are folded back in their fixed
 order. A grid run turns every replicate's seed into the PCG64 state
 ``np.random.default_rng(seed)`` starts in, in one array pass with
@@ -40,7 +42,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -175,8 +177,7 @@ def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict
 # single replicate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """One replicate's full path through the design."""
 
     n_drop: int
@@ -213,9 +214,10 @@ def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> Tria
     rng = np.random.default_rng(rng)
     schedule = build_schedule(n_drop, n_feas)
     arms = frozenset(DOMAIN_A_ARMS)  # open domain-A arms; None once terminated
-    columns = None  # (arm_a, y11, y12) of the subjects so far: what the interims read
-    # The final analysis reads only the sum of the blocks' cell tables.
-    cells = np.zeros((4, 2, 2), dtype=np.intp)
+    # (arm_a, y11, y12) of the subjects so far, what the interims read, and the
+    # sum of their blocks' cell tables, all the final analysis reads; the first
+    # trigger always draws the block that starts both.
+    columns = cells = None
     enrolled = 0
     retention: Optional[RetentionDecision] = None
     feasibility: Optional[FeasibilityDecision] = None
@@ -226,7 +228,7 @@ def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> Tria
         if trigger > enrolled:
             *block, block_cells = generate_block(config, arms, trigger - enrolled, rng)
             columns = block if columns is None else [np.concatenate(c) for c in zip(columns, block)]
-            cells = cells + block_cells
+            cells = block_cells if cells is None else cells + block_cells
             enrolled = trigger
         arm_a, y11, y12 = columns
         if kind is AnalysisKind.ARM_DROPPING:

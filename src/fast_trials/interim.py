@@ -10,14 +10,15 @@ the pre-selected default arm. Feasibility is a one-sided pooled-vs-control
 comparison on y11 using every subject ever randomized to a treatment arm,
 including any already-dropped arm's subjects. Both analyses take the
 subjects enrolled so far as columns of equal length: the domain-A arm codes
-and the biomarkers they test.
+and the biomarkers they test. Each returns its decision as a NamedTuple,
+a ``RetentionDecision`` or a ``FeasibilityDecision``, that holds its tests'
+``TestResult``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class AnalysisKind(str, Enum):
     FEASIBILITY = "feasibility"
 
 
-@dataclass(frozen=True)
-class RetentionDecision:
+class RetentionDecision(NamedTuple):
     retained: frozenset
     test_y11: TestResult
     test_y12: TestResult
@@ -55,8 +55,7 @@ class RetentionDecision:
     used_default: bool
 
 
-@dataclass(frozen=True)
-class FeasibilityDecision:
+class FeasibilityDecision(NamedTuple):
     proceed: bool
     test: TestResult  # its means are the (pooled, control) y11 means
 
@@ -127,7 +126,7 @@ def feasibility_analysis(arm_a, y11, alpha_feas: float, direction) -> Feasibilit
     reject terminates the domain."""
     arm_a, y11 = _subject_columns(arm_a, y11)
     in_control = arm_a == ARM_A_CODE["A0"]
-    in_pool = (arm_a == ARM_A_CODE["A1"]) | (arm_a == ARM_A_CODE["A2"])
+    in_pool = arm_a > ARM_A_CODE["A0"]  # A1 or A2: an ABSENT code lies below A0
     if np.count_nonzero(in_control) < 2 or np.count_nonzero(in_pool) < 2:
         raise SchedulingError(
             "feasibility trigger too early: fewer than 2 subjects in control or pooled group "

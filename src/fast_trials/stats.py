@@ -9,24 +9,25 @@ at df of 1e5 and more from the normal tail and its 1/df term.
 Everything here is a pure function of its inputs; random draws go through an
 explicit ``numpy.random.Generator`` owned by the caller.
 
-Each entry point runs one algorithm. ``welch_t_test`` takes numpy's own
-two-pass moments (``_moments``) and the t tail. ``fit_logistic_counts``
-fits one intercept per stratum and a common log odds ratio on a stratum
-map (``Strata``) that ``stratify`` made once from design rows and row
-labels, and that the fit trusts: a rule decides whether the MLE exists
-(the separation conditions of Albert & Anderson 1984 and Santner & Duffy
-1986: every stratum strictly between 0 and all events, and the
-Mantel-Haenszel numerator and denominator both positive); where it does,
-the fit is the unconditional MLE of a common odds ratio (Mantel &
-Haenszel 1959; Breslow & Day 1980, ch. 4) by profile Newton on Python
-floats, rows at 0 or at all events included, and elsewhere a failed fit
-with NaN coefficients and log-likelihood. The stratum map carries the
-inverse from the strata's intercepts to the design's columns, so the fit
-solves no linear system. ``check_design`` returns a design's checked
-read-only rows, for ``stratify`` and ``fit_logistic``. ``fit_logistic``
-groups the subjects by covariate pattern and runs IRLS, the textbook
-Newton loop (``_irls``); nothing else runs it. ``lr_test`` takes two
-maximised log-likelihoods. A count table must be finite, with events in
+Each entry point runs one algorithm and returns a NamedTuple (``TestResult``
+or ``LogisticFit``). ``welch_t_test`` takes numpy's own two-pass moments
+(``_moments``) and the t tail. ``fit_logistic_counts`` takes a table's
+events and trials as float lists and fits one intercept per stratum and a
+common log odds ratio on a stratum map (``Strata``) that ``stratify`` made
+once from design rows and row labels, and that the fit trusts: a rule
+decides whether the MLE exists (the separation conditions of Albert &
+Anderson 1984 and Santner & Duffy 1986: every stratum strictly between 0
+and all events, and the Mantel-Haenszel numerator and denominator both
+positive); where it does, the fit is the unconditional MLE of a common
+odds ratio (Mantel & Haenszel 1959; Breslow & Day 1980, ch. 4) by profile
+Newton on Python floats, rows at 0 or at all events included, and
+elsewhere a failed fit with NaN coefficients and log-likelihood. The
+stratum map carries the inverse from the strata's intercepts to the
+design's columns, so the fit solves no linear system. ``check_design``
+returns a design's checked read-only rows, for ``stratify`` and
+``fit_logistic``. ``fit_logistic`` groups the subjects by covariate
+pattern and runs IRLS, the textbook Newton loop (``_irls``); nothing else
+runs it. ``lr_test`` takes two maximised log-likelihoods. A count table must be finite, with events in
 [0, trials]: a profile fit's one pass over the rows checks that, and
 ``fit_logistic`` calls ``_check_table`` on lists.
 """
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -89,8 +89,7 @@ class Tail(str, Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """Outcome of a single hypothesis test."""
 
     statistic: float
@@ -554,29 +553,28 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
     return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
 
 
-def fit_logistic_counts(strata: Strata, events, trials) -> LogisticFit:
+def fit_logistic_counts(strata: Strata, events: list, trials: list) -> LogisticFit:
     """Logistic fit on grouped data (event/trial counts per design row) of
     one intercept per stratum and a common log odds ratio: ``_profile_fit``'s.
 
     ``strata`` is the design's stratum map from ``stratify``, which the fit
-    trusts. The fit is the MLE where the existence rule holds, rows at 0 or
-    at all events included, and else the failed fit, NaN coefficients and
-    log-likelihood with ``diverged`` set; a table that fails its check
-    raises ``InputError``.
+    trusts; ``events`` and ``trials`` are lists of floats, one per design
+    row, as ``ndarray.tolist()`` gives them, and a length that is not the
+    map's row count raises ``InputError``. The fit is the MLE where the
+    existence rule holds, rows at 0 or at all events included, and else the
+    failed fit, NaN coefficients and log-likelihood with ``diverged`` set; a
+    table that fails its check raises ``InputError``.
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
     exactly, so likelihood-ratio statistics can mix it with IRLS fits and
     closed-form log-likelihoods.
     """
-    events = np.asarray(events, dtype=float)
-    trials = np.asarray(trials, dtype=float)
     n_rows, k = len(strata.of_row), len(strata.inverse) + 1
-    if events.shape != (n_rows,) or trials.shape != (n_rows,):
+    if len(events) != n_rows or len(trials) != n_rows:
         raise InputError("events/trials must align with design rows")
-    event_list, trial_list = events.tolist(), trials.tolist()
-    fit = _profile_fit(strata, event_list, trial_list, k)
+    fit = _profile_fit(strata, events, trials, k)
     if fit is None:
-        _check_table(event_list, trial_list, k)  # the check the profile pass failed: this raises
+        _check_table(events, trials, k)  # the check the profile pass failed: this raises
     return fit
 
 

@@ -260,6 +260,23 @@ def test_tie_runs_dropping_then_feasibility_on_same_snapshot():
     assert result.feasibility is not None
 
 
+def test_replicate_records_refuse_assignment():
+    """A replicate's path and every record it holds are read-only: the tally
+    and the trace row read the same result."""
+    cfg = _null_config(base_seed=8)
+    result = run_replicate(cfg, 120, 120, derive_seed(8, 0, (120, 120), 2))
+    records = (result, result.retention, result.feasibility, result.gatekeeping, result.feasibility.test)
+    names = ["TrialResult", "RetentionDecision", "FeasibilityDecision", "GatekeepingOutcome", "TestResult"]
+    assert [type(record).__name__ for record in records] == names
+    for record in records:
+        for field in (*record._fields, "undeclared"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    for prop in ("successful_arms", "failed"):
+        with pytest.raises(AttributeError):
+            setattr(result, prop, None)
+
+
 def test_branch_matches_decisions():
     cfg = _null_config(
         biomarker_effects={"A1": (10.0, -10.0), "A2": (10.0, -10.0)},
@@ -725,7 +742,7 @@ def _replicates(config, cells, n):
 
 def _failed(result):
     """The same replicate with its final fit flagged as failed."""
-    return dataclasses.replace(result, gatekeeping=GatekeepingOutcome({}, frozenset(), frozenset(), True))
+    return result._replace(gatekeeping=GatekeepingOutcome({}, frozenset(), frozenset(), True))
 
 
 def test_keyed_tally_equals_reference_tally():

@@ -173,9 +173,25 @@ def test_stratify_checks_the_design_the_fit_trusts():
     strata = stratify(rows, (0, 0))
     rows[1, 1] = 2.0  # the map holds its own copy of what it reads
     assert strata == stratify(check_design([[1.0, 0.0], [1.0, 1.0]]), [0, 0])
+    assert fit_logistic_counts(strata, events.tolist(), trials.tolist()).converged
+
+
+def test_counts_that_do_not_align_with_the_design_rows_are_rejected():
+    # zip would stop at the shorter of the map and the table: a longer table
+    # would fit its first rows, and a nested one would fail with a TypeError
+    strata = stratify([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]], (0, 0, 0))
+    events, trials = [30.0, 20.0, 50.0], [120.0, 60.0, 80.0]
     assert fit_logistic_counts(strata, events, trials).converged
-    with pytest.raises(InputError, match="align"):
-        fit_logistic_counts(strata, events[:1], trials[:1])
+    for bad_events, bad_trials in (
+        (events[:2], trials[:2]),
+        (events + [1.0], trials + [2.0]),
+        (events[:2], trials),
+        (events, trials + [2.0]),
+        ([events], [trials]),  # the table as one 2-d row
+        (events, [trials]),
+    ):
+        with pytest.raises(InputError, match="align"):
+            fit_logistic_counts(strata, bad_events, bad_trials)
 
 
 # -- likelihood-ratio tests -------------------------------------------------
@@ -404,9 +420,10 @@ def test_fit_bits_do_not_depend_on_the_callers_memory_order():
 def test_non_finite_counts_are_rejected(events, trials):
     rows = check_design([[1.0, 0.0], [1.0, 1.0]])
     strata = stratify(rows, (0, 0))
-    for fit in (reference_kernels.irls, lambda _, *table: fit_logistic_counts(strata, *table)):
-        with pytest.raises(InputError):  # the check fit_logistic makes, and the profile pass's
-            fit(rows, np.array(events), np.array(trials))
+    with pytest.raises(InputError):  # the check fit_logistic makes
+        reference_kernels.irls(rows, np.array(events), np.array(trials))
+    with pytest.raises(InputError):  # the profile pass's
+        fit_logistic_counts(strata, events, trials)
     # the both-arms pattern table: its first two patterns carry the counts
     table = np.full((2, 6), 10.0)
     table[0] = 5.0
@@ -486,7 +503,7 @@ def _check_profile_against_irls(x, strata, events, trials) -> tuple[bool, set]:
     rows = check_design(x)
     stratum_map = stratify(rows, strata)
     irls = reference_kernels.irls(rows, events, trials)
-    fit = fit_logistic_counts(stratum_map, events, trials)
+    fit = fit_logistic_counts(stratum_map, events.tolist(), trials.tolist())
     _assert_same_fit(fit, reference_kernels.fit(rows, events, trials, strata))
     _assert_same_fit(fit, stats._profile_fit(stratum_map, events.tolist(), trials.tolist(), rows.shape[1]))
     assert (fit.converged, fit.diverged) == (irls.converged, irls.diverged)
@@ -551,7 +568,7 @@ def test_profile_fit_is_the_mle_where_irls_runs_away():
             trials = np.floor(10.0 ** rng.uniform(0.5, 9.0, size=len(x))).clip(2.0)
             events = np.floor(trials * 10.0 ** rng.uniform(-9.0, 0.0, size=len(x))).clip(1.0, trials - 1.0)
             irls = reference_kernels.irls(rows, events, trials)
-            fit = fit_logistic_counts(stratum_map, events, trials)
+            fit = fit_logistic_counts(stratum_map, events.tolist(), trials.tolist())
             _assert_same_fit(fit, reference_kernels.fit(rows, events, trials, strata))
             verdicts[irls.converged, fit.converged] += 1
             if not fit.converged:  # no finite maximum within the bound
@@ -573,7 +590,7 @@ def test_profile_newton_that_does_not_converge_is_a_failed_fit(monkeypatch):
     trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
     assert _profile_fit(rows, events, trials, _STRATA[0]).n_iterations > 1
     monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
-    fit = fit_logistic_counts(stratify(rows, _STRATA[0]), events, trials)
+    fit = fit_logistic_counts(stratify(rows, _STRATA[0]), events.tolist(), trials.tolist())
     _assert_no_mle(fit, 4)
     assert fit.n_iterations == 1
     _assert_same_fit(fit, _profile_fit(rows, events, trials, _STRATA[0]))
