@@ -33,14 +33,16 @@ print(f"t = {r.statistic:.3f}, df = {r.df:.1f} (fractional: unequal variances), 
 one_sided = welch_t_test(treated, control, Tail.UPPER)
 print(f"one-sided (treated > control): p = {one_sided.p_value:.5f}")
 
-print("\n== logistic regression by IRLS (fit_logistic) ==")
-# two groups: 20/100 vs 30/100 events; coefficients have a closed form
+print("\n== logistic regression (fit_logistic) ==")
+# two groups: 20/100 vs 30/100 events. The design has as many distinct rows
+# as columns, so it is saturated: fit_logistic takes its closed form, each
+# group's event proportion, and solves the rows against the groups' logits.
 x = np.ones((200, 2))
 x[:, 1] = np.r_[np.zeros(100), np.ones(100)]
 y = np.r_[np.ones(20), np.zeros(80), np.ones(30), np.zeros(70)]
 fit = fit_logistic(x, y)
 print(f"beta = {fit.coefficients.round(6)}  (closed form: [ln(20/80), ln(12/7)] = [-1.386294, 0.538997])")
-print(f"converged in {fit.n_iterations} iterations, log-likelihood {fit.log_likelihood:.3f}")
+print(f"{fit.n_iterations} Newton steps, log-likelihood {fit.log_likelihood:.3f}")
 
 print("\n== the final analysis's main-effects fit: a common odds ratio over strata ==")
 # logit p = alpha_s + theta * b1, one intercept per domain-A stratum: the
@@ -50,7 +52,8 @@ print("\n== the final analysis's main-effects fit: a common odds ratio over stra
 # and a positive Mantel-Haenszel numerator and denominator), and profile
 # Newton on theta from the Mantel-Haenszel estimate finds it, on rows at 0
 # or at all events too. The counts are float lists, one entry per design
-# row. fit_logistic fits the same 385 subjects, one row each, by IRLS.
+# row. Given the same 385 subjects, one row each, fit_logistic groups them
+# by covariate pattern and runs the same profile fit on their stratum map.
 rows = [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]  # intercept, fluid_pooled, b1
 strata = stratify(rows, (0, 0, 1, 1))
 events = [40.0, 52.0, 35.0, 50.0]
@@ -58,10 +61,10 @@ trials = [100.0, 100.0, 90.0, 95.0]
 profile = fit_logistic_counts(strata, events, trials)
 subjects = np.repeat(rows, [int(n) for n in trials], axis=0)
 outcomes = np.concatenate([np.r_[np.ones(int(e)), np.zeros(int(n - e))] for e, n in zip(events, trials)])
-irls = fit_logistic(subjects, outcomes)
+grouped = fit_logistic(subjects, outcomes)
 print(f"profile Newton: theta = {profile.coefficients[-1]:.6f} in {profile.n_iterations} steps")
-print(f"IRLS on {len(outcomes)} subjects: theta = {irls.coefficients[-1]:.6f} in {irls.n_iterations} iterations")
-print(f"log-likelihoods differ by {abs(profile.log_likelihood - irls.log_likelihood):.1e}")
+same = grouped.log_likelihood == profile.log_likelihood and np.array_equal(grouped.coefficients, profile.coefficients)
+print(f"fit_logistic on {len(outcomes)} subjects: theta = {grouped.coefficients[-1]:.6f}, bit for bit the same: {same}")
 zero_row = fit_logistic_counts(strata, [0.0, 52.0, 35.0, 50.0], trials)
 print(f"a row at 0 events: converged={zero_row.converged}, theta = {zero_row.coefficients[-1]:.6f}")
 no_mle = fit_logistic_counts(strata, [0.0, 0.0, 35.0, 50.0], trials)

@@ -21,19 +21,18 @@ distinct covariate rows as parameters, so their MLE is the per-group event
 proportion and they are fitted in closed form. Those are
 every reduced model of the one-arm branch (global, beta1, beta2), H01-H04
 and H07 of the both-arms branch (A1 + A2 dummies are saturated on the three
-A-arm groups), and both models of the terminated branch. The closed form
-is the maximum IRLS converges to, so the p-values agree to rounding and
-the decisions are the same. A saturated model has an MLE exactly when
-every group is strictly between 0 and all events; elsewhere its closed
-form is nan. The unsaturated ones are the main-effects models: the one-arm
-and both-arms full models, H05 and H06. Each is one intercept per stratum
-of domain-A arms and a common B1 log odds ratio, so its fit takes the
-model's stratum map, and the fit (``stats._profile_fit``) decides by
-rule whether the MLE exists and finds it by profile Newton, on rows at 0
-or at all events too; the final analysis never runs IRLS. A model
-without an MLE has a nan log-likelihood, which ``lr_test`` rejects: the
-replicate is flagged with every node p-value 1.0, as on any other failed
-LR test.
+A-arm groups), and both models of the terminated branch. A saturated
+model has an MLE exactly when every group is strictly between 0 and all
+events; elsewhere its closed form is nan. The unsaturated ones are the
+main-effects models: the one-arm and both-arms full models, H05 and H06.
+Each is one intercept per stratum of domain-A arms and a common B1 log
+odds ratio, so its fit takes the model's stratum map, and the fit
+(``stats._profile_fit``) decides by rule whether the MLE exists and finds
+it by profile Newton, on rows at 0 or at all events too. Both fits, and
+the rule that tells a model's kind from its rows (``stats._fit_plan``),
+live in ``stats``, which ``fit_logistic`` runs too. A model without an
+MLE has a nan log-likelihood, which ``lr_test`` rejects: the replicate is
+flagged with every node p-value 1.0, as on any other failed LR test.
 
 The likelihood of every model depends on the data only through the events
 and trials of each (domain-A arm, domain-B arm) cell. So generation counts
@@ -60,25 +59,22 @@ group or a stratum left empty has no MLE, so the replicate is flagged, as
 when no subject is in B1. After the draws a replicate decides on Python
 floats: the pattern table is read once (``tolist``) and checked once, its
 shape against the record and its counts against the full model, and its
-two float lists go to every main-effects fit as they are.
-``_saturated_pass`` sums each saturated model's group counts in Python,
-row by row in order as ``np.bincount`` did, and takes numpy's logarithms
-in one call each over all groups, so every closed form keeps its bits.
-``lr_test`` takes the two log-likelihoods, and a branch's outcome is one
-NamedTuple, a ``GatekeepingOutcome``.
+two float lists go to every main-effects fit as they are. One
+``stats._saturated_pass`` over the record's groups gives every saturated
+model's closed form. ``lr_test`` takes the two log-likelihoods, and a
+branch's outcome is one NamedTuple, a ``GatekeepingOutcome``.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import nullcontext
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .design import ABSENT, ARM_A_CODE
-from .stats import FittingError, InputError, _check_table, check_design, fit_logistic_counts, lr_test, stratify
+from .stats import FittingError, InputError, Strata, _check_table, _fit_plan, _saturated_pass, check_design
+from .stats import fit_logistic_counts, lr_test
 
 __all__ = [
     "FinalBranch",
@@ -164,9 +160,9 @@ def _constants(branch: FinalBranch) -> _Branch:
     non-events; 2 * patterns for the subjects the model leaves out: those
     not assigned in domain A, unless domain A is terminated. The full
     model and every node's reduced model are sliced from the patterns as
-    design rows and checked once. A model is saturated when it has as many
-    distinct rows as columns, and its groups of rows are kept for the
-    closed form; every other model gets its stratum map."""
+    design rows, checked once and planned by ``stats._fit_plan``: a
+    saturated model's groups of rows are kept for the closed form, and
+    every other model gets its stratum map."""
     covariates, nulls = _COVARIATES[branch], HIERARCHY[branch]
     arm_a, arm_b, y21 = np.meshgrid(np.arange(ABSENT, len(ARM_A_CODE)), np.arange(2), np.arange(2), indexing="ij")
     codes = np.zeros(arm_a.shape, dtype=np.intp)
@@ -181,15 +177,13 @@ def _constants(branch: FinalBranch) -> _Branch:
     ordered = sorted(nulls.items(), key=lambda item: -len(item[1]))
     models, groups = [], []
     for nulled in [()] + [n for _, n in ordered]:
-        x = check_design(rows[:, [0] + [j + 1 for j, name in enumerate(covariates) if name not in nulled]])
-        distinct, inverse = np.unique(x, axis=0, return_inverse=True)
-        if len(distinct) == x.shape[1]:
+        columns = [0] + [j + 1 for j, name in enumerate(covariates) if name not in nulled]
+        plan = _fit_plan(check_design(rows[:, columns]))
+        if isinstance(plan, Strata):  # one intercept per stratum of the columns but b1, a common B1 log odds ratio
+            models.append(plan)
+        else:
             models.append(len(groups))
-            of_row = inverse.reshape(-1).tolist()
-            groups.append(tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct))))
-        else:  # one intercept per stratum, a row's values of every column but b1, and a common B1 log odds ratio
-            _, stratum = np.unique(x[:, :-1], axis=0, return_inverse=True)
-            models.append(stratify(x, stratum.reshape(-1).tolist()))
+            groups.append(plan)
     nodes = tuple(
         _Node(
             label,
@@ -228,44 +222,6 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     table = counts[: 2 * patterns].reshape(2, patterns)
     table[1] += table[0]  # trials = non-events + events
     return table
-
-
-def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
-    """The maximised log-likelihood of every saturated model of a branch on
-    a checked table's rows: ``groups`` holds, per saturated model, each of
-    its groups as the tuple of its rows.
-
-    A saturated model gives each group g its own free logit, so its MLE is
-    the group's event proportion p_g = E_g / N_g and its log-likelihood is
-    sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)]: the maximum IRLS
-    converges to. Each group's counts are added row by row and each model's
-    terms group by group, in order from 0.0, which is how ``np.bincount``
-    adds weights, so each value equals the model's closed form computed
-    alone bit for bit; the two logarithms are numpy's, one call each over
-    every group. It is nan where a group of the model has no events, only
-    events or no subjects: that model has no MLE.
-    """
-    sums = []  # (E_g, N_g) of every group of every model, in order
-    boundary = False
-    for model in groups:
-        for rows in model:
-            e = n = 0.0
-            for row in rows:
-                e += events[row]
-                n += trials[row]
-            sums.append((e, n))
-            boundary = boundary or e == 0.0 or e == n
-    p = np.array([e / n if n else math.nan for e, n in sums])
-    with np.errstate(divide="ignore") if boundary else nullcontext():  # log(0) is -inf, so the term nan
-        log_p, log_q = np.log(p).tolist(), np.log1p(-p).tolist()
-    terms = iter([e * lp + (n - e) * lq for (e, n), lp, lq in zip(sums, log_p, log_q)])
-    closed = []
-    for model in groups:
-        total = 0.0
-        for _ in model:
-            total += next(terms)
-        closed.append(total)
-    return closed
 
 
 def _log_likelihood(model, closed: list, events: list, trials: list) -> float:

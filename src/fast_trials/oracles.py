@@ -11,13 +11,11 @@ oracle and the main path is informative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import integrate
 
 __all__ = [
     "OracleError",
-    "OracleReport",
     "oracle_normal_cdf",
     "oracle_t_sf",
     "oracle_chi_square_sf",
@@ -30,24 +28,6 @@ _QUAD_TOL = 1e-12
 
 class OracleError(RuntimeError):
     """Raised when an oracle cannot produce a trustworthy value."""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Comparison record for one checked case; assertions live in tests."""
-
-    case_id: str
-    main_value: float
-    oracle_value: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.main_value - self.oracle_value)
-
-    @property
-    def rel_error(self) -> float:
-        scale = max(abs(self.oracle_value), 1e-300)
-        return self.abs_error / scale
 
 
 def _quad(fn, lo, hi) -> float:

@@ -11,31 +11,34 @@ explicit ``numpy.random.Generator`` owned by the caller.
 
 Each entry point runs one algorithm and returns a NamedTuple (``TestResult``
 or ``LogisticFit``). ``welch_t_test`` takes numpy's own two-pass moments
-(``_moments``) and the t tail. ``fit_logistic_counts`` takes a table's
-events and trials as float lists and fits one intercept per stratum and a
-common log odds ratio on a stratum map (``Strata``) that ``stratify`` made
-once from design rows and row labels, and that the fit trusts: a rule
-decides whether the MLE exists (the separation conditions of Albert &
-Anderson 1984 and Santner & Duffy 1986: every stratum strictly between 0
-and all events, and the Mantel-Haenszel numerator and denominator both
-positive); where it does, the fit is the unconditional MLE of a common
-odds ratio (Mantel & Haenszel 1959; Breslow & Day 1980, ch. 4) by profile
-Newton on Python floats, rows at 0 or at all events included, and
-elsewhere a failed fit with NaN coefficients and log-likelihood. The
-stratum map carries the inverse from the strata's intercepts to the
-design's columns, so the fit solves no linear system. ``check_design``
-returns a design's checked read-only rows, for ``stratify`` and
-``fit_logistic``. ``fit_logistic`` groups the subjects by covariate
-pattern and runs IRLS, the textbook Newton loop (``_irls``); nothing else
-runs it. ``lr_test`` takes two maximised log-likelihoods. A count table must be finite, with events in
-[0, trials]: a profile fit's one pass over the rows checks that, and
-``fit_logistic`` calls ``_check_table`` on lists.
+(``_moments``) and the t tail; ``lr_test`` takes two maximised
+log-likelihoods. One rule (``_fit_plan``) tells from a logistic model's rows
+which of two fits it takes. A saturated design, as many distinct rows as
+columns, has a closed form (``_saturated_pass``). Any other design must be
+main-effects: ``fit_logistic_counts`` takes a table's events and trials as
+float lists and fits one intercept per stratum and a common log odds ratio
+on a stratum map (``Strata``) that ``stratify`` made once from design rows
+and row labels, and that the fit trusts: a rule decides whether the MLE
+exists (the separation conditions of Albert & Anderson 1984 and Santner &
+Duffy 1986: every stratum strictly between 0 and all events, and the
+Mantel-Haenszel numerator and denominator both positive); where it does, the
+fit is the unconditional MLE of a common odds ratio (Mantel & Haenszel 1959;
+Breslow & Day 1980, ch. 4) by profile Newton on Python floats, rows at 0 or
+at all events included, and elsewhere a failed fit with NaN coefficients and
+log-likelihood. The stratum map carries the inverse from the strata's
+intercepts to the design's columns, so the fit solves no linear system.
+``fit_logistic`` groups subject rows by covariate pattern and plans and fits
+them alike. ``check_design`` returns a design's checked read-only rows. A
+count table must be finite, with events in [0, trials]: a profile fit's one
+pass over the rows checks that, and the other callers call ``_check_table``
+on lists.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -69,8 +72,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # by at most about 2e-11 on either side of it (x in [-10, 10]).
 _T_NORMAL_DF = 1e5
 
-IRLS_TOL = 1e-10
-IRLS_MAX_ITER = 50
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 _DIVERGE_BOUND = 30.0  # |coef| beyond this is numerically certain separation
 
 
@@ -351,24 +354,15 @@ def welch_t_test(sample_a, sample_b, tail: Tail = Tail.TWO_SIDED) -> TestResult:
 
 
 # ---------------------------------------------------------------------------
-# logistic regression by iteratively reweighted least squares
+# logistic regression: closed forms and the profile fit
 # ---------------------------------------------------------------------------
-
-def _bernoulli_loglik(eta: np.ndarray, events: np.ndarray, trials: np.ndarray) -> float:
-    # sum_i [y_i*eta_i - log(1 + exp(eta_i))], grouped; softplus kept stable
-    # as max(eta, 0) + log1p(exp(-|eta|)), the same bits as branching on the
-    # sign of eta (log1p(exp(eta)) below zero).
-    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-    return float((events * eta - trials * softplus).sum())
-
 
 def check_design(rows) -> np.ndarray:
     """The checked rows of a 2-d finite float design with at least one row
     and one column, an intercept and full column rank, read-only. The rows
     are copied before they are frozen, so the caller's array stays
-    writeable, and in Fortran order: the BLAS products of a fit round by
-    memory layout, so every copy of a design fits to the same bits."""
-    x = np.array(rows, dtype=float, order="F")
+    writeable."""
+    x = np.array(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise InputError("design must be a 2-d matrix with at least one column")
     if x.shape[0] == 0:
@@ -434,6 +428,58 @@ def stratify(rows, labels) -> Strata:
     return Strata(of_row, tuple(treated), tuple(map(tuple, inverse.tolist())))
 
 
+def _fit_plan(x: np.ndarray):
+    """The plan of the model on checked design rows ``x``: a saturated
+    design's (as many distinct rows as columns) groups of equal rows, each
+    the tuple of its row indices, for ``_saturated_pass``; else the stratum
+    map that ``stratify`` makes from each row's values of every column but
+    the last, which raises ``InputError`` for a design of neither form."""
+    distinct, inverse = np.unique(x, axis=0, return_inverse=True)
+    if len(distinct) == x.shape[1]:
+        of_row = inverse.reshape(-1).tolist()
+        return tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct)))
+    _, stratum = np.unique(x[:, :-1], axis=0, return_inverse=True)
+    return stratify(x, stratum.reshape(-1).tolist())
+
+
+def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
+    """The maximised log-likelihood of each saturated model in ``groups``
+    on a checked table's rows: ``groups`` holds, per model, each of its
+    groups as the tuple of its rows (``_fit_plan``).
+
+    A saturated model gives each group g its own free logit, so its MLE is
+    the group's event proportion p_g = E_g / N_g and its log-likelihood is
+    sum_g [E_g log p_g + (N_g - E_g) log(1 - p_g)]. Each group's counts are
+    added row by row and each model's terms group by group, in order from
+    0.0, which is how ``np.bincount`` adds weights, so each value equals
+    the model's closed form computed alone bit for bit; the two logarithms
+    are numpy's, one call each over every group. The MLE exists exactly
+    when every group is strictly between 0 and all events; elsewhere, a
+    group with no events, only events or no subjects, the value is nan.
+    """
+    sums = []  # (E_g, N_g) of every group of every model, in order
+    boundary = False
+    for model in groups:
+        for rows in model:
+            e = n = 0.0
+            for row in rows:
+                e += events[row]
+                n += trials[row]
+            sums.append((e, n))
+            boundary = boundary or e == 0.0 or e == n
+    p = np.array([e / n if n else math.nan for e, n in sums])
+    with np.errstate(divide="ignore") if boundary else nullcontext():  # log(0) is -inf, so the term nan
+        log_p, log_q = np.log(p).tolist(), np.log1p(-p).tolist()
+    terms = iter([e * lp + (n - e) * lq for (e, n), lp, lq in zip(sums, log_p, log_q)])
+    closed = []
+    for model in groups:
+        total = 0.0
+        for _ in model:
+            total += next(terms)
+        closed.append(total)
+    return closed
+
+
 def _no_mle(k: int, n_iter: int) -> LogisticFit:
     """The failed fit of a table whose model has no finite MLE."""
     return LogisticFit(np.full(k, math.nan), math.nan, False, n_iter, True)
@@ -457,7 +503,7 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
     sum_s e0 f1 / N are then both positive. A row at 0 or at all events
     breaks none of this on its own, and Newton runs on such a table as on
     an interior one. Where Newton does not converge within
-    ``IRLS_MAX_ITER`` steps, or a coefficient lies beyond the divergence
+    ``NEWTON_MAX_ITER`` steps, or a coefficient lies beyond the divergence
     bound, the fit is also the failed one.
 
     For a fixed theta, psi = e^theta, each stratum's odds
@@ -466,11 +512,10 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
     root is taken in the form that subtracts no like-signed terms. The
     profile score sum_s (e1 - n1 p1) falls monotonely in theta, with
     derivative -sum_s v0 v1 / (v0 + v1), v = n p (1 - p), so Newton on it
-    starts from the Mantel-Haenszel log odds ratio and stops, like the IRLS
-    loop, on a step below ``IRLS_TOL``. The log-likelihood is the IRLS
-    loop's sum of e eta - n log(1 + e^eta), taken over each stratum's two
-    cells. The intercepts map back to the design's columns through
-    ``strata.inverse``.
+    starts from the Mantel-Haenszel log odds ratio and stops on a step
+    below ``NEWTON_TOL``. The log-likelihood is the sum of
+    e eta - n log(1 + e^eta), taken over each stratum's two cells. The
+    intercepts map back to the design's columns through ``strata.inverse``.
     """
     sqrt = math.sqrt
     cells = [[0.0, 0.0, 0.0, 0.0] for _ in strata.inverse]  # e0, f0, e1, f1: events and non-events at b = 0, then b = 1
@@ -503,7 +548,7 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
     # bracket bisects it instead.
     low, high = -_DIVERGE_BOUND, _DIVERGE_BOUND
     theta = min(max(math.log(num / den), low), high)
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
+    for n_iter in range(1, NEWTON_MAX_ITER + 1):
         psi = math.exp(theta)
         psi2, psi4 = 2.0 * psi, 4.0 * psi
         score = info = 0.0
@@ -529,7 +574,7 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
         step = score / info
         if not low <= theta + step <= high:  # also a NaN
             theta = 0.5 * (low + high)
-        elif -IRLS_TOL < step < IRLS_TOL:
+        elif -NEWTON_TOL < step < NEWTON_TOL:
             theta += step
             break
         else:
@@ -559,62 +604,36 @@ def fit_logistic_counts(strata: Strata, events: list, trials: list) -> LogisticF
 
     ``strata`` is the design's stratum map from ``stratify``, which the fit
     trusts; ``events`` and ``trials`` are lists of floats, one per design
-    row, as ``ndarray.tolist()`` gives them, and a length that is not the
-    map's row count raises ``InputError``. The fit is the MLE where the
-    existence rule holds, rows at 0 or at all events included, and else the
-    failed fit, NaN coefficients and log-likelihood with ``diverged`` set; a
-    table that fails its check raises ``InputError``.
+    row, as ``ndarray.tolist()`` gives them; anything else raises
+    ``InputError``. The fit is the MLE where the existence rule holds, rows
+    at 0 or at all events included, and else the failed fit, NaN
+    coefficients and log-likelihood with ``diverged`` set; a table that
+    fails its check raises ``InputError``.
 
     The log-likelihood matches the equivalent subject-level Bernoulli model
-    exactly, so likelihood-ratio statistics can mix it with IRLS fits and
-    closed-form log-likelihoods.
+    exactly, so likelihood-ratio statistics can mix it with closed-form
+    log-likelihoods.
     """
     n_rows, k = len(strata.of_row), len(strata.inverse) + 1
-    if len(events) != n_rows or len(trials) != n_rows:
-        raise InputError("events/trials must align with design rows")
-    fit = _profile_fit(strata, events, trials, k)
+    if events.__class__ is not list or trials.__class__ is not list or len(events) != n_rows or len(trials) != n_rows:
+        raise InputError("events/trials must be float lists (ndarray.tolist()) that align with design rows")
+    try:
+        fit = _profile_fit(strata, events, trials, k)
+    except TypeError:  # an entry that does not compare with a float
+        raise InputError("events/trials must hold one number per design row") from None
     if fit is None:
         _check_table(events, trials, k)  # the check the profile pass failed: this raises
     return fit
 
 
-def _irls(x: np.ndarray, events: np.ndarray, trials: np.ndarray) -> LogisticFit:
-    """The textbook IRLS Newton loop from beta = 0 on checked design rows and
-    counts: a step below ``IRLS_TOL`` converges; a singular step, or a
-    coefficient past the divergence bound, diverges. On some tables with
-    rates near 1e-9 and 1e9 trials it overshoots a bound the MLE is within."""
-    beta = np.zeros(x.shape[1])
-    converged = False
-    diverged = False
-    n_iter = 0
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
-        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
-        expected = trials * mu
-        try:
-            step = np.linalg.solve((x * (expected * (1.0 - mu))[:, None]).T @ x, x.T @ (events - expected))
-        except np.linalg.LinAlgError:
-            diverged = True
-            break
-        beta += step
-        if np.abs(beta).max() > _DIVERGE_BOUND:
-            diverged = True
-            break
-        if np.abs(step).max() < IRLS_TOL:
-            converged = True
-            break
-
-    return LogisticFit(
-        coefficients=beta,
-        log_likelihood=_bernoulli_loglik(x @ beta, events, trials),
-        converged=converged and not diverged,
-        n_iterations=n_iter,
-        diverged=diverged,
-    )
-
-
 def fit_logistic(design, outcome) -> LogisticFit:
-    """IRLS logistic fit (``_irls``) of a binary outcome on an indicator
-    design matrix (n x k, first column all ones)."""
+    """Logistic fit of a binary outcome on an indicator design (n x k, first
+    column all ones) by the final analysis's own fits: the subjects are
+    grouped by covariate pattern and the checked pattern rows planned by
+    ``_fit_plan``. A saturated design's log-likelihood is its closed form and
+    its coefficients solve the rows against the groups' logits, with no
+    Newton step; a group at 0 or at all events gives the failed fit. Any
+    other design is ``fit_logistic_counts``'s on its stratum map."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(outcome, dtype=float)
     if x.ndim != 2:
@@ -623,14 +642,20 @@ def fit_logistic(design, outcome) -> LogisticFit:
         raise InputError("outcome length must match design rows")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise InputError("outcome must be binary 0/1")
-    # Collapse identical covariate patterns; indicator designs have only a
-    # handful, which makes repeated fits in a simulation loop cheap.
     rows, inverse = np.unique(x, axis=0, return_inverse=True)
-    trials = np.bincount(inverse, minlength=rows.shape[0]).astype(float)
-    events = np.bincount(inverse, weights=y, minlength=rows.shape[0])
+    trials = np.bincount(inverse, minlength=rows.shape[0]).astype(float).tolist()
+    events = np.bincount(inverse, weights=y, minlength=rows.shape[0]).tolist()
     rows = check_design(rows)
-    _check_table(events.tolist(), trials.tolist(), rows.shape[1])
-    return _irls(rows, events, trials)
+    _check_table(events, trials, rows.shape[1])
+    plan = _fit_plan(rows)
+    if isinstance(plan, Strata):
+        return fit_logistic_counts(plan, events, trials)
+    (log_likelihood,) = _saturated_pass((plan,), events, trials)
+    if math.isnan(log_likelihood):
+        return _no_mle(rows.shape[1], 0)
+    # the rows are distinct, so each group is one row, in the rows' order
+    logits = [math.log(e / (n - e)) for e, n in zip(events, trials)]
+    return LogisticFit(np.linalg.solve(rows, logits), log_likelihood, True, 0, False)
 
 
 def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:

@@ -10,8 +10,9 @@ that the engine's Python-float form must match bit for bit:
   ``np.bincount`` over the table's rows tiled once per model, with the
   groupings stacked per branch (``saturated_groups``).
 
-``irls`` fits a grouped table by IRLS as ``fit_logistic`` does, for the
-tests that compare a fit with IRLS.
+``irls`` is the textbook IRLS Newton loop on a grouped table, which the
+package does not run: the independent reference that the profile fit and
+the closed forms are checked against.
 
 Not a test module: the test files import it.
 """
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from fast_trials.stats import IRLS_MAX_ITER, IRLS_TOL, LogisticFit, _DIVERGE_BOUND, _check_table, _irls
+from fast_trials.stats import NEWTON_MAX_ITER, NEWTON_TOL, LogisticFit, _DIVERGE_BOUND, _check_table
 
 
 def stratum_odds(psi, events_s, non_events, lin0, lin1):
@@ -64,7 +65,7 @@ def profile_fit(x, events, trials, strata):
         return failed
     low, high = -_DIVERGE_BOUND, _DIVERGE_BOUND
     theta = min(max(math.log(num / den), low), high)
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
+    for n_iter in range(1, NEWTON_MAX_ITER + 1):
         psi = math.exp(theta)
         score = info = 0.0
         for events_s, non_events, lin0, lin1, e0, f0, e1, f1 in terms:
@@ -83,7 +84,7 @@ def profile_fit(x, events, trials, strata):
         step = score / info
         if not low <= theta + step <= high:
             theta = 0.5 * (low + high)
-        elif -IRLS_TOL < step < IRLS_TOL:
+        elif -NEWTON_TOL < step < NEWTON_TOL:
             theta += step
             break
         else:
@@ -108,14 +109,47 @@ def profile_fit(x, events, trials, strata):
     return LogisticFit(beta, log_likelihood, True, n_iter, False)
 
 
+def bernoulli_loglik(eta, events, trials):
+    """sum_i [y_i eta_i - log(1 + exp(eta_i))], grouped; softplus kept
+    stable as max(eta, 0) + log1p(exp(-|eta|)), the same bits as branching
+    on the sign of eta (log1p(exp(eta)) below zero)."""
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    return float((events * eta - trials * softplus).sum())
+
+
 def irls(rows, events, trials):
-    """The IRLS fit of checked design rows (``check_design``) and a count
-    table, as ``fit_logistic`` runs it on its grouped subjects: the table
-    check, then ``stats._irls``."""
+    """The textbook IRLS loop from beta = 0 on checked design rows
+    (``check_design``) and a count table, after the table check: a step
+    below ``NEWTON_TOL`` converges; a singular step, or a coefficient past
+    the divergence bound, diverges. On some tables with rates near 1e-9 and
+    1e9 trials it overshoots a bound the MLE is within."""
     events = np.asarray(events, dtype=float)
     trials = np.asarray(trials, dtype=float)
     _check_table(events.tolist(), trials.tolist(), rows.shape[1])
-    return _irls(rows, events, trials)
+    beta = np.zeros(rows.shape[1])
+    converged = False
+    diverged = False
+    n_iter = 0
+    for n_iter in range(1, NEWTON_MAX_ITER + 1):
+        eta = rows @ beta
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        w = trials * mu * (1.0 - mu)
+        grad = rows.T @ (events - trials * mu)
+        hess = (rows * w[:, None]).T @ rows
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            diverged = True
+            break
+        beta = beta + step
+        if np.max(np.abs(beta)) > _DIVERGE_BOUND:
+            diverged = True
+            break
+        if np.max(np.abs(step)) < NEWTON_TOL:
+            converged = True
+            break
+    loglik = bernoulli_loglik(rows @ beta, events, trials)
+    return LogisticFit(beta, loglik, converged and not diverged, n_iter, diverged)
 
 
 def fit(rows, events, trials, strata):

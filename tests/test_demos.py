@@ -1,5 +1,6 @@
-"""The demos run against the source tree and exit 0, so an API change that
-breaks one fails here. Demo 03 writes into demos/output/, which git ignores."""
+"""The demos run against the source tree and exit 0 with every warning
+turned into an error, so an API change that breaks one, or a warning one
+leaks, fails here. Demo 03 writes into demos/output/, which git ignores."""
 
 import os
 import subprocess
@@ -21,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_exits_0(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # a warning a demo leaks (say, log(0) in a boundary closed form) fails it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     r = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )

@@ -1,11 +1,13 @@
 """Logistic-regression fitting: closed-form checks on contingency tables,
 degenerate/separated data handling, likelihood-ratio test behavior, bit
-identity of the IRLS loop with a separately written textbook Newton loop,
-and of the profile fit with its numpy form in ``reference_kernels``."""
+identity of ``fit_logistic`` with the engine's two fits on the grouped
+table, and of the profile fit with its numpy form in ``reference_kernels``;
+the textbook IRLS loop there is the independent reference for both."""
 
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +17,11 @@ from fast_trials import final_analysis, stats
 from fast_trials.final_analysis import gatekeep_both_retained
 from fast_trials.stats import (
     _DIVERGE_BOUND,
-    IRLS_MAX_ITER,
-    IRLS_TOL,
     FittingError,
     InputError,
     LogisticFit,
-    _bernoulli_loglik,
+    _check_table,
+    _saturated_pass,
     check_design,
     chi_square_sf,
     fit_logistic,
@@ -181,7 +182,8 @@ def test_counts_that_do_not_align_with_the_design_rows_are_rejected():
     # would fit its first rows, and a nested one would fail with a TypeError
     strata = stratify([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]], (0, 0, 0))
     events, trials = [30.0, 20.0, 50.0], [120.0, 60.0, 80.0]
-    assert fit_logistic_counts(strata, events, trials).converged
+    fit = fit_logistic_counts(strata, events, trials)
+    assert fit.converged and type(fit.log_likelihood) is float
     for bad_events, bad_trials in (
         (events[:2], trials[:2]),
         (events + [1.0], trials + [2.0]),
@@ -189,8 +191,16 @@ def test_counts_that_do_not_align_with_the_design_rows_are_rejected():
         (events, trials + [2.0]),
         ([events], [trials]),  # the table as one 2-d row
         (events, [trials]),
+        # an array used to fit, to a numpy.float64 log-likelihood
+        (np.array(events), trials),
+        (events, np.array(trials)),
+        (np.array([events]).T, trials),
     ):
         with pytest.raises(InputError, match="align"):
+            fit_logistic_counts(strata, bad_events, bad_trials)
+    # one-entry rows used to raise a TypeError from the profile pass
+    for bad_events, bad_trials in (([[e] for e in events], trials), (events, [[n] for n in trials])):
+        with pytest.raises(InputError, match="one number per design row"):
             fit_logistic_counts(strata, bad_events, bad_trials)
 
 
@@ -286,38 +296,6 @@ def test_lr_invariant_to_row_order():
     assert stat_a == pytest.approx(stat_b, abs=1e-9)
 
 
-# -- bit identity of the Newton loop ------------------------------------------
-
-def _reference_irls(x, events, trials):
-    """The textbook IRLS loop, written apart from the engine's:
-    (coefficients, log-likelihood, n_iterations, converged, diverged)."""
-    k = x.shape[1]
-    beta = np.zeros(k)
-    converged = False
-    diverged = False
-    n_iter = 0
-    for n_iter in range(1, IRLS_MAX_ITER + 1):
-        eta = x @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        w = trials * mu * (1.0 - mu)
-        grad = x.T @ (events - trials * mu)
-        hess = (x * w[:, None]).T @ x
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            diverged = True
-            break
-        beta = beta + step
-        if np.max(np.abs(beta)) > _DIVERGE_BOUND:
-            diverged = True
-            break
-        if np.max(np.abs(step)) < IRLS_TOL:
-            converged = True
-            break
-    loglik = _bernoulli_loglik(x @ beta, events, trials)
-    return beta, loglik, n_iter, converged and not diverged, diverged
-
-
 # Every covariate pattern of the three final-analysis designs.
 _DESIGNS = (
     np.array([[1, a1, a2, b] for a1, a2 in ((0, 0), (1, 0), (0, 1)) for b in (0, 1)], dtype=float),
@@ -326,85 +304,124 @@ _DESIGNS = (
 )
 
 
-def _irls_tables(kind, rng):
-    for x in _DESIGNS:
-        for _ in range(40):
-            trials = rng.integers(1, 200, size=len(x)).astype(float)
-            events = rng.binomial(trials.astype(int), rng.uniform(0.05, 0.95, size=len(x))).astype(float)
-            if kind == "interior":
-                trials = np.maximum(trials, 2.0)
-                events = np.clip(events, 1.0, trials - 1.0)
-            elif kind == "boundary":
-                row = int(rng.integers(len(x)))
-                events[row] = 0.0 if rng.random() < 0.5 else trials[row]
-            elif kind == "separated":  # the events follow the last covariate exactly
-                events = np.where(x[:, -1] == 1.0, trials, 0.0)
-            else:  # singular: all events where the last covariate is 1, all but
-                # one of a huge count elsewhere, so the weights of the all-event
-                # rows round to 0 while every coefficient is in bounds
-                trials = np.where(x[:, -1] == 1.0, trials, 10.0 ** rng.uniform(6, 9, size=len(x)))
-                events = np.where(x[:, -1] == 1.0, trials, trials - 1.0)
-            yield x, events, trials
+# fit_logistic's designs: each branch's full model, an intercept alone and
+# the 2 x 2 factorial with interaction, rows in np.unique's order, so that
+# the grouped table's rows are the design's; whether each is saturated.
+_FIT_DESIGNS = {
+    "both_arms": (np.unique(_DESIGNS[0], axis=0), False),
+    "one_arm": (_DESIGNS[1], False),
+    "terminated": (_DESIGNS[2], True),
+    "intercept": (np.ones((1, 1)), True),
+    "interaction": (np.array([[1, a, b, a * b] for a in (0, 1) for b in (0, 1)], dtype=float), True),
+}
 
 
-@pytest.mark.parametrize("kind", ["interior", "boundary", "separated", "singular"])
-def test_irls_bit_identical_to_reference_loop(kind):
+def _subjects(rows, events, trials):
+    """One design row and 0/1 outcome per subject of a count table, the
+    rows shuffled."""
+    x = np.repeat(rows, trials.astype(int), axis=0)
+    y = np.concatenate([np.r_[np.ones(int(e)), np.zeros(int(n - e))] for e, n in zip(events, trials)])
+    order = np.random.default_rng(int(trials.sum())).permutation(len(y))
+    return x[order], y[order]
+
+
+def _grouped_fit(rows, saturated, events, trials):
+    """The engine's fit of a grouped table on distinct design rows: the
+    closed form, coefficients solving the rows against the logits, or the
+    profile fit on the rows' stratum map."""
+    events, trials = events.tolist(), trials.tolist()
+    if not saturated:
+        return fit_logistic_counts(stratify(rows, reference_kernels.row_strata(rows)), events, trials)
+    (log_likelihood,) = _saturated_pass((tuple((r,) for r in range(len(rows))),), events, trials)
+    if math.isnan(log_likelihood):
+        return LogisticFit(np.full(rows.shape[1], np.nan), math.nan, False, 0, True)
+    logits = [math.log(e / (n - e)) for e, n in zip(events, trials)]
+    return LogisticFit(np.linalg.solve(rows, logits), log_likelihood, True, 0, False)
+
+
+def _random_table(rng, rows, kind="interior"):
+    """Events and trials on ``rows``: interior, with a row at 0 or at all
+    events, or separated, the events following the last column exactly."""
+    trials = rng.integers(2, 120, size=len(rows)).astype(float)
+    events = rng.binomial(trials.astype(int), rng.uniform(0.05, 0.95, size=len(rows))).astype(float)
+    events = np.clip(events, 1.0, trials - 1.0)
+    if kind == "boundary":
+        row = int(rng.integers(len(rows)))
+        events[row] = 0.0 if rng.random() < 0.5 else trials[row]
+    elif kind == "separated":
+        events = np.where(rows[:, -1] == 1.0, trials, 0.0)
+    return events, trials
+
+
+@pytest.mark.parametrize("name", list(_FIT_DESIGNS))
+def test_fit_logistic_is_the_engine_fit_of_the_grouped_table(name):
+    """On subject rows, ``fit_logistic`` is the closed form of a saturated
+    design and the profile fit of a main-effects one on the grouped table,
+    bit for bit, with or without an MLE."""
+    rows, saturated = _FIT_DESIGNS[name]
+    rng = np.random.default_rng(404)
     seen = set()
-    for x, events, trials in _irls_tables(kind, np.random.default_rng(5)):
-        rows = check_design(x)
-        fit = reference_kernels.irls(rows, events, trials)
-        # on the same Fortran-ordered rows: the products round by layout
-        beta, loglik, n_iter, converged, diverged = _reference_irls(rows, events, trials)
-        np.testing.assert_array_equal(fit.coefficients, beta, strict=True)
-        assert fit.log_likelihood == loglik
-        assert (fit.n_iterations, fit.converged, fit.diverged) == (n_iter, converged, diverged)
-        seen.add((converged, diverged))
-        if kind == "singular":  # stopped by a singular step, not by the bound
-            assert np.abs(beta).max() <= _DIVERGE_BOUND
-    # Interior tables converge; separated and singular ones diverge;
-    # boundary ones reach both.
-    expected = {
-        "interior": {(True, False)},
-        "separated": {(False, True)},
-        "singular": {(False, True)},
-        "boundary": {(True, False), (False, True)},
-    }
-    assert seen == expected[kind]
+    for i in range(60):
+        events, trials = _random_table(rng, rows, ("interior", "boundary", "separated")[i % 3])
+        fit = fit_logistic(*_subjects(rows, events, trials))
+        _assert_same_fit(fit, _grouped_fit(rows, saturated, events, trials))
+        seen.add((fit.converged, fit.n_iterations == 0))
+    # a closed form takes no Newton step; a separated table has no MLE
+    assert seen == {(True, saturated), (False, True)}
+
+
+@pytest.mark.parametrize("name", list(_FIT_DESIGNS))
+def test_fit_logistic_agrees_with_irls_on_interior_tables(name):
+    rows, _ = _FIT_DESIGNS[name]
+    rng = np.random.default_rng(405)
+    for _ in range(40):
+        events, trials = _random_table(rng, rows)
+        fit = fit_logistic(*_subjects(rows, events, trials))
+        irls = reference_kernels.irls(check_design(rows), events, trials)
+        assert fit.converged and irls.converged
+        np.testing.assert_allclose(fit.coefficients, irls.coefficients, rtol=0, atol=1e-8)
+        assert fit.log_likelihood == pytest.approx(irls.log_likelihood, rel=0, abs=1e-8)
+
+
+def test_fit_logistic_rejects_a_design_of_neither_form():
+    # three binary main effects over their 8 patterns: not saturated, and
+    # the columns but the last make 4 strata for 3 intercepts
+    rows = np.array([[1.0, a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    with pytest.raises(InputError, match="needs 3 strata, got 4"):
+        fit_logistic(*_subjects(rows, np.full(8, 5.0), np.full(8, 10.0)))
+    rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])  # a last column that is not 0/1
+    with pytest.raises(InputError, match="0/1 indicator"):
+        fit_logistic(*_subjects(rows, np.full(3, 5.0), np.full(3, 10.0)))
 
 
 def test_fits_leave_the_error_state_as_they_found_it():
-    rows = check_design([[1.0, 0.0], [1.0, 1.0]])
-    cases = {
-        "converged": (np.array([30.0, 50.0]), np.array([120.0, 80.0])),
-        "diverged": (np.array([0.0, 80.0]), np.array([120.0, 80.0])),  # past the bound
-        "singular": (np.array([1e9 - 1.0, 10.0]), np.array([1e9, 10.0])),
-    }
+    # a closed form with a group at 0 events takes log(0); neither a fit
+    # with an MLE nor one without may warn or leave the error state changed
+    two, four = np.array([120.0, 80.0]), np.array([120.0, 80.0, 90.0, 100.0])
+    cases = (
+        ("terminated", [30.0, 50.0], two, True),
+        ("terminated", [0.0, 50.0], two, False),
+        ("one_arm", [30.0, 50.0, 20.0, 40.0], four, True),
+        ("one_arm", [0.0, 0.0, 20.0, 40.0], four, False),  # a stratum at 0 events
+    )
     before = np.geterr()
-    for name, (events, trials) in cases.items():
-        fit = reference_kernels.irls(rows, events, trials)
-        bounded = np.abs(fit.coefficients).max() <= _DIVERGE_BOUND
-        outcome = "converged" if fit.converged else "singular" if bounded else "diverged"
-        assert outcome == name  # a bounded divergence is the singular step
+    for name, events, trials, has_mle in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logistic(*_subjects(_FIT_DESIGNS[name][0], np.array(events), trials))
+        assert fit.converged == has_mle, (name, events)
         assert np.geterr() == before
         assert np.geterrcall() is None
 
 
 def test_fit_bits_do_not_depend_on_the_callers_memory_order():
-    # check_design returns F-ordered rows; the BLAS products round by
-    # layout, so a C-ordered copy of one design fitted to other last bits.
     rng = np.random.default_rng(1313)
-    for k in (1, 2, 3):
-        rows = np.array([[1.0] + [float((c >> j) & 1) for j in range(k)] for c in range(2**k)])
-        for _ in range(300):
-            trials = rng.integers(2, 400, size=2**k).astype(float)
-            events = np.floor(rng.uniform(1.0, trials))
-            c_fit, f_fit = (
-                reference_kernels.irls(check_design(order(rows)), events, trials)
-                for order in (np.ascontiguousarray, np.asfortranarray)
-            )
-            assert c_fit.log_likelihood == f_fit.log_likelihood
-            np.testing.assert_array_equal(c_fit.coefficients, f_fit.coefficients, strict=True)
-            assert c_fit.n_iterations == f_fit.n_iterations
+    for name in ("terminated", "one_arm", "interaction"):
+        rows, _ = _FIT_DESIGNS[name]
+        for _ in range(100):
+            x, y = _subjects(rows, *_random_table(rng, rows))
+            c_fit, f_fit = (fit_logistic(order(x), y) for order in (np.ascontiguousarray, np.asfortranarray))
+            _assert_same_fit(c_fit, f_fit)
 
 
 @pytest.mark.parametrize(
@@ -420,8 +437,8 @@ def test_fit_bits_do_not_depend_on_the_callers_memory_order():
 def test_non_finite_counts_are_rejected(events, trials):
     rows = check_design([[1.0, 0.0], [1.0, 1.0]])
     strata = stratify(rows, (0, 0))
-    with pytest.raises(InputError):  # the check fit_logistic makes
-        reference_kernels.irls(rows, np.array(events), np.array(trials))
+    with pytest.raises(InputError):  # the check fit_logistic and the final analysis make
+        _check_table(events, trials, 2)
     with pytest.raises(InputError):  # the profile pass's
         fit_logistic_counts(strata, events, trials)
     # the both-arms pattern table: its first two patterns carry the counts
@@ -450,7 +467,7 @@ def test_loglik_softplus_bit_identical_to_sign_branches():
         events = np.floor(trials * rng.random(eta.size))
         with np.errstate(over="ignore"):  # the branch np.where discards overflows
             softplus = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))), np.log1p(np.exp(eta)))
-        assert _bernoulli_loglik(eta, events, trials) == float(np.sum(events * eta - trials * softplus))
+        assert reference_kernels.bernoulli_loglik(eta, events, trials) == float(np.sum(events * eta - trials * softplus))
 
 
 # -- the profile path: one intercept per stratum and a common log odds ratio --
@@ -589,7 +606,7 @@ def test_profile_newton_that_does_not_converge_is_a_failed_fit(monkeypatch):
     events = np.array([12.0, 30.0, 25.0, 41.0, 9.0, 33.0])
     trials = np.array([80.0, 95.0, 70.0, 90.0, 60.0, 88.0])
     assert _profile_fit(rows, events, trials, _STRATA[0]).n_iterations > 1
-    monkeypatch.setattr(stats, "IRLS_MAX_ITER", 1)
+    monkeypatch.setattr(stats, "NEWTON_MAX_ITER", 1)
     fit = fit_logistic_counts(stratify(rows, _STRATA[0]), events.tolist(), trials.tolist())
     _assert_no_mle(fit, 4)
     assert fit.n_iterations == 1

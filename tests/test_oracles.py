@@ -8,7 +8,6 @@ import pytest
 from fast_trials.final_analysis import gate_three_parameter
 from fast_trials.oracles import (
     OracleError,
-    OracleReport,
     oracle_chi_square_sf,
     oracle_gatekeeping_enumerate,
     oracle_logistic_2x2,
@@ -57,7 +56,7 @@ def test_oracle_logistic_frozen_case():
     assert b1 == pytest.approx(0.538997, abs=1e-6)
 
 
-def test_oracle_logistic_matches_irls():
+def test_oracle_logistic_matches_fit_logistic():
     x = np.ones((60, 2))
     x[:, 1] = np.r_[np.zeros(30), np.ones(30)]
     y = np.r_[np.ones(9), np.zeros(21), np.ones(17), np.zeros(13)]
@@ -91,8 +90,3 @@ def test_gatekeeping_enumerator_matches_main_gating():
         p = {node: float(rng.choice([0.0, 0.01, 0.04, 0.06, 0.5, rng.random()])) for node in _NODES}
         assert oracle_gatekeeping_enumerate(p, 0.05) == set(gate_three_parameter(p, 0.05))
 
-
-def test_oracle_report_errors():
-    report = OracleReport("case", 1.0000005, 1.0)
-    assert report.abs_error == pytest.approx(5e-7)
-    assert report.rel_error == pytest.approx(5e-7)

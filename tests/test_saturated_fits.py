@@ -24,7 +24,6 @@ from fast_trials.design import load_scenarios, validate_scenario
 from fast_trials.final_analysis import (
     _BRANCHES,
     FinalBranch,
-    _saturated_pass,
     analyze_terminated,
     build_final_model,
     closed_test,
@@ -36,8 +35,8 @@ from fast_trials.stats import (
     FittingError,
     InputError,
     _check_table,
+    _saturated_pass,
     check_design,
-    fit_logistic,
     fit_logistic_counts,
     lr_test,
 )
@@ -296,9 +295,9 @@ def test_small_counts_on_every_mask_decide_as_all_irls_reference(branch):
 def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates):
     """The pattern tables of real replicates, every cell of each scenario's
     grid, at least 2000 per file: the main-effects models fit by profile
-    Newton, and the reference fits every model by IRLS. No fit of the real
-    runs runs IRLS. The rare-event scenario reaches tables without an MLE,
-    which flag their replicates; the shipped ones do not."""
+    Newton, and the reference fits every model by IRLS. The rare-event
+    scenario reaches tables without an MLE, which flag their replicates;
+    the shipped ones do not."""
     tables = []
     fits = collections.Counter()
 
@@ -312,20 +311,14 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
         fits["profile" if fit.converged else "no_mle"] += 1
         return fit
 
-    def recording_loglik(*args):  # the last step of every IRLS fit
-        fits["irls"] += 1
-        return bernoulli_loglik(*args)
-
-    profile_fit, bernoulli_loglik = stats._profile_fit, stats._bernoulli_loglik
+    profile_fit = stats._profile_fit
     with monkeypatch.context() as patch:
         patch.setattr(harness, "build_final_model", recording_build_final_model)
         patch.setattr(stats, "_profile_fit", recording_profile_fit)
-        patch.setattr(stats, "_bernoulli_loglik", recording_loglik)
         for config in load_scenarios(_ROOT / path):
             run_grid(dataclasses.replace(config, replicates=replicates))
     assert len(tables) >= 2000
     assert fits["profile"] > 0
-    assert fits["irls"] == 0
     seen = collections.Counter()
     for i, (branch, table) in enumerate(tables):
         seen[branch, _check_against_reference(branch, table, (path, i))] += 1
@@ -333,43 +326,6 @@ def test_real_replicates_match_all_irls_reference(monkeypatch, path, replicates)
     rare = path.startswith("tests/")
     assert (fits["no_mle"] > 0) == rare
     assert (sum(n for (_, kind), n in seen.items() if kind == "failed") > 0) == rare
-
-
-def test_irls_is_reached_only_from_fit_logistic(monkeypatch):
-    """With ``stats._irls`` made to raise, one replicate on each final
-    branch, at the first seed that reaches it, and the rare-event grid,
-    whose tables reach models without an MLE, complete; unpatched,
-    ``fit_logistic`` on a 2 x 2 table reaches it."""
-    cases = {
-        FinalBranch.DOMAIN_A_TERMINATED: "scenarios/null.json",
-        FinalBranch.ONE_ARM_RETAINED: "scenarios/first_arm_effective.json",
-        FinalBranch.BOTH_ARMS_RETAINED: "perfbench/scenarios/both_arms.json",
-    }
-    irls = stats._irls
-
-    def raising(*args):
-        raise AssertionError("IRLS ran outside fit_logistic")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(stats, "_irls", raising)
-        for branch, path in cases.items():
-            config = load_scenarios(_ROOT / path)[0]
-            cell = (config.n_drop_grid[0], config.n_feas_grid[-1])
-            seed = next(s for s in range(200) if run_replicate(config, *cell, s).branch is branch)
-            assert not run_replicate(config, *cell, seed).failed
-        (config,) = load_scenarios(_ROOT / "tests" / "data" / "rare_events.json")
-        assert sum(cell.n_failed for cell in run_grid(dataclasses.replace(config, replicates=8))) > 0
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return irls(*args)
-
-    monkeypatch.setattr(stats, "_irls", counting)
-    x = np.repeat([[1.0, 0.0], [1.0, 1.0]], [100, 100], axis=0)
-    y = np.r_[np.ones(20), np.zeros(80), np.ones(30), np.zeros(70)]
-    assert fit_logistic(x, y).converged
-    assert len(calls) == 1
 
 
 # branch -> (scenario file, replicates per cell) giving >= 2000 of its tables
