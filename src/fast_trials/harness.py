@@ -30,8 +30,10 @@ and few enough that every worker gets at least ``_MESSAGES_PER_WORKER``
 tasks when there are replicates enough. On more than one worker the tasks
 map on a process pool, one task a message. A grid run opens its own pool
 (``open_pool``), or maps on one it is handed; ``fast-trials simulate``
-opens one pool per call for all of its scenarios. A cell run is the grid
-run of the one-cell grid, so its triggers and replicate count are
+opens one pool per call for all of its scenarios. The pool machinery
+(``concurrent.futures.process``, ``multiprocessing``) is imported only
+when a pool forks, so a one-worker run never loads it. A cell run is the
+grid run of the one-cell grid, so its triggers and replicate count are
 validated with the rest of the config.
 """
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -470,11 +471,17 @@ def open_pool(configs, threads: int):
     The pool has ``threads`` workers, but no more than the largest grid has
     replicates: the fork start method launches every worker at once, so a
     larger pool forks processes that get no work. At one worker it opens
-    nothing and yields None.
+    nothing and yields None. Only a pool that forks imports the pool
+    machinery (``concurrent.futures.process`` and ``multiprocessing``), so a
+    one-worker process never loads it.
     """
     largest = max(len(c.n_drop_grid) * len(c.n_feas_grid) * c.replicates for c in configs)
     workers = min(threads, largest)
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=workers)
+    return nullcontext()
 
 
 def run_cell_detail(

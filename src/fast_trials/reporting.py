@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 
 __all__ = [
     "RESULTS_COLUMNS",
@@ -132,10 +133,27 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def write_trace_csv(rows, fields, path) -> None:
+    """One CSV row per trace row (a dict), its values in the order of
+    ``fields`` under a header of them. A row must hold every field and no
+    other key, or ``ValueError`` names the keys that differ: each row's
+    values come from one ``itemgetter`` and its key count is compared, with
+    no per-key scan."""
+    fields = list(fields)
+    values = operator.itemgetter(*fields) if len(fields) > 1 else lambda row: (row[fields[0]],)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fields), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            try:
+                line = values(row)
+            except KeyError:
+                line = None
+            if line is None or len(row) != len(fields):
+                raise ValueError(
+                    f"trace row keys differ from the fields: missing {sorted(set(fields) - row.keys())}, "
+                    f"extra {sorted(row.keys() - set(fields), key=str)}"
+                )
+            writer.writerow(line)
 
 
 # ---------------------------------------------------------------------------

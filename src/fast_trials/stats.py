@@ -13,7 +13,11 @@ Each entry point runs one algorithm and returns a NamedTuple (``TestResult``
 or ``LogisticFit``). ``welch_t_test`` takes numpy's own two-pass moments
 (``_moments``) and the t tail; ``lr_test`` takes two maximised
 log-likelihoods. One rule (``_fit_plan``) tells from a logistic model's rows
-which of two fits it takes. A saturated design, as many distinct rows as
+which of two fits it takes. It groups the checked rows as Python float
+tuples, in the sorted order of the distinct rows, which is
+``np.unique(axis=0)``'s, with -0.0 merged into 0.0 as there, and hands a
+main-effects model's strata to a trusted form of ``stratify`` that does not
+check the rows again. A saturated design, as many distinct rows as
 columns, has a closed form (``_saturated_pass``). Any other design must be
 main-effects: ``fit_logistic_counts`` takes a table's events and trials as
 float lists and fits one intercept per stratum and a common log odds ratio
@@ -409,7 +413,11 @@ def stratify(rows, labels) -> Strata:
     nonsingular, as the design has full rank, and the intercepts alpha_s
     of the strata give the coefficients of every column but the last as
     ``inverse`` times alpha."""
-    x = check_design(rows)
+    return _stratify(check_design(rows), labels)
+
+
+def _stratify(x: np.ndarray, labels) -> Strata:
+    """``stratify`` on rows that already passed ``check_design``."""
     labels = list(labels)
     n_rows, k = x.shape
     if len(labels) != n_rows:
@@ -432,14 +440,21 @@ def _fit_plan(x: np.ndarray):
     """The plan of the model on checked design rows ``x``: a saturated
     design's (as many distinct rows as columns) groups of equal rows, each
     the tuple of its row indices, for ``_saturated_pass``; else the stratum
-    map that ``stratify`` makes from each row's values of every column but
-    the last, which raises ``InputError`` for a design of neither form."""
-    distinct, inverse = np.unique(x, axis=0, return_inverse=True)
-    if len(distinct) == x.shape[1]:
-        of_row = inverse.reshape(-1).tolist()
-        return tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct)))
-    _, stratum = np.unique(x[:, :-1], axis=0, return_inverse=True)
-    return stratify(x, stratum.reshape(-1).tolist())
+    map of the rows labelled by their values of every column but the last,
+    which raises ``InputError`` for a design of neither form.
+
+    The rows are grouped as Python float tuples: the groups come in the
+    sorted order of their distinct rows, which is ``np.unique(x, axis=0)``'s,
+    and a tuple compares and hashes -0.0 as 0.0, so the two merge as there.
+    The stratum map's strata are numbered in the order they first appear,
+    so its labels need no sorting."""
+    rows = [tuple(row) for row in x.tolist()]
+    members = {}
+    for r, row in enumerate(rows):
+        members.setdefault(row, []).append(r)
+    if len(members) == x.shape[1]:
+        return tuple(tuple(members[row]) for row in sorted(members))
+    return _stratify(x, [row[:-1] for row in rows])
 
 
 def _saturated_pass(groups: tuple, events: list, trials: list) -> list:
@@ -595,7 +610,8 @@ def _profile_fit(strata: Strata, events: list, trials: list, k: int) -> Optional
     coefficients.append(theta)
     if max(coefficients) > _DIVERGE_BOUND or min(coefficients) < -_DIVERGE_BOUND:
         return _no_mle(k, n_iter)
-    return LogisticFit(np.array(coefficients), log_likelihood, True, n_iter, False)
+    # float(): numpy scalars in the table would make it a numpy.float64
+    return LogisticFit(np.array(coefficients), float(log_likelihood), True, n_iter, False)
 
 
 def fit_logistic_counts(strata: Strata, events: list, trials: list) -> LogisticFit:

@@ -8,7 +8,8 @@ that the engine's Python-float form must match bit for bit:
   solve on every fit;
 * ``saturated_pass``: every saturated model's closed-form log-likelihood by
   ``np.bincount`` over the table's rows tiled once per model, with the
-  groupings stacked per branch (``saturated_groups``).
+  groupings stacked per branch (``saturated_groups``);
+* ``fit_plan``: the plan of a model's rows by ``np.unique``.
 
 ``irls`` is the textbook IRLS Newton loop on a grouped table, which the
 package does not run: the independent reference that the profile fit and
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from fast_trials.stats import NEWTON_MAX_ITER, NEWTON_TOL, LogisticFit, _DIVERGE_BOUND, _check_table
+from fast_trials.stats import NEWTON_MAX_ITER, NEWTON_TOL, LogisticFit, _DIVERGE_BOUND, _check_table, stratify
 
 
 def stratum_odds(psi, events_s, non_events, lin0, lin1):
@@ -163,6 +164,17 @@ def row_strata(rows):
     """Each row's stratum label, its values of every column but the last."""
     _, inverse = np.unique(rows[:, :-1], axis=0, return_inverse=True)
     return tuple(inverse.reshape(-1).tolist())
+
+
+def fit_plan(rows):
+    """``stats._fit_plan`` by ``np.unique``: a saturated design's groups of
+    equal rows, in the sorted order of the distinct rows, else the stratum
+    map of ``row_strata``'s labels."""
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    if len(distinct) == rows.shape[1]:
+        of_row = inverse.reshape(-1).tolist()
+        return tuple(tuple(r for r, g in enumerate(of_row) if g == group) for group in range(len(distinct)))
+    return stratify(rows, row_strata(rows))
 
 
 def saturated_groups(designs):

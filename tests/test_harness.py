@@ -1,10 +1,13 @@
 """Replicate engine and grid aggregation: seed derivation, path forcing,
 conservation identities, and execution-order invariance."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from collections import defaultdict
@@ -492,7 +495,8 @@ class _RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    # open_pool imports the executor when it forks, so patch where it looks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     for record in ("sizes", "mapped", "opened"):
         monkeypatch.setattr(_RecordingPool, record, [])
     return _RecordingPool
@@ -523,6 +527,27 @@ def test_pool_never_exceeds_task_count(recording_pool, threads, n_feas_grid, rep
     assert sum(sizes) == n and max(sizes) <= harness._CHUNK_SIZE
     assert n < 4 * workers or len(sizes) >= 4 * workers
     assert pooled == run_grid(cfg, threads=1)
+
+
+def test_a_one_worker_run_never_imports_the_process_pool():
+    """A fresh process that imports the CLI and runs a grid on one worker
+    loads neither ``multiprocessing`` nor ``concurrent.futures.process``;
+    opening a pool of two workers loads both."""
+    code = (
+        "import sys\n"
+        "import fast_trials.cli\n"
+        "from fast_trials import ScenarioConfig, harness\n"
+        "config = ScenarioConfig(n_drop_grid=(90,), n_feas_grid=(90, 120), replicates=4, n_total=200)\n"
+        "harness.run_grid(config, threads=1)\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "harness.open_pool([config], 2).shutdown()\n"
+        "print([m for m in pool if m in sys.modules])\n"
+    )
+    path = [str(_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "['multiprocessing', 'concurrent.futures.process']"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -184,6 +184,11 @@ def test_counts_that_do_not_align_with_the_design_rows_are_rejected():
     events, trials = [30.0, 20.0, 50.0], [120.0, 60.0, 80.0]
     fit = fit_logistic_counts(strata, events, trials)
     assert fit.converged and type(fit.log_likelihood) is float
+    # list(array) holds numpy scalars: the fit is the same, and its
+    # log-likelihood a float, not the numpy.float64 it used to be
+    scalars = fit_logistic_counts(strata, list(np.array(events)), list(np.array(trials)))
+    assert type(scalars.log_likelihood) is float and scalars.log_likelihood == fit.log_likelihood
+    np.testing.assert_array_equal(scalars.coefficients, fit.coefficients, strict=True)
     for bad_events, bad_trials in (
         (events[:2], trials[:2]),
         (events + [1.0], trials + [2.0]),

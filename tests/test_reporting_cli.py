@@ -134,6 +134,19 @@ def test_golden_both_arms_trace_csv_is_stable(tmp_path):
     assert out.read_bytes() == (DATA_DIR / "golden_trace_both_arms.csv").read_bytes()
 
 
+def test_trace_row_with_other_keys_than_the_fields_is_rejected(tmp_path):
+    row = dict.fromkeys(TRACE_FIELDS, 1)
+    write_trace_csv([row], TRACE_FIELDS, tmp_path / "trace.csv")
+    extra = {**row, "extra": 2}
+    missing = {k: v for k, v in row.items() if k != "branch"}
+    swapped = {**missing, "extra": 2}
+    for bad in (extra, missing, swapped):
+        with pytest.raises(ValueError, match="keys differ from the fields"):
+            write_trace_csv([row, bad], TRACE_FIELDS, tmp_path / "trace.csv")
+    write_trace_csv([{"a": 1}], ("a",), tmp_path / "one.csv")  # one field is a row of one value
+    assert (tmp_path / "one.csv").read_text() == "a\n1\n"
+
+
 def test_flagged_replicates_report_every_node_as_one(tmp_path, monkeypatch):
     """The rare-event scenario, 2% control events in 200 subjects, flags
     replicates whose final models have no MLE, on the terminated and the

@@ -453,6 +453,42 @@ def test_record_maps_the_groups_and_strata_of_every_model():
             assert strata.treated == tuple(design[:, -1].tolist())
 
 
+def _plan_or_error(plan, rows):
+    try:
+        return plan(rows)
+    except InputError as error:
+        return str(error)
+
+
+def test_fit_plan_is_the_np_unique_plan():
+    """``_fit_plan`` groups rows as Python tuples: the same groups in the
+    same order, the same stratum maps and the same errors as the plan by
+    ``np.unique``, on every branch model, on seeded random 0/1 designs and
+    on three designs with a -0.0 entry, which both merge with 0.0."""
+    kinds = collections.Counter()
+    designs = [rows for branch in _LAYOUTS for rows in _model_rows(branch)]
+    for branch in _LAYOUTS:
+        for rows, model in zip(_model_rows(branch), _BRANCHES[branch].models):
+            expected = model if isinstance(model, stats.Strata) else _BRANCHES[branch].groups[model]
+            assert stats._fit_plan(rows) == expected
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        x = np.ones((int(rng.integers(k, 3 * k + 3)), k))
+        x[:, 1:] = rng.integers(0, 2, size=(x.shape[0], k - 1))
+        try:
+            designs.append(check_design(x))
+        except InputError:
+            continue
+    signed = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, -0.0, 1.0], [1.0, 1.0, 1.0]])
+    designs += [check_design(signed), check_design(signed[:4]), check_design(signed[[0, 1, 3]])]
+    for rows in designs:
+        plan = _plan_or_error(stats._fit_plan, rows)
+        assert plan == _plan_or_error(reference_kernels.fit_plan, rows)
+        kinds[type(plan).__name__] += 1
+    assert set(kinds) == {"tuple", "Strata", "str"} and min(kinds.values()) >= 20
+
+
 def test_both_arms_table_of_eight_patterns_is_a_shape_error():
     """A both-arms pattern table has the 6 patterns a subject can have: one
     with columns for codes 6 and 7, A1 and A2 at once, is rejected by its
