@@ -13,15 +13,17 @@ first block's. A replicate's path is one NamedTuple, a ``TrialResult``,
 and so is each decision it holds. Every replicate owns a seed derived
 injectively from (base_seed, scenario, cell, replicate index), so grid
 runs are bitwise reproducible regardless of execution order or worker
-count: each task returns its integer tallies per cell and, when
-asked for, its trace rows, and the tasks are folded back in their fixed
-order. A grid run turns every replicate's seed into the PCG64 state
+count. A grid run turns every replicate's seed into the PCG64 state
 ``np.random.default_rng(seed)`` starts in, in one array pass with
 ``SeedSequence``'s algorithm, and each replicate of a task resets the
 task's one generator to its state; a test pins these states to
-``default_rng``'s. A tally counts each outcome under one key: a name, a
-``FinalBranch``, or a ``p_success`` key of ``_SUCCESS_SETS``; a cell's
-tally is the sum of its tasks' tallies. A trace row is read off
+``default_rng``'s.
+
+A replicate's outcome is one hashable code, and a cell's tally is the
+histogram of its codes: each task returns its (cell, code) counts, each
+cell's n_clamped sum and, when asked for, its trace rows, and the grid run
+merges them in the tasks' fixed order. The counts a code adds to its cell
+are evaluated once per distinct code in a grid. A trace row is read off
 ``_TRACE``, the one ordered table of the trace fields and their values.
 
 A grid's replicates form one cell-major list, and a task is a slice of it,
@@ -40,7 +42,7 @@ validated with the rest of the config.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -109,11 +111,14 @@ def _mix_parts(base_seed: int, parts: tuple) -> int:
 
 def _derive_seeds(base_seed: int, scenario_id: int, cells, replicates) -> np.ndarray:
     """``derive_seed`` of every (cell, replicate) pair, cell-major, as one
-    uint64 array for a grid run: the last stage runs on arrays, which wrap
-    mod 2^64."""
-    prefixes = np.array([_mix_parts(base_seed, (scenario_id, *cell)) for cell in cells], dtype=np.uint64)
+    uint64 array for a grid run: the trigger and replicate stages run on
+    arrays, which wrap mod 2^64; a trigger is masked to 64 bits first, as
+    ``_mix_parts`` masks a part's product."""
+    h = np.uint64(_mix_parts(base_seed, (scenario_id,)))
+    for parts, mult in zip(zip(*cells), _PART_MULT[1:3]):  # the n_drop stage, then the n_feas stage
+        h = _splitmix64(h ^ np.array([int(part) & _MASK64 for part in parts], dtype=np.uint64) * np.uint64(mult))
     x = np.asarray(replicates, dtype=np.uint64) * np.uint64(_PART_MULT[3])
-    return _splitmix64(prefixes[:, None] ^ x).ravel()
+    return _splitmix64(h[:, None] ^ x).ravel()
 
 
 def derive_seed(base_seed: int, scenario_id: int, cell: tuple, replicate: int) -> int:
@@ -344,39 +349,45 @@ _SUCCESS_SETS = {
     "A2:B1": frozenset({"A2", "B1"}),
 }
 _DOMAINS = (frozenset({"A1", "A2"}), frozenset({"B1"}))  # the treatment arms of domains A and B
+_BRANCH_NAMES = tuple(b.value for b in FinalBranch)
 
 
-def _accumulate(tally: defaultdict, result: TrialResult, correct: frozenset, effective: frozenset) -> None:
-    tally["n_reps"] += 1
-    tally["n_clamped"] += result.n_clamped
-    if result.failed:
-        tally["n_failed"] += 1
-        return
+def _outcome_code(result: TrialResult):
+    """The hashable code a cell's histogram counts a replicate under; None
+    when its final fit is flagged."""
+    retention, feasibility, outcome = result.retention, result.feasibility, result.gatekeeping
+    if outcome.fit_failed:
+        return None
+    retention = None if retention is None else (retention.retained, retention.used_default)
+    proceed = None if feasibility is None else feasibility.proceed
+    return retention, proceed, result.branch, outcome.rejected, outcome.successful_arms
 
-    retention = result.retention
-    if retention is not None:
-        tally["n_retention"] += 1
-        tally["n_retain_correct"] += correct <= retention.retained
-        tally["n_retain_both"] += len(retention.retained) == 2
-        tally["n_used_default"] += retention.used_default
-    if result.feasibility is not None:
-        tally["n_proceed"] += result.feasibility.proceed
-    tally[result.branch] += 1
 
-    successful = result.successful_arms
-    for key, arms in _SUCCESS_SETS.items():
-        tally[key] += arms <= successful
-    tally["n_gating_violations"] += gating_violation(result.gatekeeping, result.branch)
-
+def _outcome_counts(code, correct: frozenset, effective: frozenset) -> dict:
+    """What one replicate of outcome ``code`` adds to its cell's tally: its
+    nonzero counts, under a name, a branch's name or a ``p_success`` key."""
+    if code is None:
+        return {"n_failed": 1}
+    retention, proceed, branch, rejected, successful = code
+    retained, used_default = retention or (frozenset(), False)
     # The credited arms: the pooled declaration counts for the retained arm.
     # Power: every domain holding an effective arm has a credited effective
     # arm. FWER: some credited arm is not effective.
-    credited = successful
-    if "A_pooled" in successful:
-        credited = (successful - {"A_pooled"}) | retention.retained
-    if effective:
-        tally["n_power"] += all(credited & effective & domain for domain in _DOMAINS if effective & domain)
-    tally["n_fwer"] += not credited <= effective
+    credited = (successful - {"A_pooled"}) | retained if "A_pooled" in successful else successful
+    counts = {
+        "n_effective": 1,
+        "n_retention": retention is not None,
+        "n_retain_correct": correct <= retained,
+        "n_retain_both": len(retained) == 2,
+        "n_used_default": used_default,
+        "n_proceed": proceed,
+        branch.value: 1,
+        **{key: arms <= successful for key, arms in _SUCCESS_SETS.items()},
+        "n_gating_violations": gating_violation(GatekeepingOutcome({}, rejected, successful), branch),
+        "n_power": bool(effective) and all(credited & effective & d for d in _DOMAINS if effective & d),
+        "n_fwer": not credited <= effective,
+    }
+    return {key: int(count) for key, count in counts.items() if count}
 
 
 # Each trace field, in order, with its value for (config, replicate index,
@@ -409,48 +420,61 @@ def _trace_row(config: ScenarioConfig, replicate: int, result: TrialResult) -> d
     return {field: value(config, replicate, result) for field, value in _TRACE.items()}
 
 
-def _run_chunk(args) -> tuple[dict, list]:
+def _run_chunk(args) -> tuple[Counter, Counter, list]:
     """Run the grid's replicates ``start`` onward, one per row of ``words``;
-    returns {cell index: tally} and the trace rows, in replicate order."""
+    returns the histogram {(cell index, outcome code): count}, the n_clamped
+    sum of each cell and the trace rows, in replicate order."""
     config, cells, start, words, collect_traces = args
-    correct = designed_correct_arms(config)
-    effective = truly_effective_arms(config)
-    tallies = {}
-    traces = []
+    codes, clamped, traces = [], Counter(), []
     rng = np.random.Generator(np.random.PCG64(0))  # reset to each replicate's state
     for index, replicate_words in enumerate(words.tolist(), start):
         j, rep = divmod(index, config.replicates)
         rng.bit_generator.state = _pcg64_state(*replicate_words)
         result = run_replicate(config, *cells[j], rng)
-        _accumulate(tallies.setdefault(j, defaultdict(int)), result, correct, effective)
+        codes.append((j, _outcome_code(result)))
+        clamped[j] += result.n_clamped
         if collect_traces:
             traces.append(_trace_row(config, rep, result))
-    return tallies, traces
+    return Counter(codes), clamped, traces
 
 
-def _characteristics(config: ScenarioConfig, n_drop: int, n_feas: int, tally: defaultdict) -> OperatingCharacteristics:
-    n_eff = tally["n_reps"] - tally["n_failed"]
-    per_eff = lambda k: tally[k] / n_eff if n_eff else 0.0
-    n_ret = tally["n_retention"]
-    return OperatingCharacteristics(
-        scenario_id=config.scenario_id,
-        n_drop=int(n_drop),
-        n_feas=int(n_feas),
-        order_first=build_schedule(n_drop, n_feas)[0][0].value,
-        p_retain_correct=tally["n_retain_correct"] / n_ret if n_ret else 0.0,
-        p_retain_both=tally["n_retain_both"] / n_ret if n_ret else 0.0,
-        p_proceed=per_eff("n_proceed"),
-        p_success={key: per_eff(key) for key in _SUCCESS_SETS},
-        power=per_eff("n_power"),
-        fwer=per_eff("n_fwer"),
-        n_replicates_effective=n_eff,
-        n_failed=tally["n_failed"],
-        n_retention_decisions=n_ret,
-        n_used_default=tally["n_used_default"],
-        branch_counts={b.value: tally[b] for b in FinalBranch},
-        n_gating_violations=tally["n_gating_violations"],
-        n_clamped=tally["n_clamped"],
-    )
+def _characteristics(config: ScenarioConfig, cells: list, histogram: Counter, clamped: Counter) -> list:
+    """Each cell's ``OperatingCharacteristics`` from the grid's histogram and
+    n_clamped sums. A distinct code's counts are evaluated once a grid, and
+    a cell's tally adds them times the code's count in the cell."""
+    correct, effective = designed_correct_arms(config), truly_effective_arms(config)
+    counts = {code: _outcome_counts(code, correct, effective) for code in dict.fromkeys(c for _, c in histogram)}
+    tallies = [defaultdict(int) for _ in cells]
+    for (j, code), n in histogram.items():
+        tally = tallies[j]
+        for key, count in counts[code].items():
+            tally[key] += n * count
+
+    results = []
+    for j, ((n_drop, n_feas), tally) in enumerate(zip(cells, tallies)):
+        n_eff, n_ret = tally["n_effective"], tally["n_retention"]
+        # A rate's count is 0 where its total is, so dividing by 1 there gives 0.0.
+        per_eff, per_ret = n_eff or 1, n_ret or 1
+        results.append(OperatingCharacteristics(
+            scenario_id=config.scenario_id,
+            n_drop=int(n_drop),
+            n_feas=int(n_feas),
+            order_first=build_schedule(n_drop, n_feas)[0][0].value,
+            p_retain_correct=tally["n_retain_correct"] / per_ret,
+            p_retain_both=tally["n_retain_both"] / per_ret,
+            p_proceed=tally["n_proceed"] / per_eff,
+            p_success={key: tally[key] / per_eff for key in _SUCCESS_SETS},
+            power=tally["n_power"] / per_eff,
+            fwer=tally["n_fwer"] / per_eff,
+            n_replicates_effective=n_eff,
+            n_failed=tally["n_failed"],
+            n_retention_decisions=n_ret,
+            n_used_default=tally["n_used_default"],
+            branch_counts={name: tally[name] for name in _BRANCH_NAMES},
+            n_gating_violations=tally["n_gating_violations"],
+            n_clamped=clamped[j],
+        ))
+    return results
 
 
 _CHUNK_SIZE = 250  # most replicates in a task
@@ -517,6 +541,8 @@ def run_grid_detail(
     ``pool`` is an open executor with ``threads`` workers, such as one from
     ``open_pool``, shared by several calls; the caller shuts it down. Without
     one, a call on more than one thread opens and joins a pool of its own.
+    The tasks' histograms, n_clamped sums and trace rows are merged in task
+    order, so the result is the same on any number of workers.
     """
     if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool):
         raise ValueError(f"threads must be an integer, got {threads!r}")
@@ -536,14 +562,12 @@ def run_grid_detail(
     else:
         outputs = [_run_chunk(t) for t in tasks]
 
-    tallies = [defaultdict(int) for _ in cells]
-    traces: list[dict] = []
-    for task_tallies, rows in outputs:
-        for j, tally in task_tallies.items():
-            for key, count in tally.items():
-                tallies[j][key] += count
+    histogram, clamped, traces = Counter(), Counter(), []
+    for task_histogram, task_clamped, rows in outputs:  # in task order
+        histogram.update(task_histogram)
+        clamped.update(task_clamped)
         traces.extend(rows)
-    return [_characteristics(config, *cell, tally) for cell, tally in zip(cells, tallies)], traces
+    return _characteristics(config, cells, histogram, clamped), traces
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> list:

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import defaultdict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -61,11 +61,14 @@ def test_derive_seed_injective_over_replicates():
 
 def test_vectorized_matches_scalar():
     # The array pass, cell-major, against every stage mixed in Python ints.
-    cells, reps = [(210, 240), (90, 300)], [0, 1, 17, 999_999, 2**64 - 1]
-    vec = harness._derive_seeds(42, 5, cells, reps)
-    scalar = [harness._mix_parts(42, (5, *cell, r)) for cell in cells for r in reps]
-    assert vec.tolist() == scalar
-    assert [derive_seed(42, 5, cell, r) for cell in cells for r in reps] == scalar
+    # Neither a scenario id nor a trigger is bounded, so a part of 2^64 or
+    # more must be masked to 64 bits before it enters a uint64 array.
+    cells, reps = [(210, 240), (90, 300), (2**63 + 1, 2**64 + 5)], [0, 1, 17, 999_999, 2**64 - 1]
+    for base_seed, scenario_id in [(42, 5), (2**64 - 1, 2**64 + 3)]:
+        vec = harness._derive_seeds(base_seed, scenario_id, cells, reps)
+        scalar = [harness._mix_parts(base_seed, (scenario_id, *cell, r)) for cell in cells for r in reps]
+        assert vec.tolist() == scalar
+        assert [derive_seed(base_seed, scenario_id, cell, r) for cell in cells for r in reps] == scalar
 
 
 def test_base_seed_avalanche():
@@ -115,8 +118,11 @@ def test_task_seeds_are_derive_seed(monkeypatch, base_seed, scenario_id, cell, s
     task_config = dataclasses.replace(config, base_seed=base_seed, scenario_id=scenario_id, replicates=start + 3)
     pairs = [(cells[0], start + i) for i in range(3)] + [(cells[1], i) for i in range(3)]
     seeds = np.array([derive_seed(base_seed, scenario_id, *pair) for pair in pairs], dtype=np.uint64)
-    tallies, traces = harness._run_chunk((task_config, cells, start, harness._pcg64_words(seeds), True))
-    assert {j: tally["n_reps"] for j, tally in tallies.items()} == {0: 3, 1: 3}
+    histogram, _, traces = harness._run_chunk((task_config, cells, start, harness._pcg64_words(seeds), True))
+    replicates_of = Counter()
+    for (j, _), count in histogram.items():
+        replicates_of[j] += count
+    assert replicates_of == {0: 3, 1: 3}
     assert [(called_cell, row["replicate"]) for (called_cell, *_), row in zip(calls, traces)] == pairs
     assert all(rng is calls[0][1] for _, rng, _ in calls)
     assert [state for *_, state in calls] == [
@@ -649,7 +655,8 @@ def test_simulate_closes_pool_when_a_scenario_fails(recording_pool, monkeypatch,
 
 # The tally as it was written before its keyed form: a fixed key registry
 # and one hand-written count per outcome, with power and FWER decided branch
-# by branch. It is the reference the keyed tally must reproduce.
+# by branch. It is the reference a cell's histogram of outcome codes must
+# reproduce.
 _REFERENCE_TALLY_KEYS = (
     "n_reps",
     "n_failed",
@@ -725,22 +732,8 @@ def _reference_accumulate(tally, result, correct, effective):
     tally["n_fwer"] += false_success
 
 
-# Reference key -> the keyed tally's key for the same count.
-_KEY_OF = {
-    **{k: k for k in _REFERENCE_TALLY_KEYS if not k.startswith(("succ_", "branch_"))},
-    "succ_A1": "A1",
-    "succ_A2": "A2",
-    "succ_A_pooled": "A_pooled",
-    "succ_B1": "B1",
-    "succ_A1_B1": "A1:B1",
-    "succ_A2_B1": "A2:B1",
-    "branch_one": FinalBranch.ONE_ARM_RETAINED,
-    "branch_both": FinalBranch.BOTH_ARMS_RETAINED,
-    "branch_term": FinalBranch.DOMAIN_A_TERMINATED,
-}
-
 _ROOT = Path(__file__).resolve().parent.parent
-_TALLY_CELLS = ((90, 300), (150, 150), (300, 90))
+_TALLY_TRIGGERS = (90, 300)  # each interim first, and both at once
 
 
 def _tally_configs():
@@ -770,27 +763,75 @@ def _failed(result):
     return result._replace(gatekeeping=GatekeepingOutcome({}, frozenset(), frozenset(), True))
 
 
-def test_keyed_tally_equals_reference_tally():
-    seen = set()
-    outcomes = set()
+def _assert_matches_reference(oc, ref):
+    """A cell's characteristics are the reference tally's counts and rates."""
+    n_eff = ref["n_reps"] - ref["n_failed"]
+    assert (oc.n_replicates_effective, oc.n_failed) == (n_eff, ref["n_failed"])
+    assert oc.n_retention_decisions == ref["n_retention"]
+    per_ret = lambda name: ref[name] / ref["n_retention"] if ref["n_retention"] else 0.0
+    per_eff = lambda name: ref[name] / n_eff if n_eff else 0.0
+    assert (oc.p_retain_correct, oc.p_retain_both) == (per_ret("n_retain_correct"), per_ret("n_retain_both"))
+    assert oc.p_proceed == per_eff("n_proceed")
+    names = {"A1": "succ_A1", "A2": "succ_A2", "A_pooled": "succ_A_pooled", "B1": "succ_B1",
+             "A1:B1": "succ_A1_B1", "A2:B1": "succ_A2_B1"}
+    assert oc.p_success == {key: per_eff(name) for key, name in names.items()}
+    assert list(oc.p_success) == list(names)
+    assert (oc.power, oc.fwer) == (per_eff("n_power"), per_eff("n_fwer"))
+    assert oc.branch_counts == {
+        "one_arm_retained": ref["branch_one"],
+        "both_arms_retained": ref["branch_both"],
+        "domain_a_terminated": ref["branch_term"],
+    }
+    assert list(oc.branch_counts) == ["one_arm_retained", "both_arms_retained", "domain_a_terminated"]
+    assert (oc.n_used_default, oc.n_gating_violations, oc.n_clamped) == (
+        ref["n_used_default"], ref["n_gating_violations"], ref["n_clamped"])
+
+
+def test_histogram_tally_equals_reference_tally(monkeypatch):
+    # Each config's 2 x 2 grid runs on replayed replicates, 20 a cell: every
+    # ninth is flagged, and some terminated ones are relabelled as both arms
+    # retained, so two codes differ only in their branch. Every cell must
+    # read as its reference tally, and alike from the default tasks, from
+    # one task, and from two tasks split mid-cell.
+    cells = list(itertools.product(_TALLY_TRIGGERS, _TALLY_TRIGGERS))
+    seen, outcomes, relabelled = set(), set(), 0
     for config in _tally_configs():
+        config = dataclasses.replace(config, n_drop_grid=_TALLY_TRIGGERS, n_feas_grid=_TALLY_TRIGGERS, replicates=20)
         correct, effective = designed_correct_arms(config), truly_effective_arms(config)
-        reference = dict.fromkeys(_REFERENCE_TALLY_KEYS, 0)
-        tally = defaultdict(int)
-        for i, result in enumerate(_replicates(config, _TALLY_CELLS, 20)):
+        results = []
+        for i, result in enumerate(_replicates(config, cells, 20)):
             if i % 9 == 4:
                 result = _failed(result)
-            power, fwer = reference["n_power"], reference["n_fwer"]
-            _reference_accumulate(reference, result, correct, effective)
-            harness._accumulate(tally, result, correct, effective)
+            elif i % 9 == 7 and result.branch is FinalBranch.DOMAIN_A_TERMINATED and not result.failed:
+                result = result._replace(branch=FinalBranch.BOTH_ARMS_RETAINED)
+                relabelled += 1
             if not result.failed:
                 seen.add((result.branch, effective))
-                if effective:
-                    outcomes.add(("power", reference["n_power"] > power))
-                outcomes.add(("fwer", reference["n_fwer"] > fwer))
-        assert set(tally) <= set(_KEY_OF.values())
-        assert {k: tally[_KEY_OF[k]] for k in _REFERENCE_TALLY_KEYS} == reference, config.scenario_id
-        assert reference["n_failed"] > 0
+            results.append(result)
+        runs = []
+        for task_size in (harness._task_size, lambda n, workers: n, lambda n, workers: n // 2 + 3):
+            replay = iter(results)
+            monkeypatch.setattr(harness, "run_replicate", lambda *args: next(replay))
+            monkeypatch.setattr(harness, "_task_size", task_size)
+            runs.append(run_grid(config))
+        assert runs[1] == runs[0] == runs[2], config.scenario_id
+
+        n_failed = 0
+        for oc, k in zip(runs[0], range(0, len(results), 20)):
+            cell_results = results[k : k + 20]
+            assert len({harness._outcome_code(r) for r in cell_results}) < len(cell_results)  # codes repeat
+            reference = dict.fromkeys(_REFERENCE_TALLY_KEYS, 0)
+            for result in cell_results:
+                power, fwer = reference["n_power"], reference["n_fwer"]
+                _reference_accumulate(reference, result, correct, effective)
+                if not result.failed:
+                    if effective:
+                        outcomes.add(("power", reference["n_power"] > power))
+                    outcomes.add(("fwer", reference["n_fwer"] > fwer))
+            _assert_matches_reference(oc, reference)
+            n_failed += reference["n_failed"]
+        assert n_failed > 0
+    assert relabelled > 0
     subsets = {frozenset(c) for n in range(4) for c in itertools.combinations(("A1", "A2", "B1"), n)}
     assert seen == set(itertools.product(FinalBranch, subsets))
     assert outcomes == {("power", True), ("power", False), ("fwer", True), ("fwer", False)}
@@ -804,24 +845,5 @@ def test_chunked_cell_merges_to_reference_counts():
     for result in _replicates(config, (cell,), replicates):
         _reference_accumulate(ref, result, correct, effective)
     oc, _ = run_cell_detail(config, *cell, replicates=replicates)
-
-    n_eff = ref["n_reps"] - ref["n_failed"]
-    assert (oc.n_replicates_effective, oc.n_failed) == (n_eff, ref["n_failed"])
-    assert oc.n_retention_decisions == ref["n_retention"]
-    assert oc.p_retain_correct == ref["n_retain_correct"] / ref["n_retention"]
-    assert oc.p_retain_both == ref["n_retain_both"] / ref["n_retention"]
-    assert oc.p_proceed == ref["n_proceed"] / n_eff
-    names = {"A1": "succ_A1", "A2": "succ_A2", "A_pooled": "succ_A_pooled", "B1": "succ_B1",
-             "A1:B1": "succ_A1_B1", "A2:B1": "succ_A2_B1"}
-    assert oc.p_success == {key: ref[name] / n_eff for key, name in names.items()}
-    assert list(oc.p_success) == list(names)
-    assert (oc.power, oc.fwer) == (ref["n_power"] / n_eff, ref["n_fwer"] / n_eff)
-    assert oc.branch_counts == {
-        "one_arm_retained": ref["branch_one"],
-        "both_arms_retained": ref["branch_both"],
-        "domain_a_terminated": ref["branch_term"],
-    }
-    assert list(oc.branch_counts) == ["one_arm_retained", "both_arms_retained", "domain_a_terminated"]
-    assert (oc.n_used_default, oc.n_gating_violations, oc.n_clamped) == (
-        ref["n_used_default"], ref["n_gating_violations"], ref["n_clamped"])
-    assert 0 < ref["n_power"] < n_eff
+    _assert_matches_reference(oc, ref)
+    assert 0 < ref["n_power"] < ref["n_reps"] - ref["n_failed"]
