@@ -61,8 +61,12 @@ floats: the pattern table is read once (``tolist``) and checked once, its
 shape against the record and its counts against the full model, and its
 two float lists go to every main-effects fit as they are. One
 ``stats._saturated_pass`` over the record's groups gives every saturated
-model's closed form. ``lr_test`` takes the two log-likelihoods, and a
-branch's outcome is one NamedTuple, a ``GatekeepingOutcome``.
+model's closed form. The record also holds what a replicate walks: one
+(label, df, ``models`` entry) test per node, supersets first, each node's
+model fitted just before its ``lr_test``, so a flagged replicate stops at
+its first failed test; and a label -> arm map of the elementary nodes,
+which credits the arms of the rejected ones. A branch's outcome is one
+NamedTuple, a ``GatekeepingOutcome``.
 """
 
 from __future__ import annotations
@@ -151,6 +155,8 @@ class _Branch(NamedTuple):
     nodes: tuple  # every node, supersets first
     models: tuple  # the full model's, then every node's: its index in ``groups`` if saturated, else its ``Strata``
     groups: tuple  # per saturated model, each group's rows, for ``_saturated_pass``
+    tests: tuple  # per node, supersets first: (label, df, its ``models`` entry)
+    arms: dict  # label of each elementary node -> the arm credited on its rejection
 
 
 def _constants(branch: FinalBranch) -> _Branch:
@@ -193,7 +199,9 @@ def _constants(branch: FinalBranch) -> _Branch:
         )
         for label, nulled in ordered
     )
-    return _Branch(patterns, slots, k + 1, nodes, tuple(models), tuple(groups))
+    tests = tuple((node.label, node.df, model) for node, model in zip(nodes, models[1:]))
+    arms = {node.label: node.arm for node in nodes if node.arm}
+    return _Branch(patterns, slots, k + 1, nodes, tuple(models), tuple(groups), tests, arms)
 
 
 _BRANCHES = {branch: _constants(branch) for branch in FinalBranch}
@@ -224,15 +232,6 @@ def build_final_model(cells: np.ndarray, branch: FinalBranch) -> np.ndarray:
     return table
 
 
-def _log_likelihood(model, closed: list, events: list, trials: list) -> float:
-    """The maximised log-likelihood of a ``models`` entry, nan where it has
-    no MLE: its closed form where the model is saturated, else the profile
-    fit's (``fit_logistic_counts``) on the model's stratum map."""
-    if isinstance(model, int):
-        return closed[model]
-    return fit_logistic_counts(model, events, trials).log_likelihood
-
-
 def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     """LR p-value per node label, and whether the replicate is flagged:
     where a model has no MLE (a nan log-likelihood, which ``lr_test``
@@ -241,21 +240,28 @@ def _node_tests(table: np.ndarray, branch: FinalBranch) -> tuple[dict, bool]:
     p-value is 1.0. The pattern table is read once and checked once: its
     shape against the branch's patterns, its counts against the full
     model's column count; one pass gives every saturated model's
-    closed-form log-likelihood."""
+    closed-form log-likelihood. Every other model's is its profile fit's
+    (``fit_logistic_counts``) on its stratum map, fitted only when its
+    node is tested, so a flagged replicate stops at its first failed LR
+    test."""
     record = _BRANCHES[branch]
     if table.shape != (2, record.patterns):
         raise InputError(f"{branch.value} needs a (2, {record.patterns}) pattern table, got shape {table.shape}")
     events, trials = table.tolist()
     _check_table(events, trials, record.columns)
     closed = _saturated_pass(record.groups, events, trials)
-    full = _log_likelihood(record.models[0], closed, events, trials)
+    full = record.models[0]
+    full = closed[full] if full.__class__ is int else fit_logistic_counts(full, events, trials).log_likelihood
+    p_values = {}
     try:
-        return {
-            node.label: lr_test(full, _log_likelihood(model, closed, events, trials), node.df).p_value
-            for model, node in zip(record.models[1:], record.nodes)
-        }, False
+        for label, df, model in record.tests:
+            reduced = (
+                closed[model] if model.__class__ is int else fit_logistic_counts(model, events, trials).log_likelihood
+            )
+            p_values[label] = lr_test(full, reduced, df).p_value
     except FittingError:
-        return {node.label: 1.0 for node in record.nodes}, True
+        return {label: 1.0 for label, _, _ in record.tests}, True
+    return p_values, False
 
 
 def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
@@ -263,9 +269,9 @@ def closed_test(branch: FinalBranch, p_values: dict, alpha: float) -> frozenset:
     below alpha and every node for a strict superset of its null set is
     rejected. Nodes are visited supersets first."""
     rejected = set()
-    for node in _BRANCHES[branch].nodes:
-        if node.ancestors <= rejected and p_values[node.label] < alpha:
-            rejected.add(node.label)
+    for label, _, ancestors, _ in _BRANCHES[branch].nodes:
+        if ancestors <= rejected and p_values[label] < alpha:
+            rejected.add(label)
     return frozenset(rejected)
 
 
@@ -277,7 +283,8 @@ def gate_three_parameter(p_values: dict, alpha: float) -> frozenset:
 def _gatekeep(table: np.ndarray, alpha_final: float, branch: FinalBranch) -> GatekeepingOutcome:
     p_values, failed = _node_tests(table, branch)
     rejected = frozenset() if failed else closed_test(branch, p_values, alpha_final)
-    successful = frozenset(node.arm for node in _BRANCHES[branch].nodes if node.arm and node.label in rejected)
+    arms = _BRANCHES[branch].arms
+    successful = frozenset(arms[label] for label in rejected if label in arms)
     return GatekeepingOutcome(p_values, rejected, successful, failed)
 
 

@@ -8,12 +8,12 @@ arm codes and biomarkers of the subjects enrolled so far, so a replicate
 keeps only those columns of each block, concatenated when a second block
 precedes an interim; the final analysis reads only the events and trials
 per (domain-A arm, domain-B arm) cell, so generation returns each block's
-cell table with its columns and the tables are summed, starting from the
-first block's. A replicate's path is one NamedTuple, a ``TrialResult``,
-and so is each decision it holds. Every replicate owns a seed derived
-injectively from (base_seed, scenario, cell, replicate index), so grid
-runs are bitwise reproducible regardless of execution order or worker
-count. A grid run turns every replicate's seed into the PCG64 state
+cell table with its columns and each later block's table is added in
+place to the first block's. A replicate's path is one NamedTuple, a
+``TrialResult``, and so is each decision it holds. Every replicate owns a
+seed derived injectively from (base_seed, scenario, cell, replicate
+index), so grid runs are bitwise reproducible regardless of execution
+order or worker count. A grid run turns every replicate's seed into the PCG64 state
 ``np.random.default_rng(seed)`` starts in, in one array pass with
 ``SeedSequence``'s algorithm, and each replicate of a task resets the
 task's one generator to its state; a test pins these states to
@@ -23,8 +23,10 @@ A replicate's outcome is one hashable code, and a cell's tally is the
 histogram of its codes: each task returns its (cell, code) counts, each
 cell's n_clamped sum and, when asked for, its trace rows, and the grid run
 merges them in the tasks' fixed order. The counts a code adds to its cell
-are evaluated once per distinct code in a grid. A trace row is read off
-``_TRACE``, the one ordered table of the trace fields and their values.
+are evaluated once per distinct code in a grid, as positions in the fixed
+order of ``_TALLY_NAMES``, so a cell's tally is a list of integers. A
+trace row is read off ``_TRACE``, the one ordered table of the trace
+fields and their values.
 
 A grid's replicates form one cell-major list, and a task is a slice of it,
 which may span cells: ``_task_size`` replicates, at most ``_CHUNK_SIZE``,
@@ -42,7 +44,7 @@ validated with the rest of the config.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -183,6 +185,10 @@ def _pcg64_state(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict
 # single replicate
 # ---------------------------------------------------------------------------
 
+_ALL_ARMS = frozenset(DOMAIN_A_ARMS)  # the domain-A arms open until an interim closes some
+_CONTROL = frozenset({"A0"})  # open after arm dropping, with the arms it retained
+
+
 class TrialResult(NamedTuple):
     """One replicate's full path through the design."""
 
@@ -219,11 +225,11 @@ def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> Tria
         )
     rng = np.random.default_rng(rng)
     schedule = build_schedule(n_drop, n_feas)
-    arms = frozenset(DOMAIN_A_ARMS)  # open domain-A arms; None once terminated
+    arms = _ALL_ARMS  # open domain-A arms; None once terminated
     # (arm_a, y11, y12) of the subjects so far, what the interims read, and the
     # sum of their blocks' cell tables, all the final analysis reads; the first
     # trigger always draws the block that starts both.
-    columns = cells = None
+    cells = None
     enrolled = 0
     retention: Optional[RetentionDecision] = None
     feasibility: Optional[FeasibilityDecision] = None
@@ -232,16 +238,18 @@ def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> Tria
         if arms is None:
             break  # domain terminated; the later trigger can never be reached
         if trigger > enrolled:
-            *block, block_cells = generate_block(config, arms, trigger - enrolled, rng)
-            columns = block if columns is None else [np.concatenate(c) for c in zip(columns, block)]
-            cells = block_cells if cells is None else cells + block_cells
+            block = generate_block(config, arms, trigger - enrolled, rng)
+            if cells is None:
+                arm_a, y11, y12, cells = block
+            else:
+                arm_a, y11, y12 = [np.concatenate(pair) for pair in zip((arm_a, y11, y12), block)]
+                cells += block[3]
             enrolled = trigger
-        arm_a, y11, y12 = columns
         if kind is AnalysisKind.ARM_DROPPING:
             retention = arm_dropping_analysis(
                 arm_a, y11, y12, config.alpha_drop, config.benefit_directions, config.default_retained_arm
             )
-            arms = frozenset({"A0"}) | retention.retained
+            arms = _CONTROL | retention.retained
         else:
             feasibility = feasibility_analysis(arm_a, y11, config.alpha_feas, config.benefit_directions[0])
             if not feasibility.proceed:
@@ -249,8 +257,7 @@ def run_replicate(config: ScenarioConfig, n_drop: int, n_feas: int, rng) -> Tria
 
     if config.n_total > enrolled:
         # No interim reads the last block, so it builds no biomarker columns.
-        *_, block_cells = generate_block(config, arms, config.n_total - enrolled, rng, biomarkers=False)
-        cells = cells + block_cells
+        cells += generate_block(config, arms, config.n_total - enrolled, rng, biomarkers=False)[3]
 
     # Arm dropping ran unless domain A was terminated, so the open arms name the branch.
     if arms is None:
@@ -350,6 +357,12 @@ _SUCCESS_SETS = {
 }
 _DOMAINS = (frozenset({"A1", "A2"}), frozenset({"B1"}))  # the treatment arms of domains A and B
 _BRANCH_NAMES = tuple(b.value for b in FinalBranch)
+# Every name ``_outcome_counts`` may count under, in the fixed order of a
+# cell's tally list.
+_TALLY_NAMES = (
+    "n_failed", "n_effective", "n_retention", "n_retain_correct", "n_retain_both", "n_used_default", "n_proceed",
+    *_BRANCH_NAMES, *_SUCCESS_SETS, "n_gating_violations", "n_power", "n_fwer",
+)
 
 
 def _outcome_code(result: TrialResult):
@@ -440,18 +453,23 @@ def _run_chunk(args) -> tuple[Counter, Counter, list]:
 
 def _characteristics(config: ScenarioConfig, cells: list, histogram: Counter, clamped: Counter) -> list:
     """Each cell's ``OperatingCharacteristics`` from the grid's histogram and
-    n_clamped sums. A distinct code's counts are evaluated once a grid, and
-    a cell's tally adds them times the code's count in the cell."""
+    n_clamped sums. A distinct code's counts are evaluated once a grid, as
+    (index in ``_TALLY_NAMES``, count) pairs, and a cell's tally list adds
+    them times the code's count in the cell."""
     correct, effective = designed_correct_arms(config), truly_effective_arms(config)
-    counts = {code: _outcome_counts(code, correct, effective) for code in dict.fromkeys(c for _, c in histogram)}
-    tallies = [defaultdict(int) for _ in cells]
+    counts = {
+        code: [(_TALLY_NAMES.index(name), count) for name, count in _outcome_counts(code, correct, effective).items()]
+        for code in dict.fromkeys(c for _, c in histogram)
+    }
+    tallies = [[0] * len(_TALLY_NAMES) for _ in cells]
     for (j, code), n in histogram.items():
         tally = tallies[j]
-        for key, count in counts[code].items():
-            tally[key] += n * count
+        for index, count in counts[code]:
+            tally[index] += n * count
 
     results = []
     for j, ((n_drop, n_feas), tally) in enumerate(zip(cells, tallies)):
+        tally = dict(zip(_TALLY_NAMES, tally))
         n_eff, n_ret = tally["n_effective"], tally["n_retention"]
         # A rate's count is 0 where its total is, so dividing by 1 there gives 0.0.
         per_eff, per_ret = n_eff or 1, n_ret or 1
@@ -459,7 +477,8 @@ def _characteristics(config: ScenarioConfig, cells: list, histogram: Counter, cl
             scenario_id=config.scenario_id,
             n_drop=int(n_drop),
             n_feas=int(n_feas),
-            order_first=build_schedule(n_drop, n_feas)[0][0].value,
+            # build_schedule's order: arm dropping first on a tie
+            order_first=(AnalysisKind.ARM_DROPPING if n_drop <= n_feas else AnalysisKind.FEASIBILITY).value,
             p_retain_correct=tally["n_retain_correct"] / per_ret,
             p_retain_both=tally["n_retain_both"] / per_ret,
             p_proceed=tally["n_proceed"] / per_eff,

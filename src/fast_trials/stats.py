@@ -96,6 +96,9 @@ class Tail(str, Enum):
     LOWER = "lower"
 
 
+_UPPER = Tail.UPPER  # read once: reading an enum member off its class is a descriptor call
+
+
 class TestResult(NamedTuple):
     """Outcome of a single hypothesis test."""
 
@@ -225,6 +228,8 @@ def t_sf(x: float, df: float) -> float:
 
 def _positive_int(v) -> bool:
     """A positive integer; a bool is not one here."""
+    if v.__class__ is int:
+        return v >= 1
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
@@ -246,6 +251,7 @@ def chi_square_sf(x: float, df: int) -> float:
         raise InputError(f"chi_square_sf requires x >= 0, got {x}")
     if not _positive_int(df):
         raise InputError(f"chi_square_sf requires a positive integer df, got {df!r}")
+    df = int(df)  # a numpy df's arithmetic below would wrap (uint8: 0 - 1 is 255)
     if not math.isfinite(x):
         return 0.0
     y = 0.5 * x
@@ -690,5 +696,4 @@ def lr_test(full: float, reduced: float, df_diff: int) -> TestResult:
         raise FittingError(f"full-model log-likelihood below reduced model ({full} < {reduced}); fit failed")
     if stat < 0.0:  # a full fit that rounds below its reduced one
         stat = 0.0
-    df_diff = int(df_diff)
-    return TestResult(stat, float(df_diff), chi_square_sf(stat, df_diff), Tail.UPPER)
+    return TestResult(stat, float(df_diff), chi_square_sf(stat, df_diff), _UPPER)

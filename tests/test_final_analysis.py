@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fast_trials import final_analysis
 from fast_trials.design import ScenarioConfig
 from fast_trials.final_analysis import (
     _BRANCHES,
@@ -23,6 +24,7 @@ from fast_trials.final_analysis import (
 from fast_trials.generation import generate_block
 from fast_trials.harness import gating_violation
 from fast_trials.oracles import oracle_gatekeeping_enumerate
+from fast_trials.stats import FittingError
 
 _NODES = ("H01", "H02", "H03", "H04", "H05", "H06", "H07")
 
@@ -422,3 +424,84 @@ def test_branch_mismatch_raises():
         gatekeep_one_retained(model, 0.05)
     with pytest.raises(ValueError):
         analyze_terminated(model, 0.05)
+
+
+# -- the per-branch tables a replicate walks ------------------------------------
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_successful_arms_credit_each_rejected_elementary_node(monkeypatch, branch):
+    """Under every subset of the branch's node labels taken as the rejected
+    set, the arms credited from the label -> arm map are the arms the walk
+    over the branch's nodes credits, ``node.arm`` for each rejected node."""
+    record = _BRANCHES[branch]
+    labels = [node.label for node in record.nodes]
+    p_values = dict.fromkeys(labels, 0.5)
+    monkeypatch.setattr(final_analysis, "_node_tests", lambda table, b: (p_values, False))
+    credited = set()
+    for size in range(len(labels) + 1):
+        for subset in itertools.combinations(labels, size):
+            rejected = frozenset(subset)
+            monkeypatch.setattr(final_analysis, "closed_test", lambda b, p, alpha, rejected=rejected: rejected)
+            outcome = final_analysis._gatekeep(None, 0.05, branch)
+            assert outcome.rejected == rejected
+            walk = frozenset(node.arm for node in record.nodes if node.arm and node.label in rejected)
+            assert outcome.successful_arms == walk, subset
+            credited |= walk
+    assert credited == set(_REFERENCE[branch][2].values())  # every elementary node's arm is credited somewhere
+
+
+# branch -> the models its replicate fits by profile fit, in the order the
+# parent's comprehension made its calls: the full model's label None, then
+# each node's, supersets first; every other model is saturated.
+_PROFILE_FITTED = {
+    FinalBranch.ONE_ARM_RETAINED: (None,),
+    FinalBranch.BOTH_ARMS_RETAINED: (None, "H05", "H06"),
+    FinalBranch.DOMAIN_A_TERMINATED: (),
+}
+_INTERIOR_TABLES = {
+    FinalBranch.ONE_ARM_RETAINED: np.array([[5.0, 9.0, 7.0, 12.0], [40.0] * 4]),
+    FinalBranch.BOTH_ARMS_RETAINED: np.array([[5.0, 9.0, 7.0, 12.0, 6.0, 11.0], [40.0] * 6]),
+    FinalBranch.DOMAIN_A_TERMINATED: np.array([[5.0, 9.0], [40.0] * 2]),
+}
+
+
+@pytest.mark.parametrize("branch", list(FinalBranch))
+def test_failed_lr_test_stops_the_fits_where_it_did(monkeypatch, branch):
+    """A replicate whose k-th LR test fails has made, in order, the full
+    model's profile fit where it has one, then for each node up to the k-th
+    its model's profile fit where it has one and its LR test, and nothing
+    after: each node's model is fitted just before its test. Counted by
+    wrapping the names ``final_analysis`` looks up."""
+    record = _BRANCHES[branch]
+    labels = [node.label for node in record.nodes]
+    table = _INTERIOR_TABLES[branch]
+    fit, test = final_analysis.fit_logistic_counts, final_analysis.lr_test
+    calls = []
+
+    def counted_fit(strata, events, trials):
+        calls.append(("fit", strata))
+        return fit(strata, events, trials)
+
+    for k in [*range(1, len(labels) + 1), None]:  # None: no test fails
+
+        def counted_test(full, reduced, df):
+            calls.append(("lr_test", df))
+            if sum(name == "lr_test" for name, _ in calls) == k:
+                raise FittingError("the k-th LR test fails")
+            return test(full, reduced, df)
+
+        monkeypatch.setattr(final_analysis, "fit_logistic_counts", counted_fit)
+        monkeypatch.setattr(final_analysis, "lr_test", counted_test)
+        calls.clear()
+        outcome = _REFERENCE[branch][0](table, 0.05)
+        models = dict(zip([None, *labels], record.models))
+        expected = [("fit", models[None])] if None in _PROFILE_FITTED[branch] else []
+        for node in record.nodes[: k or len(labels)]:
+            if node.label in _PROFILE_FITTED[branch]:
+                expected.append(("fit", models[node.label]))
+            expected.append(("lr_test", node.df))
+        assert calls == expected, k
+        assert outcome.fit_failed == (k is not None)
+        assert list(outcome.node_p_values) == labels
+        if k is not None:
+            assert set(outcome.node_p_values.values()) == {1.0} and outcome.rejected == frozenset()

@@ -245,6 +245,23 @@ def test_lr_df_validation():
         lr_test(-1.0, -3.0, True)
 
 
+@pytest.mark.parametrize("df", [np.int64(2), np.uint8(1)], ids=repr)
+def test_numpy_integer_df_is_a_df(df):
+    # x = 1500 takes chi_square_sf's log-space branch, where a uint8 df's
+    # own arithmetic would wrap.
+    for x in (0.0, 3.0, 50.0, 1500.0):
+        assert chi_square_sf(x, df) == chi_square_sf(x, int(df)), x
+    assert lr_test(-1.0, -3.0, df) == lr_test(-1.0, -3.0, int(df))
+
+
+@pytest.mark.parametrize("df", [True, np.bool_(True), 0, -1, 2.0], ids=repr)
+def test_df_that_is_not_a_positive_integer_is_rejected(df):
+    with pytest.raises(InputError, match="positive integer"):
+        chi_square_sf(3.0, df)
+    with pytest.raises(InputError, match="positive integer"):
+        lr_test(-1.0, -3.0, df)
+
+
 def test_lr_nan_log_likelihood_is_a_failed_fit(monkeypatch):
     # A NaN statistic used to give p = 0.0, a rejection.
     for full, reduced in ((np.nan, -5.0), (-5.0, np.nan), (np.nan, np.nan)):
